@@ -47,9 +47,7 @@ q = em.plan_recursion(eta, 1e-4)
 spec, target = em.verification_model(3.0, 0.05, calib.lam_marked, calib.lam_unmarked)
 layout = calib.layout()
 assembly = em.build_assembly(spec, target, layout, "fixed_point", q=q)
-tally = em.Tally()
-state = em.product_state(spec.basis_column(0), layout.sigma_state())
-em.apply(assembly.operator, state, "joint", tally)
+counters = em.application_counters(assembly)
 print(f"  planned recursion level q={q} at eta={calib.eta:.5f}")
-print(f"  one marker application: N_P={tally.get('P')} (= 2*9^{q}), "
-      f"N_U={tally.get('U')} (= N_P * 2^{layout.mu}), N_A={layout.mu}")
+print(f"  one marker application: N_P={counters.n_p} (= 2*9^{q}), "
+      f"N_U={counters.n_u} (= N_P * 2^{layout.mu}), N_A={counters.n_a}")

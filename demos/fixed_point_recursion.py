@@ -12,10 +12,10 @@ magnitudes sit below the double-precision noise floor.
 import numpy as np
 
 import eigenmark as em
+from eigenmark.statevec import EXTENDED
 
 DELTA = 3.0
 B = 0.05
-EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 calib = em.calibrate_workspace(DELTA, B)
 spec, target = em.verification_model(DELTA, B, calib.lam_marked, calib.lam_unmarked)
@@ -32,17 +32,13 @@ for q in range(3):
     fp = em.build_fixed_point(pea_op, q, spec.dim, window)
     pred = em.predict_schedule(q, eta)
     tally = em.Tally()
-    for i in range(spec.dim):
-        marked = i in target.marked_indices
-        state = em.product_state(spec.basis_column(i).astype(EXTENDED),
-                                 layout.sigma_state(EXTENDED))
-        out = em.apply(fp, state, "joint", tally if i == 0 else None)
-        proj = window.complement() if marked else window
-        got = em.subspace_amplitude(out, proj).magnitude
-        bound = pred.marked_magnitude if marked else pred.unmarked_magnitude
-        side = "marked" if marked else "unmarked"
+    fp.apply_to(em.product_state(spec.basis_column(0), layout.sigma_state()).amplitudes,
+                tally)
+    for entry in em.measure_eta(fp, spec, target, layout, dtype=EXTENDED).entries:
+        bound = pred.marked_magnitude if entry.marked else pred.unmarked_magnitude
+        side = "marked" if entry.marked else "unmarked"
         print(f"{q:>2} {tally.get('P'):>5} {tally.get('U'):>8} {side:>9} "
-              f"{got:>12.3e} {bound:>14.3e} {pred.schedule.eps:>10.2e}")
+              f"{entry.eta:>12.3e} {bound:>14.3e} {pred.schedule.eps:>10.2e}")
 
 print()
 print("exact per-level laws (any unitary, any window):")

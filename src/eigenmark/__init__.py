@@ -63,6 +63,7 @@ from .voting import (
 from .marker import (
     MarkerAssembly,
     MarkerErrorReport,
+    application_counters,
     assemble_marker,
     build_assembly,
     evaluate_marker,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import complexity, fpqs, marker, pea, spectral, voting
 from .statevec import (
-    SubspaceProjector,
+    EXTENDED,
     Tally,
     apply,
     dense_materialize,
@@ -30,7 +30,6 @@ from .statevec import (
 
 AUDIT_DELTA = 3.0
 AUDIT_B = 0.05
-EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,6 @@ class _Context:
         self.pea_op = pea.build_pea(self.shifted, self.layout)
         self.eta_report = pea.measure_eta(self.pea_op, self.spec, self.target,
                                           self.layout, dtype=EXTENDED)
-
-    def wrong_magnitudes(self, q: int, dtype) -> dict[bool, float]:
-        """Worst wrong-window magnitude of the level-q operator per side."""
-        op = fpqs.build_fixed_point(self.pea_op, q, self.spec.dim, self.layout.z_window())
-        window = self.layout.z_window()
-        out: dict[bool, float] = {}
-        for i in range(self.spec.dim):
-            marked = i in self.target.marked_indices
-            state = product_state(self.spec.basis_column(i).astype(dtype),
-                                  self.layout.sigma_state(dtype))
-            res = apply(op, state, "joint")
-            proj = window.complement() if marked else window
-            mag = subspace_amplitude(res, proj).magnitude
-            out[marked] = max(out.get(marked, 0.0), mag)
-        return out
 
 
 def _fmt(x: float) -> str:
@@ -189,14 +173,21 @@ def check_pea_grid_exactness(ctx) -> CheckResult:
                        f"grid-aligned eta = {_fmt(report.eta)} (tol 1e-12)")
 
 
-def check_pea_block_structure(ctx) -> CheckResult:
+def _main_disturbance(ctx, op) -> float:
+    """Largest norm op moves out of psi_i (x) workspace, over the small
+    model's eigendirections psi_i with sigma on the workspace."""
     worst = 0.0
     for i in range(ctx.small_spec.dim):
         psi = ctx.small_spec.basis_column(i)
         state = product_state(psi, ctx.small_layout.sigma_state())
-        out = apply(ctx.small_pea, state, "joint").tensor()
+        out = apply(op, state, "joint").tensor()
         keep = np.outer(psi, psi.conj() @ out)
         worst = max(worst, float(np.linalg.norm(out - keep)))
+    return worst
+
+
+def check_pea_block_structure(ctx) -> CheckResult:
+    worst = _main_disturbance(ctx, ctx.small_pea)
     return CheckResult("pea.block_structure", worst <= 1e-12,
                        f"main-factor disturbance = {_fmt(worst)} (tol 1e-12)")
 
@@ -241,21 +232,24 @@ def check_pea_calibration_reverified(ctx) -> CheckResult:
 
 # --- fpqs -------------------------------------------------------------------
 
-def check_fpqs_exact_cubing(ctx) -> CheckResult:
-    rng = np.random.default_rng(21)
-    worst = 0.0
+def _random_levels(seed: int, level):
+    """For 50 random unitaries V on random workspaces and windows: the
+    window mask, V sigma, and level(V) sigma."""
+    rng = np.random.default_rng(seed)
     for _ in range(50):
         mu = int(rng.integers(1, 7))
         wdim = 2 ** mu
-        window = SubspaceProjector(
-            wdim, tuple(pea.WorkspaceLayout(mu, int(rng.integers(0, max(1, wdim // 2))))
-                        .window_indices()))
+        layout = pea.WorkspaceLayout(mu, int(rng.integers(0, max(1, wdim // 2))))
+        window, sigma = layout.z_window(), layout.sigma_state()
         v = from_matrix(_haar(rng, wdim))
-        sigma = np.zeros(wdim, complex)
-        sigma[0] = 1.0
-        eta = float(np.linalg.norm(v.apply_to(sigma)[~window.mask()]))
-        out = fpqs.pi3_compress(v, 1, window).apply_to(sigma)
-        got = float(np.linalg.norm(out[~window.mask()]))
+        yield window.mask(), v.apply_to(sigma), level(v, 1, window).apply_to(sigma)
+
+
+def check_fpqs_exact_cubing(ctx) -> CheckResult:
+    worst = 0.0
+    for inside, before, after in _random_levels(21, fpqs.pi3_compress):
+        eta = float(np.linalg.norm(before[~inside]))
+        got = float(np.linalg.norm(after[~inside]))
         worst = max(worst, abs(got - eta ** 3))
     return CheckResult("fpqs.exact_cubing", worst <= 1e-12,
                        f"max |wrong after compress - eta^3| = {_fmt(worst)} over 50 "
@@ -263,20 +257,10 @@ def check_fpqs_exact_cubing(ctx) -> CheckResult:
 
 
 def check_fpqs_balance_mass_cubing(ctx) -> CheckResult:
-    rng = np.random.default_rng(22)
     worst = 0.0
-    for _ in range(50):
-        mu = int(rng.integers(1, 7))
-        wdim = 2 ** mu
-        window = SubspaceProjector(
-            wdim, tuple(pea.WorkspaceLayout(mu, int(rng.integers(0, max(1, wdim // 2))))
-                        .window_indices()))
-        v = from_matrix(_haar(rng, wdim))
-        sigma = np.zeros(wdim, complex)
-        sigma[0] = 1.0
-        u0 = float(np.linalg.norm(v.apply_to(sigma)[window.mask()]) ** 2)
-        out = fpqs.pi3_balance(v, 1, window).apply_to(sigma)
-        u1 = float(np.linalg.norm(out[window.mask()]) ** 2)
+    for inside, before, after in _random_levels(22, fpqs.pi3_balance):
+        u0 = float(np.linalg.norm(before[inside]) ** 2)
+        u1 = float(np.linalg.norm(after[inside]) ** 2)
         worst = max(worst, abs(u1 - u0 ** 3))
     return CheckResult("fpqs.balance_mass_cubing", worst <= 1e-12,
                        f"max |in-window mass after balance - u^3| = {_fmt(worst)} (tol 1e-12)")
@@ -289,14 +273,16 @@ def check_fpqs_measured_vs_predicted(ctx) -> CheckResult:
     slack = 1.0 + 10.0 * eta * eta
     for q in (1, 2):
         pred = fpqs.predict_schedule(q, eta)
-        got = ctx.wrong_magnitudes(q, EXTENDED)
-        ok_q = (got[True] <= pred.marked_magnitude * slack
-                and got[False] <= pred.unmarked_magnitude * slack
-                and got[True] <= pred.schedule.eps and got[False] <= pred.schedule.eps)
+        level = fpqs.build_fixed_point(ctx.pea_op, q, ctx.spec.dim, ctx.layout.z_window())
+        got = pea.measure_eta(level, ctx.spec, ctx.target, ctx.layout, dtype=EXTENDED)
+        marked, unmarked = got.eta_marked, got.eta_unmarked
+        ok_q = (marked <= pred.marked_magnitude * slack
+                and unmarked <= pred.unmarked_magnitude * slack
+                and marked <= pred.schedule.eps and unmarked <= pred.schedule.eps)
         ok = ok and ok_q
         details.append(
-            f"q={q}: marked {_fmt(got[True])} <= {_fmt(pred.marked_magnitude * slack)}, "
-            f"unmarked {_fmt(got[False])} <= {_fmt(pred.unmarked_magnitude * slack)}, "
+            f"q={q}: marked {_fmt(marked)} <= {_fmt(pred.marked_magnitude * slack)}, "
+            f"unmarked {_fmt(unmarked)} <= {_fmt(pred.unmarked_magnitude * slack)}, "
             f"eps_q={_fmt(pred.schedule.eps)}")
     return CheckResult("fpqs.measured_vs_predicted", ok, "; ".join(details))
 
@@ -339,13 +325,7 @@ def check_fpqs_counter_law(ctx) -> CheckResult:
 def check_fpqs_block_locality(ctx) -> CheckResult:
     window = ctx.small_layout.z_window()
     op = fpqs.build_fixed_point(ctx.small_pea, 1, ctx.small_spec.dim, window)
-    worst = 0.0
-    for i in range(ctx.small_spec.dim):
-        psi = ctx.small_spec.basis_column(i)
-        state = product_state(psi, ctx.small_layout.sigma_state())
-        out = apply(op, state, "joint").tensor()
-        keep = np.outer(psi, psi.conj() @ out)
-        worst = max(worst, float(np.linalg.norm(out - keep)))
+    worst = _main_disturbance(ctx, op)
     return CheckResult("fpqs.block_locality", worst <= 1e-12,
                        f"main-factor disturbance under level-1 recursion = {_fmt(worst)} "
                        f"(tol 1e-12)")
@@ -412,8 +392,7 @@ def check_marker_workspace_restoration(ctx) -> CheckResult:
         residual = np.linalg.norm(out.amplitudes - phase * state.amplitudes)
         block = psi.conj() @ out.tensor()
         cross_mass = np.linalg.norm(out.tensor() - np.outer(psi, block)) ** 2
-        sigma = np.zeros(ctx.small_layout.work_dim, complex)
-        sigma[0] = 1.0
+        sigma = ctx.small_layout.sigma_state()
         recon = np.sqrt(np.linalg.norm(block - phase * sigma) ** 2 + cross_mass)
         worst = max(worst, abs(recon - residual))
     return CheckResult("marker.workspace_restoration", worst <= 1e-10,
@@ -504,13 +483,10 @@ def check_complexity_planner(ctx) -> CheckResult:
 def check_complexity_table_consistency(ctx) -> CheckResult:
     eps = 1e-8
     eta = ctx.eta_report.eta
-    q = complexity.plan_recursion(min(eta, 2.0 ** -5), eps)
+    q = complexity.plan_recursion(min(eta, complexity.ETA_REGIME), eps)
     assembly = marker.build_assembly(ctx.spec, ctx.target, ctx.layout,
                                      "fixed_point", q=q)
-    tally = Tally()
-    state = product_state(ctx.spec.basis_column(0), ctx.layout.sigma_state())
-    apply(assembly.operator, state, "joint", tally)
-    counters = complexity.ComplexityCounters.from_tally(tally, assembly.ancillas)
+    counters = marker.application_counters(assembly)
     measured = [{"variant": "fixed_point", "delta": AUDIT_DELTA, "eps": eps,
                  "mu": ctx.layout.mu, "q": q, "nu": None,
                  "n_u": counters.n_u, "n_a": counters.n_a, "n_p": counters.n_p}]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -27,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import audit as audit_mod
-from . import complexity, marker, pea, spectral
-from .statevec import Tally, apply, product_state
+from . import complexity, fpqs, marker, pea, spectral
+from .statevec import EXTENDED
 
 SWEEP_COLUMNS = ("variant", "delta", "mu", "window", "q", "nu", "phi", "eta",
                  "worst_residual", "superposition_residual", "N_U", "N_A", "N_P")
@@ -62,14 +63,14 @@ def _require(doc: dict, key, kind, where="config"):
     return value
 
 
+_DTYPES = {np.dtype(t).name: t for t in (np.complex128, EXTENDED)}
+
+
 def _dtype_from(doc: dict):
     name = doc.get("dtype", "complex128")
-    table = {"complex128": np.complex128}
-    if hasattr(np, "complex256"):
-        table["complex256"] = np.complex256
-    if name not in table:
-        raise ConfigError(f"unknown dtype {name!r}; expected one of {sorted(table)}")
-    return table[name]
+    if name not in _DTYPES:
+        raise ConfigError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
+    return _DTYPES[name]
 
 
 def _model_from(doc: dict):
@@ -135,29 +136,35 @@ def _resolve_layout(cfg, spec, target):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_assembly_from(cfg, spec, target, layout):
+def _assembly_args(cfg, q, nu) -> dict:
+    """build_assembly's variant arguments for one (q, nu), checked before
+    any work."""
     variant = _require(cfg, "variant", str)
-    q = cfg.get("q")
-    nu = cfg.get("nu")
     try:
-        return marker.build_assembly(spec, target, layout, variant,
-                                     q=None if q is None else int(q),
-                                     nu=None if nu is None else int(nu),
-                                     q_cap=int(cfg.get("q_cap", 3)))
-    except ValueError as exc:
+        args = {"variant": variant, "q": None if q is None else int(q),
+                "nu": None if nu is None else int(nu),
+                "q_cap": int(cfg.get("q_cap", fpqs.Q_CAP_DEFAULT))}
+        marker.check_variant(**args)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return args
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     spec, target = _model_from(cfg)
+    variant_args = _assembly_args(cfg, cfg.get("q"), cfg.get("nu"))
+    dtype = _dtype_from(cfg)
     layout = _resolve_layout(cfg, spec, target)
-    assembly = _build_assembly_from(cfg, spec, target, layout)
+    try:
+        assembly = marker.build_assembly(spec, target, layout, **variant_args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = marker.evaluate_marker(
         assembly, spec, target,
         n_random=int(cfg.get("n_random", 8)),
         seed=args.seed,
-        dtype=_dtype_from(cfg),
+        dtype=dtype,
     )
     out = _outdir(args)
     marker.write_report_json(report, os.path.join(out, "report.json"))
@@ -170,7 +177,7 @@ def _cmd_simulate(args) -> int:
 # --- sweep -------------------------------------------------------------------
 
 def _sweep_cells(cfg, seed) -> list[dict]:
-    variant = _require(cfg, "variant", str)
+    """Every cell of the grid, each checked before any cell runs."""
     axes = _require(cfg, "grid", dict)
     unknown = set(axes) - {"mu", "q", "nu", "delta"}
     if unknown:
@@ -182,44 +189,41 @@ def _sweep_cells(cfg, seed) -> list[dict]:
         raise ConfigError("a delta axis requires 'worst_case' mode (a fixed model "
                           "pins its own delta)")
     if synthetic:
-        wc = cfg["worst_case"]
-        b = float(_require(wc, "b", float, "worst_case"))
-        phi = float(_require(wc, "phi", float, "worst_case"))
-        deltas = [float(d) for d in axes.get("delta", [_require(wc, "delta", float,
-                                                                "worst_case")])]
-        model_doc = None
+        wc = _require(cfg, "worst_case", dict)
+        b = _require(wc, "b", float, "worst_case")
+        phi = _require(wc, "phi", float, "worst_case")
+        if "delta" in axes:
+            deltas = axes["delta"]
+        else:
+            deltas = [_require(wc, "delta", float, "worst_case")]
+        model = None
     else:
         b = phi = None
         deltas = [None]
-        model_doc = cfg.get("model")
-        if model_doc is None:
-            with open(cfg["model_path"], "r", encoding="utf-8") as fh:
-                model_doc = json.load(fh)
-    raw_mus = axes.get("mu", [cfg.get("mu")])
-    if raw_mus == [None]:
+        model = _model_from(cfg)
+    dtype = _dtype_from(cfg)
+    mus = axes.get("mu", [cfg.get("mu")])
+    if mus == [None]:
         raise ConfigError("sweep needs 'mu' as an axis or a scalar config key")
-    mus = [int(m) for m in raw_mus]
-    qs = [None if v is None else int(v) for v in axes.get("q", [cfg.get("q")])]
-    nus = [None if v is None else int(v) for v in axes.get("nu", [cfg.get("nu")])]
-    cells = []
-    for delta in deltas:
-        for mu in mus:
-            for q in qs:
-                for nu in nus:
-                    cells.append({
-                        "variant": variant, "delta": delta, "mu": mu, "q": q,
-                        "nu": nu, "b": b, "phi": phi, "model_doc": model_doc,
-                        "n_random": int(cfg.get("n_random", 4)),
-                        "dtype": cfg.get("dtype", "complex128"),
-                        "seed": seed, "q_cap": int(cfg.get("q_cap", 3)),
-                        "grid_per_bin": int(cfg.get("grid_per_bin", 64)),
-                    })
-    return cells
+    qs = axes.get("q", [cfg.get("q")])
+    nus = axes.get("nu", [cfg.get("nu")])
+    try:
+        return [{
+            "delta": None if delta is None else float(delta),
+            "mu": pea.WorkspaceLayout(int(mu), 0).mu,  # rejects mu < 1
+            "b": b, "phi": phi, "model": model,
+            "variant_args": _assembly_args(cfg, q, nu),
+            "n_random": int(cfg.get("n_random", 4)),
+            "dtype": dtype, "seed": seed,
+            "grid_per_bin": int(cfg.get("grid_per_bin", 64)),
+        } for delta, mu, q, nu in itertools.product(deltas, mus, qs, nus)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_cell(cell: dict) -> dict:
-    if cell["model_doc"] is not None:
-        spec, target = spectral.load_model(cell["model_doc"])
+    if cell["model"] is not None:
+        spec, target = cell["model"]
         delta = spec.delta
         window = pea.best_window(cell["mu"], spec.delta, target.b,
                                  cell["grid_per_bin"]).window
@@ -232,19 +236,18 @@ def _run_cell(cell: dict) -> dict:
     layout = pea.WorkspaceLayout(cell["mu"], window)
     shifted = spectral.build_shifted(spec, target)
     eta = pea.measure_eta(pea.build_pea(shifted, layout), spec, target, layout).eta
-    assembly = marker.build_assembly(spec, target, layout, cell["variant"],
-                                     q=cell["q"], nu=cell["nu"], q_cap=cell["q_cap"])
-    dtype = np.complex128 if cell["dtype"] == "complex128" else getattr(np, cell["dtype"])
+    assembly = marker.build_assembly(spec, target, layout, **cell["variant_args"])
     report = marker.evaluate_marker(assembly, spec, target,
                                     n_random=cell["n_random"], seed=cell["seed"],
-                                    dtype=dtype)
+                                    dtype=cell["dtype"])
+    q, nu = cell["variant_args"]["q"], cell["variant_args"]["nu"]
     return {
-        "variant": cell["variant"],
+        "variant": assembly.variant,
         "delta": repr(float(delta)),
         "mu": cell["mu"],
         "window": window,
-        "q": "" if cell["q"] is None else cell["q"],
-        "nu": "" if cell["nu"] is None else cell["nu"],
+        "q": "" if q is None else q,
+        "nu": "" if nu is None else nu,
         "phi": repr(float(target.phi)),
         "eta": repr(eta),
         "worst_residual": repr(report.worst_residual),
@@ -290,10 +293,7 @@ def _measured_cell(delta: float, eps: float, b: float, mu_limit: int) -> dict | 
     spec, target = pea.verification_model(delta, b, calib.lam_marked, calib.lam_unmarked)
     layout = calib.layout()
     assembly = marker.build_assembly(spec, target, layout, "fixed_point", q=q)
-    tally = Tally()
-    state = product_state(spec.basis_column(0), layout.sigma_state())
-    apply(assembly.operator, state, "joint", tally)
-    counters = complexity.ComplexityCounters.from_tally(tally, assembly.ancillas)
+    counters = marker.application_counters(assembly)
     return {"variant": "fixed_point", "delta": delta, "eps": eps,
             "mu": layout.mu, "q": q, "nu": None,
             "n_u": counters.n_u, "n_a": counters.n_a, "n_p": counters.n_p}

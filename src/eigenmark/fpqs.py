@@ -25,10 +25,11 @@ from .statevec import (
     SubspaceProjector,
     compose,
     embed_work_projector,
+    real_dtype,
     work_basis_projector,
 )
+from .complexity import ETA_REGIME
 
-ETA_REGIME = 2.0 ** -5
 PI3 = np.pi / 3.0
 Q_CAP_DEFAULT = 3
 
@@ -66,8 +67,8 @@ def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
     def factor(dtype, sign):
         key = (np.dtype(dtype), sign)
         if key not in cache:
-            work = np.longdouble if np.dtype(dtype).itemsize > 16 else np.float64
-            cache[key] = np.asarray(np.exp(1j * sign * work(angle)), dtype=dtype)[()]
+            work = real_dtype(dtype).type(angle)
+            cache[key] = np.asarray(np.exp(1j * sign * work), dtype=dtype)[()]
         return cache[key]
 
     if isinstance(spec.target, SubspaceProjector):
@@ -101,26 +102,36 @@ def _check_joint(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector) 
     return dim
 
 
-def pi3_compress(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
-                 sigma_index: int = 0) -> LinearOperator:
-    """V I_sigma^{pi/3} V+ I_Z^{pi/3} V; wrong-subspace amplitude -> cubed."""
+def _pi3_level(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
+               sigma_index: int, z_angle: float) -> LinearOperator:
+    """V I_sigma^{pi/3} V+ I_Z^{z_angle} V, the shared form of both halves
+    of a recursion level."""
     _check_joint(op, main_dim, zwindow)
     i_sigma = selective_phase(SelectivePhaseSpec(
         work_basis_projector(main_dim, zwindow.dim, sigma_index), PI3))
     i_z = selective_phase(SelectivePhaseSpec(
-        embed_work_projector(main_dim, zwindow), PI3))
+        embed_work_projector(main_dim, zwindow), z_angle))
     return compose(op, i_sigma, op.adjoint, i_z, op)
+
+
+def pi3_compress(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
+                 sigma_index: int = 0) -> LinearOperator:
+    """V I_sigma^{pi/3} V+ I_Z^{pi/3} V; wrong-subspace amplitude -> cubed."""
+    return _pi3_level(op, main_dim, zwindow, sigma_index, PI3)
 
 
 def pi3_balance(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
                 sigma_index: int = 0) -> LinearOperator:
     """V I_sigma^{pi/3} V+ I_Z^{-pi/3} V; in-window probability mass -> cubed."""
-    _check_joint(op, main_dim, zwindow)
-    i_sigma = selective_phase(SelectivePhaseSpec(
-        work_basis_projector(main_dim, zwindow.dim, sigma_index), PI3))
-    i_z = selective_phase(SelectivePhaseSpec(
-        embed_work_projector(main_dim, zwindow), -PI3))
-    return compose(op, i_sigma, op.adjoint, i_z, op)
+    return _pi3_level(op, main_dim, zwindow, sigma_index, -PI3)
+
+
+def check_level(q: int, q_cap: int) -> None:
+    """Reject a recursion level outside [0, q_cap]."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    if q > q_cap:
+        raise ValueError(f"q={q} exceeds the configured cap {q_cap}")
 
 
 def build_fixed_point(pea_op: LinearOperator, q: int, main_dim: int,
@@ -129,10 +140,7 @@ def build_fixed_point(pea_op: LinearOperator, q: int, main_dim: int,
     """Level-q recursion: q = 0 is the wrapped operator itself; each level
     is balance(compress(previous)), so the wrapped operator is applied
     exactly 9^q times per application of the result."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q > q_cap:
-        raise ValueError(f"q={q} exceeds the configured cap {q_cap}")
+    check_level(q, q_cap)
     _check_joint(pea_op, main_dim, zwindow)
     op = pea_op
     for _ in range(q):

@@ -27,8 +27,9 @@ from .statevec import (
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
 from .pea import WorkspaceLayout, build_pea
-from .fpqs import SelectivePhaseSpec, build_fixed_point, selective_phase
-from .voting import build_h_tensor, majority_projector
+from .fpqs import (Q_CAP_DEFAULT, SelectivePhaseSpec, build_fixed_point, check_level,
+                   selective_phase)
+from .voting import build_h_tensor, majority_projector, require_odd
 from .complexity import ComplexityCounters
 
 VARIANTS = ("pea", "voting", "fixed_point")
@@ -68,27 +69,38 @@ class MarkerAssembly:
         return self.q if self.q is not None else self.nu
 
 
-def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
-                   variant: str, q: int | None = None, nu: int | None = None,
-                   q_cap: int = 3) -> MarkerAssembly:
-    """Construct the chosen variant's core and wrap it into a marker."""
+def check_variant(variant: str, q: int | None, nu: int | None, q_cap: int) -> None:
+    """Reject a variant and argument combination that build_assembly would
+    reject, without building anything."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "pea":
+        if q is not None or nu is not None:
+            raise ValueError("variant 'pea' takes neither q nor nu")
+    elif variant == "fixed_point":
+        if q is None or nu is not None:
+            raise ValueError("variant 'fixed_point' takes q (and not nu)")
+        check_level(q, q_cap)
+    else:
+        if nu is None or q is not None:
+            raise ValueError("variant 'voting' takes nu (and not q)")
+        require_odd(nu)
+
+
+def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
+                   variant: str, q: int | None = None, nu: int | None = None,
+                   q_cap: int = Q_CAP_DEFAULT) -> MarkerAssembly:
+    """Construct the chosen variant's core and wrap it into a marker."""
+    check_variant(variant, q, nu, q_cap)
     shifted = build_shifted(spec, target)
     pea_op = build_pea(shifted, layout)
     window = layout.z_window()
     if variant == "pea":
-        if q is not None or nu is not None:
-            raise ValueError("variant 'pea' takes neither q nor nu")
         core, zproj, ancillas = pea_op, window, layout.mu
     elif variant == "fixed_point":
-        if q is None or nu is not None:
-            raise ValueError("variant 'fixed_point' takes q (and not nu)")
         core = build_fixed_point(pea_op, q, spec.dim, window, q_cap=q_cap)
         zproj, ancillas = window, layout.mu
     else:
-        if nu is None or q is not None:
-            raise ValueError("variant 'voting' takes nu (and not q)")
         core = build_h_tensor(pea_op, nu, layout, spec.dim)
         zproj, ancillas = majority_projector(window, nu), nu * layout.mu
     operator = assemble_marker(core, target.phi, zproj, spec.dim)
@@ -171,6 +183,16 @@ def write_report_csv(report: MarkerErrorReport, path) -> None:
         writer.writeheader()
         for row in report.csv_rows():
             writer.writerow(row)
+
+
+def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
+    """Exact counters of one application of the assembled marker.  Tally
+    charges per application whatever the state, so any unit vector will do."""
+    tally = Tally()
+    x = np.zeros(assembly.operator.dim, dtype=complex)
+    x[0] = 1.0
+    assembly.operator.apply_to(x, tally)
+    return ComplexityCounters.from_tally(tally, assembly.ancillas)
 
 
 def _sigma_vector(work_dim: int, dtype) -> np.ndarray:

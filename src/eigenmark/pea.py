@@ -24,14 +24,13 @@ import tempfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.linalg
 
 from .statevec import (
     LinearOperator,
     SubspaceProjector,
     apply,
-    dense_materialize,
     product_state,
+    real_dtype,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
 
@@ -72,9 +71,6 @@ class WorkspaceLayout:
     def z_window(self) -> SubspaceProjector:
         return SubspaceProjector(self.work_dim, tuple(int(z) for z in self.window_indices()))
 
-    def z_complement(self) -> SubspaceProjector:
-        return self.z_window().complement()
-
     def sigma_state(self, dtype=np.complex128) -> np.ndarray:
         v = np.zeros(self.work_dim, dtype=dtype)
         v[self.sigma_index] = 1.0
@@ -91,28 +87,7 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
         out = np.stack((out[:, :, 0] + out[:, :, 1], out[:, :, 0] - out[:, :, 1]), axis=2)
         out = out.reshape(m, dim, k)
         h *= 2
-    if a.dtype.itemsize > 16:
-        return out / np.sqrt(np.longdouble(dim))
-    return out / np.sqrt(dim)
-
-
-def _eigensystem_of(op: LinearOperator) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenphases and unitary eigenbasis of a (normal) unitary operator.
-
-    Uses the operator's attached eigensystem when present, otherwise a
-    dense Schur decomposition (guarded by the dense limit).
-    """
-    if op.eigensystem is not None:
-        phases, basis = op.eigensystem
-        return np.asarray(phases, dtype=float), basis
-    m = dense_materialize(op)
-    if np.abs(m @ m.conj().T - np.eye(op.dim)).max() > 1e-10:
-        raise ValueError("operator is not unitary; cannot take its eigensystem")
-    t, q = scipy.linalg.schur(m, output="complex")
-    off = np.abs(t - np.diag(np.diag(t))).max()
-    if off > 1e-10:
-        raise ValueError(f"Schur form is not diagonal (off-diagonal {off:.2e})")
-    return wrap_angle(np.angle(np.diag(t))), q
+    return out / np.sqrt(real_dtype(a.dtype).type(dim))
 
 
 def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperator:
@@ -123,8 +98,14 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
     workspace.  Cost per application: 2^mu on the U counter (the stated
     accounting convention, even though a ladder of controlled squarings
     could be tallied as 2^mu - 1) and 1 on the P counter.
+
+    The shifted operator must carry its eigensystem (as build_shifted's
+    does); an operator without one is rejected with ValueError.
     """
-    lam, basis = _eigensystem_of(shifted)
+    if shifted.eigensystem is None:
+        raise ValueError("build_pea needs an operator that carries its eigensystem")
+    phases, basis = shifted.eigensystem
+    lam = np.asarray(phases, dtype=float)
     main_dim = shifted.dim
     wdim = layout.work_dim
     dim = main_dim * wdim
@@ -133,14 +114,10 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
     def tables(dtype):
         key = np.dtype(dtype)
         if key not in cache:
-            if key.itemsize > 16:
-                ph = lam.astype(np.longdouble)
-                z = np.arange(wdim, dtype=np.longdouble)
-                scale = np.longdouble(1.0) / np.sqrt(np.longdouble(wdim))
-            else:
-                ph = lam
-                z = np.arange(wdim, dtype=float)
-                scale = 1.0 / np.sqrt(wdim)
+            work = real_dtype(key)
+            ph = lam.astype(work)
+            z = np.arange(wdim, dtype=work)
+            scale = work.type(1.0) / np.sqrt(work.type(wdim))
             mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
             e = None if basis is None else basis.astype(dtype)
             ec = None if basis is None else e.conj().T
@@ -197,8 +174,13 @@ class EtaReport:
 
 def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarget,
                 layout: WorkspaceLayout, dtype=np.complex128) -> EtaReport:
-    """Drive the estimation operator on every eigendirection and report the
-    magnitude left in the wrong window (Z-perp for marked, Z for unmarked)."""
+    """Drive a joint core on every eigendirection (x) sigma and report the
+    magnitude left in the wrong window (Z-perp for marked, Z for unmarked).
+
+    pea_op may be any core on the joint space of dimension
+    spec.dim * 2^mu whose marked subspace is the layout's window: the
+    estimation operator itself, or a fixed-point level built on it.
+    """
     if pea_op.dim != spec.dim * layout.work_dim:
         raise ValueError(f"operator dim {pea_op.dim} != {spec.dim} * {layout.work_dim}")
     window_mask = layout.z_window().mask()

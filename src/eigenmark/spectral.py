@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator
-
-UNITARY_TOL = 1e-12
+from .statevec import LinearOperator, real_dtype
 
 
 def wrap_angle(x):
@@ -160,8 +158,7 @@ def _diagonal_in_basis(factor_phases: np.ndarray, basis: np.ndarray | None,
     def factors(dtype, sign):
         key = (np.dtype(dtype), sign)
         if key not in cache:
-            work = np.longdouble if np.dtype(dtype).itemsize > 16 else np.float64
-            f = np.exp(1j * sign * phases.astype(work)).astype(dtype)
+            f = np.exp(1j * sign * phases.astype(real_dtype(dtype))).astype(dtype)
             if basis is not None:
                 e = basis.astype(dtype)
                 cache[key] = (f, e, e.conj().T)

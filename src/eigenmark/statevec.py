@@ -12,7 +12,9 @@ Conventions fixed here and relied on by every other module:
   never in globals, so parallel evaluations keep independent books;
 - arrays passed to operators may be complex128 or complex256; operators
   must preserve the dtype they are given (extended precision is used when
-  measuring amplitudes near the double-precision noise floor).
+  measuring amplitudes near the double-precision noise floor).  Tables and
+  angles an operator builds for a dtype are computed in real_dtype(dtype),
+  so complex256 means longdouble arithmetic throughout.
 
 All values are immutable after construction and safe to share across
 threads; a Tally is single-owner.
@@ -27,8 +29,16 @@ import numpy as np
 
 DENSE_GUARD = 4096
 NORM_TOL = 1e-10
+# Widest complex type of this platform; complex128 where there is no complex256.
+EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 CostTags = tuple[tuple[str, int], ...]
+
+
+def real_dtype(dtype) -> np.dtype:
+    """Real type in which operator tables for a complex dtype are computed:
+    float64 for complex128, longdouble for complex256."""
+    return np.finfo(dtype).dtype
 
 
 class Tally:
@@ -81,24 +91,20 @@ class LinearOperator:
         self.eigensystem = eigensystem
 
     def apply_to(self, vec: np.ndarray, tally: Tally | None = None) -> np.ndarray:
-        x = np.asarray(vec)
-        if x.shape[0] != self.dim:
-            raise ValueError(f"operator of dim {self.dim} applied to vector of dim {x.shape[0]}")
-        if tally is not None:
-            tally.charge(self.cost)
-        if x.ndim == 1:
-            return self._apply(x[:, None], tally)[:, 0]
-        return self._apply(x, tally)
+        return self._run(self._apply, vec, tally)
 
     def adjoint_apply_to(self, vec: np.ndarray, tally: Tally | None = None) -> np.ndarray:
+        return self._run(self._adjoint, vec, tally)
+
+    def _run(self, fn: Callable, vec: np.ndarray, tally: Tally | None) -> np.ndarray:
         x = np.asarray(vec)
         if x.shape[0] != self.dim:
             raise ValueError(f"operator of dim {self.dim} applied to vector of dim {x.shape[0]}")
         if tally is not None:
             tally.charge(self.cost)
         if x.ndim == 1:
-            return self._adjoint(x[:, None], tally)[:, 0]
-        return self._adjoint(x, tally)
+            return fn(x[:, None], tally)[:, 0]
+        return fn(x, tally)
 
     @property
     def adjoint(self) -> "LinearOperator":

@@ -22,7 +22,8 @@ from .pea import WorkspaceLayout
 TENSOR_GUARD = 2 ** 18
 
 
-def _require_odd(nu: int) -> int:
+def require_odd(nu: int) -> int:
+    """nu as an int, rejecting even and nonpositive register counts."""
     nu = int(nu)
     if nu < 1 or nu % 2 == 0:
         raise ValueError(f"register count nu={nu} must be odd and positive")
@@ -38,7 +39,7 @@ class VotingModel:
     p: float
 
     def __post_init__(self) -> None:
-        _require_odd(self.nu)
+        require_odd(self.nu)
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"wrong probability p={self.p!r} outside [0, 1]")
 
@@ -67,7 +68,7 @@ def majority_projector(zwindow: SubspaceProjector, nu: int) -> SubspaceProjector
     """Projector on the nu-register workspace onto basis states with more
     than nu/2 registers inside the window (the winning subspace for a
     marked input); its complement is the strict-minority subspace."""
-    nu = _require_odd(nu)
+    nu = require_odd(nu)
     wdim = zwindow.dim
     if wdim ** nu > TENSOR_GUARD:
         raise ValueError(f"workspace dim {wdim}^{nu} exceeds tensor guard {TENSOR_GUARD}")
@@ -86,7 +87,7 @@ def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout,
     """nu-fold parallel application of the estimation operator, one register
     per workspace factor.  Joint dimension main_dim * (2^mu)^nu is guarded;
     each application charges the wrapped operator nu times."""
-    nu = _require_odd(nu)
+    nu = require_odd(nu)
     wdim = layout.work_dim
     if pea_op.dim != main_dim * wdim:
         raise ValueError(f"estimation operator dim {pea_op.dim} != {main_dim} * {wdim}")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-
-EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
+from eigenmark.statevec import EXTENDED
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:

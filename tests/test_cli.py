@@ -2,8 +2,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from eigenmark import cli
+from eigenmark import cli, pea
 
 
 def run_cli(args):
@@ -152,6 +153,44 @@ def test_sweep_config_validation(tmp_path):
         "grid": {"bogus": [1]},
     })
     assert run_cli(["sweep", "--config", cfg2, "--out", tmp_path]) == 2
+
+
+WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
+
+
+@pytest.mark.parametrize("doc", [
+    {"variant": "pea", "dtype": "complex512", "worst_case": WORST_CASE,
+     "grid": {"mu": [4]}},
+    {"variant": "pea", "model_path": "no_such_model.json", "grid": {"mu": [4]}},
+    {"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [3], "q": [1]}},
+    {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4, "grid": {"q": [0, 4]}},
+    {"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [1, 2]}},
+    {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [0]}},
+], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu"])
+def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("best_window called before validation finished")
+
+    monkeypatch.setattr(pea, "best_window", no_work)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_delta_axis_needs_no_worst_case_delta(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "variant": "pea",
+        "worst_case": {"b": 0.05, "phi": np.pi},
+        "mu": 4,
+        "grid": {"delta": [2.8]},
+        "n_random": 1,
+    })
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["delta"] for r in rows] == ["2.8"]
 
 
 def test_compare_table(tmp_path):

@@ -83,6 +83,12 @@ def test_pea_cost_convention():
     assert tally.get("P") == 2
 
 
+def test_pea_needs_an_operator_with_eigensystem():
+    shifted = em.from_matrix(np.diag(np.exp(1j * np.array([0.01, 2.0]))))
+    with pytest.raises(ValueError, match="eigensystem"):
+        em.build_pea(shifted, em.WorkspaceLayout(mu=3, window=1))
+
+
 def test_kernel_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
     for mu, window in ((2, 0), (4, 3), (6, 7)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark.statevec import NORM_TOL
+from eigenmark.statevec import EXTENDED, NORM_TOL, real_dtype
 
 from conftest import haar_unitary
 
@@ -173,3 +173,24 @@ def test_projector_validation():
     proj = em.SubspaceProjector(4, (2, 0, 2))
     assert proj.member_indices == (0, 2)
     assert proj.complement().member_indices == (1, 3)
+
+
+def test_builders_keep_extended_precision(small_model):
+    spec, target, layout = small_model
+    shifted = em.build_shifted(spec, target)
+    pea_op = em.build_pea(shifted, layout)
+    ops = {
+        "build_pea": pea_op,
+        "build_fixed_point": em.build_fixed_point(pea_op, 1, spec.dim, layout.z_window()),
+        "selective_phase": em.selective_phase(em.SelectivePhaseSpec(np.array([0.6, 0.8j]),
+                                                                    1.1)),
+        "build_shifted": shifted,
+        "build_h_tensor": em.build_h_tensor(pea_op, 3, layout, spec.dim),
+    }
+    for name, op in ops.items():
+        x = np.zeros(op.dim, dtype=EXTENDED)
+        x[0] = 1.0
+        assert op.apply_to(x).dtype == EXTENDED, name
+        assert op.adjoint_apply_to(x).dtype == EXTENDED, name
+    if hasattr(np, "complex256"):
+        assert np.finfo(real_dtype(EXTENDED)).eps < 1e-16
