@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import audit as audit_mod
-from . import complexity, fpqs, marker, pea, spectral
+from . import complexity, fpqs, marker, pea, spectral, voting
 from .statevec import EXTENDED
 
 SWEEP_COLUMNS = ("variant", "delta", "mu", "window", "q", "nu", "phi", "eta",
@@ -126,11 +126,12 @@ def _resolve_layout(cfg, spec, target):
                 f"mu={calib.mu}")
         return calib.layout()
     mu = int(_require(cfg, "mu", int))
-    if "window" in cfg:
-        window = int(cfg["window"])
-    else:
-        window = pea.best_window(mu, spec.delta, target.b).window
     try:
+        pea.WorkspaceLayout(mu, 0)  # rejects mu < 1 before best_window runs
+        if "window" in cfg:
+            window = int(cfg["window"])
+        else:
+            window = pea.best_window(mu, spec.delta, target.b).window
         return pea.WorkspaceLayout(mu, window)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -207,8 +208,10 @@ def _sweep_cells(cfg, seed) -> list[dict]:
         raise ConfigError("sweep needs 'mu' as an axis or a scalar config key")
     qs = axes.get("q", [cfg.get("q")])
     nus = axes.get("nu", [cfg.get("nu")])
+    # Worst-case cells run the two-direction verification model.
+    main_dim = 2 if model is None else model[0].dim
     try:
-        return [{
+        cells = [{
             "delta": None if delta is None else float(delta),
             "mu": pea.WorkspaceLayout(int(mu), 0).mu,  # rejects mu < 1
             "b": b, "phi": phi, "model": model,
@@ -217,8 +220,12 @@ def _sweep_cells(cfg, seed) -> list[dict]:
             "dtype": dtype, "seed": seed,
             "grid_per_bin": int(cfg.get("grid_per_bin", 64)),
         } for delta, mu, q, nu in itertools.product(deltas, mus, qs, nus)]
+        for cell in cells:
+            if cell["variant_args"]["variant"] == "voting":
+                voting.check_joint_dim(main_dim, 2 ** cell["mu"], cell["variant_args"]["nu"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return cells
 
 
 def _run_cell(cell: dict) -> dict:

@@ -9,18 +9,23 @@ at W = 2^mu, so no dense matrix is ever formed.  Each application charges
 the U counter with exactly 2^mu and the P counter with 1; adjoint
 applications charge the same.
 
-Calibration locates worst-case eigenphases with a closed-form Dirichlet
-kernel for the workspace response (grid search plus local refinement,
-with a provable envelope bound that limits how far the unmarked sweep must
-reach).  measure_eta drives the actual operator on actual states and is
-the cross-check for the closed form.
+Calibration finds worst-case eigenphases from the closed-form response: the
+in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
+over the window, which on a bin-aligned grid is a box sum over the rows of
+a table of the kernel, one prefix-sum subtraction per grid phase; the table
+covers only the rows the boxes touch.  The exact kernel refines the maxima,
+and an envelope bound limits how far the unmarked sweep must reach.
+measure_eta drives the actual operator and is the cross-check for both.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -35,6 +40,7 @@ from .statevec import (
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
+_TWO_PI_HI = float.fromhex("0x1.921fb54p+2")  # 2 pi to 29 significant bits
 
 
 @dataclass(frozen=True)
@@ -206,21 +212,24 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
 
     The workspace amplitude at z is the Dirichlet ratio
     sin(W u/2) / (W sin(u/2)) with u = lam - 2 pi z / W, so the in-window
-    mass is an O(window) sum per phase; this is the exhaustive
-    per-eigenphase amplitude computation used by calibration.
+    mass is an O(window) sum per phase.
     """
     wdim = 2 ** mu
     if not (0 <= window < wdim // 2):
         raise ValueError(f"window {window} outside [0, 2^(mu-1))")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     zs = WorkspaceLayout(mu, window).window_indices()
-    u = lam[:, None] - (2 * np.pi / wdim) * zs[None, :]
-    u -= 2 * np.pi * np.round(u / (2 * np.pi))
-    x = 0.5 * u
-    # sin is exact enough near 0 that only x == 0 needs the limit value
+    # r = lam - k beta to the nearest bin k, exact up to its own rounding as
+    # k * _TWO_PI_HI is exact (k < 2^24).  Element z lies d = k - z (mod W,
+    # in [-W/2, W/2)) bins on: u = r + d beta and sin(W u/2) = +-sin(W r/2).
+    k = np.round(lam * (wdim / (2 * np.pi)))
+    r = (lam - k * (_TWO_PI_HI / wdim)) - k * ((2 * np.pi - _TWO_PI_HI) / wdim)
+    d = (k.astype(np.int64)[:, None] - zs + wdim // 2) % wdim - wdim // 2
+    u = r[:, None] + d * (2 * np.pi / wdim)
+    # sin is exact enough near 0 that only u == 0 needs the limit value
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(wdim * x) / (wdim * np.sin(x))
-    ratio = np.where(x == 0.0, 1.0, ratio)
+        ratio = np.sin((0.5 * wdim) * r)[:, None] / (wdim * np.sin(0.5 * u))
+    ratio = np.where(u == 0.0, 1.0, ratio)
     return (ratio * ratio).sum(axis=1)
 
 
@@ -238,47 +247,52 @@ def _response_envelope(lam: float, mu: int, window: int) -> float:
     return float((1.0 / (wdim * np.sin(d / 2.0)) ** 2).sum())
 
 
-def _sup_scan(mass_fn, lo: float, hi: float, points: int,
-              refine_rounds: int = 4, top: int = 3):
-    """Deterministic grid-plus-refinement maximum of mass_fn on [lo, hi]."""
-    if hi <= lo:
-        v = float(mass_fn(np.array([lo]))[0])
-        return lo, v
-    points = max(65, points)
-    xs = np.linspace(lo, hi, points)
-    vals = np.empty(points)
-    chunk = 8192
-    for start in range(0, points, chunk):
-        vals[start:start + chunk] = mass_fn(xs[start:start + chunk])
-    step = (hi - lo) / (points - 1)
-    order = np.argsort(vals)[::-1][:top]
-    best_x, best_v = float(xs[order[0]]), float(vals[order[0]])
-    for idx in order:
-        cx, cv, cstep = float(xs[idx]), float(vals[idx]), step
-        for _ in range(refine_rounds):
+def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
+    """Grid phases (a + c/G) beta strictly inside (lo, hi), with
+    beta = 2 pi / W and G = grid_per_bin, and their in-window masses.
+
+    Window element k sees (a, c) at offset (a - k + c/G) beta, so the mass
+    there is the box sum over rows a-w..a+w of
+    F[r, c] = (sin(pi c/G) / (W sin((r + c/G) pi/W)))^2, whose rows repeat
+    mod W.  Prefix sums over the rows the boxes touch give each box in one
+    subtraction.
+    """
+    wdim, g = 2 ** mu, grid_per_bin
+    step = 2 * np.pi / (wdim * g)
+    n0, n1 = int(np.floor(lo / step)) + 1, int(np.ceil(hi / step)) - 1
+    a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
+    rows = (np.arange(a0 - window, a0 + span + window) + wdim // 2) % wdim - wdim // 2
+    cols = np.arange(g) / g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = (np.sin(np.pi * cols) / (wdim * np.sin((rows[:, None] + cols) * np.pi / wdim))) ** 2
+    table[rows == 0, 0] = 1.0
+    prefix = np.zeros((len(rows) + 1, g))
+    np.cumsum(table, axis=0, out=prefix[1:])
+    inside = (prefix[2 * window + 1:] - prefix[:span]).ravel()[n0 - a0 * g:n1 - a0 * g + 1]
+    return np.arange(n0, n1 + 1) * step, inside
+
+
+def _sup_scan(mu: int, window: int, lo: float, hi: float, grid_per_bin: int,
+              outside: bool = False):
+    """(lam, mass) with the largest in-window mass (out-of-window mass when
+    outside) over [lo, hi].  The three best of the box-sum grid, lo and hi
+    are refined with the exact kernel, which gives the mass returned."""
+    xs, inside = _box_grid(mu, window, lo, hi, grid_per_bin)
+    xs = np.concatenate((xs, [lo, hi]))
+    sign = -1.0 if outside else 1.0
+    vals = sign * np.concatenate((inside, window_response_mass([lo, hi], mu, window)))
+    best_x, best_v = lo, -np.inf
+    for idx in np.argsort(vals)[::-1][:3]:
+        cx, cstep = float(xs[idx]), 2 * np.pi / 2 ** mu / grid_per_bin
+        for _ in range(4):
             sub = np.linspace(max(lo, cx - cstep), min(hi, cx + cstep), 33)
-            sv = mass_fn(sub)
+            sv = sign * window_response_mass(sub, mu, window)
             j = int(np.argmax(sv))
             cx, cv = float(sub[j]), float(sv[j])
             cstep /= 8.0
         if cv > best_v:
             best_x, best_v = cx, cv
-    return best_x, best_v
-
-
-def worst_marked_mass(mu: int, window: int, delta: float, b: float,
-                      grid_per_bin: int = 64):
-    """(worst lam, out-of-window mass) over the marked band |lam| <= b*delta.
-
-    The response is symmetric under lam -> -lam for the symmetric window,
-    so only the nonnegative half is swept.
-    """
-    bin_width = 2 * np.pi / 2 ** mu
-    hi = b * delta
-    points = int(np.ceil(hi / bin_width * grid_per_bin)) + 1
-    lam, mass = _sup_scan(lambda xs: 1.0 - window_response_mass(xs, mu, window),
-                          0.0, hi, points)
-    return lam, mass
+    return best_x, 1.0 + best_v if outside else best_v
 
 
 def worst_unmarked_mass(mu: int, window: int, delta: float,
@@ -289,8 +303,7 @@ def worst_unmarked_mass(mu: int, window: int, delta: float,
     envelope bound proves nothing beyond the region can exceed the maximum
     already found.
     """
-    wdim = 2 ** mu
-    bin_width = 2 * np.pi / wdim
+    bin_width = 2 * np.pi / 2 ** mu
     lo = delta / 2.0
     edge = bin_width * window
     if edge >= lo:
@@ -300,9 +313,7 @@ def worst_unmarked_mass(mu: int, window: int, delta: float,
     region = 64.0
     while True:
         hi = min(np.pi, lo + region * bin_width)
-        points = int(np.ceil((hi - lo) / bin_width * grid_per_bin)) + 1
-        lam, mass = _sup_scan(lambda xs: window_response_mass(xs, mu, window),
-                              lo, hi, points)
+        lam, mass = _sup_scan(mu, window, lo, hi, grid_per_bin)
         if hi >= np.pi or _response_envelope(hi, mu, window) < mass:
             return lam, mass
         region *= 2.0
@@ -326,39 +337,34 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64) -> Wind
 
     The out-of-window (marked) mass falls and the in-window (unmarked)
     mass rises monotonically with the window, so the optimum sits at their
-    crossing; a bracketed search at reduced density finds it, and the
-    nearby candidates are then compared at full density.
+    crossing; a bracketed search finds it, and the nearby candidates are
+    then compared.
     """
+    if mu < 1:
+        raise ValueError(f"mu {mu} must be at least 1")
     wmax = 2 ** (mu - 1) - 1
-    coarse = max(8, grid_per_bin // 4)
+
+    @functools.cache
+    def choice(w: int) -> WindowChoice:
+        # The marked band |lam| <= b*delta: the response is symmetric under
+        # lam -> -lam for the symmetric window, so only lam >= 0 is swept.
+        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, grid_per_bin, outside=True)
+        lam_u, mass_u = worst_unmarked_mass(mu, w, delta, grid_per_bin)
+        return WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
+                            float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
 
     def crossed(w: int) -> bool:
-        _, marked = worst_marked_mass(mu, w, delta, b, coarse)
-        _, unmarked = worst_unmarked_mass(mu, w, delta, coarse)
-        return marked <= unmarked
+        return choice(w).eta_marked <= choice(w).eta_unmarked
 
     # Exponential bracket from below keeps every probed window near the
     # optimum (windows far above it are large and expensive to sum over).
-    lo = 0
-    hi = 0
+    lo = hi = 0
     while not crossed(hi) and hi < wmax:
         lo = hi + 1
         hi = min(wmax, max(2 * hi, hi + 1))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    best = None
-    for w in range(max(0, lo - 2), min(wmax, lo + 2) + 1):
-        lam_m, mass_m = worst_marked_mass(mu, w, delta, b, grid_per_bin)
-        lam_u, mass_u = worst_unmarked_mass(mu, w, delta, grid_per_bin)
-        choice = WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
-                              float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
-        if best is None or choice.eta < best.eta:
-            best = choice
-    return best
+    lo += bisect.bisect_left(range(lo, hi), True, key=crossed)
+    return min((choice(w) for w in range(max(0, lo - 2), min(wmax, lo + 2) + 1)),
+               key=lambda c: c.eta)
 
 
 @dataclass(frozen=True)
@@ -384,7 +390,8 @@ class CalibrationResult:
 
 
 def _cache_key(delta: float, b: float, eta_target: float, grid_per_bin: int) -> str:
-    return f"delta={delta!r}|b={b!r}|eta_target={eta_target!r}|grid={grid_per_bin}"
+    return (f"delta={delta!r}|b={b!r}|eta_target={eta_target!r}|grid={grid_per_bin}"
+            "|algo=fejer-box-1")
 
 
 def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_DEFAULT,
@@ -396,7 +403,9 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
     circle distance >= delta/2 for the unmarked side.  When no mu up to
     mu_cap reaches the target, the result carries converged=False and the
     best (mu, window) found.  Results are cached in a JSON file keyed by
-    (delta, b, eta_target, grid density) when cache_path is given.
+    (delta, b, eta_target, grid density, search algorithm) when cache_path
+    is given; a corrupt cache is reported with a RuntimeWarning, recomputed
+    and rewritten.
     """
     if not (0.0 < delta <= np.pi):
         raise ValueError(f"delta {delta!r} outside (0, pi]")
@@ -405,47 +414,38 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
     if not (0.0 < eta_target <= 1.0):
         raise ValueError(f"eta_target {eta_target!r} outside (0, 1]")
     key = _cache_key(delta, b, eta_target, grid_per_bin)
+    cached = {}
     if cache_path is not None and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as fh:
-            cached = json.load(fh)
-        if key in cached:
-            return CalibrationResult(**cached[key])
+        try:
+            with open(cache_path, "r", encoding="utf-8") as fh:
+                cached = json.load(fh)
+            if not isinstance(cached, dict):
+                raise TypeError(f"root is a JSON {type(cached).__name__}, not an object")
+            if key in cached:
+                return CalibrationResult(**cached[key])
+        except (ValueError, TypeError) as exc:
+            warnings.warn(f"calibration cache {cache_path} is corrupt ({exc}); recomputing",
+                          RuntimeWarning, stacklevel=2)
+            cached = cached if isinstance(cached, dict) else {}
 
     best = None
-    result = None
     for mu in range(1, mu_cap + 1):
-        # Quarter-density probe; refinement keeps it within a few percent
-        # of the full-density value, so 1.3x the target safely rejects
-        # infeasible mu without the full-density candidate evaluation.
-        choice = best_window(mu, delta, b, max(8, grid_per_bin // 4))
-        if choice.eta <= 1.3 * eta_target:
-            choice = best_window(mu, delta, b, grid_per_bin)
-        candidate = CalibrationResult(
-            delta=delta, b=b, eta_target=eta_target, grid_per_bin=grid_per_bin,
-            mu=mu, window=choice.window,
-            eta_marked=choice.eta_marked, eta_unmarked=choice.eta_unmarked,
-            lam_marked=choice.lam_marked, lam_unmarked=choice.lam_unmarked,
-            converged=choice.eta <= eta_target,
-        )
+        choice = best_window(mu, delta, b, grid_per_bin)
+        candidate = CalibrationResult(delta=delta, b=b, eta_target=eta_target,
+                                      grid_per_bin=grid_per_bin, mu=mu,
+                                      converged=choice.eta <= eta_target, **asdict(choice))
         if best is None or candidate.eta < best.eta:
             best = candidate
         if candidate.converged:
-            result = candidate
             break
-    if result is None:
-        result = best
 
     if cache_path is not None:
-        cached = {}
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                cached = json.load(fh)
-        cached[key] = asdict(result)
+        cached[key] = asdict(best)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(cache_path)) or ".")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(cached, fh, indent=2, sort_keys=True)
         os.replace(tmp, cache_path)
-    return result
+    return best
 
 
 def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: float,

@@ -48,6 +48,15 @@ class VotingModel:
         return 0.5 - self.p
 
 
+def check_joint_dim(main_dim: int, work_dim: int, nu: int) -> int:
+    """Joint dimension main_dim * work_dim^nu of nu registers, rejecting one
+    over the tensor guard."""
+    dim = main_dim * work_dim ** nu
+    if dim > TENSOR_GUARD:
+        raise ValueError(f"joint dimension {dim} exceeds tensor guard {TENSOR_GUARD}")
+    return dim
+
+
 def majority_tail_amplitude(p: float, nu: int) -> float:
     """Amplitude of the identical-product state inside the losing-majority
     subspace: sqrt(P[X > nu/2]) for X ~ Binomial(nu, p)."""
@@ -91,9 +100,7 @@ def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout,
     wdim = layout.work_dim
     if pea_op.dim != main_dim * wdim:
         raise ValueError(f"estimation operator dim {pea_op.dim} != {main_dim} * {wdim}")
-    dim = main_dim * wdim ** nu
-    if dim > TENSOR_GUARD:
-        raise ValueError(f"joint dimension {dim} exceeds tensor guard {TENSOR_GUARD}")
+    dim = check_joint_dim(main_dim, wdim, nu)
 
     def run(x, tally, adjoint):
         shape = (main_dim,) + (wdim,) * nu + (x.shape[1],)

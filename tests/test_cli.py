@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,28 @@ def test_calibrate_writes_cache(tmp_path, capsys):
     assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
     out = capsys.readouterr().out
     assert out.count(f"mu={entry['mu']}") == 2
+
+
+def test_calibrate_recovers_corrupt_cache(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"delta": 3.0, "b": 0.05})
+    cache = tmp_path / "calibration.json"
+    cache.write_text("{not json")
+    with pytest.warns(RuntimeWarning, match=re.escape(str(cache))):
+        assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
+    (entry,) = json.loads(cache.read_text()).values()
+    assert (entry["mu"], entry["window"]) == (11, 330)
+    assert "mu=11 window=330" in capsys.readouterr().out
+
+
+def test_simulate_mu_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("best_window called with mu < 1")
+
+    monkeypatch.setattr(pea, "best_window", no_work)
+    cfg = write_config(tmp_path, "c.json", {
+        "model": small_model_doc(), "variant": "pea", "mu": 0})
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_reports_and_determinism(tmp_path):
@@ -166,7 +189,8 @@ WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
     {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4, "grid": {"q": [0, 4]}},
     {"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [1, 2]}},
     {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [0]}},
-], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu"])
+    {"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [6, 7]}},
+], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu", "tensor_guard"])
 def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc):
     def no_work(*_args, **_kwargs):
         raise AssertionError("best_window called before validation finished")

@@ -1,3 +1,7 @@
+import json
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -119,6 +123,49 @@ def test_eta_report_shape_and_range(setup_04):
     assert marked_flags[0] and not marked_flags[1]
 
 
+@pytest.mark.parametrize("mu", [2, 4, 6, 9, 14])
+def test_box_sums_match_kernel(mu):
+    # Intervals at 0, in the middle and at pi, so that with the widest
+    # window the boxes wrap past 0 and past +-pi.
+    rng = np.random.default_rng(mu)
+    wdim = 2 ** mu
+    for window in sorted({0, 1, wdim // 4, wdim // 2 - 1}):
+        for lo, hi in ((0.0, 0.3), (1.0, 1.0 + 40 * 2 * np.pi / wdim), (np.pi - 0.3, np.pi)):
+            lams, inside = pea._box_grid(mu, window, lo, hi, 64)
+            assert np.all((lams > lo) & (lams < hi))
+            assert np.allclose(np.diff(lams), 2 * np.pi / wdim / 64)
+            picks = np.unique(np.concatenate(([0, len(lams) - 1],
+                                              rng.integers(0, len(lams), 64))))
+            exact = pea.window_response_mass(lams[picks], mu, window)
+            assert np.abs(inside[picks] - exact).max() <= 1e-12
+
+
+def brute_best_window(mu: int, delta: float, b: float):
+    """Independent oracle: every window, exact kernel on dense uniform grids
+    over the whole marked band and the whole unmarked arc."""
+    marked = np.linspace(0.0, b * delta, 2001)
+    unmarked = np.linspace(delta / 2.0, np.pi, 20001)
+    etas = [max(np.sqrt(max(0.0, (1.0 - pea.window_response_mass(marked, mu, w)).max())),
+                np.sqrt(pea.window_response_mass(unmarked, mu, w).max()))
+            for w in range(2 ** (mu - 1))]
+    return int(np.argmin(etas)), min(etas)
+
+
+@pytest.mark.parametrize("mu,delta,b", [(3, 2.5, 0.25), (4, 3.0, 0.05), (5, 1.0, 0.1),
+                                        (6, 2.0, 0.05), (7, 3.0, 0.05)])
+def test_best_window_matches_brute_force(mu, delta, b):
+    window, eta = brute_best_window(mu, delta, b)
+    choice = em.best_window(mu, delta, b)
+    assert choice.window == window
+    # The dense grids only sample the worst case that best_window refines.
+    assert eta * (1 - 1e-12) <= choice.eta <= eta * (1 + 1e-4)
+
+
+def test_best_window_rejects_mu_below_one():
+    with pytest.raises(ValueError, match="mu 0 must be at least 1"):
+        em.best_window(0, 0.4, 0.05)
+
+
 def test_mu8_band_eta_exceeds_working_regime():
     # At mu=8 and delta=0.4 no window reaches eta <= 2^-5: the gap is only
     # ~8 bins wide.  The honest value at offset 0.002 under the best
@@ -143,7 +190,7 @@ def test_calibration_vacuous_target():
 def test_calibration_large_gap_small_mu():
     result = em.calibrate_workspace(3.0, 0.05)
     assert result.converged
-    assert result.mu <= 12
+    assert (result.mu, result.window) == (11, 330)
     spec, target = em.verification_model(3.0, 0.05, result.lam_marked,
                                          result.lam_unmarked)
     layout = result.layout()
@@ -156,6 +203,7 @@ def test_calibration_large_gap_small_mu():
 def test_calibration_headline_configuration(setup_04):
     calib = setup_04["calib"]
     assert calib.converged
+    assert (calib.mu, calib.window) == (14, 370)
     assert calib.eta <= 2.0 ** -5
     report = setup_04["eta_report"]
     assert report.eta <= 2.0 ** -5
@@ -168,6 +216,31 @@ def test_calibration_cache_roundtrip(tmp_path):
     assert path.exists()
     again = em.calibrate_workspace(3.0, 0.05, cache_path=path)
     assert again == first
+
+
+def test_calibration_cache_ignores_old_format_keys(tmp_path):
+    # An entry under a key without the algorithm tag (the format of an
+    # earlier search) must be recomputed, not served.
+    path = tmp_path / "calib.json"
+    stale = asdict(em.calibrate_workspace(3.0, 0.05, mu_cap=4))
+    path.write_text(json.dumps({"delta=3.0|b=0.05|eta_target=0.03125|grid=64": stale}))
+    result = em.calibrate_workspace(3.0, 0.05, cache_path=path)
+    assert (result.mu, result.window) == (11, 330)
+    assert len(json.loads(path.read_text())) == 2
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    "[1, 2]",
+    json.dumps({pea._cache_key(3.0, 0.05, pea.ETA_TARGET_DEFAULT, 64): {"mu": 11}}),
+], ids=["bad_json", "list_root", "bad_entry"])
+def test_corrupt_calibration_cache_is_recomputed(tmp_path, content):
+    path = tmp_path / "calib.json"
+    path.write_text(content)
+    with pytest.warns(RuntimeWarning, match=re.escape(str(path))):
+        result = em.calibrate_workspace(3.0, 0.05, cache_path=path)
+    assert (result.mu, result.window) == (11, 330)
+    assert em.calibrate_workspace(3.0, 0.05, cache_path=path) == result
 
 
 def test_halving_delta_at_most_quadruples_workspace(calib_04):
