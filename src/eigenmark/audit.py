@@ -18,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexity, fpqs, marker, pea, spectral, voting
-from .statevec import (
-    EXTENDED,
-    Tally,
-    apply,
-    dense_materialize,
-    from_matrix,
-    product_state,
-    subspace_amplitude,
-)
+from .statevec import EXTENDED, Tally, dense_materialize, drive, from_matrix
 
 AUDIT_DELTA = 3.0
 AUDIT_B = 0.05
@@ -72,6 +64,11 @@ class _Context:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.6e}"
+
+
+def _columns(spec) -> list:
+    """The eigendirections psi_i of spec as main-space vectors."""
+    return [spec.basis_column(i) for i in range(spec.dim)]
 
 
 # --- statevec ---------------------------------------------------------------
@@ -143,10 +140,11 @@ def check_spectral_marker_composition(ctx) -> CheckResult:
         m2 = dense_materialize(spectral.ideal_marker(spec, t2))
         m12 = dense_materialize(spectral.ideal_marker(spec, t12))
         worst = max(worst, float(np.abs(m1 @ m2 - m12).max()))
-    # Diagonality in the model's own eigenbasis.
-    e = spec.eigenbasis
-    m = e.conj().T @ dense_materialize(spectral.ideal_marker(spec, ctx.small_target)) @ e
-    worst = max(worst, float(np.abs(m - np.diag(np.diag(m))).max()))
+    # Diagonality: each eigendirection is mapped onto itself.
+    m = dense_materialize(spectral.ideal_marker(spec, ctx.small_target))
+    for psi in _columns(spec):
+        out = m @ psi
+        worst = max(worst, float(np.abs(out - (psi.conj() @ out) * psi).max()))
     return CheckResult("spectral.marker_composition", worst <= 1e-12,
                        f"phase additivity and diagonality deviation = {_fmt(worst)} (tol 1e-12)")
 
@@ -177,10 +175,8 @@ def _main_disturbance(ctx, op) -> float:
     """Largest norm op moves out of psi_i (x) workspace, over the small
     model's eigendirections psi_i with sigma on the workspace."""
     worst = 0.0
-    for i in range(ctx.small_spec.dim):
-        psi = ctx.small_spec.basis_column(i)
-        state = product_state(psi, ctx.small_layout.sigma_state())
-        out = apply(op, state, "joint").tensor()
+    psis = _columns(ctx.small_spec)
+    for psi, out in zip(psis, drive(op, psis, ctx.small_layout.work_dim)):
         keep = np.outer(psi, psi.conj() @ out)
         worst = max(worst, float(np.linalg.norm(out - keep)))
     return worst
@@ -207,10 +203,8 @@ def check_pea_kernel_vs_simulation(ctx) -> CheckResult:
         spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.002, lam_other), delta=0.1)
         target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
         op = pea.build_pea(spectral.build_shifted(spec, target), layout)
-        for i in range(2):
-            state = product_state(spec.basis_column(i), layout.sigma_state())
-            out = apply(op, state, "joint")
-            sim = subspace_amplitude(out, layout.z_window()).magnitude ** 2
+        for i, out in enumerate(drive(op, _columns(spec), layout.work_dim)):
+            sim = float(np.linalg.norm(out[:, layout.z_window().mask()])) ** 2
             kern = float(pea.window_response_mass(target.lambdas[i], layout.mu,
                                                   layout.window)[0])
             worst = max(worst, abs(sim - kern))
@@ -313,8 +307,7 @@ def check_fpqs_counter_law(ctx) -> CheckResult:
     for q in range(4):
         op = fpqs.build_fixed_point(ctx.small_pea, q, ctx.small_spec.dim, window)
         tally = Tally()
-        state = product_state(ctx.small_spec.basis_column(0), layout.sigma_state())
-        apply(op, state, "joint", tally)
+        drive(op, _columns(ctx.small_spec)[:1], wdim, tally)
         n_p, n_u = tally.get("P"), tally.get("U")
         ok = ok and n_p == 9 ** q and n_u == 9 ** q * wdim
         details.append(f"q={q}: N_P={n_p} N_U={n_u}")
@@ -343,13 +336,10 @@ def check_voting_tensor_equivalence(ctx) -> CheckResult:
     for nu in (1, 3, 5):
         h = voting.build_h_tensor(op, nu, layout, spec.dim)
         majority = voting.majority_projector(layout.z_window(), nu)
-        for entry in etas.entries:
-            main = spec.basis_column(entry.index)
-            work = np.zeros(layout.work_dim ** nu, complex)
-            work[0] = 1.0
-            out = apply(h, product_state(main, work), "joint")
+        outs = drive(h, _columns(spec), layout.work_dim ** nu)
+        for entry, out in zip(etas.entries, outs):
             lose = majority.complement() if entry.marked else majority
-            got = subspace_amplitude(out, lose).magnitude
+            got = float(np.linalg.norm(out[:, lose.mask()]))
             want = voting.majority_tail_amplitude(entry.eta ** 2, nu)
             worst = max(worst, abs(got - want))
     return CheckResult("voting.tensor_equivalence", worst <= 1e-10,
@@ -384,15 +374,14 @@ def check_marker_workspace_restoration(ctx) -> CheckResult:
     assembly = marker.build_assembly(ctx.small_spec, ctx.small_target,
                                      ctx.small_layout, "fixed_point", q=1)
     worst = 0.0
-    for i in range(ctx.small_spec.dim):
-        psi = ctx.small_spec.basis_column(i)
-        state = product_state(psi, ctx.small_layout.sigma_state())
-        out = apply(assembly.operator, state, "joint")
+    psis = _columns(ctx.small_spec)
+    sigma = ctx.small_layout.sigma_state()
+    outs = drive(assembly.operator, psis, ctx.small_layout.work_dim)
+    for i, (psi, out) in enumerate(zip(psis, outs)):
         phase = np.exp(1j * ctx.small_target.phi) if i in ctx.small_target.marked_indices else 1.0
-        residual = np.linalg.norm(out.amplitudes - phase * state.amplitudes)
-        block = psi.conj() @ out.tensor()
-        cross_mass = np.linalg.norm(out.tensor() - np.outer(psi, block)) ** 2
-        sigma = ctx.small_layout.sigma_state()
+        residual = np.linalg.norm(out - phase * np.outer(psi, sigma))
+        block = psi.conj() @ out
+        cross_mass = np.linalg.norm(out - np.outer(psi, block)) ** 2
         recon = np.sqrt(np.linalg.norm(block - phase * sigma) ** 2 + cross_mass)
         worst = max(worst, abs(recon - residual))
     return CheckResult("marker.workspace_restoration", worst <= 1e-10,
@@ -413,25 +402,20 @@ def check_marker_superposition_bound(ctx) -> CheckResult:
 
 def check_marker_phi_additivity(ctx) -> CheckResult:
     spec, layout = ctx.small_spec, ctx.small_layout
+    psis, sigma = _columns(spec), layout.sigma_state()
     worst = 0.0
     for p1, p2 in ((0.7, 1.3), (np.pi / 2, np.pi / 2)):
-        t1 = spectral.MarkTarget.resolve(spec, 0.0, p1, b=0.05)
-        t2 = spectral.MarkTarget.resolve(spec, 0.0, p2, b=0.05)
-        t12 = spectral.MarkTarget.resolve(spec, 0.0, p1 + p2, b=0.05)
-        a1 = marker.build_assembly(spec, t1, layout, "pea")
-        a2 = marker.build_assembly(spec, t2, layout, "pea")
-        a12 = marker.build_assembly(spec, t12, layout, "pea")
-        for i in range(spec.dim):
-            state = product_state(spec.basis_column(i), layout.sigma_state())
-            g2 = apply(a2.operator, state, "joint")
-            composed = a1.operator.apply_to(g2.amplitudes)
-            direct = apply(a12.operator, state, "joint").amplitudes
+        targets = [spectral.MarkTarget.resolve(spec, 0.0, p, b=0.05) for p in (p1, p2, p1 + p2)]
+        ops = [marker.build_assembly(spec, t, layout, "pea").operator for t in targets]
+        outs = [drive(op, psis, layout.work_dim) for op in ops]
+        for i, psi in enumerate(psis):
+            state = np.outer(psi, sigma)
+            composed = ops[0].apply_to(outs[1][i].ravel())
             budget = 0.0
-            for t, a in ((t1, a1), (t2, a2), (t12, a12)):
+            for t, out in zip(targets, outs):
                 phase = np.exp(1j * t.phi) if i in t.marked_indices else 1.0
-                out = apply(a.operator, state, "joint")
-                budget += float(np.linalg.norm(out.amplitudes - phase * state.amplitudes))
-            gap = float(np.linalg.norm(composed - direct)) - budget
+                budget += float(np.linalg.norm(out[i] - phase * state))
+            gap = float(np.linalg.norm(composed - outs[2][i].ravel())) - budget
             worst = max(worst, gap)
     return CheckResult("marker.phi_additivity", worst <= 1e-10,
                        f"max composition defect beyond residual budget = {_fmt(worst)} "

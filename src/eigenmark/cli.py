@@ -228,19 +228,22 @@ def _sweep_cells(cfg, seed) -> list[dict]:
     return cells
 
 
-def _run_cell(cell: dict) -> dict:
-    if cell["model"] is not None:
-        spec, target = cell["model"]
-        delta = spec.delta
-        window = pea.best_window(cell["mu"], spec.delta, target.b,
-                                 cell["grid_per_bin"]).window
+def _run_cells(cells: list[dict]) -> list[dict]:
+    """Rows of cells that share (delta, mu, b, grid_per_bin), and so share
+    one window search."""
+    first = cells[0]
+    if first["model"] is not None:
+        delta, b = first["model"][0].delta, first["model"][1].b
     else:
-        delta = cell["delta"]
-        choice = pea.best_window(cell["mu"], delta, cell["b"], cell["grid_per_bin"])
-        window = choice.window
-        spec, target = pea.verification_model(delta, cell["b"], choice.lam_marked,
-                                              choice.lam_unmarked, phi=cell["phi"])
-    layout = pea.WorkspaceLayout(cell["mu"], window)
+        delta, b = first["delta"], first["b"]
+    choice = pea.best_window(first["mu"], delta, b, first["grid_per_bin"])
+    return [_run_cell(cell, delta, choice) for cell in cells]
+
+
+def _run_cell(cell: dict, delta: float, choice: pea.WindowChoice) -> dict:
+    spec, target = cell["model"] or pea.verification_model(
+        delta, cell["b"], choice.lam_marked, choice.lam_unmarked, phi=cell["phi"])
+    layout = pea.WorkspaceLayout(cell["mu"], choice.window)
     shifted = spectral.build_shifted(spec, target)
     eta = pea.measure_eta(pea.build_pea(shifted, layout), spec, target, layout).eta
     assembly = marker.build_assembly(spec, target, layout, **cell["variant_args"])
@@ -252,7 +255,7 @@ def _run_cell(cell: dict) -> dict:
         "variant": assembly.variant,
         "delta": repr(float(delta)),
         "mu": cell["mu"],
-        "window": window,
+        "window": choice.window,
         "q": "" if q is None else q,
         "nu": "" if nu is None else nu,
         "phi": repr(float(target.phi)),
@@ -271,13 +274,16 @@ def _cell_key(row: dict):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    cells = _sweep_cells(cfg, args.seed)
+    groups: dict = {}
+    for cell in _sweep_cells(cfg, args.seed):
+        key = (cell["delta"], cell["mu"], cell["b"], cell["grid_per_bin"])
+        groups.setdefault(key, []).append(cell)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_run_cell, cells))
+            results = list(pool.map(_run_cells, groups.values()))
     else:
-        rows = [_run_cell(cell) for cell in cells]
-    rows.sort(key=_cell_key)
+        results = [_run_cells(group) for group in groups.values()]
+    rows = sorted((row for group in results for row in group), key=_cell_key)
     out = _outdir(args)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -3,14 +3,18 @@ from the ideal selective phase.
 
 The assembled marker is core+ . (1_main x I_Z^phi) . core, where core is
 any of the estimation variants (plain, voting tensor, fixed-point level q)
-and Z is the workspace subspace that flags "marked".  Deviation is the
+and Z is the workspace subspace that flags "marked".  Every variant is
+built from phases in the eigenframe of U, so the marker is first built as
+its eigen-blocks and then turned by the eigenbasis once.  Deviation is the
 Euclidean residual against the ideal marker on eigenstate (x) sigma
-inputs, reported per eigendirection plus random-superposition probes.
+inputs, reported per eigendirection (from the blocks) plus
+random-superposition probes (through the turned operator).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -20,10 +24,10 @@ from .statevec import (
     LinearOperator,
     SubspaceProjector,
     Tally,
-    apply,
     compose,
+    drive,
     embed_work_projector,
-    product_state,
+    in_frame,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
 from .pea import WorkspaceLayout, build_pea
@@ -47,11 +51,14 @@ def assemble_marker(core: LinearOperator, phi: float, zproj: SubspaceProjector,
 
 @dataclass(frozen=True, eq=False)
 class MarkerAssembly:
-    """An assembled marker plus the bookkeeping needed to evaluate it."""
+    """An assembled marker plus the bookkeeping needed to evaluate it.
+
+    blocks is the marker in the eigenframe of U (eigendirection i is the
+    main basis state e_i); operator is blocks turned by the eigenbasis."""
 
     variant: str
     phi: float
-    core: LinearOperator
+    blocks: LinearOperator
     operator: LinearOperator
     zproj: SubspaceProjector
     main_dim: int
@@ -90,10 +97,11 @@ def check_variant(variant: str, q: int | None, nu: int | None, q_cap: int) -> No
 def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
                    variant: str, q: int | None = None, nu: int | None = None,
                    q_cap: int = Q_CAP_DEFAULT) -> MarkerAssembly:
-    """Construct the chosen variant's core and wrap it into a marker."""
+    """Construct the chosen variant's core on the eigen-blocks, wrap it
+    into a marker and turn the marker by the eigenbasis."""
     check_variant(variant, q, nu, q_cap)
-    shifted = build_shifted(spec, target)
-    pea_op = build_pea(shifted, layout)
+    eigenframe = dataclasses.replace(spec, eigenbasis=None)
+    pea_op = build_pea(build_shifted(eigenframe, target), layout)
     window = layout.z_window()
     if variant == "pea":
         core, zproj, ancillas = pea_op, window, layout.mu
@@ -103,9 +111,10 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     else:
         core = build_h_tensor(pea_op, nu, layout, spec.dim)
         zproj, ancillas = majority_projector(window, nu), nu * layout.mu
-    operator = assemble_marker(core, target.phi, zproj, spec.dim)
+    blocks = assemble_marker(core, target.phi, zproj, spec.dim)
     return MarkerAssembly(
-        variant=variant, phi=target.phi, core=core, operator=operator,
+        variant=variant, phi=target.phi, blocks=blocks,
+        operator=in_frame(blocks, spec.eigenbasis, zproj.dim),
         zproj=zproj, main_dim=spec.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
 
@@ -123,10 +132,11 @@ class ResidualEntry:
 class MarkerErrorReport:
     """Residuals of the assembled marker against the ideal one.
 
-    residual_i = || assembled(|psi_i>|sigma>) - (ideal |psi_i>) (x) |sigma> ||.
-    Random-superposition residuals can never exceed the eigendirection
-    maximum (the marker is block-diagonal across eigendirections); the
-    report records whether that held.
+    residual_i = || assembled(|psi_i>|sigma>) - (ideal |psi_i>) (x) |sigma> ||,
+    read on the eigen-blocks.  Random-superposition residuals, read through
+    the turned operator, can never exceed the eigendirection maximum (the
+    marker is block-diagonal across eigendirections); the report records
+    whether that held, which also checks the turn.
     """
 
     variant: str
@@ -187,18 +197,12 @@ def write_report_csv(report: MarkerErrorReport, path) -> None:
 
 def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
     """Exact counters of one application of the assembled marker.  Tally
-    charges per application whatever the state, so any unit vector will do."""
+    charges per application whatever the state, and the turn by the
+    eigenbasis charges nothing, so the blocks on any unit vector will do."""
     tally = Tally()
-    x = np.zeros(assembly.operator.dim, dtype=complex)
-    x[0] = 1.0
-    assembly.operator.apply_to(x, tally)
+    e0 = np.eye(1, assembly.main_dim, dtype=complex)
+    drive(assembly.blocks, e0, assembly.work_dim, tally)
     return ComplexityCounters.from_tally(tally, assembly.ancillas)
-
-
-def _sigma_vector(work_dim: int, dtype) -> np.ndarray:
-    v = np.zeros(work_dim, dtype=dtype)
-    v[0] = 1.0
-    return v
 
 
 def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: MarkTarget,
@@ -208,28 +212,27 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     probes, with the resource counters accumulated over the whole run."""
     tally = Tally()
     work_dim = assembly.work_dim
-    sigma = _sigma_vector(work_dim, dtype)
     ideal = ideal_marker(spec, target)
     entries = []
-    for i in range(spec.dim):
+    # Eigendirection i is e_i (x) sigma on the blocks; the ideal output is
+    # the input times its phase, subtracted in place.
+    eigen = drive(assembly.blocks, np.eye(spec.dim, dtype=dtype), work_dim, tally)
+    for i, out in enumerate(eigen):
         marked = i in target.marked_indices
-        state = product_state(spec.basis_column(i).astype(dtype), sigma)
-        out = apply(assembly.operator, state, "joint", tally)
-        phase = np.exp(1j * target.phi) if marked else 1.0
-        residual = float(np.linalg.norm(out.amplitudes - phase * state.amplitudes))
+        out[i, 0] -= np.exp(1j * target.phi) if marked else 1.0
         entries.append(ResidualEntry(i, spec.eigenphases[i], target.lambdas[i],
-                                     marked, residual))
+                                     marked, float(np.linalg.norm(out))))
     worst = max(e.residual for e in entries)
 
     rng = np.random.default_rng(seed)
-    sup_res = 0.0
+    mains = []
     for _ in range(n_random):
         main = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        main = (main / np.linalg.norm(main)).astype(dtype)
-        state = product_state(main, sigma)
-        out = apply(assembly.operator, state, "joint", tally)
-        want = product_state(ideal.apply_to(main), sigma)
-        sup_res = max(sup_res, float(np.linalg.norm(out.amplitudes - want.amplitudes)))
+        mains.append((main / np.linalg.norm(main)).astype(dtype))
+    sup_res = 0.0
+    for main, out in zip(mains, drive(assembly.operator, mains, work_dim, tally)):
+        out[:, 0] -= ideal.apply_to(main)
+        sup_res = max(sup_res, float(np.linalg.norm(out)))
 
     counters = ComplexityCounters.from_tally(tally, assembly.ancillas)
     return MarkerErrorReport(

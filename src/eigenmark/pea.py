@@ -30,13 +30,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .statevec import (
-    LinearOperator,
-    SubspaceProjector,
-    apply,
-    product_state,
-    real_dtype,
-)
+from .statevec import LinearOperator, SubspaceProjector, drive, in_frame, real_dtype
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
@@ -64,10 +58,6 @@ class WorkspaceLayout:
     def work_dim(self) -> int:
         return 2 ** self.mu
 
-    @property
-    def sigma_index(self) -> int:
-        return 0
-
     def window_indices(self) -> np.ndarray:
         w, dim = self.window, self.work_dim
         if w == 0:
@@ -79,7 +69,7 @@ class WorkspaceLayout:
 
     def sigma_state(self, dtype=np.complex128) -> np.ndarray:
         v = np.zeros(self.work_dim, dtype=dtype)
-        v[self.sigma_index] = 1.0
+        v[0] = 1.0
         return v
 
 
@@ -106,7 +96,9 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
     could be tallied as 2^mu - 1) and 1 on the P counter.
 
     The shifted operator must carry its eigensystem (as build_shifted's
-    does); an operator without one is rejected with ValueError.
+    does); an operator without one is rejected with ValueError.  The
+    controlled powers are phases in the eigenframe, turned by the
+    eigenbasis once around the whole application.
     """
     if shifted.eigensystem is None:
         raise ValueError("build_pea needs an operator that carries its eigensystem")
@@ -124,37 +116,23 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
             ph = lam.astype(work)
             z = np.arange(wdim, dtype=work)
             scale = work.type(1.0) / np.sqrt(work.type(wdim))
-            mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
-            e = None if basis is None else basis.astype(dtype)
-            ec = None if basis is None else e.conj().T
-            cache[key] = (mask, e, ec, scale)
+            cache[key] = (np.exp(1j * ph[:, None] * z[None, :]).astype(dtype), scale)
         return cache[key]
 
     def apply_fn(x, _tally):
-        mask, e, ec, scale = tables(x.dtype)
-        a = x.reshape(main_dim, wdim, -1)
-        a = _fwht_axis1(a)
-        if e is not None:
-            a = np.tensordot(ec, a, axes=(1, 0))
-        a = a * mask[:, :, None]
-        if e is not None:
-            a = np.tensordot(e, a, axes=(1, 0))
+        mask, scale = tables(x.dtype)
+        a = _fwht_axis1(x.reshape(main_dim, wdim, -1)) * mask[:, :, None]
         a = np.fft.fft(a, axis=1) * scale
         return a.reshape(dim, x.shape[1])
 
     def adjoint_fn(x, _tally):
-        mask, e, ec, scale = tables(x.dtype)
-        a = x.reshape(main_dim, wdim, -1)
-        a = np.fft.ifft(a, axis=1) / scale
-        if e is not None:
-            a = np.tensordot(ec, a, axes=(1, 0))
-        a = a * mask.conj()[:, :, None]
-        if e is not None:
-            a = np.tensordot(e, a, axes=(1, 0))
-        a = _fwht_axis1(a)
+        mask, scale = tables(x.dtype)
+        a = np.fft.ifft(x.reshape(main_dim, wdim, -1), axis=1) / scale
+        a = _fwht_axis1(a * mask.conj()[:, :, None])
         return a.reshape(dim, x.shape[1])
 
-    return LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
+    blocks = LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
+    return in_frame(blocks, basis, wdim)
 
 
 @dataclass(frozen=True)
@@ -190,11 +168,10 @@ def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarge
     if pea_op.dim != spec.dim * layout.work_dim:
         raise ValueError(f"operator dim {pea_op.dim} != {spec.dim} * {layout.work_dim}")
     window_mask = layout.z_window().mask()
+    columns = [spec.basis_column(i).astype(dtype) for i in range(spec.dim)]
     entries = []
-    for i in range(spec.dim):
+    for i, out in enumerate(drive(pea_op, columns, layout.work_dim)):
         marked = i in target.marked_indices
-        state = product_state(spec.basis_column(i).astype(dtype), layout.sigma_state(dtype))
-        out = apply(pea_op, state, "joint").tensor()
         wrong = ~window_mask if marked else window_mask
         eta_i = float(np.linalg.norm(out[:, wrong]))
         entries.append(EtaEntry(i, target.lambdas[i], marked, eta_i))
@@ -404,8 +381,9 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
     mu_cap reaches the target, the result carries converged=False and the
     best (mu, window) found.  Results are cached in a JSON file keyed by
     (delta, b, eta_target, grid density, search algorithm) when cache_path
-    is given; a corrupt cache is reported with a RuntimeWarning, recomputed
-    and rewritten.
+    is given.  A cached entry is served only when it converged at a mu
+    within mu_cap; otherwise, or when the cache is corrupt (reported with a
+    RuntimeWarning), the result is recomputed and the file rewritten.
     """
     if not (0.0 < delta <= np.pi):
         raise ValueError(f"delta {delta!r} outside (0, pi]")
@@ -422,7 +400,9 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
             if not isinstance(cached, dict):
                 raise TypeError(f"root is a JSON {type(cached).__name__}, not an object")
             if key in cached:
-                return CalibrationResult(**cached[key])
+                hit = CalibrationResult(**cached[key])
+                if hit.converged and hit.mu <= mu_cap:
+                    return hit
         except (ValueError, TypeError) as exc:
             warnings.warn(f"calibration cache {cache_path} is corrupt ({exc}); recomputing",
                           RuntimeWarning, stacklevel=2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator, real_dtype
+from .statevec import LinearOperator, in_frame, real_dtype
 
 
 def wrap_angle(x):
@@ -152,30 +152,16 @@ def _diagonal_in_basis(factor_phases: np.ndarray, basis: np.ndarray | None,
                        cost=()) -> LinearOperator:
     """Operator acting as exp(i*phase_j) on basis direction j."""
     phases = np.asarray(factor_phases, dtype=float)
-    dim = phases.shape[0]
-    cache: dict = {}
-
-    def factors(dtype, sign):
-        key = (np.dtype(dtype), sign)
-        if key not in cache:
-            f = np.exp(1j * sign * phases.astype(real_dtype(dtype))).astype(dtype)
-            if basis is not None:
-                e = basis.astype(dtype)
-                cache[key] = (f, e, e.conj().T)
-            else:
-                cache[key] = (f, None, None)
-        return cache[key]
 
     def make(sign):
         def run(x, _tally):
-            f, e, ec = factors(x.dtype, sign)
-            if e is None:
-                return f[:, None] * x
-            return e @ (f[:, None] * (ec @ x))
+            factors = np.exp(1j * sign * phases.astype(real_dtype(x.dtype))).astype(x.dtype)
+            return factors[:, None] * x
         return run
 
-    return LinearOperator(dim, make(+1), make(-1), cost,
-                          eigensystem=(tuple(float(p) for p in phases), basis))
+    diagonal = LinearOperator(len(phases), make(+1), make(-1), cost,
+                              eigensystem=(tuple(float(p) for p in phases), None))
+    return in_frame(diagonal, basis, 1)
 
 
 def unitary_of(spec: SpectralUnitary) -> LinearOperator:

@@ -7,7 +7,9 @@ Conventions fixed here and relied on by every other module:
   flattened in C order, so flat = i * work_dim + z;
 - the workspace index z is little-endian over ancilla qubits; only the
   integer index ever matters because all workspace transforms are defined
-  directly on z;
+  directly on z; the workspace start state sigma is |0>, z = 0;
+- operators built from phases act in the eigenframe of the main space;
+  in_frame is the one place that turns them by an eigenbasis;
 - resource counters live in an explicit Tally passed through applications,
   never in globals, so parallel evaluations keep independent books;
 - arrays passed to operators may be complex128 or complex256; operators
@@ -294,6 +296,42 @@ def subspace_amplitude(state: JointState, proj: SubspaceProjector,
     projected = np.where(keep, t, 0.0).ravel()
     magnitude = float(np.linalg.norm(projected))
     return SubspaceComponent(magnitude, projected, proj.rank == 0)
+
+
+def in_frame(op: LinearOperator, basis: np.ndarray | None, work_dim: int) -> LinearOperator:
+    """(E x 1_work) . op . (E+ x 1_work) for the main-space eigenbasis E:
+    op given in the eigenframe, seen in the computational frame.  This is
+    the only code that multiplies by an eigenbasis; basis None returns op
+    itself.  op charges the Tally; an op diagonal in the eigenframe keeps
+    its phases, now with basis E."""
+    if basis is None:
+        return op
+    main_dim = basis.shape[0]
+    if op.dim != main_dim * work_dim:
+        raise ValueError(f"operator dim {op.dim} != {main_dim} * work dim {work_dim}")
+
+    def turn(e, x):
+        return (e.astype(x.dtype) @ x.reshape(main_dim, -1)).reshape(x.shape)
+
+    def apply_fn(x, tally):
+        return turn(basis, op.apply_to(turn(basis.conj().T, x), tally))
+
+    def adjoint_fn(x, tally):
+        return turn(basis, op.adjoint_apply_to(turn(basis.conj().T, x), tally))
+
+    eig = None if op.eigensystem is None else (op.eigensystem[0], basis)
+    return LinearOperator(op.dim, apply_fn, adjoint_fn, eigensystem=eig)
+
+
+def drive(op: LinearOperator, mains, work_dim: int,
+          tally: Tally | None = None) -> list[np.ndarray]:
+    """op applied to main (x) sigma for each main-space vector in mains, one
+    application (and one charge to tally) per vector; each output is a
+    (main_dim, work_dim) array."""
+    sigma = np.zeros(work_dim)
+    sigma[0] = 1.0
+    return [op.apply_to(np.outer(main, sigma).ravel(), tally).reshape(-1, work_dim)
+            for main in mains]
 
 
 def dense_materialize(op: LinearOperator) -> np.ndarray:

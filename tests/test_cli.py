@@ -163,6 +163,33 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_sweep_searches_each_window_once(tmp_path, monkeypatch):
+    # Cells that differ only in q share (delta, mu, b, grid) and so one
+    # best_window call.
+    cfg = write_config(tmp_path, "c.json", {
+        "variant": "fixed_point",
+        "worst_case": {"b": 0.05, "phi": np.pi},
+        "mu": 5,
+        "grid": {"delta": [2.8], "q": [0, 1, 2]},
+        "n_random": 1,
+    })
+    calls = []
+    search = pea.best_window
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pea, "best_window", counted)
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "serial"]) == 0
+    assert len(calls) == 1
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "parallel",
+                    "--jobs", 2]) == 0
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "parallel" / "sweep.csv").read_bytes()
+    assert len(serial.splitlines()) == 4
+
+
 def test_sweep_config_validation(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "variant": "pea",

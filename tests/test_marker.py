@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 import eigenmark as em
 from eigenmark import marker
+from eigenmark.statevec import EXTENDED
 
-from conftest import rotation_block
+from conftest import haar_unitary, rotation_block
 
 
 def block_diag_join(blocks):
@@ -106,6 +108,25 @@ def test_pea_marker_halves_per_two_extra_qubits():
     for mu in (8, 10):
         ratio = residuals[mu + 2] / residuals[mu]
         assert 0.35 <= ratio <= 0.65
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
+def test_haar_residuals_equal_computational_twin(dtype):
+    # The eigenbasis is applied once, around the marker; eigendirection
+    # residuals come from the eigen-blocks and so do not see the basis.
+    basis = haar_unitary(np.random.default_rng(17), 3)
+    spec = em.SpectralUnitary(dim=3, eigenphases=(0.02, 1.8, -2.1),
+                              eigenbasis=basis, delta=1.5)
+    twin = dataclasses.replace(spec, eigenbasis=None)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(mu=5, window=2)
+    reports = [em.evaluate_marker(em.build_assembly(s, target, layout, "fixed_point", q=2),
+                                  s, target, n_random=2, dtype=dtype)
+               for s in (spec, twin)]
+    residuals = [[e.residual for e in r.entries] for r in reports]
+    assert residuals[0] == residuals[1]
+    assert max(residuals[0]) > 1e-8
+    assert reports[0].superposition_within_eigen_max
 
 
 def test_superposition_residual_bounded_by_eigen_max(small_model):

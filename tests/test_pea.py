@@ -218,6 +218,19 @@ def test_calibration_cache_roundtrip(tmp_path):
     assert again == first
 
 
+@pytest.mark.parametrize("first_cap,second_cap", [(4, 20), (20, 4)],
+                         ids=["capped_then_default", "default_then_capped"])
+def test_calibration_cache_honours_mu_cap(tmp_path, first_cap, second_cap):
+    # A capped, non-converged entry must not answer a call with a larger
+    # cap, and an entry above the cap must not answer a capped call.
+    path = tmp_path / "calib.json"
+    em.calibrate_workspace(3.0, 0.05, mu_cap=first_cap, cache_path=path)
+    result = em.calibrate_workspace(3.0, 0.05, mu_cap=second_cap, cache_path=path)
+    assert result == em.calibrate_workspace(3.0, 0.05, mu_cap=second_cap)
+    assert result.converged == (second_cap == 20)
+    assert em.calibrate_workspace(3.0, 0.05, mu_cap=second_cap, cache_path=path) == result
+
+
 def test_calibration_cache_ignores_old_format_keys(tmp_path):
     # An entry under a key without the algorithm tag (the format of an
     # earlier search) must be recomputed, not served.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark.statevec import EXTENDED, NORM_TOL, real_dtype
+from eigenmark.statevec import EXTENDED, NORM_TOL, in_frame, real_dtype
 
 from conftest import haar_unitary
 
@@ -147,6 +147,24 @@ def test_adjoint_inner_product_identity(small_model):
         assert abs(np.vdot(x, op.apply_to(y)) - np.vdot(op.adjoint_apply_to(x), y)) <= 1e-10
         v = x / np.linalg.norm(x)
         assert np.abs(op.adjoint_apply_to(op.apply_to(v)) - v).max() <= 1e-12
+
+
+def test_in_frame_without_basis_is_the_operator():
+    op = em.identity(6)
+    assert in_frame(op, None, 2) is op
+
+
+def test_in_frame_matches_dense_rotation():
+    # (E x 1) . op . (E+ x 1) on a Haar basis E, forward and adjoint,
+    # against the dense product.
+    rng = np.random.default_rng(9)
+    basis, work_dim = haar_unitary(rng, 3), 4
+    op = em.from_matrix(haar_unitary(rng, 3 * work_dim))
+    turn = np.kron(basis, np.eye(work_dim))
+    framed = in_frame(op, basis, work_dim)
+    want = turn @ em.dense_materialize(op) @ turn.conj().T
+    assert np.abs(em.dense_materialize(framed) - want).max() <= 1e-12
+    assert np.abs(em.dense_materialize(framed.adjoint) - want.conj().T).max() <= 1e-12
 
 
 def test_joint_state_validation():
