@@ -39,6 +39,7 @@ from .pea import (
     best_window,
     build_pea,
     calibrate_workspace,
+    estimation_factors,
     measure_eta,
     verification_model,
     window_response_mass,

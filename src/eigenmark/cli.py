@@ -63,12 +63,21 @@ def _require(doc: dict, key, kind, where="config"):
     return value
 
 
+def _option(doc: dict, key, default, kind):
+    """doc[key], or default when absent, converted by kind; a value kind
+    cannot convert is a ConfigError."""
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config[{key!r}] must be {kind.__name__}: {exc}") from exc
+
+
 _DTYPES = {np.dtype(t).name: t for t in (np.complex128, EXTENDED)}
 
 
 def _dtype_from(doc: dict):
     name = doc.get("dtype", "complex128")
-    if name not in _DTYPES:
+    if not isinstance(name, str) or name not in _DTYPES:
         raise ConfigError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
     return _DTYPES[name]
 
@@ -80,7 +89,7 @@ def _model_from(doc: dict):
         if "model" in doc:
             return spectral.load_model(_require(doc, "model", dict))
         return spectral.load_model_file(doc["model_path"])
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid spectral model: {exc}") from exc
 
 
@@ -95,16 +104,13 @@ def _cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
     delta = _require(cfg, "delta", float)
     b = _require(cfg, "b", float)
+    options = {"eta_target": _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float),
+               "mu_cap": _option(cfg, "mu_cap", 20, int),
+               "grid_per_bin": _option(cfg, "grid_per_bin", 64, int)}
     out = _outdir(args)
     cache = os.path.join(out, "calibration.json")
     try:
-        result = pea.calibrate_workspace(
-            delta, b,
-            eta_target=float(cfg.get("eta_target", pea.ETA_TARGET_DEFAULT)),
-            mu_cap=int(cfg.get("mu_cap", 20)),
-            grid_per_bin=int(cfg.get("grid_per_bin", 64)),
-            cache_path=cache,
-        )
+        result = pea.calibrate_workspace(delta, b, cache_path=cache, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     status = "converged" if result.converged else "FAILED (best shown)"
@@ -117,9 +123,11 @@ def _cmd_calibrate(args) -> int:
 
 def _resolve_layout(cfg, spec, target):
     if cfg.get("calibrate"):
-        calib = pea.calibrate_workspace(spec.delta, target.b,
-                                        eta_target=float(cfg.get("eta_target",
-                                                                 pea.ETA_TARGET_DEFAULT)))
+        eta_target = _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float)
+        try:
+            calib = pea.calibrate_workspace(spec.delta, target.b, eta_target=eta_target)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not calib.converged:
             raise ConfigError(
                 f"calibration did not reach eta target; best eta={calib.eta!r} at "
@@ -133,7 +141,7 @@ def _resolve_layout(cfg, spec, target):
         else:
             window = pea.best_window(mu, spec.delta, target.b).window
         return pea.WorkspaceLayout(mu, window)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -156,6 +164,7 @@ def _cmd_simulate(args) -> int:
     spec, target = _model_from(cfg)
     variant_args = _assembly_args(cfg, cfg.get("q"), cfg.get("nu"))
     dtype = _dtype_from(cfg)
+    n_random = _option(cfg, "n_random", 8, int)
     layout = _resolve_layout(cfg, spec, target)
     try:
         assembly = marker.build_assembly(spec, target, layout, **variant_args)
@@ -163,7 +172,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
     report = marker.evaluate_marker(
         assembly, spec, target,
-        n_random=int(cfg.get("n_random", 8)),
+        n_random=n_random,
         seed=args.seed,
         dtype=dtype,
     )
@@ -208,6 +217,8 @@ def _sweep_cells(cfg, seed) -> list[dict]:
         raise ConfigError("sweep needs 'mu' as an axis or a scalar config key")
     qs = axes.get("q", [cfg.get("q")])
     nus = axes.get("nu", [cfg.get("nu")])
+    n_random = _option(cfg, "n_random", 4, int)
+    grid_per_bin = _option(cfg, "grid_per_bin", 64, int)
     # Worst-case cells run the two-direction verification model.
     main_dim = 2 if model is None else model[0].dim
     try:
@@ -216,11 +227,11 @@ def _sweep_cells(cfg, seed) -> list[dict]:
             "mu": pea.WorkspaceLayout(int(mu), 0).mu,  # rejects mu < 1
             "b": b, "phi": phi, "model": model,
             "variant_args": _assembly_args(cfg, q, nu),
-            "n_random": int(cfg.get("n_random", 4)),
-            "dtype": dtype, "seed": seed,
-            "grid_per_bin": int(cfg.get("grid_per_bin", 64)),
+            "n_random": n_random, "dtype": dtype, "seed": seed,
+            "grid_per_bin": grid_per_bin,
         } for delta, mu, q, nu in itertools.product(deltas, mus, qs, nus)]
         for cell in cells:
+            pea.check_search(*_search_band(cell), cell["grid_per_bin"])
             if cell["variant_args"]["variant"] == "voting":
                 voting.check_joint_dim(main_dim, 2 ** cell["mu"], cell["variant_args"]["nu"])
     except (TypeError, ValueError) as exc:
@@ -228,24 +239,32 @@ def _sweep_cells(cfg, seed) -> list[dict]:
     return cells
 
 
+def _search_band(cell: dict) -> tuple[float, float]:
+    """(delta, b) of a cell's window search: the model's own, or the
+    worst-case configuration's."""
+    if cell["model"] is not None:
+        return cell["model"][0].delta, cell["model"][1].b
+    return cell["delta"], cell["b"]
+
+
 def _run_cells(cells: list[dict]) -> list[dict]:
     """Rows of cells that share (delta, mu, b, grid_per_bin), and so share
-    one window search."""
+    one window search, one model and one measured eta."""
     first = cells[0]
-    if first["model"] is not None:
-        delta, b = first["model"][0].delta, first["model"][1].b
-    else:
-        delta, b = first["delta"], first["b"]
+    delta, b = _search_band(first)
     choice = pea.best_window(first["mu"], delta, b, first["grid_per_bin"])
-    return [_run_cell(cell, delta, choice) for cell in cells]
+    try:
+        spec, target = first["model"] or pea.verification_model(
+            delta, b, choice.lam_marked, choice.lam_unmarked, phi=first["phi"])
+    except ValueError as exc:
+        raise ConfigError(f"no worst-case model at delta={delta!r}, b={b!r}: {exc}") from exc
+    layout = pea.WorkspaceLayout(first["mu"], choice.window)
+    eta = pea.measure_eta(pea.build_pea(spectral.build_shifted(spec, target), layout),
+                          spec, target, layout).eta
+    return [_run_cell(cell, delta, spec, target, layout, eta) for cell in cells]
 
 
-def _run_cell(cell: dict, delta: float, choice: pea.WindowChoice) -> dict:
-    spec, target = cell["model"] or pea.verification_model(
-        delta, cell["b"], choice.lam_marked, choice.lam_unmarked, phi=cell["phi"])
-    layout = pea.WorkspaceLayout(cell["mu"], choice.window)
-    shifted = spectral.build_shifted(spec, target)
-    eta = pea.measure_eta(pea.build_pea(shifted, layout), spec, target, layout).eta
+def _run_cell(cell: dict, delta: float, spec, target, layout, eta: float) -> dict:
     assembly = marker.build_assembly(spec, target, layout, **cell["variant_args"])
     report = marker.evaluate_marker(assembly, spec, target,
                                     n_random=cell["n_random"], seed=cell["seed"],
@@ -255,7 +274,7 @@ def _run_cell(cell: dict, delta: float, choice: pea.WindowChoice) -> dict:
         "variant": assembly.variant,
         "delta": repr(float(delta)),
         "mu": cell["mu"],
-        "window": choice.window,
+        "window": layout.window,
         "q": "" if q is None else q,
         "nu": "" if nu is None else nu,
         "phi": repr(float(target.phi)),
@@ -314,13 +333,20 @@ def _measured_cell(delta: float, eps: float, b: float, mu_limit: int) -> dict | 
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args.config)
-    delta_grid = [float(d) for d in _require(cfg, "delta_grid", list)]
-    eps_grid = [float(e) for e in _require(cfg, "eps_grid", list)]
+    b = _option(cfg, "b", 0.05, float)
+    mu_limit = _option(cfg, "mu_limit", 16, int)
+    try:
+        delta_grid = [float(d) for d in _require(cfg, "delta_grid", list)]
+        eps_grid = [float(e) for e in _require(cfg, "eps_grid", list)]
+        pairs = [(float(d), float(e)) for d, e in cfg.get("measured_cells", [])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grids and measured_cells must hold numbers: {exc}") from exc
     measured = []
-    for pair in cfg.get("measured_cells", []):
-        cell = _measured_cell(float(pair[0]), float(pair[1]),
-                              float(cfg.get("b", 0.05)),
-                              int(cfg.get("mu_limit", 16)))
+    for delta, eps in pairs:
+        try:
+            cell = _measured_cell(delta, eps, b, mu_limit)
+        except ValueError as exc:
+            raise ConfigError(f"measured cell ({delta!r}, {eps!r}): {exc}") from exc
         if cell is not None:
             measured.append(cell)
     try:

@@ -8,9 +8,17 @@ One recursion level wraps a unitary V into two three-fold products,
 (rightmost factor applied first).  compress cubes the wrong-subspace
 amplitude exactly, for any V and any window; balance cubes the in-window
 probability mass exactly, which is what tames the unmarked directions.
-Both phase rotations act on the workspace only (the sigma basis state and
+Both phase rotations act on the workspace only (the start state sigma and
 the Z window), so the construction never needs to know the main-space
 state.  q levels cost 9^q applications of the wrapped operator.
+
+The sigma-phase reflects about a workspace start state, sigma = |0> by
+default: a basis projector, the generic path and the oracle for any V.
+The estimation operator is V = V_F . H with H the Walsh-Hadamard transform
+on the workspace, an involution, so H I_sigma H = I_u for the uniform
+state u = H|sigma>.  By induction on the level,
+core_q(V) = core_q^u(V_F) . H, where core^u takes its sigma-phase about u;
+the marker builds its core that way, and H then runs only at its ends.
 """
 
 from __future__ import annotations
@@ -36,10 +44,15 @@ Q_CAP_DEFAULT = 3
 
 @dataclass(frozen=True, eq=False)
 class SelectivePhaseSpec:
-    """Target (a unit state vector or a basis-subspace projector) and angle."""
+    """Target and angle.  The target is a basis-subspace projector on the
+    whole space, or a unit state vector t on the last of two tensor
+    factors, with main_dim the dimension of the first: the phase is then
+    1_main (x) (1 - (1 - e^{i angle}) |t><t|), on the whole space when
+    main_dim is 1."""
 
     target: np.ndarray | SubspaceProjector
     angle: float
+    main_dim: int = 1
 
     def __post_init__(self) -> None:
         if isinstance(self.target, SubspaceProjector):
@@ -50,17 +63,22 @@ class SelectivePhaseSpec:
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state target norm {nrm!r} deviates from 1")
+        if self.main_dim < 1:
+            raise ValueError(f"main_dim {self.main_dim} must be positive")
         object.__setattr__(self, "target", vec)
 
     @property
     def dim(self) -> int:
         if isinstance(self.target, SubspaceProjector):
             return self.target.dim
-        return self.target.shape[0]
+        return self.main_dim * self.target.shape[0]
 
 
 def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
-    """1 - (1 - e^{i angle}) |target><target| (projector case: same formula)."""
+    """1 - (1 - e^{i angle}) |target><target| (projector case: same formula;
+    state case: on every main row).  A constant state, such as the uniform
+    one, needs no product with it: its projection is a row sum over the
+    workspace, scaled in real_dtype."""
     angle = float(spec.angle)
     cache: dict = {}
 
@@ -81,13 +99,26 @@ def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
                 return out
             return run
     else:
-        omega = spec.target
+        state, main_dim = spec.target, spec.main_dim
+        work_dim = state.shape[0]
+        # A constant state t has |t><t| = J / work_dim whatever its phase,
+        # so its projection is a row sum scaled by 1 / work_dim.
+        constant = bool(np.all(state == state[0]))
 
         def make(sign):
             def run(x, _tally):
-                w = omega.astype(x.dtype)
-                coeff = w.conj() @ x
-                return x + (factor(x.dtype, sign) - 1.0) * np.outer(w, coeff)
+                rows = x.reshape(main_dim, work_dim, -1)
+                if constant:
+                    # Pairwise sums over a contiguous workspace axis (@ adds
+                    # in sequence) keep the row sums within a few ulps.
+                    along = np.ascontiguousarray(rows.transpose(0, 2, 1))
+                    scale = (factor(x.dtype, sign) - 1.0) / work_dim
+                    part = (along.sum(axis=2) * scale)[:, None, :]
+                else:
+                    w = state.astype(x.dtype)
+                    coeff = (w.conj() @ rows)[:, None, :]
+                    part = (factor(x.dtype, sign) - 1.0) * (w[:, None] * coeff)
+                return (rows + part).reshape(x.shape)
             return run
 
     return LinearOperator(spec.dim, make(+1), make(-1))
@@ -103,27 +134,29 @@ def _check_joint(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector) 
 
 
 def _pi3_level(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
-               sigma_index: int, z_angle: float) -> LinearOperator:
-    """V I_sigma^{pi/3} V+ I_Z^{z_angle} V, the shared form of both halves
-    of a recursion level."""
+               start: np.ndarray | None, z_angle: float) -> LinearOperator:
+    """V I_start^{pi/3} V+ I_Z^{z_angle} V, the shared form of both halves
+    of a recursion level.  start None is sigma = |0>, a basis projector;
+    otherwise the sigma-phase reflects about the workspace state start."""
     _check_joint(op, main_dim, zwindow)
-    i_sigma = selective_phase(SelectivePhaseSpec(
-        work_basis_projector(main_dim, zwindow.dim, sigma_index), PI3))
-    i_z = selective_phase(SelectivePhaseSpec(
-        embed_work_projector(main_dim, zwindow), z_angle))
-    return compose(op, i_sigma, op.adjoint, i_z, op)
+    if start is None:
+        sigma = SelectivePhaseSpec(work_basis_projector(main_dim, zwindow.dim, 0), PI3)
+    else:
+        sigma = SelectivePhaseSpec(start, PI3, main_dim)
+    i_z = SelectivePhaseSpec(embed_work_projector(main_dim, zwindow), z_angle)
+    return compose(op, selective_phase(sigma), op.adjoint, selective_phase(i_z), op)
 
 
 def pi3_compress(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
-                 sigma_index: int = 0) -> LinearOperator:
+                 start: np.ndarray | None = None) -> LinearOperator:
     """V I_sigma^{pi/3} V+ I_Z^{pi/3} V; wrong-subspace amplitude -> cubed."""
-    return _pi3_level(op, main_dim, zwindow, sigma_index, PI3)
+    return _pi3_level(op, main_dim, zwindow, start, PI3)
 
 
 def pi3_balance(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
-                sigma_index: int = 0) -> LinearOperator:
+                start: np.ndarray | None = None) -> LinearOperator:
     """V I_sigma^{pi/3} V+ I_Z^{-pi/3} V; in-window probability mass -> cubed."""
-    return _pi3_level(op, main_dim, zwindow, sigma_index, -PI3)
+    return _pi3_level(op, main_dim, zwindow, start, -PI3)
 
 
 def check_level(q: int, q_cap: int) -> None:
@@ -135,17 +168,18 @@ def check_level(q: int, q_cap: int) -> None:
 
 
 def build_fixed_point(pea_op: LinearOperator, q: int, main_dim: int,
-                      zwindow: SubspaceProjector, sigma_index: int = 0,
+                      zwindow: SubspaceProjector, start: np.ndarray | None = None,
                       q_cap: int = Q_CAP_DEFAULT) -> LinearOperator:
     """Level-q recursion: q = 0 is the wrapped operator itself; each level
     is balance(compress(previous)), so the wrapped operator is applied
-    exactly 9^q times per application of the result."""
+    exactly 9^q times per application of the result.  The sigma-phases
+    reflect about the workspace state start (None: sigma = |0>)."""
     check_level(q, q_cap)
     _check_joint(pea_op, main_dim, zwindow)
     op = pea_op
     for _ in range(q):
-        op = pi3_balance(pi3_compress(op, main_dim, zwindow, sigma_index),
-                         main_dim, zwindow, sigma_index)
+        op = pi3_balance(pi3_compress(op, main_dim, zwindow, start),
+                         main_dim, zwindow, start)
     return op
 
 

@@ -5,8 +5,10 @@ The assembled marker is core+ . (1_main x I_Z^phi) . core, where core is
 any of the estimation variants (plain, voting tensor, fixed-point level q)
 and Z is the workspace subspace that flags "marked".  Every variant is
 built from phases in the eigenframe of U, so the marker is first built as
-its eigen-blocks and then turned by the eigenbasis once.  Deviation is the
-Euclidean residual against the ideal marker on eigenstate (x) sigma
+its eigen-blocks and then turned by the eigenbasis once.  The fixed-point
+core is core_q^u(V_F) . H (see fpqs), so the Walsh-Hadamard transform runs
+twice per marker application, at its ends, whatever the level.  Deviation
+is the Euclidean residual against the ideal marker on eigenstate (x) sigma
 inputs, reported per eigendirection (from the blocks) plus
 random-superposition probes (through the turned operator).
 """
@@ -14,7 +16,6 @@ random-superposition probes (through the turned operator).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .statevec import (
     in_frame,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
-from .pea import WorkspaceLayout, build_pea
+from .pea import WorkspaceLayout, estimation_factors
 from .fpqs import (Q_CAP_DEFAULT, SelectivePhaseSpec, build_fixed_point, check_level,
                    selective_phase)
 from .voting import build_h_tensor, majority_projector, require_odd
@@ -100,16 +101,18 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     """Construct the chosen variant's core on the eigen-blocks, wrap it
     into a marker and turn the marker by the eigenbasis."""
     check_variant(variant, q, nu, q_cap)
-    eigenframe = dataclasses.replace(spec, eigenbasis=None)
-    pea_op = build_pea(build_shifted(eigenframe, target), layout)
+    v_f, hadamard = estimation_factors(build_shifted(spec, target), layout)
     window = layout.z_window()
-    if variant == "pea":
-        core, zproj, ancillas = pea_op, window, layout.mu
-    elif variant == "fixed_point":
-        core = build_fixed_point(pea_op, q, spec.dim, window, q_cap=q_cap)
+    if variant == "fixed_point":
+        # H I_sigma H = I_u: the recursion runs on V_F, reflecting about
+        # the uniform state u = H|sigma>, and H follows it once.
+        uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
+        core = compose(build_fixed_point(v_f, q, spec.dim, window, uniform, q_cap), hadamard)
         zproj, ancillas = window, layout.mu
+    elif variant == "pea":
+        core, zproj, ancillas = compose(v_f, hadamard), window, layout.mu
     else:
-        core = build_h_tensor(pea_op, nu, layout, spec.dim)
+        core = build_h_tensor(compose(v_f, hadamard), nu, layout, spec.dim)
         zproj, ancillas = majority_projector(window, nu), nu * layout.mu
     blocks = assemble_marker(core, target.phi, zproj, spec.dim)
     return MarkerAssembly(

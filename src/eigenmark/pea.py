@@ -2,12 +2,16 @@
 window subspace, per-eigenphase error measurement, and empirical
 calibration of the workspace size.
 
-The estimation operator on a mu-qubit workspace is
-inverse-QFT . controlled-powers . Walsh-Hadamard.  Its action is computed
-with FFTs and a fast Walsh-Hadamard transform, O(W log W) per application
-at W = 2^mu, so no dense matrix is ever formed.  Each application charges
-the U counter with exactly 2^mu and the P counter with 1; adjoint
-applications charge the same.
+The estimation operator on a mu-qubit workspace is V = V_F . H: H is the
+Walsh-Hadamard transform and V_F = inverse-QFT . controlled-powers.
+estimation_factors is the one home of the split; build_pea composes it.
+Their action is computed with a fast Walsh-Hadamard transform and FFTs,
+O(W log W) per application at W = 2^mu, so no dense matrix is ever formed.
+V_F carries the whole cost: each application charges the U counter with
+exactly 2^mu and the P counter with 1 (adjoint applications charge the
+same), and H charges nothing.  Since H acts on the workspace only and is
+an involution, the fixed-point recursion runs on V_F and needs H only at
+the ends of the marker (see fpqs).
 
 Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
@@ -30,7 +34,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .statevec import LinearOperator, SubspaceProjector, drive, in_frame, real_dtype
+from .statevec import (LinearOperator, SubspaceProjector, compose, drive, in_frame,
+                       real_dtype)
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
@@ -86,24 +91,25 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
     return out / np.sqrt(real_dtype(a.dtype).type(dim))
 
 
-def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperator:
-    """Joint-space estimation operator for the shifted unitary.
+def estimation_factors(shifted: LinearOperator,
+                       layout: WorkspaceLayout) -> tuple[LinearOperator, LinearOperator]:
+    """The estimation operator V = V_F . H of the shifted unitary in its
+    eigenframe, as its two factors.
 
-    Walsh-Hadamard on the workspace, then the z-controlled power of the
-    shifted operator on the main space, then the inverse QFT on the
-    workspace.  Cost per application: 2^mu on the U counter (the stated
-    accounting convention, even though a ladder of controlled squarings
-    could be tallied as 2^mu - 1) and 1 on the P counter.
+    H is the Walsh-Hadamard transform on the workspace, its own inverse,
+    charging nothing.  V_F is the z-controlled power of the shifted
+    operator followed by the inverse QFT on the workspace; it charges 2^mu
+    on the U counter (the stated accounting convention, even though a
+    ladder of controlled squarings could be tallied as 2^mu - 1) and 1 on
+    the P counter per application.  The controlled powers are phases in the
+    eigenframe, so only the eigenphases of shifted are read.
 
     The shifted operator must carry its eigensystem (as build_shifted's
-    does); an operator without one is rejected with ValueError.  The
-    controlled powers are phases in the eigenframe, turned by the
-    eigenbasis once around the whole application.
+    does); an operator without one is rejected with ValueError.
     """
     if shifted.eigensystem is None:
         raise ValueError("build_pea needs an operator that carries its eigensystem")
-    phases, basis = shifted.eigensystem
-    lam = np.asarray(phases, dtype=float)
+    lam = np.asarray(shifted.eigensystem[0], dtype=float)
     main_dim = shifted.dim
     wdim = layout.work_dim
     dim = main_dim * wdim
@@ -119,20 +125,30 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
             cache[key] = (np.exp(1j * ph[:, None] * z[None, :]).astype(dtype), scale)
         return cache[key]
 
+    def hadamard(x, _tally):
+        return _fwht_axis1(x.reshape(main_dim, wdim, -1)).reshape(x.shape)
+
     def apply_fn(x, _tally):
         mask, scale = tables(x.dtype)
-        a = _fwht_axis1(x.reshape(main_dim, wdim, -1)) * mask[:, :, None]
-        a = np.fft.fft(a, axis=1) * scale
-        return a.reshape(dim, x.shape[1])
+        a = np.fft.fft(x.reshape(main_dim, wdim, -1) * mask[:, :, None], axis=1) * scale
+        return a.reshape(x.shape)
 
     def adjoint_fn(x, _tally):
         mask, scale = tables(x.dtype)
         a = np.fft.ifft(x.reshape(main_dim, wdim, -1), axis=1) / scale
-        a = _fwht_axis1(a * mask.conj()[:, :, None])
-        return a.reshape(dim, x.shape[1])
+        return (a * mask.conj()[:, :, None]).reshape(x.shape)
 
-    blocks = LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
-    return in_frame(blocks, basis, wdim)
+    v_f = LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
+    return v_f, LinearOperator(dim, hadamard, hadamard)
+
+
+def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperator:
+    """Joint-space estimation operator for the shifted unitary: the factors
+    of estimation_factors composed, V = V_F . H, turned by the eigenbasis
+    once around the whole application.  Cost per application: 2^mu on the
+    U counter and 1 on the P counter."""
+    factors = estimation_factors(shifted, layout)
+    return in_frame(compose(*factors), shifted.eigensystem[1], layout.work_dim)
 
 
 @dataclass(frozen=True)
@@ -366,6 +382,17 @@ class CalibrationResult:
         return WorkspaceLayout(self.mu, self.window)
 
 
+def check_search(delta: float, b: float, grid_per_bin: int) -> None:
+    """Reject a worst-case search outside its domain: delta in (0, pi],
+    b in (0, 0.25] and at least one grid point per bin."""
+    if not (0.0 < delta <= np.pi):
+        raise ValueError(f"delta {delta!r} outside (0, pi]")
+    if not (0.0 < b <= 0.25):
+        raise ValueError(f"b {b!r} outside (0, 0.25]")
+    if grid_per_bin < 1:
+        raise ValueError(f"grid_per_bin {grid_per_bin!r} must be at least 1")
+
+
 def _cache_key(delta: float, b: float, eta_target: float, grid_per_bin: int) -> str:
     return (f"delta={delta!r}|b={b!r}|eta_target={eta_target!r}|grid={grid_per_bin}"
             "|algo=fejer-box-1")
@@ -385,12 +412,11 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
     within mu_cap; otherwise, or when the cache is corrupt (reported with a
     RuntimeWarning), the result is recomputed and the file rewritten.
     """
-    if not (0.0 < delta <= np.pi):
-        raise ValueError(f"delta {delta!r} outside (0, pi]")
-    if not (0.0 < b <= 0.25):
-        raise ValueError(f"b {b!r} outside (0, 0.25]")
+    check_search(delta, b, grid_per_bin)
     if not (0.0 < eta_target <= 1.0):
         raise ValueError(f"eta_target {eta_target!r} outside (0, 1]")
+    if mu_cap < 1:
+        raise ValueError(f"mu_cap {mu_cap!r} must be at least 1")
     key = _cache_key(delta, b, eta_target, grid_per_bin)
     cached = {}
     if cache_path is not None and os.path.exists(cache_path):

@@ -111,6 +111,8 @@ class MarkTarget:
             raise ValueError(
                 f"no eigenphase within b*delta={window!r} of estimate {psi_prime!r}"
             )
+        if marked_index is not None and not 0 <= marked_index < spec.dim:
+            raise ValueError(f"declared marked index {marked_index} outside [0, {spec.dim})")
         if marked_index is not None and marked_index not in marked:
             raise ValueError(
                 f"declared marked index {marked_index} has |lambda|="
@@ -208,6 +210,8 @@ def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
 
     A matrix eigenbasis is given as nested lists of [re, im] pairs.
     """
+    if not isinstance(doc, dict) or not isinstance(doc.get("target"), dict):
+        raise ValueError("a model and its 'target' must be JSON objects")
     basis = doc.get("eigenbasis", "computational")
     if basis == "computational" or basis is None:
         matrix = None
@@ -225,7 +229,7 @@ def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
         psi_prime=float(t["psi_prime"]),
         phi=float(t["phi"]),
         b=float(t.get("b", 0.05)),
-        marked_index=t.get("marked_index"),
+        marked_index=None if t.get("marked_index") is None else int(t["marked_index"]),
     )
     return spec, target
 

@@ -165,7 +165,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 def test_sweep_searches_each_window_once(tmp_path, monkeypatch):
     # Cells that differ only in q share (delta, mu, b, grid) and so one
-    # best_window call.
+    # best_window call, one model and one measured eta.
     cfg = write_config(tmp_path, "c.json", {
         "variant": "fixed_point",
         "worst_case": {"b": 0.05, "phi": np.pi},
@@ -180,9 +180,21 @@ def test_sweep_searches_each_window_once(tmp_path, monkeypatch):
         calls.append(args)
         return search(*args, **kwargs)
 
+    etas = []
+    measure = pea.measure_eta
+
+    def measured(*args, **kwargs):
+        report = measure(*args, **kwargs)
+        etas.append(report.eta)
+        return report
+
     monkeypatch.setattr(pea, "best_window", counted)
+    monkeypatch.setattr(pea, "measure_eta", measured)
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "serial"]) == 0
     assert len(calls) == 1
+    assert len(etas) == 1
+    with open(tmp_path / "serial" / "sweep.csv", newline="") as fh:
+        assert [r["eta"] for r in csv.DictReader(fh)] == [repr(etas[0])] * 3
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "parallel",
                     "--jobs", 2]) == 0
     serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
@@ -217,7 +229,12 @@ WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
     {"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [1, 2]}},
     {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [0]}},
     {"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [6, 7]}},
-], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu", "tensor_guard"])
+    {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": 0},
+    {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": -1},
+    {"variant": "pea", "worst_case": {**WORST_CASE, "b": 0.9}, "grid": {"mu": [4]}},
+    {"variant": "pea", "worst_case": {**WORST_CASE, "delta": 9.0}, "grid": {"mu": [4]}},
+], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu", "tensor_guard",
+        "grid_zero", "grid_negative", "b_range", "delta_range"])
 def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc):
     def no_work(*_args, **_kwargs):
         raise AssertionError("best_window called before validation finished")
@@ -228,6 +245,54 @@ def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, 
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def _bad_model(**changes):
+    doc = small_model_doc()
+    doc.update(changes)
+    return doc
+
+
+SIMULATE = {"model": small_model_doc(), "variant": "pea", "mu": 4}
+COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("calibrate", {"delta": 3.0, "b": 0.05, "mu_cap": None}),
+    ("calibrate", {"delta": 3.0, "b": 0.05, "eta_target": None}),
+    ("calibrate", {"delta": 3.0, "b": 0.05, "mu_cap": 0}),
+    ("simulate", {**SIMULATE, "n_random": "x"}),
+    ("simulate", {**SIMULATE, "dtype": [1]}),
+    ("simulate", {**SIMULATE, "model": _bad_model(target=None)}),
+    ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis=[[1]])}),
+    ("simulate", {**SIMULATE, "model": _bad_model(target={"psi_prime": 0.0, "phi": np.pi,
+                                                          "marked_index": "x"})}),
+    ("simulate", {**SIMULATE, "model": _bad_model(target={"psi_prime": 0.0, "phi": np.pi,
+                                                          "marked_index": 5})}),
+    ("simulate", {**SIMULATE, "calibrate": True, "eta_target": None}),
+    ("simulate", {**SIMULATE, "window": None}),
+    ("compare", {**COMPARE, "measured_cells": [[3.0]]}),
+    ("compare", {**COMPARE, "b": "x"}),
+    ("compare", {**COMPARE, "mu_limit": None}),
+    ("compare", {**COMPARE, "measured_cells": [[9.0, 1e-4]]}),
+], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
+        "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
+        "simulate_basis_entries", "simulate_marked_index_text",
+        "simulate_marked_index_range", "simulate_calibrate_eta_target_null",
+        "simulate_window_null", "compare_short_cell", "compare_b", "compare_mu_limit_null",
+        "compare_cell_delta"])
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
+    # Every case is rejected before any window search starts (the sweep
+    # cases are in test_sweep_rejects_bad_cells_before_any_work).
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("best_window called before validation finished")
+
+    monkeypatch.setattr(pea, "best_window", no_work)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_delta_axis_needs_no_worst_case_delta(tmp_path):

@@ -52,6 +52,30 @@ def test_selective_phase_state_vs_projector_agree():
         assert np.abs(got - want).max() <= 1e-12
 
 
+def test_selective_phase_about_a_workspace_state_acts_on_every_row():
+    rng = np.random.default_rng(14)
+    state = rng.normal(size=4) + 1j * rng.normal(size=4)
+    state /= np.linalg.norm(state)
+    angle = 0.9
+    op = em.selective_phase(em.SelectivePhaseSpec(state, angle, main_dim=3))
+    work = np.eye(4) - (1 - np.exp(1j * angle)) * np.outer(state, state.conj())
+    assert op.dim == 12
+    assert np.abs(em.dense_materialize(op) - np.kron(np.eye(3), work)).max() <= 1e-12
+
+
+def test_uniform_state_phase_is_unitary_in_extended_precision():
+    # Row sums over the workspace are pairwise, so near the uniform state u
+    # the phase stays unitary to a few ulps at W = 2^11 (a sequential sum
+    # leaves about 100 ulps).
+    wdim = 2 ** 11
+    op = em.selective_phase(em.SelectivePhaseSpec(np.full(wdim, wdim ** -0.5), np.pi / 3, 2))
+    x = np.zeros((2, wdim), dtype=EXTENDED)
+    x[1] = 1 / np.sqrt(np.longdouble(wdim))
+    x = x.ravel()
+    back = op.adjoint_apply_to(op.apply_to(x))
+    assert float(np.linalg.norm(back - x)) <= 16 * np.finfo(EXTENDED).eps
+
+
 def test_selective_phase_rejects_unnormalized_target():
     with pytest.raises(ValueError, match="norm"):
         em.SelectivePhaseSpec(np.array([1.0, 1.0]), 0.3)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import marker
-from eigenmark.statevec import EXTENDED
+from eigenmark import marker, pea
+from eigenmark.statevec import EXTENDED, drive
 
 from conftest import haar_unitary, rotation_block
 
@@ -127,6 +127,87 @@ def test_haar_residuals_equal_computational_twin(dtype):
     assert residuals[0] == residuals[1]
     assert max(residuals[0]) > 1e-8
     assert reports[0].superposition_within_eigen_max
+
+
+def _oracle_blocks(spec, target, layout, q):
+    """The fixed-point marker on the sigma-projector path: the recursion
+    wraps the whole estimation operator V = V_F . H."""
+    pea_op = em.build_pea(em.build_shifted(dataclasses.replace(spec, eigenbasis=None), target),
+                          layout)
+    core = em.build_fixed_point(pea_op, q, spec.dim, layout.z_window())
+    return em.assemble_marker(core, target.phi, layout.z_window(), spec.dim)
+
+
+def _direction_residuals(blocks, spec, target, layout, dtype):
+    outs = drive(blocks, np.eye(spec.dim, dtype=dtype), layout.work_dim)
+    for i, out in enumerate(outs):
+        out[i, 0] -= np.exp(1j * target.phi) if i in target.marked_indices else 1.0
+    return [float(np.linalg.norm(out)) for out in outs]
+
+
+TWO_DIRECTIONS = em.SpectralUnitary(dim=2, eigenphases=(0.03, 2.2), delta=1.5)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_fixed_point_blocks_match_sigma_projector_oracle(q):
+    target = em.MarkTarget.resolve(TWO_DIRECTIONS, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(mu=5, window=2)
+    assembly = em.build_assembly(TWO_DIRECTIONS, target, layout, "fixed_point", q=q)
+    oracle = _oracle_blocks(TWO_DIRECTIONS, target, layout, q)
+    got, want = em.dense_materialize(assembly.blocks), em.dense_materialize(oracle)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_fixed_point_marker_runs_hadamard_only_at_its_ends(monkeypatch):
+    target = em.MarkTarget.resolve(TWO_DIRECTIONS, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(mu=5, window=2)
+    assembly = em.build_assembly(TWO_DIRECTIONS, target, layout, "fixed_point", q=2)
+    calls = []
+    fwht = pea._fwht_axis1
+
+    def counted(a):
+        calls.append(a.shape)
+        return fwht(a)
+
+    monkeypatch.setattr(pea, "_fwht_axis1", counted)
+    tally = em.Tally()
+    drive(assembly.blocks, np.eye(1, 2, dtype=complex), layout.work_dim, tally)
+    assert len(calls) == 2
+    assert tally.get("P") == 2 * 9 ** 2
+
+
+def test_extended_residuals_match_sigma_projector_oracle():
+    # The two paths differ only in rounding: within 2 * 9^q * eps(dtype)
+    # of each other, direction by direction.
+    q = 2
+    spec = em.SpectralUnitary(dim=3, eigenphases=(0.02, 1.8, -2.1), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(mu=7, window=6)
+    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=q)
+    got = _direction_residuals(assembly.blocks, spec, target, layout, EXTENDED)
+    want = _direction_residuals(_oracle_blocks(spec, target, layout, q), spec, target, layout,
+                                EXTENDED)
+    assert min(want) > 1e-14
+    bound = 2 * 9 ** q * np.finfo(EXTENDED).eps
+    assert max(abs(g - w) for g, w in zip(got, want)) <= bound
+
+
+@pytest.mark.parametrize("variant, extra", [("pea", {}), ("voting", {"nu": 3}),
+                                            ("fixed_point", {"q": 2})])
+def test_estimation_applications_equal_charged_p(small_model, monkeypatch, variant, extra):
+    # Every application of an operator that charges ("P", 1), forward or
+    # adjoint, is one charge: nothing is stacked, skipped or merged.
+    spec, target, layout = small_model
+    assembly = em.build_assembly(spec, target, layout, variant, **extra)
+    applied = []
+    for method in ("apply_to", "adjoint_apply_to"):
+        def counted(self, vec, tally=None, _plain=getattr(em.LinearOperator, method)):
+            if ("P", 1) in self.cost:
+                applied.append(method)
+            return _plain(self, vec, tally)
+        monkeypatch.setattr(em.LinearOperator, method, counted)
+    report = em.evaluate_marker(assembly, spec, target, n_random=2, seed=7)
+    assert len(applied) == report.counters.n_p > 0
 
 
 def test_superposition_residual_bounded_by_eigen_max(small_model):
