@@ -52,10 +52,23 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _integer(value, where: str) -> int:
+    """value as an int: a JSON integer, or a number with an integral value.
+    A fraction is not truncated and a bool is not a count: both, and
+    anything else, are a ConfigError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def _require(doc: dict, key, kind, where="config"):
     if key not in doc:
         raise ConfigError(f"{where} is missing required key {key!r}")
     value = doc[key]
+    if kind is int:
+        return _integer(value, f"{where}[{key!r}]")
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind):
@@ -64,8 +77,10 @@ def _require(doc: dict, key, kind, where="config"):
 
 
 def _option(doc: dict, key, default, kind):
-    """doc[key], or default when absent, converted by kind; a value kind
-    cannot convert is a ConfigError."""
+    """doc[key], or default when absent, converted by kind (int through
+    _integer); a value kind cannot convert is a ConfigError."""
+    if kind is int:
+        return _integer(doc.get(key, default), f"config[{key!r}]")
     try:
         return kind(doc.get(key, default))
     except (TypeError, ValueError) as exc:
@@ -73,6 +88,14 @@ def _option(doc: dict, key, default, kind):
 
 
 _DTYPES = {np.dtype(t).name: t for t in (np.complex128, EXTENDED)}
+
+
+def _probe_count(doc: dict, default: int) -> int:
+    """The n_random option: how many superposition probes, at least 0."""
+    n_random = _option(doc, "n_random", default, int)
+    if n_random < 0:
+        raise ConfigError(f"config['n_random'] must be nonnegative, got {n_random!r}")
+    return n_random
 
 
 def _dtype_from(doc: dict):
@@ -133,11 +156,11 @@ def _resolve_layout(cfg, spec, target):
                 f"calibration did not reach eta target; best eta={calib.eta!r} at "
                 f"mu={calib.mu}")
         return calib.layout()
-    mu = int(_require(cfg, "mu", int))
+    mu = _require(cfg, "mu", int)
     try:
         pea.WorkspaceLayout(mu, 0)  # rejects mu < 1 before best_window runs
         if "window" in cfg:
-            window = int(cfg["window"])
+            window = _integer(cfg["window"], "config['window']")
         else:
             window = pea.best_window(mu, spec.delta, target.b).window
         return pea.WorkspaceLayout(mu, window)
@@ -150,9 +173,9 @@ def _assembly_args(cfg, q, nu) -> dict:
     any work."""
     variant = _require(cfg, "variant", str)
     try:
-        args = {"variant": variant, "q": None if q is None else int(q),
-                "nu": None if nu is None else int(nu),
-                "q_cap": int(cfg.get("q_cap", fpqs.Q_CAP_DEFAULT))}
+        args = {"variant": variant, "q": None if q is None else _integer(q, "q"),
+                "nu": None if nu is None else _integer(nu, "nu"),
+                "q_cap": _option(cfg, "q_cap", fpqs.Q_CAP_DEFAULT, int)}
         marker.check_variant(**args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -164,7 +187,7 @@ def _cmd_simulate(args) -> int:
     spec, target = _model_from(cfg)
     variant_args = _assembly_args(cfg, cfg.get("q"), cfg.get("nu"))
     dtype = _dtype_from(cfg)
-    n_random = _option(cfg, "n_random", 8, int)
+    n_random = _probe_count(cfg, 8)
     layout = _resolve_layout(cfg, spec, target)
     try:
         assembly = marker.build_assembly(spec, target, layout, **variant_args)
@@ -217,14 +240,14 @@ def _sweep_cells(cfg, seed) -> list[dict]:
         raise ConfigError("sweep needs 'mu' as an axis or a scalar config key")
     qs = axes.get("q", [cfg.get("q")])
     nus = axes.get("nu", [cfg.get("nu")])
-    n_random = _option(cfg, "n_random", 4, int)
+    n_random = _probe_count(cfg, 4)
     grid_per_bin = _option(cfg, "grid_per_bin", 64, int)
     # Worst-case cells run the two-direction verification model.
     main_dim = 2 if model is None else model[0].dim
     try:
         cells = [{
             "delta": None if delta is None else float(delta),
-            "mu": pea.WorkspaceLayout(int(mu), 0).mu,  # rejects mu < 1
+            "mu": pea.WorkspaceLayout(_integer(mu, "mu"), 0).mu,  # rejects mu < 1
             "b": b, "phi": phi, "model": model,
             "variant_args": _assembly_args(cfg, q, nu),
             "n_random": n_random, "dtype": dtype, "seed": seed,

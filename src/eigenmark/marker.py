@@ -4,18 +4,23 @@ from the ideal selective phase.
 The assembled marker is core+ . (1_main x I_Z^phi) . core, where core is
 any of the estimation variants (plain, voting tensor, fixed-point level q)
 and Z is the workspace subspace that flags "marked".  Every variant is
-built from phases in the eigenframe of U, so the marker is first built as
-its eigen-blocks and then turned by the eigenbasis once.  The fixed-point
-core is core_q^u(V_F) . H (see fpqs), so the Walsh-Hadamard transform runs
+built from phases in the eigenframe of U, where it acts on each
+eigendirection separately.  So one helper builds the marker on a tuple of
+eigenphases, and an assembly holds it twice over: on all eigendirections
+as its eigen-blocks, turned by the eigenbasis once into the operator, and
+on each eigendirection alone, a workspace operator.  The fixed-point core
+is core_q^u(V_F) . H (see fpqs), so the Walsh-Hadamard transform runs
 twice per marker application, at its ends, whatever the level.  Deviation
 is the Euclidean residual against the ideal marker on eigenstate (x) sigma
-inputs, reported per eigendirection (from the blocks) plus
-random-superposition probes (through the turned operator).
+inputs, reported per eigendirection (each through its own marker, so no
+application transforms rows that stay zero) plus random-superposition
+probes (through the turned operator).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -55,12 +60,16 @@ class MarkerAssembly:
     """An assembled marker plus the bookkeeping needed to evaluate it.
 
     blocks is the marker in the eigenframe of U (eigendirection i is the
-    main basis state e_i); operator is blocks turned by the eigenbasis."""
+    main basis state e_i); operator is blocks turned by the eigenbasis.
+    directions[i] is the marker of eigendirection i alone, on the
+    workspace: on sigma it gives row i of blocks on e_i (x) sigma, whose
+    other rows are zero."""
 
     variant: str
     phi: float
     blocks: LinearOperator
     operator: LinearOperator
+    directions: tuple[LinearOperator, ...]
     zproj: SubspaceProjector
     main_dim: int
     mu: int
@@ -95,29 +104,45 @@ def check_variant(variant: str, q: int | None, nu: int | None, q_cap: int) -> No
         require_odd(nu)
 
 
-def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
-                   variant: str, q: int | None = None, nu: int | None = None,
-                   q_cap: int = Q_CAP_DEFAULT) -> MarkerAssembly:
-    """Construct the chosen variant's core on the eigen-blocks, wrap it
-    into a marker and turn the marker by the eigenbasis."""
-    check_variant(variant, q, nu, q_cap)
-    v_f, hadamard = estimation_factors(build_shifted(spec, target), layout)
-    window = layout.z_window()
+def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: float,
+                  variant: str, q: int | None, nu: int | None,
+                  q_cap: int) -> LinearOperator:
+    """The marker in the eigenframe on eigendirections with shifted phases
+    lam, main index i for lam[i]; zproj is the variant's marked workspace
+    subspace (the window, or voting's winning majority)."""
+    main_dim = len(lam)
+    v_f, hadamard = estimation_factors(lam, layout)
     if variant == "fixed_point":
         # H I_sigma H = I_u: the recursion runs on V_F, reflecting about
         # the uniform state u = H|sigma>, and H follows it once.
         uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
-        core = compose(build_fixed_point(v_f, q, spec.dim, window, uniform, q_cap), hadamard)
-        zproj, ancillas = window, layout.mu
+        core = compose(build_fixed_point(v_f, q, main_dim, zproj, uniform, q_cap), hadamard)
     elif variant == "pea":
-        core, zproj, ancillas = compose(v_f, hadamard), window, layout.mu
+        core = compose(v_f, hadamard)
     else:
-        core = build_h_tensor(compose(v_f, hadamard), nu, layout, spec.dim)
-        zproj, ancillas = majority_projector(window, nu), nu * layout.mu
-    blocks = assemble_marker(core, target.phi, zproj, spec.dim)
+        core = build_h_tensor(compose(v_f, hadamard), nu, layout, main_dim)
+    return assemble_marker(core, phi, zproj, main_dim)
+
+
+def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
+                   variant: str, q: int | None = None, nu: int | None = None,
+                   q_cap: int = Q_CAP_DEFAULT) -> MarkerAssembly:
+    """Construct the chosen variant's marker on the eigen-blocks, once on
+    all eigendirections (turned by the eigenbasis into the operator) and
+    once on each eigendirection alone."""
+    check_variant(variant, q, nu, q_cap)
+    lam = build_shifted(spec, target).eigensystem[0]
+    if variant == "voting":
+        zproj, ancillas = majority_projector(layout.z_window(), nu), nu * layout.mu
+    else:
+        zproj, ancillas = layout.z_window(), layout.mu
+    marker_on = functools.partial(_eigen_marker, layout=layout, zproj=zproj, phi=target.phi,
+                                  variant=variant, q=q, nu=nu, q_cap=q_cap)
+    blocks = marker_on(lam)
     return MarkerAssembly(
         variant=variant, phi=target.phi, blocks=blocks,
         operator=in_frame(blocks, spec.eigenbasis, zproj.dim),
+        directions=tuple(marker_on((phase,)) for phase in lam),
         zproj=zproj, main_dim=spec.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
 
@@ -200,11 +225,10 @@ def write_report_csv(report: MarkerErrorReport, path) -> None:
 
 def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
     """Exact counters of one application of the assembled marker.  Tally
-    charges per application whatever the state, and the turn by the
-    eigenbasis charges nothing, so the blocks on any unit vector will do."""
+    charges per application whatever the state, and every eigendirection's
+    marker charges as the whole one, so the first direction will do."""
     tally = Tally()
-    e0 = np.eye(1, assembly.main_dim, dtype=complex)
-    drive(assembly.blocks, e0, assembly.work_dim, tally)
+    drive(assembly.directions[0], np.ones((1, 1), dtype=complex), assembly.work_dim, tally)
     return ComplexityCounters.from_tally(tally, assembly.ancillas)
 
 
@@ -217,12 +241,13 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     work_dim = assembly.work_dim
     ideal = ideal_marker(spec, target)
     entries = []
-    # Eigendirection i is e_i (x) sigma on the blocks; the ideal output is
-    # the input times its phase, subtracted in place.
-    eigen = drive(assembly.blocks, np.eye(spec.dim, dtype=dtype), work_dim, tally)
-    for i, out in enumerate(eigen):
+    # Eigendirection i is sigma through its own marker; the ideal output is
+    # sigma times its phase, subtracted in place.
+    one = np.ones((1, 1), dtype=dtype)
+    for i, direction in enumerate(assembly.directions):
+        out = drive(direction, one, work_dim, tally)[0]
         marked = i in target.marked_indices
-        out[i, 0] -= np.exp(1j * target.phi) if marked else 1.0
+        out[0, 0] -= np.exp(1j * target.phi) if marked else 1.0
         entries.append(ResidualEntry(i, spec.eigenphases[i], target.lambdas[i],
                                      marked, float(np.linalg.norm(out))))
     worst = max(e.residual for e in entries)

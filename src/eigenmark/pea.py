@@ -91,10 +91,10 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
     return out / np.sqrt(real_dtype(a.dtype).type(dim))
 
 
-def estimation_factors(shifted: LinearOperator,
-                       layout: WorkspaceLayout) -> tuple[LinearOperator, LinearOperator]:
-    """The estimation operator V = V_F . H of the shifted unitary in its
-    eigenframe, as its two factors.
+def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, LinearOperator]:
+    """The estimation operator V = V_F . H in the eigenframe of the shifted
+    unitary, as its two factors, for the shifted eigenphases lam (one main
+    index per phase).
 
     H is the Walsh-Hadamard transform on the workspace, its own inverse,
     charging nothing.  V_F is the z-controlled power of the shifted
@@ -102,41 +102,39 @@ def estimation_factors(shifted: LinearOperator,
     on the U counter (the stated accounting convention, even though a
     ladder of controlled squarings could be tallied as 2^mu - 1) and 1 on
     the P counter per application.  The controlled powers are phases in the
-    eigenframe, so only the eigenphases of shifted are read.
-
-    The shifted operator must carry its eigensystem (as build_shifted's
-    does); an operator without one is rejected with ValueError.
+    eigenframe, so the eigenphases are all the factors need.
     """
-    if shifted.eigensystem is None:
-        raise ValueError("build_pea needs an operator that carries its eigensystem")
-    lam = np.asarray(shifted.eigensystem[0], dtype=float)
-    main_dim = shifted.dim
+    lam = np.asarray(lam, dtype=float)
+    main_dim = lam.shape[0]
     wdim = layout.work_dim
     dim = main_dim * wdim
     cache: dict = {}
 
     def tables(dtype):
+        """(mask, its conjugate, scale) for dtype; conjugation is exact, so
+        the adjoint reads the cached conjugate instead of forming one."""
         key = np.dtype(dtype)
         if key not in cache:
             work = real_dtype(key)
             ph = lam.astype(work)
             z = np.arange(wdim, dtype=work)
             scale = work.type(1.0) / np.sqrt(work.type(wdim))
-            cache[key] = (np.exp(1j * ph[:, None] * z[None, :]).astype(dtype), scale)
+            mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
+            cache[key] = (mask, mask.conj(), scale)
         return cache[key]
 
     def hadamard(x, _tally):
         return _fwht_axis1(x.reshape(main_dim, wdim, -1)).reshape(x.shape)
 
     def apply_fn(x, _tally):
-        mask, scale = tables(x.dtype)
+        mask, _conj, scale = tables(x.dtype)
         a = np.fft.fft(x.reshape(main_dim, wdim, -1) * mask[:, :, None], axis=1) * scale
         return a.reshape(x.shape)
 
     def adjoint_fn(x, _tally):
-        mask, scale = tables(x.dtype)
+        _mask, conj, scale = tables(x.dtype)
         a = np.fft.ifft(x.reshape(main_dim, wdim, -1), axis=1) / scale
-        return (a * mask.conj()[:, :, None]).reshape(x.shape)
+        return (a * conj[:, :, None]).reshape(x.shape)
 
     v_f = LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
     return v_f, LinearOperator(dim, hadamard, hadamard)
@@ -146,9 +144,15 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
     """Joint-space estimation operator for the shifted unitary: the factors
     of estimation_factors composed, V = V_F . H, turned by the eigenbasis
     once around the whole application.  Cost per application: 2^mu on the
-    U counter and 1 on the P counter."""
-    factors = estimation_factors(shifted, layout)
-    return in_frame(compose(*factors), shifted.eigensystem[1], layout.work_dim)
+    U counter and 1 on the P counter.
+
+    The shifted operator must carry its eigensystem (as build_shifted's
+    does); an operator without one is rejected with ValueError.
+    """
+    if shifted.eigensystem is None:
+        raise ValueError("build_pea needs an operator that carries its eigensystem")
+    phases, basis = shifted.eigensystem
+    return in_frame(compose(*estimation_factors(phases, layout)), basis, layout.work_dim)
 
 
 @dataclass(frozen=True)

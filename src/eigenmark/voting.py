@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .statevec import LinearOperator, SubspaceProjector
 from .pea import WorkspaceLayout
@@ -59,9 +58,27 @@ def check_joint_dim(main_dim: int, work_dim: int, nu: int) -> int:
 
 def majority_tail_amplitude(p: float, nu: int) -> float:
     """Amplitude of the identical-product state inside the losing-majority
-    subspace: sqrt(P[X > nu/2]) for X ~ Binomial(nu, p)."""
-    VotingModel(nu, p)
-    return float(np.sqrt(binom.sf(nu // 2, nu, p)))
+    subspace: sqrt(P[X > nu/2]) for X ~ Binomial(nu, p).
+
+    With m = nu//2 + 1 the tail is p^m S, S = sum_{k>=m} C(nu, k)
+    p^(k-m) (1-p)^(nu-k), a sum of positive terms added exactly by fsum, so
+    no 1 - cdf cancels and no term underflows ahead of the result.  The
+    amplitude is sqrt(S) p^(m/2), multiplied in by two factors p^(m/4) so
+    that it stays representable wherever the result is.  A nu whose
+    binomial coefficients overflow a double is rejected with ValueError.
+    """
+    nu = require_odd(nu)
+    p = float(VotingModel(nu, p).p)
+    m = nu // 2 + 1
+    try:
+        tail = math.fsum(float(math.comb(nu, k)) * p ** (k - m) * (1.0 - p) ** (nu - k)
+                         for k in range(m, nu + 1))
+    except OverflowError:
+        tail = math.inf
+    if not math.isfinite(tail):
+        raise ValueError(f"register count nu={nu} overflows the binomial tail in a double")
+    quarter = p ** (m / 4.0)
+    return math.sqrt(tail) * quarter * quarter
 
 
 def hoeffding_amplitude_bound(nu: int) -> float:

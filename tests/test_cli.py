@@ -275,12 +275,43 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("compare", {**COMPARE, "b": "x"}),
     ("compare", {**COMPARE, "mu_limit": None}),
     ("compare", {**COMPARE, "measured_cells": [[9.0, 1e-4]]}),
+    # Integer keys: a fraction is not truncated and a bool is not a count.
+    ("calibrate", {"delta": 3.0, "b": 0.05, "grid_per_bin": 1.7}),
+    ("calibrate", {"delta": 3.0, "b": 0.05, "mu_cap": 1.7}),
+    ("calibrate", {"delta": 3.0, "b": 0.05, "mu_cap": True}),
+    ("simulate", {**SIMULATE, "n_random": 1.7}),
+    ("simulate", {**SIMULATE, "n_random": -2}),
+    ("simulate", {**SIMULATE, "mu": 4.5}),
+    ("simulate", {**SIMULATE, "mu": True}),
+    ("simulate", {**SIMULATE, "window": 1.7}),
+    ("simulate", {**SIMULATE, "variant": "fixed_point", "q": 1.7}),
+    ("simulate", {**SIMULATE, "variant": "fixed_point", "q": 1, "q_cap": True}),
+    ("simulate", {**SIMULATE, "variant": "voting", "nu": True}),
+    ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
+               "n_random": -2}),
+    ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
+               "n_random": True}),
+    ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4.5]}}),
+    ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
+               "grid_per_bin": 1.7}),
+    ("sweep", {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4,
+               "grid": {"q": [1.7]}}),
+    ("sweep", {"variant": "voting", "worst_case": WORST_CASE, "mu": 3,
+               "grid": {"nu": [True]}}),
+    ("compare", {**COMPARE, "mu_limit": 1.7}),
+    ("compare", {**COMPARE, "mu_limit": True}),
 ], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
         "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
         "simulate_basis_entries", "simulate_marked_index_text",
         "simulate_marked_index_range", "simulate_calibrate_eta_target_null",
         "simulate_window_null", "compare_short_cell", "compare_b", "compare_mu_limit_null",
-        "compare_cell_delta"])
+        "compare_cell_delta", "calibrate_grid_fraction", "calibrate_mu_cap_fraction",
+        "calibrate_mu_cap_bool", "simulate_n_random_fraction", "simulate_n_random_negative",
+        "simulate_mu_fraction", "simulate_mu_bool", "simulate_window_fraction",
+        "simulate_q_fraction", "simulate_q_cap_bool", "simulate_nu_bool",
+        "sweep_n_random_negative", "sweep_n_random_bool", "sweep_mu_fraction",
+        "sweep_grid_fraction", "sweep_q_fraction", "sweep_nu_bool",
+        "compare_mu_limit_fraction", "compare_mu_limit_bool"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
     # Every case is rejected before any window search starts (the sweep
     # cases are in test_sweep_rejects_bad_cells_before_any_work).

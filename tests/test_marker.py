@@ -210,6 +210,49 @@ def test_estimation_applications_equal_charged_p(small_model, monkeypatch, varia
     assert len(applied) == report.counters.n_p > 0
 
 
+@pytest.mark.parametrize("variant, extra, dtype", [("pea", {}, EXTENDED),
+                                                   ("voting", {"nu": 3}, np.complex128),
+                                                   ("fixed_point", {"q": 2}, EXTENDED)],
+                         ids=["pea", "voting", "fixed_point"])
+def test_direction_blocks_match_joint_blocks(small_model, variant, extra, dtype):
+    # Eigendirection i's own marker on sigma is row i of the joint blocks on
+    # e_i (x) sigma, bit for bit, and the blocks leave every other row 0.
+    spec, target, layout = small_model
+    assembly = em.build_assembly(spec, target, layout, variant, **extra)
+    assert len(assembly.directions) == spec.dim
+    joint = drive(assembly.blocks, np.eye(spec.dim, dtype=dtype), assembly.work_dim)
+    for i, (direction, out) in enumerate(zip(assembly.directions, joint, strict=True)):
+        alone = drive(direction, np.ones((1, 1), dtype=dtype), assembly.work_dim)[0]
+        assert alone.dtype == out.dtype == dtype
+        assert np.array_equal(alone[0], out[i])
+        assert not np.delete(out, i, axis=0).any()
+
+
+@pytest.mark.parametrize("variant, extra", [("pea", {}), ("voting", {"nu": 3}),
+                                            ("fixed_point", {"q": 2})])
+def test_eigendirections_transform_one_row_each(small_model, monkeypatch, variant, extra):
+    # A charged application on an eigendirection transforms the workspace
+    # amplitudes of its own row only; a superposition probe transforms all
+    # main_dim rows.  So a marker application per direction and per probe
+    # makes per_marker * (D*W + n_random*D*W) amplitudes in all, where W is
+    # the (joint) workspace dimension and per_marker = 2 * 9^q (2 * nu).
+    spec, target, layout = small_model
+    n_random = 2
+    assembly = em.build_assembly(spec, target, layout, variant, **extra)
+    per_marker = marker.application_counters(assembly).n_p
+    amplitudes = []
+    for method in ("apply_to", "adjoint_apply_to"):
+        def counted(self, vec, tally=None, _plain=getattr(em.LinearOperator, method)):
+            if ("P", 1) in self.cost:
+                amplitudes.append(np.size(vec))
+            return _plain(self, vec, tally)
+        monkeypatch.setattr(em.LinearOperator, method, counted)
+    report = em.evaluate_marker(assembly, spec, target, n_random=n_random, seed=7)
+    joint = spec.dim * assembly.work_dim
+    assert len(amplitudes) == report.counters.n_p == per_marker * (spec.dim + n_random)
+    assert sum(amplitudes) == per_marker * (joint + n_random * joint)
+
+
 def test_superposition_residual_bounded_by_eigen_max(small_model):
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)

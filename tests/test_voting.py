@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +41,42 @@ def test_tail_matches_enumeration_oracle():
         p = float(rng.uniform(0, 1))
         assert em.majority_tail_amplitude(p, nu) == pytest.approx(
             enumeration_tail(p, nu), abs=1e-13)
+
+
+def test_tail_matches_mpmath_oracle():
+    # 60-digit binomial sums, down to deep tails: 5e-4 at nu=401 has an
+    # amplitude near 1e-271 although p^(m/2) alone is below the doubles.
+    mpmath = pytest.importorskip("mpmath")
+    tiny = np.finfo(float).tiny
+    with mpmath.workdps(60):
+        for nu in (1, 3, 11, 51, 201, 401):
+            for p in (1e-300, 1e-9, 5e-4, 0.03, 0.3, 0.5, 0.77, 1.0 - 1e-9):
+                x = mpmath.mpf(p)
+                want = mpmath.sqrt(mpmath.fsum(
+                    mpmath.binomial(nu, k) * x ** k * (1 - x) ** (nu - k)
+                    for k in range(nu // 2 + 1, nu + 1)))
+                got = em.majority_tail_amplitude(p, nu)
+                if want >= tiny:
+                    assert abs(got - want) <= 1e-14 * want, (nu, p)
+                else:
+                    assert got < tiny, (nu, p)
+
+
+def test_tail_rejects_nu_beyond_double_binomials():
+    with pytest.raises(ValueError, match="overflows"):
+        em.majority_tail_amplitude(0.1, 2001)
+
+
+def test_import_leaves_scipy_unloaded():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, eigenmark; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_even_nu_rejected():
