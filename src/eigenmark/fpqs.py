@@ -34,6 +34,7 @@ from .statevec import (
     compose,
     embed_work_projector,
     real_dtype,
+    require_int,
     work_basis_projector,
 )
 from .complexity import ETA_REGIME
@@ -160,7 +161,9 @@ def pi3_balance(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
 
 
 def check_level(q: int, q_cap: int) -> None:
-    """Reject a recursion level outside [0, q_cap]."""
+    """Reject a recursion level or cap that is not an integer (TypeError,
+    see require_int) and a level outside [0, q_cap] (ValueError)."""
+    q, q_cap = require_int(q, "level q"), require_int(q_cap, "level cap q_cap")
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q > q_cap:

@@ -43,6 +43,15 @@ def real_dtype(dtype) -> np.dtype:
     return np.finfo(dtype).dtype
 
 
+def require_int(value, name: str) -> int:
+    """value as an int when it is a Python or numpy integer.  A bool or a
+    float, integral or not, is a TypeError: a count is never truncated or
+    read from a flag."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Tally:
     """Mutable resource counter for one evaluation context."""
 

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator, SubspaceProjector
+from .statevec import LinearOperator, SubspaceProjector, require_int
 from .pea import WorkspaceLayout
 
 TENSOR_GUARD = 2 ** 18
 
 
 def require_odd(nu: int) -> int:
-    """nu as an int, rejecting even and nonpositive register counts."""
-    nu = int(nu)
+    """nu as an int, rejecting a non-integer (TypeError, see require_int)
+    and an even or nonpositive register count (ValueError)."""
+    nu = require_int(nu, "register count nu")
     if nu < 1 or nu % 2 == 0:
         raise ValueError(f"register count nu={nu} must be odd and positive")
     return nu

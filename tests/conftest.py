@@ -4,6 +4,16 @@ import pytest
 import eigenmark as em
 from eigenmark.statevec import EXTENDED
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py then skips itself (pytest.importorskip)
+    pass
+else:
+    # Every run draws the same examples, with no example database and no
+    # per-example deadline (timings on a shared host vary), so runs repeat.
+    settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+    settings.load_profile("repeatable")
+
 
 def haar_unitary(rng, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -215,6 +215,24 @@ def test_q_cap_enforced(small_model):
     em.build_fixed_point(op, 4, spec.dim, layout.z_window(), q_cap=4)
 
 
+@pytest.mark.parametrize("q,q_cap", [(1.5, 3), (True, 3), (1.0, 3), (1, 2.5)],
+                         ids=["fraction", "bool", "integral_float", "cap_fraction"])
+def test_non_integer_level_rejected(q, q_cap):
+    with pytest.raises(TypeError, match="integer"):
+        fpqs.check_level(q, q_cap)
+
+
+def test_numpy_integer_level_accepted(small_model):
+    spec, target, layout = small_model
+    op = em.build_pea(em.build_shifted(spec, target), layout)
+    fpqs.check_level(np.int64(2), np.int32(3))
+    tally = em.Tally()
+    state = em.product_state(spec.basis_column(0), layout.sigma_state())
+    em.apply(em.build_fixed_point(op, np.int64(1), spec.dim, layout.z_window()), state,
+             "joint", tally)
+    assert tally.get("P") == 9
+
+
 def test_block_locality(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)

@@ -329,6 +329,11 @@ def test_variant_argument_validation(small_model):
         em.build_assembly(spec, target, layout, "fixed_point")
     with pytest.raises(ValueError, match="voting"):
         em.build_assembly(spec, target, layout, "voting", q=1, nu=3)
+    # A fractional level passed this check and then failed in range(q).
+    for variant, args in (("fixed_point", (1.5, None)), ("fixed_point", (True, None)),
+                          ("voting", (None, 3.7)), ("voting", (None, True))):
+        with pytest.raises(TypeError, match="integer"):
+            marker.check_variant(variant, *args, 3)
 
 
 def test_report_serialization(tmp_path, small_model):

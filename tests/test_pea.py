@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 from dataclasses import asdict
@@ -159,6 +160,9 @@ def test_best_window_matches_brute_force(mu, delta, b):
     assert choice.window == window
     # The dense grids only sample the worst case that best_window refines.
     assert eta * (1 - 1e-12) <= choice.eta <= eta * (1 + 1e-4)
+    # The search's start window (clamped to [0, wmax]) changes nothing.
+    for start in (1, window, window - 3, window + 3, 2 ** (mu - 1) - 1):
+        assert em.best_window(mu, delta, b, start=start) == choice
 
 
 def test_best_window_rejects_mu_below_one():
@@ -208,6 +212,41 @@ def test_calibration_headline_configuration(setup_04):
     report = setup_04["eta_report"]
     assert report.eta <= 2.0 ** -5
     assert abs(report.eta - calib.eta) <= 1e-9
+
+
+# Full results of a search from window 0 at every mu: starting each mu
+# next to the previous mu's window must reproduce them bit for bit.
+COLD_SEARCH_RESULTS = [
+    em.CalibrationResult(delta=0.4, b=0.05, eta_target=0.03125, grid_per_bin=64, mu=14,
+                         window=370, eta_marked=0.02359656793485948,
+                         eta_unmarked=0.02358561443336071, lam_marked=0.019750017273208423,
+                         lam_unmarked=0.2, converged=True),
+    em.CalibrationResult(delta=3.0, b=0.05, eta_target=0.03125, grid_per_bin=64, mu=11,
+                         window=330, eta_marked=0.023939823102613597,
+                         eta_unmarked=0.023963771524187247, lam_marked=0.14879628856838742,
+                         lam_unmarked=1.5017661555940427, converged=True),
+]
+
+
+@pytest.mark.parametrize("want", COLD_SEARCH_RESULTS, ids=["delta0.4", "delta3.0"])
+def test_calibration_matches_cold_search(want):
+    assert em.calibrate_workspace(want.delta, want.b) == want
+
+
+def test_calibration_probes_few_windows_per_mu(monkeypatch):
+    # Each probed window costs two _sup_scan calls or more; a search from
+    # window 0 probes 21 distinct windows at mu=14 here.
+    probed = collections.defaultdict(set)
+    scan = pea._sup_scan
+
+    def counted(mu, window, *args, **kwargs):
+        probed[mu].add(window)
+        return scan(mu, window, *args, **kwargs)
+
+    monkeypatch.setattr(pea, "_sup_scan", counted)
+    assert em.calibrate_workspace(0.4, 0.05).mu == 14
+    assert sorted(probed) == list(range(1, 15))
+    assert max(len(windows) for windows in probed.values()) <= 6
 
 
 def test_calibration_cache_roundtrip(tmp_path):

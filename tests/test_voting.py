@@ -88,6 +88,20 @@ def test_even_nu_rejected():
         voting.VotingModel(3, 1.5)
 
 
+@pytest.mark.parametrize("nu", [3.7, 3.0, True, np.float64(3.0)],
+                         ids=["fraction", "integral_float", "bool", "numpy_float"])
+def test_non_integer_nu_rejected(nu):
+    # A fraction was truncated (3.7 gave nu=3's tail) and True read as 1.
+    with pytest.raises(TypeError, match="integer"):
+        em.majority_tail_amplitude(0.1, nu)
+    with pytest.raises(TypeError, match="integer"):
+        voting.VotingModel(nu, 0.1)
+
+
+def test_numpy_integer_nu_accepted():
+    assert em.majority_tail_amplitude(0.1, np.int64(3)) == em.majority_tail_amplitude(0.1, 3)
+
+
 def test_voting_model_deviation():
     model = voting.VotingModel(5, 0.01)
     assert model.t == pytest.approx(0.49)
