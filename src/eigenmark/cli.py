@@ -315,13 +315,18 @@ def _cell_key(row: dict):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_config(args.config)
     groups: dict = {}
     for cell in _sweep_cells(cfg, args.seed):
         key = (cell["delta"], cell["mu"], cell["b"], cell["grid_per_bin"])
         groups.setdefault(key, []).append(cell)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A fork-started pool starts all its workers at the first submit, so
+    # ask for no more than there are groups to run.
+    workers = min(args.jobs, len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cells, groups.values()))
     else:
         results = [_run_cells(group) for group in groups.values()]

@@ -20,10 +20,11 @@ a table of the kernel, one prefix-sum subtraction per grid phase; the table
 covers only the rows the boxes touch.  The exact kernel refines the maxima,
 and an envelope bound limits how far the unmarked sweep must reach.
 best_window finds the window where the two worst cases cross with a
-galloping search from a start window; since the crossing is monotone in
-the window, the start sets only the cost.  The crossing sits at a fixed
-phase, which spans twice as many bins with each added qubit, so
-calibrate_workspace starts each mu at twice the previous mu's window.
+galloping search from a start window and keeps the better of the pair at
+the crossing; since the crossing is monotone in the window, the start
+sets only the cost.  The crossing sits at a fixed phase, which spans
+twice as many bins with each added qubit, so calibrate_workspace starts
+each mu at twice the previous mu's window.
 measure_eta drives the actual operator and is the cross-check for both.
 """
 
@@ -344,13 +345,15 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
     the optimum sits at that crossing.  A galloping bracket finds it: from
     start (clamped to [0, 2^(mu-1) - 1]) it probes start + 1, 2, 4, ...
     while the window has not crossed, or start - 1, 2, 4, ... while it
-    has, and bisects the bracket; the windows within 2 of the first
-    crossed one are then compared.  Each window's worst case depends on
-    the window alone and the first crossed window is the same wherever the
+    has, and bisects the bracket.  The answer is the better of the first
+    crossed window and the one below it, both probed by then: above the
+    crossing eta is at least the (rising) unmarked eta, below it at least
+    the (falling) marked eta.  Each window's worst case depends on the
+    window alone and the first crossed window is the same wherever the
     search starts, so start changes which windows are probed, never the
     result.  A start next to the answer (calibrate_workspace passes twice
-    the previous mu's window) probes about 5 windows where start=0 probes
-    about 20 at mu=14.
+    the previous mu's window) probes about 3 windows where start=0 probes
+    19 at mu=14.
     """
     if mu < 1:
         raise ValueError(f"mu {mu} must be at least 1")
@@ -388,8 +391,7 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
             lo, hi = hi + 1, min(wmax, start + step)
             step *= 2
     lo += bisect.bisect_left(range(lo, hi), True, key=crossed)
-    return min((choice(w) for w in range(max(0, lo - 2), min(wmax, lo + 2) + 1)),
-               key=lambda c: c.eta)
+    return min((choice(w) for w in range(max(0, lo - 1), lo + 1)), key=lambda c: c.eta)
 
 
 @dataclass(frozen=True)

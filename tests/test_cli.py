@@ -202,6 +202,47 @@ def test_sweep_searches_each_window_once(tmp_path, monkeypatch):
     assert len(serial.splitlines()) == 4
 
 
+def test_sweep_pool_is_no_larger_than_the_group_count(tmp_path, monkeypatch, capsys):
+    requested = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records the worker count and
+        maps in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg = write_config(tmp_path, "c.json", {
+        "variant": "pea",
+        "worst_case": {"delta": 2.8, "b": 0.05, "phi": np.pi},
+        "grid": {"mu": [3, 4, 5]},
+        "n_random": 0,
+    })
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "serial"]) == 0
+    assert requested == []
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "wide", "--jobs", 64]) == 0
+    assert requested == [3]
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "wide" / "sweep.csv").read_bytes()
+    capsys.readouterr()
+    for jobs in (0, -3):
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "bad",
+                        "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert requested == [3]
+    assert not (tmp_path / "bad").exists()
+
+
 def test_sweep_config_validation(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "variant": "pea",

@@ -17,3 +17,30 @@ from eigenmark import pea  # noqa: E402
        start=st.integers())
 def test_best_window_start_changes_nothing(mu, delta, b, start):
     assert pea.best_window(mu, delta, b, start=start) == pea.best_window(mu, delta, b)
+
+
+def window_choices(mu, delta, b, grid_per_bin=64):
+    """Every window's worst cases, computed as best_window computes them."""
+    choices = []
+    for w in range(2 ** (mu - 1)):
+        lam_m, mass_m = pea._sup_scan(mu, w, 0.0, b * delta, grid_per_bin, outside=True)
+        lam_u, mass_u = pea.worst_unmarked_mass(mu, w, delta, grid_per_bin)
+        choices.append(pea.WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
+                                        float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u))
+    return choices
+
+
+@settings(max_examples=40)
+@given(mu=st.integers(1, 7),
+       delta=st.floats(0.3, float(np.pi), exclude_min=True),
+       b=st.floats(0.02, 0.25, exclude_min=True))
+def test_best_window_is_the_exhaustive_argmin(mu, delta, b):
+    # best_window compares only the pair at the crossing; that is exact
+    # only while the computed (not just the exact) worst cases are
+    # monotone in the window, so check both against every window.
+    choices = window_choices(mu, delta, b)
+    marked = [c.eta_marked for c in choices]
+    unmarked = [c.eta_unmarked for c in choices]
+    assert all(x >= y for x, y in zip(marked, marked[1:]))
+    assert all(x <= y for x, y in zip(unmarked, unmarked[1:]))
+    assert pea.best_window(mu, delta, b) == min(choices, key=lambda c: c.eta)
