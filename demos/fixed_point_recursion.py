@@ -29,7 +29,7 @@ print()
 print(f"{'q':>2} {'N_P':>5} {'N_U':>8} {'side':>9} {'measured':>12} "
       f"{'leading-order':>14} {'eps_q':>10}")
 for q in range(3):
-    fp = em.build_fixed_point(pea_op, q, spec.dim, window)
+    fp = em.build_fixed_point(pea_op, q, window)
     pred = em.predict_schedule(q, eta)
     tally = em.Tally()
     fp.apply_to(em.product_state(spec.basis_column(0), layout.sigma_state()).amplitudes,
@@ -52,6 +52,6 @@ win = em.WorkspaceLayout(3, 1).z_window()
 sigma = np.zeros(8, complex)
 sigma[0] = 1.0
 beta = np.linalg.norm(v.apply_to(sigma)[~win.mask()])
-after = np.linalg.norm(em.pi3_compress(v, 1, win).apply_to(sigma)[~win.mask()])
+after = np.linalg.norm(em.pi3_compress(v, win).apply_to(sigma)[~win.mask()])
 print(f"  random 8-dim unitary: beta={beta:.6f}, after compress={after:.6e}, "
       f"beta^3={beta ** 3:.6e}")

@@ -80,8 +80,7 @@ def _sample_operators(ctx):
         ("pea", ctx.small_pea),
         ("phase_state", fpqs.selective_phase(fpqs.SelectivePhaseSpec(
             np.array([0.6, 0.8j]), 1.1))),
-        ("fixed_point_q1", fpqs.build_fixed_point(
-            ctx.small_pea, 1, ctx.small_spec.dim, window)),
+        ("fixed_point_q1", fpqs.build_fixed_point(ctx.small_pea, 1, window)),
         ("marker_q1", marker.build_assembly(
             ctx.small_spec, ctx.small_target, ctx.small_layout,
             "fixed_point", q=1).operator),
@@ -236,7 +235,7 @@ def _random_levels(seed: int, level):
         layout = pea.WorkspaceLayout(mu, int(rng.integers(0, max(1, wdim // 2))))
         window, sigma = layout.z_window(), layout.sigma_state()
         v = from_matrix(_haar(rng, wdim))
-        yield window.mask(), v.apply_to(sigma), level(v, 1, window).apply_to(sigma)
+        yield window.mask(), v.apply_to(sigma), level(v, window).apply_to(sigma)
 
 
 def check_fpqs_exact_cubing(ctx) -> CheckResult:
@@ -267,7 +266,7 @@ def check_fpqs_measured_vs_predicted(ctx) -> CheckResult:
     slack = 1.0 + 10.0 * eta * eta
     for q in (1, 2):
         pred = fpqs.predict_schedule(q, eta)
-        level = fpqs.build_fixed_point(ctx.pea_op, q, ctx.spec.dim, ctx.layout.z_window())
+        level = fpqs.build_fixed_point(ctx.pea_op, q, ctx.layout.z_window())
         got = pea.measure_eta(level, ctx.spec, ctx.target, ctx.layout, dtype=EXTENDED)
         marked, unmarked = got.eta_marked, got.eta_unmarked
         ok_q = (marked <= pred.marked_magnitude * slack
@@ -305,7 +304,7 @@ def check_fpqs_counter_law(ctx) -> CheckResult:
     ok = True
     details = []
     for q in range(4):
-        op = fpqs.build_fixed_point(ctx.small_pea, q, ctx.small_spec.dim, window)
+        op = fpqs.build_fixed_point(ctx.small_pea, q, window)
         tally = Tally()
         drive(op, _columns(ctx.small_spec)[:1], wdim, tally)
         n_p, n_u = tally.get("P"), tally.get("U")
@@ -317,7 +316,7 @@ def check_fpqs_counter_law(ctx) -> CheckResult:
 
 def check_fpqs_block_locality(ctx) -> CheckResult:
     window = ctx.small_layout.z_window()
-    op = fpqs.build_fixed_point(ctx.small_pea, 1, ctx.small_spec.dim, window)
+    op = fpqs.build_fixed_point(ctx.small_pea, 1, window)
     worst = _main_disturbance(ctx, op)
     return CheckResult("fpqs.block_locality", worst <= 1e-12,
                        f"main-factor disturbance under level-1 recursion = {_fmt(worst)} "
@@ -334,7 +333,7 @@ def check_voting_tensor_equivalence(ctx) -> CheckResult:
     etas = pea.measure_eta(op, spec, target, layout)
     worst = 0.0
     for nu in (1, 3, 5):
-        h = voting.build_h_tensor(op, nu, layout, spec.dim)
+        h = voting.build_h_tensor(op, nu, layout)
         majority = voting.majority_projector(layout.z_window(), nu)
         outs = drive(h, _columns(spec), layout.work_dim ** nu)
         for entry, out in zip(etas.entries, outs):

@@ -10,7 +10,9 @@ amplitude exactly, for any V and any window; balance cubes the in-window
 probability mass exactly, which is what tames the unmarked directions.
 Both phase rotations act on the workspace only (the start state sigma and
 the Z window), so the construction never needs to know the main-space
-state.  q levels cost 9^q applications of the wrapped operator.
+state: selective_phase lifts each to 1_main (x) phase on every main row
+of the wrapped operator (statevec.main_rows).  q levels cost 9^q
+applications of the wrapped operator.
 
 The sigma-phase reflects about a workspace start state, sigma = |0> by
 default: a basis projector, the generic path and the oracle for any V.
@@ -32,10 +34,9 @@ from .statevec import (
     LinearOperator,
     SubspaceProjector,
     compose,
-    embed_work_projector,
+    main_rows,
     real_dtype,
     require_int,
-    work_basis_projector,
 )
 from .complexity import ETA_REGIME
 
@@ -45,17 +46,19 @@ Q_CAP_DEFAULT = 3
 
 @dataclass(frozen=True, eq=False)
 class SelectivePhaseSpec:
-    """Target and angle.  The target is a basis-subspace projector on the
-    whole space, or a unit state vector t on the last of two tensor
-    factors, with main_dim the dimension of the first: the phase is then
-    1_main (x) (1 - (1 - e^{i angle}) |t><t|), on the whole space when
-    main_dim is 1."""
+    """Target and angle of a phase on main (x) workspace.  The target lives
+    on the workspace: a basis-subspace projector P, or a unit state vector
+    t with P = |t><t|.  main_dim counts the main rows, and the phase is
+    1_main (x) (1 - (1 - e^{i angle}) P) on dim = main_dim * work_dim; with
+    main_dim 1 it is a phase on the target's own space."""
 
     target: np.ndarray | SubspaceProjector
     angle: float
     main_dim: int = 1
 
     def __post_init__(self) -> None:
+        if require_int(self.main_dim, "main_dim") < 1:
+            raise ValueError(f"main_dim {self.main_dim} must be positive")
         if isinstance(self.target, SubspaceProjector):
             return
         vec = np.asarray(self.target, dtype=complex)
@@ -64,23 +67,27 @@ class SelectivePhaseSpec:
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state target norm {nrm!r} deviates from 1")
-        if self.main_dim < 1:
-            raise ValueError(f"main_dim {self.main_dim} must be positive")
         object.__setattr__(self, "target", vec)
 
     @property
-    def dim(self) -> int:
+    def work_dim(self) -> int:
         if isinstance(self.target, SubspaceProjector):
             return self.target.dim
-        return self.main_dim * self.target.shape[0]
+        return self.target.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.main_dim * self.work_dim
 
 
 def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
-    """1 - (1 - e^{i angle}) |target><target| (projector case: same formula;
-    state case: on every main row).  A constant state, such as the uniform
-    one, needs no product with it: its projection is a row sum over the
-    workspace, scaled in real_dtype."""
+    """1_main (x) (1 - (1 - e^{i angle}) P) on the amplitudes seen as
+    (main_dim, work_dim) rows: a projector target scales its columns, a
+    state target subtracts its projection from every row.  A constant
+    state, such as the uniform one, needs no product with it: its
+    projection is a row sum over the workspace, scaled in real_dtype."""
     angle = float(spec.angle)
+    main_dim, work_dim = spec.main_dim, spec.work_dim
     cache: dict = {}
 
     def factor(dtype, sign):
@@ -91,73 +98,64 @@ def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
         return cache[key]
 
     if isinstance(spec.target, SubspaceProjector):
-        idx = np.asarray(spec.target.member_indices, dtype=int)
+        # A masked multiply beats gathering the member columns by index.
+        inside = spec.target.mask()[:, None]
 
-        def make(sign):
-            def run(x, _tally):
-                out = x.copy()
-                out[idx] *= factor(x.dtype, sign)
-                return out
-            return run
+        def rotate(rows, phase):
+            out = rows.copy()
+            np.multiply(out, phase, out=out, where=inside)
+            return out
     else:
-        state, main_dim = spec.target, spec.main_dim
-        work_dim = state.shape[0]
+        state = spec.target
         # A constant state t has |t><t| = J / work_dim whatever its phase,
         # so its projection is a row sum scaled by 1 / work_dim.
         constant = bool(np.all(state == state[0]))
 
-        def make(sign):
-            def run(x, _tally):
-                rows = x.reshape(main_dim, work_dim, -1)
-                if constant:
-                    # Pairwise sums over a contiguous workspace axis (@ adds
-                    # in sequence) keep the row sums within a few ulps.
-                    along = np.ascontiguousarray(rows.transpose(0, 2, 1))
-                    scale = (factor(x.dtype, sign) - 1.0) / work_dim
-                    part = (along.sum(axis=2) * scale)[:, None, :]
-                else:
-                    w = state.astype(x.dtype)
-                    coeff = (w.conj() @ rows)[:, None, :]
-                    part = (factor(x.dtype, sign) - 1.0) * (w[:, None] * coeff)
-                return (rows + part).reshape(x.shape)
-            return run
+        def rotate(rows, phase):
+            if constant:
+                # Pairwise sums over a contiguous workspace axis (@ adds
+                # in sequence) keep the row sums within a few ulps.
+                along = np.ascontiguousarray(rows.transpose(0, 2, 1))
+                part = (along.sum(axis=2) * ((phase - 1.0) / work_dim))[:, None, :]
+            else:
+                w = state.astype(rows.dtype)
+                coeff = (w.conj() @ rows)[:, None, :]
+                part = (phase - 1.0) * (w[:, None] * coeff)
+            return rows + part
+
+    def make(sign):
+        def run(x, _tally):
+            rows = x.reshape(main_dim, work_dim, -1)
+            return rotate(rows, factor(x.dtype, sign)).reshape(x.shape)
+        return run
 
     return LinearOperator(spec.dim, make(+1), make(-1))
 
 
-def _check_joint(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector) -> int:
-    dim = main_dim * zwindow.dim
-    if op.dim != dim:
-        raise ValueError(
-            f"operator dim {op.dim} != main_dim {main_dim} * work_dim {zwindow.dim}"
-        )
-    return dim
-
-
-def _pi3_level(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
+def _pi3_level(op: LinearOperator, zwindow: SubspaceProjector,
                start: np.ndarray | None, z_angle: float) -> LinearOperator:
     """V I_start^{pi/3} V+ I_Z^{z_angle} V, the shared form of both halves
-    of a recursion level.  start None is sigma = |0>, a basis projector;
-    otherwise the sigma-phase reflects about the workspace state start."""
-    _check_joint(op, main_dim, zwindow)
+    of a recursion level, with both phases on every main row of V.  start
+    None is sigma = |0>, a basis projector; otherwise the sigma-phase
+    reflects about the workspace state start."""
+    main_dim = main_rows(op, zwindow.dim)
     if start is None:
-        sigma = SelectivePhaseSpec(work_basis_projector(main_dim, zwindow.dim, 0), PI3)
-    else:
-        sigma = SelectivePhaseSpec(start, PI3, main_dim)
-    i_z = SelectivePhaseSpec(embed_work_projector(main_dim, zwindow), z_angle)
+        start = SubspaceProjector(zwindow.dim, (0,))
+    sigma = SelectivePhaseSpec(start, PI3, main_dim)
+    i_z = SelectivePhaseSpec(zwindow, z_angle, main_dim)
     return compose(op, selective_phase(sigma), op.adjoint, selective_phase(i_z), op)
 
 
-def pi3_compress(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
+def pi3_compress(op: LinearOperator, zwindow: SubspaceProjector,
                  start: np.ndarray | None = None) -> LinearOperator:
     """V I_sigma^{pi/3} V+ I_Z^{pi/3} V; wrong-subspace amplitude -> cubed."""
-    return _pi3_level(op, main_dim, zwindow, start, PI3)
+    return _pi3_level(op, zwindow, start, PI3)
 
 
-def pi3_balance(op: LinearOperator, main_dim: int, zwindow: SubspaceProjector,
+def pi3_balance(op: LinearOperator, zwindow: SubspaceProjector,
                 start: np.ndarray | None = None) -> LinearOperator:
     """V I_sigma^{pi/3} V+ I_Z^{-pi/3} V; in-window probability mass -> cubed."""
-    return _pi3_level(op, main_dim, zwindow, start, -PI3)
+    return _pi3_level(op, zwindow, start, -PI3)
 
 
 def check_level(q: int, q_cap: int) -> None:
@@ -170,19 +168,18 @@ def check_level(q: int, q_cap: int) -> None:
         raise ValueError(f"q={q} exceeds the configured cap {q_cap}")
 
 
-def build_fixed_point(pea_op: LinearOperator, q: int, main_dim: int,
-                      zwindow: SubspaceProjector, start: np.ndarray | None = None,
+def build_fixed_point(pea_op: LinearOperator, q: int, zwindow: SubspaceProjector,
+                      start: np.ndarray | None = None,
                       q_cap: int = Q_CAP_DEFAULT) -> LinearOperator:
     """Level-q recursion: q = 0 is the wrapped operator itself; each level
     is balance(compress(previous)), so the wrapped operator is applied
     exactly 9^q times per application of the result.  The sigma-phases
     reflect about the workspace state start (None: sigma = |0>)."""
     check_level(q, q_cap)
-    _check_joint(pea_op, main_dim, zwindow)
+    main_rows(pea_op, zwindow.dim)  # the window must tile the operator, at q = 0 too
     op = pea_op
     for _ in range(q):
-        op = pi3_balance(pi3_compress(op, main_dim, zwindow, start),
-                         main_dim, zwindow, start)
+        op = pi3_balance(pi3_compress(op, zwindow, start), zwindow, start)
     return op
 
 

@@ -8,7 +8,9 @@ built from phases in the eigenframe of U, where it acts on each
 eigendirection separately.  So one helper builds the marker on a tuple of
 eigenphases, and an assembly holds it twice over: on all eigendirections
 as its eigen-blocks, turned by the eigenbasis once into the operator, and
-on each eigendirection alone, a workspace operator.  The fixed-point core
+on each eigendirection alone, a workspace operator.  The helper never
+counts the eigendirections: each builder reads its main row count from the
+operator it wraps, and the Z-phase goes on every row.  The fixed-point core
 is core_q^u(V_F) . H (see fpqs), so the Walsh-Hadamard transform runs
 twice per marker application, at its ends, whatever the level.  Deviation
 is the Euclidean residual against the ideal marker on eigenstate (x) sigma
@@ -32,8 +34,8 @@ from .statevec import (
     Tally,
     compose,
     drive,
-    embed_work_projector,
     in_frame,
+    main_rows,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
 from .pea import WorkspaceLayout, estimation_factors
@@ -45,13 +47,11 @@ from .complexity import ComplexityCounters
 VARIANTS = ("pea", "voting", "fixed_point")
 
 
-def assemble_marker(core: LinearOperator, phi: float, zproj: SubspaceProjector,
-                    main_dim: int) -> LinearOperator:
-    """core+ . (1_main x I_Z^phi) . core; costs two core applications each
-    time it is applied."""
-    if core.dim != main_dim * zproj.dim:
-        raise ValueError(f"core dim {core.dim} != main_dim {main_dim} * {zproj.dim}")
-    rotate = selective_phase(SelectivePhaseSpec(embed_work_projector(main_dim, zproj), phi))
+def assemble_marker(core: LinearOperator, phi: float,
+                    zproj: SubspaceProjector) -> LinearOperator:
+    """core+ . (1_main x I_Z^phi) . core, on every main row of core; costs
+    two core applications each time it is applied."""
+    rotate = selective_phase(SelectivePhaseSpec(zproj, phi, main_rows(core, zproj.dim)))
     return compose(core.adjoint, rotate, core)
 
 
@@ -71,7 +71,6 @@ class MarkerAssembly:
     operator: LinearOperator
     directions: tuple[LinearOperator, ...]
     zproj: SubspaceProjector
-    main_dim: int
     mu: int
     q: int | None
     nu: int | None
@@ -110,18 +109,17 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
     """The marker in the eigenframe on eigendirections with shifted phases
     lam, main index i for lam[i]; zproj is the variant's marked workspace
     subspace (the window, or voting's winning majority)."""
-    main_dim = len(lam)
     v_f, hadamard = estimation_factors(lam, layout)
     if variant == "fixed_point":
         # H I_sigma H = I_u: the recursion runs on V_F, reflecting about
         # the uniform state u = H|sigma>, and H follows it once.
         uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
-        core = compose(build_fixed_point(v_f, q, main_dim, zproj, uniform, q_cap), hadamard)
+        core = compose(build_fixed_point(v_f, q, zproj, uniform, q_cap), hadamard)
     elif variant == "pea":
         core = compose(v_f, hadamard)
     else:
-        core = build_h_tensor(compose(v_f, hadamard), nu, layout, main_dim)
-    return assemble_marker(core, phi, zproj, main_dim)
+        core = build_h_tensor(compose(v_f, hadamard), nu, layout)
+    return assemble_marker(core, phi, zproj)
 
 
 def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
@@ -143,7 +141,7 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
         variant=variant, phi=target.phi, blocks=blocks,
         operator=in_frame(blocks, spec.eigenbasis, zproj.dim),
         directions=tuple(marker_on((phase,)) for phase in lam),
-        zproj=zproj, main_dim=spec.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
+        zproj=zproj, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator, in_frame, real_dtype
+from .statevec import LinearOperator, in_frame, real_dtype, require_int
 
 
 def wrap_angle(x):
@@ -218,7 +218,7 @@ def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
     else:
         matrix = np.array([[complex(c[0], c[1]) for c in row] for row in basis])
     spec = SpectralUnitary(
-        dim=int(doc["dim"]),
+        dim=require_int(doc["dim"], "model dim"),
         eigenphases=tuple(float(p) for p in doc["eigenphases"]),
         eigenbasis=matrix,
         delta=float(doc["delta"]),
@@ -229,7 +229,8 @@ def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
         psi_prime=float(t["psi_prime"]),
         phi=float(t["phi"]),
         b=float(t.get("b", 0.05)),
-        marked_index=None if t.get("marked_index") is None else int(t["marked_index"]),
+        marked_index=(None if t.get("marked_index") is None
+                      else require_int(t["marked_index"], "target marked_index")),
     )
     return spec, target
 

@@ -4,7 +4,9 @@ matrix-free unitary operators with per-application resource counting.
 Conventions fixed here and relied on by every other module:
 
 - joint amplitudes are indexed (main index i, workspace index z) and
-  flattened in C order, so flat = i * work_dim + z;
+  flattened in C order, so flat = i * work_dim + z; a joint operator's
+  main_rows(op, work_dim) is read from it, never passed alongside it;
+- a workspace phase acts as 1_main (x) phase, lifted by fpqs.selective_phase;
 - the workspace index z is little-endian over ancilla qubits; only the
   integer index ever matters because all workspace transforms are defined
   directly on z; the workspace start state sigma is |0>, z = 0;
@@ -50,6 +52,17 @@ def require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def main_rows(op: LinearOperator, work_dim: int) -> int:
+    """Main-space row count op.dim // work_dim of an operator on
+    main (x) workspace (flat = i * work_dim + z); ValueError when the
+    workspace dimension does not divide op.dim."""
+    rows, rest = divmod(op.dim, work_dim)
+    if rest or rows < 1:
+        raise ValueError(f"operator dim {op.dim} is not a whole multiple of "
+                         f"work dim {work_dim}")
+    return rows
 
 
 class Tally:
@@ -205,19 +218,6 @@ class SubspaceProjector:
     def complement(self) -> "SubspaceProjector":
         members = set(self.member_indices)
         return SubspaceProjector(self.dim, tuple(i for i in range(self.dim) if i not in members))
-
-
-def embed_work_projector(main_dim: int, proj: SubspaceProjector) -> SubspaceProjector:
-    """Lift a workspace projector to the joint space (identity on main)."""
-    w = proj.dim
-    idx = np.asarray(proj.member_indices, dtype=int)
-    joint = (np.arange(main_dim)[:, None] * w + idx[None, :]).ravel()
-    return SubspaceProjector(main_dim * w, tuple(int(i) for i in joint))
-
-
-def work_basis_projector(main_dim: int, work_dim: int, index: int) -> SubspaceProjector:
-    """Joint projector onto (anything on main) x |index> on the workspace."""
-    return embed_work_projector(main_dim, SubspaceProjector(work_dim, (index,)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator, SubspaceProjector, require_int
+from .statevec import LinearOperator, SubspaceProjector, main_rows, require_int
 from .pea import WorkspaceLayout
 
 TENSOR_GUARD = 2 ** 18
@@ -85,7 +85,7 @@ def majority_tail_amplitude(p: float, nu: int) -> float:
 def hoeffding_amplitude_bound(nu: int) -> float:
     """e^{-nu/4}: the amplitude envelope at deviation t ~ 1/2, i.e. the
     square root of the e^{-2 nu t^2} probability bound."""
-    nu = int(nu)
+    nu = require_int(nu, "register count nu")
     if nu < 1:
         raise ValueError(f"nu={nu} must be positive")
     return math.exp(-nu / 4.0)
@@ -109,15 +109,14 @@ def majority_projector(zwindow: SubspaceProjector, nu: int) -> SubspaceProjector
     return SubspaceProjector(wdim ** nu, tuple(int(i) for i in members))
 
 
-def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout,
-                   main_dim: int) -> LinearOperator:
+def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout) -> LinearOperator:
     """nu-fold parallel application of the estimation operator, one register
-    per workspace factor.  Joint dimension main_dim * (2^mu)^nu is guarded;
-    each application charges the wrapped operator nu times."""
+    per workspace factor, on every main row of pea_op.  Joint dimension
+    main_dim * (2^mu)^nu is guarded; each application charges the wrapped
+    operator nu times."""
     nu = require_odd(nu)
     wdim = layout.work_dim
-    if pea_op.dim != main_dim * wdim:
-        raise ValueError(f"estimation operator dim {pea_op.dim} != {main_dim} * {wdim}")
+    main_dim = main_rows(pea_op, wdim)
     dim = check_joint_dim(main_dim, wdim, nu)
 
     def run(x, tally, adjoint):

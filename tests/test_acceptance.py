@@ -31,7 +31,7 @@ def test_c1_exact_pi3_cubing():
         sigma = np.zeros(wdim, complex)
         sigma[0] = 1.0
         eta = np.linalg.norm(v.apply_to(sigma)[~window.mask()])
-        out = em.pi3_compress(v, 1, window).apply_to(sigma)
+        out = em.pi3_compress(v, window).apply_to(sigma)
         worst = max(worst, abs(np.linalg.norm(out[~window.mask()]) - eta ** 3))
     assert worst <= 1e-12
     report(f"1 PASS exact pi/3 cubing: max |wrong - eta^3| = {worst:.3e} over "
@@ -47,7 +47,7 @@ def test_c2_recursion_error_law(setup_04):
     slack = 1 + 10 * eta * eta
     lines = []
     for q in (1, 2):
-        fp = em.build_fixed_point(pea_op, q, spec.dim, window)
+        fp = em.build_fixed_point(pea_op, q, window)
         pred = em.predict_schedule(q, eta)
         for i in range(spec.dim):
             marked = i in target.marked_indices
@@ -71,7 +71,7 @@ def test_c3_counter_law(small_model):
     op = em.build_pea(em.build_shifted(spec, target), layout)
     wdim = layout.work_dim
     for q in range(4):
-        fp = em.build_fixed_point(op, q, spec.dim, layout.z_window(), q_cap=3)
+        fp = em.build_fixed_point(op, q, layout.z_window(), q_cap=3)
         tally = em.Tally()
         state = em.product_state(spec.basis_column(0), layout.sigma_state())
         em.apply(fp, state, "joint", tally)
@@ -155,7 +155,7 @@ def test_c7_majority_voting():
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     op = em.build_pea(em.build_shifted(spec, target), layout)
     etas = em.measure_eta(op, spec, target, layout)
-    h = em.build_h_tensor(op, 3, layout, spec.dim)
+    h = em.build_h_tensor(op, 3, layout)
     majority = em.majority_projector(layout.z_window(), 3)
     worst = 0.0
     for entry in etas.entries:

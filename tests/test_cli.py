@@ -328,6 +328,12 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("simulate", {**SIMULATE, "variant": "fixed_point", "q": 1.7}),
     ("simulate", {**SIMULATE, "variant": "fixed_point", "q": 1, "q_cap": True}),
     ("simulate", {**SIMULATE, "variant": "voting", "nu": True}),
+    ("simulate", {**SIMULATE, "model": _bad_model(dim=2.9)}),
+    ("simulate", {**SIMULATE, "model": _bad_model(dim=True)}),
+    ("simulate", {**SIMULATE, "model": _bad_model(target={"psi_prime": 0.0, "phi": np.pi,
+                                                          "marked_index": 0.7})}),
+    ("simulate", {**SIMULATE, "model": _bad_model(target={"psi_prime": 0.0, "phi": np.pi,
+                                                          "marked_index": False})}),
     ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
                "n_random": -2}),
     ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
@@ -350,6 +356,8 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "calibrate_mu_cap_bool", "simulate_n_random_fraction", "simulate_n_random_negative",
         "simulate_mu_fraction", "simulate_mu_bool", "simulate_window_fraction",
         "simulate_q_fraction", "simulate_q_cap_bool", "simulate_nu_bool",
+        "simulate_model_dim_fraction", "simulate_model_dim_bool",
+        "simulate_marked_index_fraction", "simulate_marked_index_bool",
         "sweep_n_random_negative", "sweep_n_random_bool", "sweep_mu_fraction",
         "sweep_grid_fraction", "sweep_q_fraction", "sweep_nu_bool",
         "compare_mu_limit_fraction", "compare_mu_limit_bool"])

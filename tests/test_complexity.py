@@ -63,7 +63,7 @@ def test_exact_counters_at_mu9_q2():
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=9, window=4)
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    fp = em.build_fixed_point(op, 2, spec.dim, layout.z_window())
+    fp = em.build_fixed_point(op, 2, layout.z_window())
     tally = em.Tally()
     state = em.product_state(spec.basis_column(0), layout.sigma_state())
     em.apply(fp, state, "joint", tally)

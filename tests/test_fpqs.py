@@ -52,15 +52,35 @@ def test_selective_phase_state_vs_projector_agree():
         assert np.abs(got - want).max() <= 1e-12
 
 
-def test_selective_phase_about_a_workspace_state_acts_on_every_row():
+def _workspace_target(kind):
+    """A workspace target of dim 4 and its projector as a matrix."""
+    if kind == "projector":
+        return em.SubspaceProjector(4, (1, 3)), np.diag([0.0, 1.0, 0.0, 1.0])
     rng = np.random.default_rng(14)
     state = rng.normal(size=4) + 1j * rng.normal(size=4)
     state /= np.linalg.norm(state)
+    return state, np.outer(state, state.conj())
+
+
+@pytest.mark.parametrize("kind", ["projector", "state"])
+def test_selective_phase_about_a_workspace_state_acts_on_every_row(kind):
+    # A projector target ignored main_dim and gave a phase of dim 4.
+    target, proj = _workspace_target(kind)
     angle = 0.9
-    op = em.selective_phase(em.SelectivePhaseSpec(state, angle, main_dim=3))
-    work = np.eye(4) - (1 - np.exp(1j * angle)) * np.outer(state, state.conj())
+    op = em.selective_phase(em.SelectivePhaseSpec(target, angle, main_dim=3))
+    work = np.eye(4) - (1 - np.exp(1j * angle)) * proj
     assert op.dim == 12
     assert np.abs(em.dense_materialize(op) - np.kron(np.eye(3), work)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["projector", "state"])
+def test_selective_phase_rejects_empty_main_space(kind):
+    target, _proj = _workspace_target(kind)
+    with pytest.raises(ValueError, match="main_dim"):
+        em.SelectivePhaseSpec(target, 0.9, main_dim=0)
+    # A fraction used to pass here and fail at the first application.
+    with pytest.raises(TypeError, match="main_dim"):
+        em.SelectivePhaseSpec(target, 0.9, main_dim=1.5)
 
 
 def test_uniform_state_phase_is_unitary_in_extended_precision():
@@ -85,7 +105,7 @@ def test_compress_cubes_failure_amplitude():
     window = em.SubspaceProjector(2, (0,))
     for eta, want in ((0.1, 1.0e-3), (0.5, 0.125)):
         v = em.from_matrix(rotation_block(eta))
-        out = em.pi3_compress(v, 1, window).apply_to(np.array([1.0 + 0j, 0.0]))
+        out = em.pi3_compress(v, window).apply_to(np.array([1.0 + 0j, 0.0]))
         assert abs(abs(out[1]) - want) <= 1e-12
         assert abs(abs(out[0]) - np.sqrt(1 - eta ** 6)) <= 1e-12
     # eta = 0.5 success magnitude matches sqrt(1 - eta^6) ~ 0.99216
@@ -95,7 +115,7 @@ def test_compress_cubes_failure_amplitude():
 def test_compress_fixed_point_at_zero_error():
     window = em.SubspaceProjector(2, (0,))
     v = em.from_matrix(rotation_block(0.0))
-    out = em.pi3_compress(v, 1, window).apply_to(np.array([1.0 + 0j, 0.0]))
+    out = em.pi3_compress(v, window).apply_to(np.array([1.0 + 0j, 0.0]))
     assert abs(out[1]) <= 1e-15
 
 
@@ -106,7 +126,7 @@ def test_balance_fixed_point_at_zero_error():
     v = em.from_matrix(rotation_block(0.0))
     sigma = np.array([1.0 + 0j, 0.0])
     before = v.apply_to(sigma)
-    after = em.pi3_balance(v, 1, window).apply_to(sigma)
+    after = em.pi3_balance(v, window).apply_to(sigma)
     overlap = abs(np.vdot(before, after))
     assert abs(overlap - 1.0) <= 1e-12
 
@@ -115,7 +135,7 @@ def test_balance_grows_failure_linearly():
     window = em.SubspaceProjector(2, (0,))
     eta = 0.1
     v = em.from_matrix(rotation_block(eta))
-    out = em.pi3_balance(v, 1, window).apply_to(np.array([1.0 + 0j, 0.0]))
+    out = em.pi3_balance(v, window).apply_to(np.array([1.0 + 0j, 0.0]))
     got = abs(out[1])
     assert abs(got - 0.17321) <= 0.17321 * 2 * eta ** 2  # sqrt(3)*eta up to O(eta^2)
     exact = eta * np.sqrt(3 - 3 * eta ** 2 + eta ** 4)
@@ -126,7 +146,7 @@ def test_balance_after_compress_at_regime_boundary():
     eta = 2.0 ** -5
     window = em.SubspaceProjector(2, (0,))
     v = em.from_matrix(rotation_block(eta))
-    p11 = em.pi3_balance(em.pi3_compress(v, 1, window), 1, window)
+    p11 = em.pi3_balance(em.pi3_compress(v, window), window)
     out = p11.apply_to(np.array([1.0 + 0j, 0.0]))
     assert abs(abs(out[1]) - np.sqrt(3) * eta ** 3) <= 1e-12
     assert abs(abs(out[1]) - 5.286e-5) <= 5e-9
@@ -143,7 +163,7 @@ def test_exact_cubing_for_random_unitaries():
         sigma = np.zeros(wdim, complex)
         sigma[0] = 1.0
         eta = np.linalg.norm(v.apply_to(sigma)[~window.mask()])
-        out = em.pi3_compress(v, 1, window).apply_to(sigma)
+        out = em.pi3_compress(v, window).apply_to(sigma)
         assert abs(np.linalg.norm(out[~window.mask()]) - eta ** 3) <= 1e-12
 
 
@@ -158,14 +178,14 @@ def test_balance_cubes_window_mass_for_random_unitaries():
         sigma = np.zeros(wdim, complex)
         sigma[0] = 1.0
         u0 = np.linalg.norm(v.apply_to(sigma)[window.mask()]) ** 2
-        out = em.pi3_balance(v, 1, window).apply_to(sigma)
+        out = em.pi3_balance(v, window).apply_to(sigma)
         assert abs(np.linalg.norm(out[window.mask()]) ** 2 - u0 ** 3) <= 1e-12
 
 
 def test_level_zero_is_wrapped_operator(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    fp0 = em.build_fixed_point(op, 0, spec.dim, layout.z_window())
+    fp0 = em.build_fixed_point(op, 0, layout.z_window())
     assert np.abs(em.dense_materialize(fp0) - em.dense_materialize(op)).max() == 0.0
     tally = em.Tally()
     fp0.apply_to(np.eye(op.dim, dtype=complex)[:, :1], tally)
@@ -181,7 +201,7 @@ def test_level_one_magnitudes_for_engineered_blocks():
     marked_block = rotation_block(eta)
     unmarked_block = rotation_block(np.sqrt(1 - eta * eta))
     v = block_diag_operator([marked_block, unmarked_block])
-    fp1 = em.build_fixed_point(v, 1, 2, window)
+    fp1 = em.build_fixed_point(v, 1, window)
     got_marked, _ = wrong_after(fp1, 2, window, 2, marked_row=0)
     assert abs(got_marked - np.sqrt(3) * eta ** 3) <= 1e-12
 
@@ -199,7 +219,7 @@ def test_counter_law(small_model):
     op = em.build_pea(em.build_shifted(spec, target), layout)
     wdim = layout.work_dim
     for q in range(4):
-        fp = em.build_fixed_point(op, q, spec.dim, layout.z_window())
+        fp = em.build_fixed_point(op, q, layout.z_window())
         tally = em.Tally()
         state = em.product_state(spec.basis_column(0), layout.sigma_state())
         em.apply(fp, state, "joint", tally)
@@ -211,8 +231,8 @@ def test_q_cap_enforced(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)
     with pytest.raises(ValueError, match="cap"):
-        em.build_fixed_point(op, 4, spec.dim, layout.z_window())
-    em.build_fixed_point(op, 4, spec.dim, layout.z_window(), q_cap=4)
+        em.build_fixed_point(op, 4, layout.z_window())
+    em.build_fixed_point(op, 4, layout.z_window(), q_cap=4)
 
 
 @pytest.mark.parametrize("q,q_cap", [(1.5, 3), (True, 3), (1.0, 3), (1, 2.5)],
@@ -228,7 +248,7 @@ def test_numpy_integer_level_accepted(small_model):
     fpqs.check_level(np.int64(2), np.int32(3))
     tally = em.Tally()
     state = em.product_state(spec.basis_column(0), layout.sigma_state())
-    em.apply(em.build_fixed_point(op, np.int64(1), spec.dim, layout.z_window()), state,
+    em.apply(em.build_fixed_point(op, np.int64(1), layout.z_window()), state,
              "joint", tally)
     assert tally.get("P") == 9
 
@@ -236,7 +256,7 @@ def test_numpy_integer_level_accepted(small_model):
 def test_block_locality(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    fp = em.build_fixed_point(op, 2, spec.dim, layout.z_window())
+    fp = em.build_fixed_point(op, 2, layout.z_window())
     for i in range(spec.dim):
         psi = spec.basis_column(i)
         state = em.product_state(psi, layout.sigma_state())
@@ -253,7 +273,7 @@ def test_measured_vs_predicted_at_calibrated_configuration(setup_04):
     window = layout.z_window()
     slack = 1 + 10 * eta * eta
     for q in (1, 2):
-        fp = em.build_fixed_point(pea_op, q, spec.dim, window)
+        fp = em.build_fixed_point(pea_op, q, window)
         pred = em.predict_schedule(q, eta)
         for i in range(spec.dim):
             marked = i in target.marked_indices
@@ -302,7 +322,7 @@ def test_predict_schedule_regime_flag():
 
 
 def test_compress_dimension_mismatch():
-    window = em.SubspaceProjector(4, (0,))
+    window = em.SubspaceProjector(3, (0,))
     v = em.from_matrix(np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="dim"):
-        em.pi3_compress(v, 2, window)
+        em.pi3_compress(v, window)

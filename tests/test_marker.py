@@ -25,7 +25,7 @@ def block_diag_join(blocks):
 def test_phi_zero_is_identity():
     window = em.SubspaceProjector(2, (0,))
     core = block_diag_join([rotation_block(0.2), rotation_block(0.7)])
-    op = em.assemble_marker(core, 0.0, window, 2)
+    op = em.assemble_marker(core, 0.0, window)
     assert np.abs(em.dense_materialize(op) - np.eye(4)).max() <= 1e-12
 
 
@@ -50,8 +50,8 @@ def test_level_one_marker_residual_bound():
     window = em.SubspaceProjector(2, (0,))
     core = block_diag_join([rotation_block(eta),
                             rotation_block(np.sqrt(1 - eta * eta))])
-    level1 = em.build_fixed_point(core, 1, 2, window)
-    op = em.assemble_marker(level1, np.pi, window, 2)
+    level1 = em.build_fixed_point(core, 1, window)
+    op = em.assemble_marker(level1, np.pi, window)
     worst = 0.0
     for i in range(2):
         state_vec = np.zeros(4, complex)
@@ -134,8 +134,8 @@ def _oracle_blocks(spec, target, layout, q):
     wraps the whole estimation operator V = V_F . H."""
     pea_op = em.build_pea(em.build_shifted(dataclasses.replace(spec, eigenbasis=None), target),
                           layout)
-    core = em.build_fixed_point(pea_op, q, spec.dim, layout.z_window())
-    return em.assemble_marker(core, target.phi, layout.z_window(), spec.dim)
+    core = em.build_fixed_point(pea_op, q, layout.z_window())
+    return em.assemble_marker(core, target.phi, layout.z_window())
 
 
 def _direction_residuals(blocks, spec, target, layout, dtype):

@@ -120,7 +120,7 @@ def test_pea_dense_matches_hand_composition():
 def test_unitarity_of_constructed_operators(small_model):
     spec, target, layout = small_model
     pea_op = em.build_pea(em.build_shifted(spec, target), layout)
-    fp = em.build_fixed_point(pea_op, 1, spec.dim, layout.z_window())
+    fp = em.build_fixed_point(pea_op, 1, layout.z_window())
     for op in (pea_op, fp, em.unitary_of(spec)):
         m = em.dense_materialize(op)
         assert np.abs(m.conj().T @ m - np.eye(op.dim)).max() <= 1e-12
@@ -199,11 +199,11 @@ def test_builders_keep_extended_precision(small_model):
     pea_op = em.build_pea(shifted, layout)
     ops = {
         "build_pea": pea_op,
-        "build_fixed_point": em.build_fixed_point(pea_op, 1, spec.dim, layout.z_window()),
+        "build_fixed_point": em.build_fixed_point(pea_op, 1, layout.z_window()),
         "selective_phase": em.selective_phase(em.SelectivePhaseSpec(np.array([0.6, 0.8j]),
                                                                     1.1)),
         "build_shifted": shifted,
-        "build_h_tensor": em.build_h_tensor(pea_op, 3, layout, spec.dim),
+        "build_h_tensor": em.build_h_tensor(pea_op, 3, layout),
     }
     for name, op in ops.items():
         x = np.zeros(op.dim, dtype=EXTENDED)
@@ -212,3 +212,18 @@ def test_builders_keep_extended_precision(small_model):
         assert op.adjoint_apply_to(x).dtype == EXTENDED, name
     if hasattr(np, "complex256"):
         assert np.finfo(real_dtype(EXTENDED)).eps < 1e-16
+
+
+@pytest.mark.parametrize("build", [
+    lambda op, layout: em.pi3_compress(op, layout.z_window()),
+    lambda op, layout: em.build_fixed_point(op, 0, layout.z_window()),
+    lambda op, layout: em.assemble_marker(op, np.pi, layout.z_window()),
+    lambda op, layout: em.build_h_tensor(op, 3, layout),
+], ids=["pi3_compress", "build_fixed_point", "assemble_marker", "build_h_tensor"])
+def test_builders_reject_a_non_whole_row_count(build):
+    # Each builder reads its main row count from the operator it wraps, so
+    # an operator the workspace does not tile is rejected, not truncated.
+    layout = em.WorkspaceLayout(mu=2, window=0)
+    op = em.identity(6)
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        build(op, layout)

@@ -96,6 +96,9 @@ def test_non_integer_nu_rejected(nu):
         em.majority_tail_amplitude(0.1, nu)
     with pytest.raises(TypeError, match="integer"):
         voting.VotingModel(nu, 0.1)
+    # The envelope truncated too: 3.7 gave nu=3's value and True nu=1's.
+    with pytest.raises(TypeError, match="integer"):
+        voting.hoeffding_amplitude_bound(nu)
 
 
 def test_numpy_integer_nu_accepted():
@@ -137,7 +140,7 @@ def _small_voting_setup(mu=2, window=0):
 
 def test_tensor_nu1_equals_estimator():
     spec, _target, layout, op = _small_voting_setup()
-    h = em.build_h_tensor(op, 1, layout, spec.dim)
+    h = em.build_h_tensor(op, 1, layout)
     assert np.abs(em.dense_materialize(h) - em.dense_materialize(op)).max() <= 1e-13
 
 
@@ -146,7 +149,7 @@ def test_tensor_grid_aligned_has_no_loss():
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.0, np.pi), delta=3.0)
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    h = em.build_h_tensor(op, 3, layout, spec.dim)
+    h = em.build_h_tensor(op, 3, layout)
     majority = em.majority_projector(layout.z_window(), 3)
     work = np.zeros(layout.work_dim ** 3, complex)
     work[0] = 1.0
@@ -159,7 +162,7 @@ def test_tensor_matches_binomial_oracle():
     spec, target, layout, op = _small_voting_setup(mu=3, window=1)
     etas = em.measure_eta(op, spec, target, layout)
     for nu in (1, 3):
-        h = em.build_h_tensor(op, nu, layout, spec.dim)
+        h = em.build_h_tensor(op, nu, layout)
         majority = em.majority_projector(layout.z_window(), nu)
         for entry in etas.entries:
             work = np.zeros(layout.work_dim ** nu, complex)
@@ -174,7 +177,7 @@ def test_tensor_matches_binomial_oracle():
 
 def test_tensor_charges_nu_estimator_applications():
     spec, _target, layout, op = _small_voting_setup()
-    h = em.build_h_tensor(op, 3, layout, spec.dim)
+    h = em.build_h_tensor(op, 3, layout)
     tally = em.Tally()
     work = np.zeros(layout.work_dim ** 3, complex)
     work[0] = 1.0
@@ -187,7 +190,7 @@ def test_tensor_charges_nu_estimator_applications():
 def test_tensor_dimension_guard():
     spec, _target, layout, op = _small_voting_setup(mu=2)
     with pytest.raises(ValueError, match="guard"):
-        em.build_h_tensor(op, 11, layout, spec.dim)
+        em.build_h_tensor(op, 11, layout)
 
 
 def test_majority_projector_membership():
