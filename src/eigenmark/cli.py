@@ -242,8 +242,8 @@ def _sweep_cells(cfg, seed) -> list[dict]:
     nus = axes.get("nu", [cfg.get("nu")])
     n_random = _probe_count(cfg, 4)
     grid_per_bin = _option(cfg, "grid_per_bin", 64, int)
-    # Worst-case cells run the two-direction verification model.
-    main_dim = 2 if model is None else model[0].dim
+    # Worst-case cells run the verification model.
+    main_dim = pea.VERIFICATION_DIM if model is None else model[0].dim
     try:
         cells = [{
             "delta": None if delta is None else float(delta),

@@ -61,12 +61,14 @@ class SelectivePhaseSpec:
             raise ValueError(f"main_dim {self.main_dim} must be positive")
         if isinstance(self.target, SubspaceProjector):
             return
-        vec = np.asarray(self.target, dtype=complex)
+        # At least complex128, and complex256 stays complex256.
+        vec = np.asarray(self.target)
+        vec = vec.astype(np.result_type(vec, np.complex128), copy=False)
         if vec.ndim != 1:
             raise ValueError(f"state target must be a vector, got shape {vec.shape}")
-        nrm = float(np.linalg.norm(vec))
+        nrm = np.linalg.norm(vec)
         if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"state target norm {nrm!r} deviates from 1")
+            raise ValueError(f"state target norm {float(nrm)!r} deviates from 1")
         object.__setattr__(self, "target", vec)
 
     @property

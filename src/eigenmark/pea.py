@@ -5,8 +5,11 @@ calibration of the workspace size.
 The estimation operator on a mu-qubit workspace is V = V_F . H: H is the
 Walsh-Hadamard transform and V_F = inverse-QFT . controlled-powers.
 estimation_factors is the one home of the split; build_pea composes it.
-Their action is computed with a fast Walsh-Hadamard transform and FFTs,
-O(W log W) per application at W = 2^mu, so no dense matrix is ever formed.
+No W x W matrix is ever formed (W = 2^mu): V_F is an FFT, O(W log W), and
+H is its Kronecker factorisation H_{2^a} (x) H_{2^b} (x) ..., one matmul
+of a small Sylvester matrix per factor (order up to 64 in double precision,
+where BLAS serves it; order 4 in long double, which numpy multiplies
+without BLAS), so both stay in the amplitudes' own real dtype.
 V_F carries the whole cost: each application charges the U counter with
 exactly 2^mu and the P counter with 1 (adjoint applications charge the
 same), and H charges nothing.  Since H acts on the workspace only and is
@@ -45,6 +48,7 @@ from .statevec import (LinearOperator, SubspaceProjector, compose, drive, in_fra
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
+VERIFICATION_DIM = 2  # eigendirections of verification_model: one marked, one not
 _TWO_PI_HI = float.fromhex("0x1.921fb54p+2")  # 2 pi to 29 significant bits
 
 
@@ -84,17 +88,38 @@ class WorkspaceLayout:
         return v
 
 
+@functools.cache
+def _sylvester(order: int, real: np.dtype) -> np.ndarray:
+    """Normalized order x order Sylvester-Hadamard matrix, entries
+    +-1/sqrt(order) in the real dtype."""
+    h = np.ones((1, 1), dtype=real)
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    h /= np.sqrt(real.type(order))
+    h.flags.writeable = False
+    return h
+
+
 def _fwht_axis1(a: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform along axis 1 of (m, W, k)."""
+    """Normalized Walsh-Hadamard transform along axis 1 of (m, W, k).
+
+    H_W = H_{2^a} (x) H_{2^b} (x) ... acts on the real view of the array
+    one Kronecker factor at a time: each is one matmul of a Sylvester
+    matrix over the index bits it owns, so the arithmetic stays in the
+    array's own real dtype."""
     m, dim, k = a.shape
-    out = a
-    h = 1
-    while h < dim:
-        out = out.reshape(m, dim // (2 * h), 2, h, k)
-        out = np.stack((out[:, :, 0] + out[:, :, 1], out[:, :, 0] - out[:, :, 1]), axis=2)
-        out = out.reshape(m, dim, k)
-        h *= 2
-    return out / np.sqrt(real_dtype(a.dtype).type(dim))
+    real = real_dtype(a.dtype)
+    mu = dim.bit_length() - 1
+    # BLAS multiplies float32/64 in factors of order up to 64; numpy
+    # multiplies long double without BLAS, fastest in factors of order 4.
+    count = -(-mu // (6 if real.itemsize <= 8 else 2))
+    out = np.ascontiguousarray(a).view(real)
+    rows = m
+    for i in range(count):
+        order = 2 ** (mu // count + (i < mu % count))
+        out = np.matmul(_sylvester(order, real), out.reshape(rows, order, -1))
+        rows *= order
+    return out.reshape(m, dim, 2 * k).view(a.dtype)
 
 
 def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, LinearOperator]:
@@ -117,30 +142,31 @@ def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, Li
     cache: dict = {}
 
     def tables(dtype):
-        """(mask, its conjugate, scale) for dtype; conjugation is exact, so
-        the adjoint reads the cached conjugate instead of forming one."""
+        """(mask, its conjugate) for dtype; conjugation is exact, so the
+        adjoint reads the cached conjugate instead of forming one."""
         key = np.dtype(dtype)
         if key not in cache:
             work = real_dtype(key)
             ph = lam.astype(work)
             z = np.arange(wdim, dtype=work)
-            scale = work.type(1.0) / np.sqrt(work.type(wdim))
             mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
-            cache[key] = (mask, mask.conj(), scale)
+            cache[key] = (mask, mask.conj())
         return cache[key]
 
     def hadamard(x, _tally):
         return _fwht_axis1(x.reshape(main_dim, wdim, -1)).reshape(x.shape)
 
+    # norm="ortho" scales by 1/sqrt(W) in the array's own real dtype.
     def apply_fn(x, _tally):
-        mask, _conj, scale = tables(x.dtype)
-        a = np.fft.fft(x.reshape(main_dim, wdim, -1) * mask[:, :, None], axis=1) * scale
-        return a.reshape(x.shape)
+        mask, _conj = tables(x.dtype)
+        a = x.reshape(main_dim, wdim, -1) * mask[:, :, None]
+        return np.fft.fft(a, axis=1, norm="ortho", out=a).reshape(x.shape)
 
     def adjoint_fn(x, _tally):
-        _mask, conj, scale = tables(x.dtype)
-        a = np.fft.ifft(x.reshape(main_dim, wdim, -1), axis=1) / scale
-        return (a * conj[:, :, None]).reshape(x.shape)
+        _mask, conj = tables(x.dtype)
+        a = np.fft.ifft(x.reshape(main_dim, wdim, -1), axis=1, norm="ortho")
+        a *= conj[:, :, None]
+        return a.reshape(x.shape)
 
     v_f = LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
     return v_f, LinearOperator(dim, hadamard, hadamard)
@@ -336,7 +362,7 @@ class WindowChoice:
 
 
 def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
-                start: int = 0) -> WindowChoice:
+                start: int | None = None) -> WindowChoice:
     """Window minimizing the worst-case eta at a given mu.
 
     The out-of-window (marked) mass falls and the in-window (unmarked)
@@ -351,9 +377,12 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
     the (falling) marked eta.  Each window's worst case depends on the
     window alone and the first crossed window is the same wherever the
     search starts, so start changes which windows are probed, never the
-    result.  A start next to the answer (calibrate_workspace passes twice
-    the previous mu's window) probes about 3 windows where start=0 probes
-    19 at mu=14.
+    result.  By default the search starts at round(2^mu delta / (6 pi)),
+    the window whose edge sits at phase delta/3, near where the worst
+    cases cross (0.34-0.36 delta on the pinned configurations).  A start
+    next to the answer probes 2-5 windows where start=0 probes 19 at
+    (11, 3.0, 0.05); calibrate_workspace passes twice the previous mu's
+    window instead.
     """
     if mu < 1:
         raise ValueError(f"mu {mu} must be at least 1")
@@ -375,6 +404,8 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
     # the optimum are large and expensive to sum over); with start=0 the
     # probes are 0, 1, 2, 4, ....  The first crossed window then lies in
     # [lo, hi], or is taken as wmax when none has crossed.
+    if start is None:
+        start = round(2 ** mu * delta / (6 * np.pi))
     start = min(max(start, 0), wmax)
     lo = hi = start
     step = 1
@@ -469,7 +500,7 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
             cached = cached if isinstance(cached, dict) else {}
 
     best = None
-    start = 0
+    start = None
     for mu in range(1, mu_cap + 1):
         choice = best_window(mu, delta, b, grid_per_bin, start=start)
         candidate = CalibrationResult(delta=delta, b=b, eta_target=eta_target,
@@ -516,7 +547,8 @@ def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: 
             f"offsets too close for a valid model: would need accuracy fraction {b_model!r} > 0.25"
         )
     b_model = max(b_model, 0.05)
-    spec = SpectralUnitary(dim=2, eigenphases=(lam_marked, lam_unmarked), delta=gap)
+    spec = SpectralUnitary(dim=VERIFICATION_DIM, eigenphases=(lam_marked, lam_unmarked),
+                           delta=gap)
     target = MarkTarget.resolve(spec, psi_prime=0.0, phi=phi, b=b_model, marked_index=0)
     return spec, target
 
@@ -533,7 +565,7 @@ def scaling_constant(mu_values, delta: float, b: float, grid_per_bin: int = 64,
     worst = 0.0
     for mu in mu_values:
         # As in calibrate_workspace: the optimal window scales with 2^mu.
-        start = int(records[-1]["window"] * 2.0 ** (mu - records[-1]["mu"])) if records else 0
+        start = int(records[-1]["window"] * 2.0 ** (mu - records[-1]["mu"])) if records else None
         choice = best_window(mu, delta, b, grid_per_bin, start=start)
         eta = choice.eta
         if verify is not None:

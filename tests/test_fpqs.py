@@ -96,6 +96,22 @@ def test_uniform_state_phase_is_unitary_in_extended_precision():
     assert float(np.linalg.norm(back - x)) <= 16 * np.finfo(EXTENDED).eps
 
 
+@pytest.mark.skipif(EXTENDED is np.complex128, reason="no extended precision on this platform")
+def test_state_phase_keeps_an_extended_target():
+    # The target used to be rounded to complex128, which put the phase on
+    # t itself 4.4e-17 off; long double leaves a few long-double ulps.
+    long = np.finfo(EXTENDED).dtype.type
+    rng = np.random.default_rng(15)
+    t = (rng.normal(size=16) + 1j * rng.normal(size=16)).astype(EXTENDED)
+    t += 2.0 ** -60 * rng.normal(size=16)
+    t /= np.sqrt((t.conj() @ t).real)
+    spec = em.SelectivePhaseSpec(t, fpqs.PI3)
+    assert spec.target.dtype == EXTENDED
+    got = em.selective_phase(spec).apply_to(t)
+    want = np.exp(1j * long(fpqs.PI3)) * t
+    assert np.abs(got - want).max() <= 8 * np.finfo(EXTENDED).eps
+
+
 def test_selective_phase_rejects_unnormalized_target():
     with pytest.raises(ValueError, match="norm"):
         em.SelectivePhaseSpec(np.array([1.0, 1.0]), 0.3)

@@ -1,4 +1,6 @@
 import collections
+import functools
+import itertools
 import json
 import re
 from dataclasses import asdict
@@ -9,6 +11,11 @@ import pytest
 import eigenmark as em
 from eigenmark import pea
 from eigenmark.spectral import wrap_angle
+from eigenmark.statevec import EXTENDED, real_dtype
+
+LONG = real_dtype(EXTENDED).type
+needs_extended = pytest.mark.skipif(EXTENDED is np.complex128,
+                                    reason="no extended precision on this platform")
 
 
 def brute_window_mass(lam: float, mu: int, window: int) -> float:
@@ -94,6 +101,73 @@ def test_pea_needs_an_operator_with_eigensystem():
         em.build_pea(shifted, em.WorkspaceLayout(mu=3, window=1))
 
 
+@functools.cache
+def kron_hadamard_case(mu: int):
+    """(x, H x along axis 1) for x of shape (3, 2^mu, 3), with H the dense
+    Kronecker power of H_2.  Each real and imaginary part of x is a 60-bit
+    integer times 2^-60, more bits than float64 holds.  The dense sums run
+    exactly on 20-bit limbs in float64 and are combined in long double."""
+    wdim = 2 ** mu
+    parts = np.random.default_rng(mu).integers(-2 ** 59, 2 ** 59, size=(2, 3, wdim, 3))
+    limbs = (parts & (2 ** 20 - 1), (parts >> 20) & (2 ** 20 - 1), parts >> 40)
+    dense = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * mu)
+    sums = np.zeros(parts.shape, dtype=LONG)
+    for rows in range(0, wdim, 512):
+        block = dense[rows:rows + 512].astype(float)
+        for shift, limb in zip((0, 20, 40), limbs):
+            sums[:, :, rows:rows + 512] += (block @ limb.astype(float)).astype(LONG) * LONG(2) ** shift
+    x, want = (np.empty((3, wdim, 3), dtype=EXTENDED) for _ in range(2))
+    x.real, x.imag = parts.astype(LONG) * LONG(2) ** -60
+    want.real, want.imag = sums * LONG(2) ** -60 / np.sqrt(LONG(wdim))
+    return x, want
+
+
+@pytest.mark.parametrize("mu", range(1, 13))
+def test_hadamard_matches_dense_kronecker_power(mu):
+    # mu >= 7 takes more than one float64 factor; long double takes
+    # factors of order 4.  1e-17 needs long-double arithmetic throughout:
+    # the complex128 transform of the same input misses it.
+    x, want = kron_hadamard_case(mu)
+    cases = [(np.complex128, 1e-13)]
+    if EXTENDED is not np.complex128:
+        cases.append((EXTENDED, 1e-17))
+        assert np.abs(pea._fwht_axis1(x.astype(np.complex128)) - want).max() > 1e-17
+    for m, k in itertools.product((1, 3), (1, 3)):
+        for dtype, tol in cases:
+            got = pea._fwht_axis1(x[:m, :, :k].astype(dtype))
+            assert got.dtype == dtype and got.shape == (m, 2 ** mu, k)
+            assert np.abs(got - want[:m, :, :k]).max() <= tol
+
+
+@needs_extended
+@pytest.mark.parametrize("mu", [1, 4, 8])
+def test_estimation_factor_vf_matches_dense_transform(mu):
+    # V_F = F . diag(mask) on each main row, F the unitary DFT with
+    # e^{-2 pi i j z / W} and mask the controlled powers e^{i lam z}; the
+    # adjoint is diag(conj mask) . F^+.  Dense sums are pairwise.
+    lam = np.array([0.3, -2.9, 1.7])
+    wdim = 2 ** mu
+    v_f, _h = pea.estimation_factors(lam, em.WorkspaceLayout(mu, 0))
+    z = np.arange(wdim).astype(LONG)
+    turns = (np.outer(np.arange(wdim), np.arange(wdim)) % wdim).astype(LONG)
+    dft = np.exp(-1j * (2 * np.arccos(LONG(-1)) / wdim) * turns) / np.sqrt(LONG(wdim))
+    mask = np.exp(1j * lam.astype(LONG)[:, None] * z[None, :])
+    rng = np.random.default_rng(mu)
+    x = (rng.normal(size=(3, wdim, 2)) + 1j * rng.normal(size=(3, wdim, 2))).astype(EXTENDED)
+    x += 2.0 ** -60 * rng.normal(size=x.shape)
+
+    def rows_times(matrix, cols):
+        return (matrix[None, :, None, :] * np.moveaxis(cols, 1, 2)[:, None]).sum(axis=-1)
+
+    forward = rows_times(dft, mask[:, :, None] * x)
+    adjoint = mask.conj()[:, :, None] * rows_times(dft.conj().T, x)
+    got = v_f.apply_to(x.reshape(-1, 2))
+    back = v_f.adjoint_apply_to(x.reshape(-1, 2))
+    assert got.dtype == back.dtype == EXTENDED
+    assert np.abs(got - forward.reshape(-1, 2)).max() <= 1e-17
+    assert np.abs(back - adjoint.reshape(-1, 2)).max() <= 1e-17
+
+
 def test_kernel_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
     for mu, window in ((2, 0), (4, 3), (6, 7)):
@@ -160,8 +234,9 @@ def test_best_window_matches_brute_force(mu, delta, b):
     assert choice.window == window
     # The dense grids only sample the worst case that best_window refines.
     assert eta * (1 - 1e-12) <= choice.eta <= eta * (1 + 1e-4)
-    # The search's start window (clamped to [0, wmax]) changes nothing.
-    for start in (1, window, window - 3, window + 3, 2 ** (mu - 1) - 1):
+    # The search's start window (clamped to [0, wmax]) changes nothing;
+    # the default starts warm, so a cold start is among these.
+    for start in (0, 1, window, window - 3, window + 3, 2 ** (mu - 1) - 1):
         assert em.best_window(mu, delta, b, start=start) == choice
 
 
@@ -252,6 +327,23 @@ def test_calibration_probes_few_windows_per_mu(monkeypatch):
     assert em.calibrate_workspace(0.4, 0.05).mu == 14
     assert sorted(probed) == list(range(1, 15))
     assert max(len(windows) for windows in probed.values()) <= 3
+
+
+@pytest.mark.parametrize("mu,delta", [(9, 0.6), (9, 1.2), (9, 2.2), (9, 3.0), (11, 3.0)])
+def test_best_window_starts_at_the_crossing_phase(monkeypatch, mu, delta):
+    # The default start is the window whose edge sits at delta/3, next to
+    # the crossing (0.34-0.36 delta); a search from window 0 probes 11-19
+    # windows here.
+    probed = set()
+    scan = pea._sup_scan
+
+    def counted(mu, window, *args, **kwargs):
+        probed.add(window)
+        return scan(mu, window, *args, **kwargs)
+
+    monkeypatch.setattr(pea, "_sup_scan", counted)
+    em.best_window(mu, delta, 0.05)
+    assert len(probed) <= 5
 
 
 def test_calibration_cache_roundtrip(tmp_path):

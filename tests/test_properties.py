@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eigenmark import pea  # noqa: E402
+from eigenmark.statevec import EXTENDED  # noqa: E402
 
 
 @settings(max_examples=120)
@@ -44,3 +45,17 @@ def test_best_window_is_the_exhaustive_argmin(mu, delta, b):
     assert all(x >= y for x, y in zip(marked, marked[1:]))
     assert all(x <= y for x, y in zip(unmarked, unmarked[1:]))
     assert pea.best_window(mu, delta, b) == min(choices, key=lambda c: c.eta)
+
+
+@settings(max_examples=60)
+@given(mu=st.integers(1, 10), rows=st.integers(1, 3), cols=st.integers(1, 4),
+       extended=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_walsh_hadamard_is_an_involution(mu, rows, cols, extended, seed):
+    dtype = EXTENDED if extended else np.complex128
+    rng = np.random.default_rng(seed)
+    shape = (rows, 2 ** mu, cols)
+    x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+    twice = pea._fwht_axis1(pea._fwht_axis1(x))
+    assert twice.dtype == dtype and twice.shape == shape
+    bound = 4 * mu * np.finfo(dtype).eps * np.linalg.norm(x)
+    assert np.linalg.norm(twice - x) <= bound
