@@ -9,7 +9,6 @@ operator applications and ancilla qubits.
 """
 
 from .statevec import (
-    JointState,
     LinearOperator,
     SubspaceProjector,
     Tally,
@@ -18,8 +17,6 @@ from .statevec import (
     dense_materialize,
     from_matrix,
     identity,
-    product_state,
-    subspace_amplitude,
 )
 from .spectral import (
     MarkTarget,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexity, fpqs, marker, pea, spectral, voting
-from .statevec import EXTENDED, Tally, dense_materialize, drive, from_matrix
+from .statevec import EXTENDED, Tally, apply, dense_materialize, from_matrix
 
 AUDIT_DELTA = 3.0
 AUDIT_B = 0.05
@@ -175,7 +175,7 @@ def _main_disturbance(ctx, op) -> float:
     model's eigendirections psi_i with sigma on the workspace."""
     worst = 0.0
     psis = _columns(ctx.small_spec)
-    for psi, out in zip(psis, drive(op, psis, ctx.small_layout.work_dim)):
+    for psi, out in zip(psis, apply(op, psis, ctx.small_layout.work_dim)):
         keep = np.outer(psi, psi.conj() @ out)
         worst = max(worst, float(np.linalg.norm(out - keep)))
     return worst
@@ -202,7 +202,7 @@ def check_pea_kernel_vs_simulation(ctx) -> CheckResult:
         spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.002, lam_other), delta=0.1)
         target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
         op = pea.build_pea(spectral.build_shifted(spec, target), layout)
-        for i, out in enumerate(drive(op, _columns(spec), layout.work_dim)):
+        for i, out in enumerate(apply(op, _columns(spec), layout.work_dim)):
             sim = float(np.linalg.norm(out[:, layout.z_window().mask()])) ** 2
             kern = float(pea.window_response_mass(target.lambdas[i], layout.mu,
                                                   layout.window)[0])
@@ -306,7 +306,7 @@ def check_fpqs_counter_law(ctx) -> CheckResult:
     for q in range(4):
         op = fpqs.build_fixed_point(ctx.small_pea, q, window)
         tally = Tally()
-        drive(op, _columns(ctx.small_spec)[:1], wdim, tally)
+        apply(op, _columns(ctx.small_spec)[:1], wdim, tally)
         n_p, n_u = tally.get("P"), tally.get("U")
         ok = ok and n_p == 9 ** q and n_u == 9 ** q * wdim
         details.append(f"q={q}: N_P={n_p} N_U={n_u}")
@@ -335,7 +335,7 @@ def check_voting_tensor_equivalence(ctx) -> CheckResult:
     for nu in (1, 3, 5):
         h = voting.build_h_tensor(op, nu, layout)
         majority = voting.majority_projector(layout.z_window(), nu)
-        outs = drive(h, _columns(spec), layout.work_dim ** nu)
+        outs = apply(h, _columns(spec), layout.work_dim ** nu)
         for entry, out in zip(etas.entries, outs):
             lose = majority.complement() if entry.marked else majority
             got = float(np.linalg.norm(out[:, lose.mask()]))
@@ -375,7 +375,7 @@ def check_marker_workspace_restoration(ctx) -> CheckResult:
     worst = 0.0
     psis = _columns(ctx.small_spec)
     sigma = ctx.small_layout.sigma_state()
-    outs = drive(assembly.operator, psis, ctx.small_layout.work_dim)
+    outs = apply(assembly.operator, psis, ctx.small_layout.work_dim)
     for i, (psi, out) in enumerate(zip(psis, outs)):
         phase = np.exp(1j * ctx.small_target.phi) if i in ctx.small_target.marked_indices else 1.0
         residual = np.linalg.norm(out - phase * np.outer(psi, sigma))
@@ -406,7 +406,7 @@ def check_marker_phi_additivity(ctx) -> CheckResult:
     for p1, p2 in ((0.7, 1.3), (np.pi / 2, np.pi / 2)):
         targets = [spectral.MarkTarget.resolve(spec, 0.0, p, b=0.05) for p in (p1, p2, p1 + p2)]
         ops = [marker.build_assembly(spec, t, layout, "pea").operator for t in targets]
-        outs = [drive(op, psis, layout.work_dim) for op in ops]
+        outs = [apply(op, psis, layout.work_dim) for op in ops]
         for i, psi in enumerate(psis):
             state = np.outer(psi, sigma)
             composed = ops[0].apply_to(outs[1][i].ravel())

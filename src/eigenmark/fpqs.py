@@ -40,7 +40,9 @@ from .statevec import (
 )
 from .complexity import ETA_REGIME
 
-PI3 = np.pi / 3.0
+# pi/3 rounded once in long double, so a complex256 phase turns by pi/3 to
+# a long-double ulp; complex128 rounds it on to the nearest double.
+PI3 = np.arccos(np.longdouble(-1)) / 3
 Q_CAP_DEFAULT = 3
 
 
@@ -50,10 +52,11 @@ class SelectivePhaseSpec:
     on the workspace: a basis-subspace projector P, or a unit state vector
     t with P = |t><t|.  main_dim counts the main rows, and the phase is
     1_main (x) (1 - (1 - e^{i angle}) P) on dim = main_dim * work_dim; with
-    main_dim 1 it is a phase on the target's own space."""
+    main_dim 1 it is a phase on the target's own space.  The angle is kept
+    as given: a long-double angle keeps its precision."""
 
     target: np.ndarray | SubspaceProjector
-    angle: float
+    angle: float | np.floating
     main_dim: int = 1
 
     def __post_init__(self) -> None:
@@ -88,7 +91,7 @@ def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
     state target subtracts its projection from every row.  A constant
     state, such as the uniform one, needs no product with it: its
     projection is a row sum over the workspace, scaled in real_dtype."""
-    angle = float(spec.angle)
+    angle = spec.angle
     main_dim, work_dim = spec.main_dim, spec.work_dim
     cache: dict = {}
 

@@ -32,8 +32,8 @@ from .statevec import (
     LinearOperator,
     SubspaceProjector,
     Tally,
+    apply,
     compose,
-    drive,
     in_frame,
     main_rows,
 )
@@ -226,7 +226,7 @@ def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
     charges per application whatever the state, and every eigendirection's
     marker charges as the whole one, so the first direction will do."""
     tally = Tally()
-    drive(assembly.directions[0], np.ones((1, 1), dtype=complex), assembly.work_dim, tally)
+    apply(assembly.directions[0], np.ones((1, 1), dtype=complex), assembly.work_dim, tally)
     return ComplexityCounters.from_tally(tally, assembly.ancillas)
 
 
@@ -243,7 +243,7 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     # sigma times its phase, subtracted in place.
     one = np.ones((1, 1), dtype=dtype)
     for i, direction in enumerate(assembly.directions):
-        out = drive(direction, one, work_dim, tally)[0]
+        out = apply(direction, one, work_dim, tally)[0]
         marked = i in target.marked_indices
         out[0, 0] -= np.exp(1j * target.phi) if marked else 1.0
         entries.append(ResidualEntry(i, spec.eigenphases[i], target.lambdas[i],
@@ -256,7 +256,7 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
         main = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         mains.append((main / np.linalg.norm(main)).astype(dtype))
     sup_res = 0.0
-    for main, out in zip(mains, drive(assembly.operator, mains, work_dim, tally)):
+    for main, out in zip(mains, apply(assembly.operator, mains, work_dim, tally)):
         out[:, 0] -= ideal.apply_to(main)
         sup_res = max(sup_res, float(np.linalg.norm(out)))
 

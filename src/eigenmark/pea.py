@@ -43,7 +43,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .statevec import (LinearOperator, SubspaceProjector, compose, drive, in_frame,
+from .statevec import (LinearOperator, SubspaceProjector, apply, compose, in_frame,
                        real_dtype)
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
 
@@ -222,7 +222,7 @@ def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarge
     window_mask = layout.z_window().mask()
     columns = [spec.basis_column(i).astype(dtype) for i in range(spec.dim)]
     entries = []
-    for i, out in enumerate(drive(pea_op, columns, layout.work_dim)):
+    for i, out in enumerate(apply(pea_op, columns, layout.work_dim)):
         marked = i in target.marked_indices
         wrong = ~window_mask if marked else window_mask
         eta_i = float(np.linalg.norm(out[:, wrong]))

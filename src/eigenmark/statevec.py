@@ -1,10 +1,13 @@
-"""Complex state vectors on a main (x) workspace tensor product, plus
-matrix-free unitary operators with per-application resource counting.
+"""Matrix-free unitary operators on a main (x) workspace tensor product,
+with per-application resource counting, and apply, the one driver that
+puts main-space vectors (x) sigma through a joint operator.  States are
+plain numpy arrays; there is no state type.
 
 Conventions fixed here and relied on by every other module:
 
 - joint amplitudes are indexed (main index i, workspace index z) and
-  flattened in C order, so flat = i * work_dim + z; a joint operator's
+  flattened in C order, so flat = i * work_dim + z, and a joint output
+  reads as a (main_dim, work_dim) array; a joint operator's
   main_rows(op, work_dim) is read from it, never passed alongside it;
 - a workspace phase acts as 1_main (x) phase, lifted by fpqs.selective_phase;
 - the workspace index z is little-endian over ancilla qubits; only the
@@ -27,12 +30,11 @@ threads; a Tally is single-owner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 DENSE_GUARD = 4096
-NORM_TOL = 1e-10
 # Widest complex type of this platform; complex128 where there is no complex256.
 EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
 
@@ -205,10 +207,6 @@ class SubspaceProjector:
         if idx and (idx[0] < 0 or idx[-1] >= self.dim):
             raise ValueError(f"member indices {idx[0]}..{idx[-1]} outside [0, {self.dim})")
 
-    @property
-    def rank(self) -> int:
-        return len(self.member_indices)
-
     def mask(self) -> np.ndarray:
         m = np.zeros(self.dim, dtype=bool)
         if self.member_indices:
@@ -218,93 +216,6 @@ class SubspaceProjector:
     def complement(self) -> "SubspaceProjector":
         members = set(self.member_indices)
         return SubspaceProjector(self.dim, tuple(i for i in range(self.dim) if i not in members))
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Unit vector on main (x) workspace, amplitudes indexed (i, z)."""
-
-    main_dim: int
-    work_dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.main_dim < 1 or self.work_dim < 1:
-            raise ValueError("dimensions must be positive")
-        if self.work_dim & (self.work_dim - 1):
-            raise ValueError(f"work_dim {self.work_dim} is not a power of two")
-        amps = np.array(self.amplitudes, copy=True)
-        if amps.shape != (self.main_dim * self.work_dim,):
-            raise ValueError(
-                f"amplitude length {amps.shape} != main_dim*work_dim = "
-                f"{self.main_dim * self.work_dim}"
-            )
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def tensor(self) -> np.ndarray:
-        """(main_dim, work_dim) view of the amplitudes."""
-        return self.amplitudes.reshape(self.main_dim, self.work_dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def product_state(main: np.ndarray, work: np.ndarray) -> JointState:
-    main = np.asarray(main)
-    work = np.asarray(work)
-    return JointState(main.shape[0], work.shape[0], np.outer(main, work).ravel())
-
-
-def apply(op: LinearOperator, state: JointState, side: str = "joint",
-          tally: Tally | None = None) -> JointState:
-    """Apply op to one tensor factor (or the whole joint space) of state."""
-    if side == "joint":
-        want = state.main_dim * state.work_dim
-        if op.dim != want:
-            raise ValueError(f"joint-side op dim {op.dim} != joint dim {want}")
-        out = op.apply_to(state.amplitudes, tally)
-    elif side == "main":
-        if op.dim != state.main_dim:
-            raise ValueError(f"main-side op dim {op.dim} != main dim {state.main_dim}")
-        out = op.apply_to(state.tensor(), tally).ravel()
-    elif side == "work":
-        if op.dim != state.work_dim:
-            raise ValueError(f"work-side op dim {op.dim} != work dim {state.work_dim}")
-        cols = np.ascontiguousarray(state.tensor().T)
-        out = np.ascontiguousarray(op.apply_to(cols, tally).T).ravel()
-    else:
-        raise ValueError(f"unknown side {side!r}; expected main|work|joint")
-    return JointState(state.main_dim, state.work_dim, out)
-
-
-class SubspaceComponent(NamedTuple):
-    magnitude: float
-    projected: np.ndarray
-    degenerate: bool
-
-
-def subspace_amplitude(state: JointState, proj: SubspaceProjector,
-                       side: str = "work") -> SubspaceComponent:
-    """Magnitude of the component of state inside proj, plus the raw
-    (unnormalized) projected amplitudes."""
-    t = state.tensor()
-    if side == "work":
-        if proj.dim != state.work_dim:
-            raise ValueError(f"projector dim {proj.dim} != work dim {state.work_dim}")
-        keep = proj.mask()[None, :]
-    elif side == "main":
-        if proj.dim != state.main_dim:
-            raise ValueError(f"projector dim {proj.dim} != main dim {state.main_dim}")
-        keep = proj.mask()[:, None]
-    else:
-        raise ValueError(f"unknown side {side!r}; expected main|work")
-    projected = np.where(keep, t, 0.0).ravel()
-    magnitude = float(np.linalg.norm(projected))
-    return SubspaceComponent(magnitude, projected, proj.rank == 0)
 
 
 def in_frame(op: LinearOperator, basis: np.ndarray | None, work_dim: int) -> LinearOperator:
@@ -332,11 +243,13 @@ def in_frame(op: LinearOperator, basis: np.ndarray | None, work_dim: int) -> Lin
     return LinearOperator(op.dim, apply_fn, adjoint_fn, eigensystem=eig)
 
 
-def drive(op: LinearOperator, mains, work_dim: int,
+def apply(op: LinearOperator, mains, work_dim: int,
           tally: Tally | None = None) -> list[np.ndarray]:
     """op applied to main (x) sigma for each main-space vector in mains, one
     application (and one charge to tally) per vector; each output is a
-    (main_dim, work_dim) array."""
+    (main_dim, work_dim) array.  ValueError when work_dim does not tile
+    op.dim (see main_rows)."""
+    main_rows(op, work_dim)
     sigma = np.zeros(work_dim)
     sigma[0] = 1.0
     return [op.apply_to(np.outer(main, sigma).ravel(), tally).reshape(-1, work_dim)

@@ -51,11 +51,11 @@ def test_c2_recursion_error_law(setup_04):
         pred = em.predict_schedule(q, eta)
         for i in range(spec.dim):
             marked = i in target.marked_indices
-            state = em.product_state(spec.basis_column(i).astype(EXTENDED),
-                                     layout.sigma_state(EXTENDED))
-            out = em.apply(fp, state, "joint")
-            proj = window.complement() if marked else window
-            got = em.subspace_amplitude(out, proj).magnitude
+            state = np.outer(spec.basis_column(i).astype(EXTENDED),
+                             layout.sigma_state(EXTENDED)).ravel()
+            out = fp.apply_to(state).reshape(spec.dim, layout.work_dim)
+            wrong = ~window.mask() if marked else window.mask()
+            got = float(np.linalg.norm(out[:, wrong]))
             bound = (pred.marked_magnitude if marked else pred.unmarked_magnitude) * slack
             assert got <= bound
             assert got <= pred.schedule.eps
@@ -73,8 +73,7 @@ def test_c3_counter_law(small_model):
     for q in range(4):
         fp = em.build_fixed_point(op, q, layout.z_window(), q_cap=3)
         tally = em.Tally()
-        state = em.product_state(spec.basis_column(0), layout.sigma_state())
-        em.apply(fp, state, "joint", tally)
+        fp.apply_to(np.outer(spec.basis_column(0), layout.sigma_state()).ravel(), tally)
         assert tally.get("P") == 9 ** q
         assert tally.get("U") == 9 ** q * wdim
     report(f"3 PASS counter law: N_P = 9^q and N_U = 9^q * 2^mu exactly for "
@@ -161,10 +160,9 @@ def test_c7_majority_voting():
     for entry in etas.entries:
         work = np.zeros(layout.work_dim ** 3, complex)
         work[0] = 1.0
-        state = em.product_state(spec.basis_column(entry.index), work)
-        out = em.apply(h, state, "joint")
-        lose = majority.complement() if entry.marked else majority
-        got = em.subspace_amplitude(out, lose).magnitude
+        out = h.apply_to(np.outer(spec.basis_column(entry.index), work).ravel())
+        lose = ~majority.mask() if entry.marked else majority.mask()
+        got = float(np.linalg.norm(out.reshape(spec.dim, -1)[:, lose]))
         want = math.sqrt(sum(
             math.comb(3, k) * entry.eta ** (2 * k) * (1 - entry.eta ** 2) ** (3 - k)
             for k in (2, 3)))

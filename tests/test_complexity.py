@@ -65,8 +65,7 @@ def test_exact_counters_at_mu9_q2():
     op = em.build_pea(em.build_shifted(spec, target), layout)
     fp = em.build_fixed_point(op, 2, layout.z_window())
     tally = em.Tally()
-    state = em.product_state(spec.basis_column(0), layout.sigma_state())
-    em.apply(fp, state, "joint", tally)
+    fp.apply_to(np.outer(spec.basis_column(0), layout.sigma_state()).ravel(), tally)
     counters = em.ComplexityCounters.from_tally(tally, ancillas=layout.mu)
     assert counters.n_u == 81 * 512 == 41472
     assert counters.n_p == 81

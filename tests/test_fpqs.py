@@ -112,6 +112,29 @@ def test_state_phase_keeps_an_extended_target():
     assert np.abs(got - want).max() <= 8 * np.finfo(EXTENDED).eps
 
 
+@pytest.mark.skipif(EXTENDED is np.complex128, reason="no extended precision on this platform")
+def test_pi3_phase_turns_by_exact_pi_over_3_in_extended_precision():
+    # fpqs.PI3 is pi/3 rounded in long double: on a unit state t the
+    # complex256 pi/3 phase gives e^{i pi/3} t, computed by mpmath at 40
+    # digits, to a few long-double ulps (a double pi/3 misses by 6e-17).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def exact(x):
+        mantissa, exponent = np.frexp(x)
+        return mpmath.ldexp(int(np.ldexp(mantissa, 64)), int(exponent) - 64)
+
+    rng = np.random.default_rng(16)
+    t = (rng.normal(size=16) + 1j * rng.normal(size=16)).astype(EXTENDED)
+    t /= np.sqrt((t.conj() @ t).real)
+    got = em.selective_phase(em.SelectivePhaseSpec(t, fpqs.PI3)).apply_to(t)
+    turn = mpmath.expjpi(mpmath.mpf(1) / 3)
+    miss = max(abs(mpmath.mpc(exact(g.real), exact(g.imag))
+                   - turn * mpmath.mpc(exact(v.real), exact(v.imag)))
+               for g, v in zip(got, t))
+    assert float(miss) <= 8 * float(np.finfo(EXTENDED).eps)
+
+
 def test_selective_phase_rejects_unnormalized_target():
     with pytest.raises(ValueError, match="norm"):
         em.SelectivePhaseSpec(np.array([1.0, 1.0]), 0.3)
@@ -237,8 +260,7 @@ def test_counter_law(small_model):
     for q in range(4):
         fp = em.build_fixed_point(op, q, layout.z_window())
         tally = em.Tally()
-        state = em.product_state(spec.basis_column(0), layout.sigma_state())
-        em.apply(fp, state, "joint", tally)
+        fp.apply_to(np.outer(spec.basis_column(0), layout.sigma_state()).ravel(), tally)
         assert tally.get("P") == 9 ** q
         assert tally.get("U") == 9 ** q * wdim
 
@@ -263,9 +285,8 @@ def test_numpy_integer_level_accepted(small_model):
     op = em.build_pea(em.build_shifted(spec, target), layout)
     fpqs.check_level(np.int64(2), np.int32(3))
     tally = em.Tally()
-    state = em.product_state(spec.basis_column(0), layout.sigma_state())
-    em.apply(em.build_fixed_point(op, np.int64(1), layout.z_window()), state,
-             "joint", tally)
+    state = np.outer(spec.basis_column(0), layout.sigma_state()).ravel()
+    em.build_fixed_point(op, np.int64(1), layout.z_window()).apply_to(state, tally)
     assert tally.get("P") == 9
 
 
@@ -275,8 +296,8 @@ def test_block_locality(small_model):
     fp = em.build_fixed_point(op, 2, layout.z_window())
     for i in range(spec.dim):
         psi = spec.basis_column(i)
-        state = em.product_state(psi, layout.sigma_state())
-        out = em.apply(fp, state, "joint").tensor()
+        out = fp.apply_to(np.outer(psi, layout.sigma_state()).ravel())
+        out = out.reshape(spec.dim, layout.work_dim)
         keep = np.outer(psi, psi.conj() @ out)
         assert np.linalg.norm(out - keep) <= 1e-12
 
@@ -293,11 +314,11 @@ def test_measured_vs_predicted_at_calibrated_configuration(setup_04):
         pred = em.predict_schedule(q, eta)
         for i in range(spec.dim):
             marked = i in target.marked_indices
-            state = em.product_state(spec.basis_column(i).astype(EXTENDED),
-                                     layout.sigma_state(EXTENDED))
-            out = em.apply(fp, state, "joint")
-            proj = window.complement() if marked else window
-            got = em.subspace_amplitude(out, proj).magnitude
+            state = np.outer(spec.basis_column(i).astype(EXTENDED),
+                             layout.sigma_state(EXTENDED)).ravel()
+            out = fp.apply_to(state).reshape(spec.dim, layout.work_dim)
+            wrong = ~window.mask() if marked else window.mask()
+            got = float(np.linalg.norm(out[:, wrong]))
             bound = pred.marked_magnitude if marked else pred.unmarked_magnitude
             assert got <= bound * slack
             assert got <= pred.schedule.eps

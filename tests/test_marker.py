@@ -7,7 +7,7 @@ import pytest
 
 import eigenmark as em
 from eigenmark import marker, pea
-from eigenmark.statevec import EXTENDED, drive
+from eigenmark.statevec import EXTENDED
 
 from conftest import haar_unitary, rotation_block
 
@@ -37,9 +37,9 @@ def test_exact_core_acts_as_ideal_marker():
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     assembly = em.build_assembly(spec, target, layout, "pea")
     for i, phase in ((0, -1.0), (1, 1.0)):
-        state = em.product_state(spec.basis_column(i), layout.sigma_state())
-        out = em.apply(assembly.operator, state, "joint")
-        assert np.abs(out.amplitudes - phase * state.amplitudes).max() <= 1e-12
+        state = np.outer(spec.basis_column(i), layout.sigma_state()).ravel()
+        out = assembly.operator.apply_to(state)
+        assert np.abs(out - phase * state).max() <= 1e-12
 
 
 def test_level_one_marker_residual_bound():
@@ -139,10 +139,13 @@ def _oracle_blocks(spec, target, layout, q):
 
 
 def _direction_residuals(blocks, spec, target, layout, dtype):
-    outs = drive(blocks, np.eye(spec.dim, dtype=dtype), layout.work_dim)
-    for i, out in enumerate(outs):
+    residuals = []
+    for i, main in enumerate(np.eye(spec.dim, dtype=dtype)):
+        out = blocks.apply_to(np.outer(main, layout.sigma_state(dtype)).ravel())
+        out = out.reshape(spec.dim, layout.work_dim)
         out[i, 0] -= np.exp(1j * target.phi) if i in target.marked_indices else 1.0
-    return [float(np.linalg.norm(out)) for out in outs]
+        residuals.append(float(np.linalg.norm(out)))
+    return residuals
 
 
 TWO_DIRECTIONS = em.SpectralUnitary(dim=2, eigenphases=(0.03, 2.2), delta=1.5)
@@ -171,7 +174,7 @@ def test_fixed_point_marker_runs_hadamard_only_at_its_ends(monkeypatch):
 
     monkeypatch.setattr(pea, "_fwht_axis1", counted)
     tally = em.Tally()
-    drive(assembly.blocks, np.eye(1, 2, dtype=complex), layout.work_dim, tally)
+    assembly.blocks.apply_to(np.outer(np.eye(1, 2)[0], layout.sigma_state()).ravel(), tally)
     assert len(calls) == 2
     assert tally.get("P") == 2 * 9 ** 2
 
@@ -220,11 +223,15 @@ def test_direction_blocks_match_joint_blocks(small_model, variant, extra, dtype)
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, variant, **extra)
     assert len(assembly.directions) == spec.dim
-    joint = drive(assembly.blocks, np.eye(spec.dim, dtype=dtype), assembly.work_dim)
-    for i, (direction, out) in enumerate(zip(assembly.directions, joint, strict=True)):
-        alone = drive(direction, np.ones((1, 1), dtype=dtype), assembly.work_dim)[0]
+    sigma = np.zeros(assembly.work_dim, dtype=dtype)
+    sigma[0] = 1.0
+    mains = np.eye(spec.dim, dtype=dtype)
+    for i, (direction, main) in enumerate(zip(assembly.directions, mains)):
+        out = assembly.blocks.apply_to(np.outer(main, sigma).ravel())
+        out = out.reshape(spec.dim, assembly.work_dim)
+        alone = direction.apply_to(sigma)
         assert alone.dtype == out.dtype == dtype
-        assert np.array_equal(alone[0], out[i])
+        assert np.array_equal(alone, out[i])
         assert not np.delete(out, i, axis=0).any()
 
 
@@ -278,14 +285,14 @@ def test_phi_additivity(small_model):
     a2 = em.build_assembly(spec, t2, layout, "pea")
     a12 = em.build_assembly(spec, t12, layout, "pea")
     for i in range(spec.dim):
-        state = em.product_state(spec.basis_column(i), layout.sigma_state())
-        composed = a1.operator.apply_to(a2.operator.apply_to(state.amplitudes))
-        direct = a12.operator.apply_to(state.amplitudes)
+        state = np.outer(spec.basis_column(i), layout.sigma_state()).ravel()
+        composed = a1.operator.apply_to(a2.operator.apply_to(state))
+        direct = a12.operator.apply_to(state)
         budget = 1e-10
         for t, a in ((t1, a1), (t2, a2), (t12, a12)):
             phase = np.exp(1j * t.phi) if i in t.marked_indices else 1.0
-            out = a.operator.apply_to(state.amplitudes)
-            budget += float(np.linalg.norm(out - phase * state.amplitudes))
+            out = a.operator.apply_to(state)
+            budget += float(np.linalg.norm(out - phase * state))
         assert float(np.linalg.norm(composed - direct)) <= budget
 
 
@@ -294,12 +301,13 @@ def test_workspace_restoration(small_model):
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)
     for i in range(spec.dim):
         psi = spec.basis_column(i)
-        state = em.product_state(psi, layout.sigma_state())
-        out = em.apply(assembly.operator, state, "joint")
+        state = np.outer(psi, layout.sigma_state()).ravel()
+        out = assembly.operator.apply_to(state)
         phase = np.exp(1j * target.phi) if i in target.marked_indices else 1.0
-        residual = np.linalg.norm(out.amplitudes - phase * state.amplitudes)
-        work_part = psi.conj() @ out.tensor()
-        cross_mass = np.linalg.norm(out.tensor() - np.outer(psi, work_part)) ** 2
+        residual = np.linalg.norm(out - phase * state)
+        rows = out.reshape(spec.dim, layout.work_dim)
+        work_part = psi.conj() @ rows
+        cross_mass = np.linalg.norm(rows - np.outer(psi, work_part)) ** 2
         displaced = np.linalg.norm(work_part - phase * layout.sigma_state())
         assert abs(np.sqrt(displaced ** 2 + cross_mass) - residual) <= 1e-10
 

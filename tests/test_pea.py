@@ -52,9 +52,9 @@ def test_eigenphase_on_grid_stays_put():
     spec, target = two_phase_model(0.0, np.pi * 5 / 8)
     layout = em.WorkspaceLayout(mu=1, window=0)
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    state = em.product_state(spec.basis_column(0), layout.sigma_state())
-    out = em.apply(op, state, "joint")
-    assert np.abs(out.amplitudes - state.amplitudes).max() <= 1e-12
+    state = np.outer(spec.basis_column(0), layout.sigma_state()).ravel()
+    out = op.apply_to(state)
+    assert np.abs(out - state).max() <= 1e-12
 
 
 def test_mu1_pi_lands_on_one():
@@ -63,10 +63,9 @@ def test_mu1_pi_lands_on_one():
     spec, target = two_phase_model(0.0, np.pi)
     layout = em.WorkspaceLayout(mu=1, window=0)
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    state = em.product_state(spec.basis_column(1), layout.sigma_state())
-    out = em.apply(op, state, "joint")
+    out = op.apply_to(np.outer(spec.basis_column(1), layout.sigma_state()).ravel())
     hand = np.array([[1, 1], [1, -1]]) / 2.0 @ np.array([1, -1.0])  # H.diag(1,-1).H |0>
-    np.testing.assert_allclose(out.tensor()[1], hand, atol=1e-12)
+    np.testing.assert_allclose(out.reshape(2, layout.work_dim)[1], hand, atol=1e-12)
     report = em.measure_eta(op, spec, target, layout)
     assert report.eta_unmarked <= 1e-15
     assert report.eta <= 1e-15
@@ -76,9 +75,8 @@ def test_mu3_grid_phase_lands_on_z5():
     spec, target = two_phase_model(0.0, 2 * np.pi * 5 / 8)
     layout = em.WorkspaceLayout(mu=3, window=1)
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    state = em.product_state(spec.basis_column(1), layout.sigma_state())
-    out = em.apply(op, state, "joint")
-    assert abs(abs(out.tensor()[1, 5]) - 1.0) <= 1e-12
+    out = op.apply_to(np.outer(spec.basis_column(1), layout.sigma_state()).ravel())
+    assert abs(abs(out.reshape(2, layout.work_dim)[1, 5]) - 1.0) <= 1e-12
 
 
 def test_pea_cost_convention():
@@ -86,11 +84,11 @@ def test_pea_cost_convention():
     layout = em.WorkspaceLayout(mu=5, window=2)
     op = em.build_pea(em.build_shifted(spec, target), layout)
     tally = em.Tally()
-    state = em.product_state(spec.basis_column(0), layout.sigma_state())
-    em.apply(op, state, "joint", tally)
+    state = np.outer(spec.basis_column(0), layout.sigma_state()).ravel()
+    op.apply_to(state, tally)
     assert tally.get("U") == 2 ** 5
     assert tally.get("P") == 1
-    op.adjoint_apply_to(state.amplitudes, tally)
+    op.adjoint_apply_to(state, tally)
     assert tally.get("U") == 2 ** 6
     assert tally.get("P") == 2
 
@@ -182,9 +180,9 @@ def test_kernel_matches_simulation():
     spec, target = two_phase_model(0.003, 1.9)
     op = em.build_pea(em.build_shifted(spec, target), layout)
     for i in range(2):
-        state = em.product_state(spec.basis_column(i), layout.sigma_state())
-        out = em.apply(op, state, "joint")
-        sim = em.subspace_amplitude(out, layout.z_window()).magnitude ** 2
+        out = op.apply_to(np.outer(spec.basis_column(i), layout.sigma_state()).ravel())
+        inside = out.reshape(2, layout.work_dim)[:, layout.z_window().mask()]
+        sim = np.linalg.norm(inside) ** 2
         kern = float(pea.window_response_mass(target.lambdas[i], layout.mu,
                                               layout.window)[0])
         assert abs(sim - kern) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark.statevec import EXTENDED, NORM_TOL, in_frame, real_dtype
+from eigenmark.statevec import EXTENDED, in_frame, real_dtype
 
 from conftest import haar_unitary
 
@@ -10,28 +10,28 @@ H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def test_identity_leaves_state_unchanged():
-    state = em.product_state(np.array([0.6, 0.8j]), np.array([1, 0], complex))
-    out = em.apply(em.identity(4), state, "joint")
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=0)
+    state = np.outer(np.array([0.6, 0.8j]), np.array([1, 0], complex)).ravel()
+    out = em.identity(4).apply_to(state)
+    np.testing.assert_allclose(out, state, atol=0)
 
 
 def test_hadamard_twice_is_identity():
-    state = em.product_state(np.array([1.0 + 0j]), np.array([1, 0], complex))
+    state = np.array([1, 0], complex)
     h = em.from_matrix(H2)
-    once = em.apply(h, state, "work")
-    np.testing.assert_allclose(np.abs(once.tensor()[0]), [1 / np.sqrt(2)] * 2, atol=1e-15)
-    twice = em.apply(h, once, "work")
-    assert np.abs(twice.amplitudes - state.amplitudes).max() <= 1e-12
+    once = h.apply_to(state)
+    np.testing.assert_allclose(np.abs(once), [1 / np.sqrt(2)] * 2, atol=1e-15)
+    twice = h.apply_to(once)
+    assert np.abs(twice - state).max() <= 1e-12
 
 
 def test_work_side_op_preserves_main_marginals():
     rng = np.random.default_rng(0)
     main = rng.normal(size=3) + 1j * rng.normal(size=3)
     main /= np.linalg.norm(main)
-    state = em.product_state(main, np.array([0.6, 0.8j]))
-    out = em.apply(em.from_matrix(H2), state, "work")
-    before = np.linalg.norm(state.tensor(), axis=1)
-    after = np.linalg.norm(out.tensor(), axis=1)
+    state = np.outer(main, np.array([0.6, 0.8j]))
+    out = em.from_matrix(np.kron(np.eye(3), H2)).apply_to(state.ravel())
+    before = np.linalg.norm(state, axis=1)
+    after = np.linalg.norm(out.reshape(3, 2), axis=1)
     np.testing.assert_allclose(after, before, atol=1e-12)
 
 
@@ -39,54 +39,57 @@ def test_main_side_application():
     u = haar_unitary(np.random.default_rng(1), 3)
     main = np.zeros(3, complex)
     main[0] = 1.0
-    state = em.product_state(main, np.array([1, 0], complex))
-    out = em.apply(em.from_matrix(u), state, "main")
-    np.testing.assert_allclose(out.tensor()[:, 0], u[:, 0], atol=1e-12)
+    state = np.outer(main, np.array([1, 0], complex)).ravel()
+    out = em.from_matrix(np.kron(u, np.eye(2))).apply_to(state)
+    np.testing.assert_allclose(out.reshape(3, 2)[:, 0], u[:, 0], atol=1e-12)
 
 
 def test_apply_dimension_mismatch_reports_both_dims():
-    state = em.product_state(np.array([1.0 + 0j]), np.array([1, 0], complex))
-    with pytest.raises(ValueError, match="3.*1|1.*3"):
-        em.apply(em.identity(3), state, "main")
-    with pytest.raises(ValueError, match="work"):
-        em.apply(em.identity(4), state, "work")
-    with pytest.raises(ValueError, match="unknown side"):
-        em.apply(em.identity(2), state, "sideways")
+    # The driver names both dimensions: a workspace that does not tile the
+    # operator, and a main vector of the wrong length.
+    with pytest.raises(ValueError, match="dim 6 .*work dim 4"):
+        em.apply(em.identity(6), [np.ones(1)], 4)
+    with pytest.raises(ValueError, match="dim 4 .*dim 6"):
+        em.apply(em.identity(4), [np.ones(3)], 2)
 
 
 def test_apply_charges_cost_once_per_application():
-    op = em.from_matrix(H2, cost=(("U", 3),))
-    state = em.product_state(np.array([0.6, 0.8]), np.array([1, 0], complex))
+    # One application, and one charge, per main vector, forward and adjoint;
+    # each output is main (x) sigma through the operator as (main_dim,
+    # work_dim) rows, checked against the dense product.
+    rng = np.random.default_rng(5)
+    matrix = haar_unitary(rng, 6)
+    op = em.from_matrix(matrix, cost=(("U", 3),))
+    mains = [np.array([0.6, 0.8j, 0.0]), np.array([0.0, 1j, 0.0])]
+    sigma = np.array([1, 0], complex)
     tally = em.Tally()
-    em.apply(op, state, "work", tally)
-    assert tally.get("U") == 3
-    op.adjoint_apply_to(np.array([1, 0], complex), tally)
-    assert tally.get("U") == 6
+    for run, dense, charged in ((op, matrix, 6), (op.adjoint, matrix.conj().T, 12)):
+        outs = em.apply(run, mains, 2, tally)
+        assert tally.get("U") == charged
+        assert len(outs) == len(mains)
+        for main, out in zip(mains, outs):
+            assert out.shape == (3, 2)
+            want = (dense @ np.outer(main, sigma).ravel()).reshape(3, 2)
+            assert np.abs(out - want).max() <= 1e-12
+    op.adjoint_apply_to(np.zeros(6, complex), tally)
+    assert tally.get("U") == 15
 
 
-def test_subspace_amplitude_symmetric_state():
-    state = em.product_state(np.array([1.0 + 0j]),
-                             np.array([1, 1], complex) / np.sqrt(2))
+def test_projector_mask_splits_symmetric_state():
+    rows = (np.array([1, 1], complex) / np.sqrt(2)).reshape(1, 2)
     proj = em.SubspaceProjector(2, (0,))
-    comp = em.subspace_amplitude(state, proj)
-    assert abs(comp.magnitude - 0.70711) < 5e-6
-    inside = em.subspace_amplitude(state, proj)
-    outside = em.subspace_amplitude(state, proj.complement())
-    assert abs(inside.magnitude ** 2 + outside.magnitude ** 2 - 1.0) <= 1e-12
+    inside = np.linalg.norm(rows[:, proj.mask()])
+    outside = np.linalg.norm(rows[:, proj.complement().mask()])
+    assert abs(inside - 0.70711) < 5e-6
+    assert abs(inside ** 2 + outside ** 2 - 1.0) <= 1e-12
 
 
-def test_subspace_amplitude_basis_states():
-    inside = em.product_state(np.array([1.0 + 0j]), np.array([1, 0], complex))
+def test_projector_mask_on_basis_states():
+    rows = np.array([[1, 0]], complex)
     proj = em.SubspaceProjector(2, (0,))
-    assert em.subspace_amplitude(inside, proj).magnitude == pytest.approx(1.0, abs=1e-15)
-    assert em.subspace_amplitude(inside, proj.complement()).magnitude == 0.0
-
-
-def test_subspace_amplitude_empty_projector_degenerate():
-    state = em.product_state(np.array([1.0 + 0j]), np.array([1, 0], complex))
-    comp = em.subspace_amplitude(state, em.SubspaceProjector(2, ()))
-    assert comp.magnitude == 0.0
-    assert comp.degenerate
+    assert np.linalg.norm(rows[:, proj.mask()]) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(rows[:, proj.complement().mask()]) == 0.0
+    assert np.linalg.norm(rows[:, em.SubspaceProjector(2, ()).mask()]) == 0.0
 
 
 def test_dense_materialize_selective_phase():
@@ -165,19 +168,6 @@ def test_in_frame_matches_dense_rotation():
     want = turn @ em.dense_materialize(op) @ turn.conj().T
     assert np.abs(em.dense_materialize(framed) - want).max() <= 1e-12
     assert np.abs(em.dense_materialize(framed.adjoint) - want.conj().T).max() <= 1e-12
-
-
-def test_joint_state_validation():
-    with pytest.raises(ValueError, match="power of two"):
-        em.JointState(2, 3, np.zeros(6))
-    with pytest.raises(ValueError, match="length"):
-        em.JointState(2, 2, np.array([1.0, 0, 0]))
-    with pytest.raises(ValueError, match="norm"):
-        em.JointState(1, 2, np.array([1.0, 1.0]))
-    good = em.JointState(1, 2, np.array([1.0, 0.0]))
-    assert good.norm() == pytest.approx(1.0, abs=NORM_TOL)
-    with pytest.raises(ValueError):
-        good.amplitudes[0] = 0.0  # frozen buffer
 
 
 def test_dense_guard():

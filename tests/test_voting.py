@@ -153,9 +153,8 @@ def test_tensor_grid_aligned_has_no_loss():
     majority = em.majority_projector(layout.z_window(), 3)
     work = np.zeros(layout.work_dim ** 3, complex)
     work[0] = 1.0
-    state = em.product_state(spec.basis_column(0), work)
-    out = em.apply(h, state, "joint")
-    assert em.subspace_amplitude(out, majority.complement()).magnitude <= 1e-12
+    out = h.apply_to(np.outer(spec.basis_column(0), work).ravel())
+    assert np.linalg.norm(out.reshape(spec.dim, -1)[:, ~majority.mask()]) <= 1e-12
 
 
 def test_tensor_matches_binomial_oracle():
@@ -167,10 +166,9 @@ def test_tensor_matches_binomial_oracle():
         for entry in etas.entries:
             work = np.zeros(layout.work_dim ** nu, complex)
             work[0] = 1.0
-            state = em.product_state(spec.basis_column(entry.index), work)
-            out = em.apply(h, state, "joint")
-            lose = majority.complement() if entry.marked else majority
-            got = em.subspace_amplitude(out, lose).magnitude
+            out = h.apply_to(np.outer(spec.basis_column(entry.index), work).ravel())
+            lose = ~majority.mask() if entry.marked else majority.mask()
+            got = float(np.linalg.norm(out.reshape(spec.dim, -1)[:, lose]))
             want = enumeration_tail(entry.eta ** 2, nu)
             assert abs(got - want) <= 1e-10
 
@@ -181,8 +179,7 @@ def test_tensor_charges_nu_estimator_applications():
     tally = em.Tally()
     work = np.zeros(layout.work_dim ** 3, complex)
     work[0] = 1.0
-    state = em.product_state(spec.basis_column(0), work)
-    em.apply(h, state, "joint", tally)
+    h.apply_to(np.outer(spec.basis_column(0), work).ravel(), tally)
     assert tally.get("P") == 3
     assert tally.get("U") == 3 * layout.work_dim
 
