@@ -44,7 +44,6 @@ from .pea import (
 from .fpqs import (
     RecursionSchedule,
     SchedulePrediction,
-    SelectivePhaseSpec,
     build_fixed_point,
     pi3_balance,
     pi3_compress,

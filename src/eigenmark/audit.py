@@ -78,8 +78,7 @@ def _sample_operators(ctx):
     return [
         ("shifted", ctx.small_shifted),
         ("pea", ctx.small_pea),
-        ("phase_state", fpqs.selective_phase(fpqs.SelectivePhaseSpec(
-            np.array([0.6, 0.8j]), 1.1))),
+        ("phase_state", fpqs.selective_phase(np.array([0.6, 0.8j]), 1.1)),
         ("fixed_point_q1", fpqs.build_fixed_point(ctx.small_pea, 1, window)),
         ("marker_q1", marker.build_assembly(
             ctx.small_spec, ctx.small_target, ctx.small_layout,

@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import audit as audit_mod
-from . import complexity, fpqs, marker, pea, spectral, voting
+from . import complexity, marker, pea, spectral, voting
 from .statevec import EXTENDED
 
 SWEEP_COLUMNS = ("variant", "delta", "mu", "window", "q", "nu", "phi", "eta",
@@ -174,8 +174,7 @@ def _assembly_args(cfg, q, nu) -> dict:
     variant = _require(cfg, "variant", str)
     try:
         args = {"variant": variant, "q": None if q is None else _integer(q, "q"),
-                "nu": None if nu is None else _integer(nu, "nu"),
-                "q_cap": _option(cfg, "q_cap", fpqs.Q_CAP_DEFAULT, int)}
+                "nu": None if nu is None else _integer(nu, "nu")}
         marker.check_variant(**args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -10,9 +10,10 @@ amplitude exactly, for any V and any window; balance cubes the in-window
 probability mass exactly, which is what tames the unmarked directions.
 Both phase rotations act on the workspace only (the start state sigma and
 the Z window), so the construction never needs to know the main-space
-state: selective_phase lifts each to 1_main (x) phase on every main row
-of the wrapped operator (statevec.main_rows).  q levels cost 9^q
-applications of the wrapped operator.
+state: selective_phase(target, angle, main_dim) lifts each to
+1_main (x) phase on every main row of the wrapped operator
+(statevec.main_rows).  q levels cost 9^q applications of the wrapped
+operator, and check_level admits q from 0 to the fixed cap Q_CAP = 3.
 
 The sigma-phase reflects about a workspace start state, sigma = |0> by
 default: a basis projector, the generic path and the oracle for any V.
@@ -43,56 +44,24 @@ from .complexity import ETA_REGIME
 # pi/3 rounded once in long double, so a complex256 phase turns by pi/3 to
 # a long-double ulp; complex128 rounds it on to the nearest double.
 PI3 = np.arccos(np.longdouble(-1)) / 3
-Q_CAP_DEFAULT = 3
+Q_CAP = 3  # deepest recursion level built: 9^3 = 729 applications
 
 
-@dataclass(frozen=True, eq=False)
-class SelectivePhaseSpec:
-    """Target and angle of a phase on main (x) workspace.  The target lives
-    on the workspace: a basis-subspace projector P, or a unit state vector
-    t with P = |t><t|.  main_dim counts the main rows, and the phase is
-    1_main (x) (1 - (1 - e^{i angle}) P) on dim = main_dim * work_dim; with
-    main_dim 1 it is a phase on the target's own space.  The angle is kept
-    as given: a long-double angle keeps its precision."""
-
-    target: np.ndarray | SubspaceProjector
-    angle: float | np.floating
-    main_dim: int = 1
-
-    def __post_init__(self) -> None:
-        if require_int(self.main_dim, "main_dim") < 1:
-            raise ValueError(f"main_dim {self.main_dim} must be positive")
-        if isinstance(self.target, SubspaceProjector):
-            return
-        # At least complex128, and complex256 stays complex256.
-        vec = np.asarray(self.target)
-        vec = vec.astype(np.result_type(vec, np.complex128), copy=False)
-        if vec.ndim != 1:
-            raise ValueError(f"state target must be a vector, got shape {vec.shape}")
-        nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"state target norm {float(nrm)!r} deviates from 1")
-        object.__setattr__(self, "target", vec)
-
-    @property
-    def work_dim(self) -> int:
-        if isinstance(self.target, SubspaceProjector):
-            return self.target.dim
-        return self.target.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.main_dim * self.work_dim
-
-
-def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
-    """1_main (x) (1 - (1 - e^{i angle}) P) on the amplitudes seen as
-    (main_dim, work_dim) rows: a projector target scales its columns, a
-    state target subtracts its projection from every row.  A constant
-    state, such as the uniform one, needs no product with it: its
-    projection is a row sum over the workspace, scaled in real_dtype."""
-    angle = spec.angle
-    main_dim, work_dim = spec.main_dim, spec.work_dim
+def selective_phase(target: np.ndarray | SubspaceProjector, angle: float | np.floating,
+                    main_dim: int = 1) -> LinearOperator:
+    """1_main (x) (1 - (1 - e^{i angle}) P) on dim = main_dim * work_dim,
+    the amplitudes seen as (main_dim, work_dim) rows; with main_dim 1 it is
+    a phase on the target's own space.  The target lives on the workspace:
+    a basis-subspace projector P scales its columns, and a unit state
+    vector t, P = |t><t|, has its projection subtracted from every row.  A
+    state target is kept in at least complex128 (complex256 stays
+    complex256), and the angle as given: a long-double angle keeps its
+    precision.  A constant state, such as the uniform one, needs no
+    product with it: its projection is a row sum over the workspace,
+    scaled in real_dtype."""
+    main_dim = require_int(main_dim, "main_dim")
+    if main_dim < 1:
+        raise ValueError(f"main_dim {main_dim} must be positive")
     cache: dict = {}
 
     def factor(dtype, sign):
@@ -102,16 +71,24 @@ def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
             cache[key] = np.asarray(np.exp(1j * sign * work), dtype=dtype)[()]
         return cache[key]
 
-    if isinstance(spec.target, SubspaceProjector):
+    if isinstance(target, SubspaceProjector):
+        work_dim = target.dim
         # A masked multiply beats gathering the member columns by index.
-        inside = spec.target.mask()[:, None]
+        inside = target.mask()[:, None]
 
         def rotate(rows, phase):
             out = rows.copy()
             np.multiply(out, phase, out=out, where=inside)
             return out
     else:
-        state = spec.target
+        state = np.asarray(target)
+        state = state.astype(np.result_type(state, np.complex128), copy=False)
+        if state.ndim != 1:
+            raise ValueError(f"state target must be a vector, got shape {state.shape}")
+        nrm = np.linalg.norm(state)
+        if abs(nrm - 1.0) > 1e-10:
+            raise ValueError(f"state target norm {float(nrm)!r} deviates from 1")
+        work_dim = state.shape[0]
         # A constant state t has |t><t| = J / work_dim whatever its phase,
         # so its projection is a row sum scaled by 1 / work_dim.
         constant = bool(np.all(state == state[0]))
@@ -134,7 +111,7 @@ def selective_phase(spec: SelectivePhaseSpec) -> LinearOperator:
             return rotate(rows, factor(x.dtype, sign)).reshape(x.shape)
         return run
 
-    return LinearOperator(spec.dim, make(+1), make(-1))
+    return LinearOperator(main_dim * work_dim, make(+1), make(-1))
 
 
 def _pi3_level(op: LinearOperator, zwindow: SubspaceProjector,
@@ -146,9 +123,8 @@ def _pi3_level(op: LinearOperator, zwindow: SubspaceProjector,
     main_dim = main_rows(op, zwindow.dim)
     if start is None:
         start = SubspaceProjector(zwindow.dim, (0,))
-    sigma = SelectivePhaseSpec(start, PI3, main_dim)
-    i_z = SelectivePhaseSpec(zwindow, z_angle, main_dim)
-    return compose(op, selective_phase(sigma), op.adjoint, selective_phase(i_z), op)
+    return compose(op, selective_phase(start, PI3, main_dim), op.adjoint,
+                   selective_phase(zwindow, z_angle, main_dim), op)
 
 
 def pi3_compress(op: LinearOperator, zwindow: SubspaceProjector,
@@ -163,24 +139,23 @@ def pi3_balance(op: LinearOperator, zwindow: SubspaceProjector,
     return _pi3_level(op, zwindow, start, -PI3)
 
 
-def check_level(q: int, q_cap: int) -> None:
-    """Reject a recursion level or cap that is not an integer (TypeError,
-    see require_int) and a level outside [0, q_cap] (ValueError)."""
-    q, q_cap = require_int(q, "level q"), require_int(q_cap, "level cap q_cap")
+def check_level(q: int) -> None:
+    """Reject a recursion level that is not an integer (TypeError, see
+    require_int) and a level outside [0, Q_CAP] (ValueError)."""
+    q = require_int(q, "level q")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if q > q_cap:
-        raise ValueError(f"q={q} exceeds the configured cap {q_cap}")
+    if q > Q_CAP:
+        raise ValueError(f"q={q} exceeds the level cap {Q_CAP}")
 
 
 def build_fixed_point(pea_op: LinearOperator, q: int, zwindow: SubspaceProjector,
-                      start: np.ndarray | None = None,
-                      q_cap: int = Q_CAP_DEFAULT) -> LinearOperator:
+                      start: np.ndarray | None = None) -> LinearOperator:
     """Level-q recursion: q = 0 is the wrapped operator itself; each level
     is balance(compress(previous)), so the wrapped operator is applied
     exactly 9^q times per application of the result.  The sigma-phases
     reflect about the workspace state start (None: sigma = |0>)."""
-    check_level(q, q_cap)
+    check_level(q)
     main_rows(pea_op, zwindow.dim)  # the window must tile the operator, at q = 0 too
     op = pea_op
     for _ in range(q):

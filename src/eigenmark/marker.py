@@ -39,8 +39,7 @@ from .statevec import (
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
 from .pea import WorkspaceLayout, estimation_factors
-from .fpqs import (Q_CAP_DEFAULT, SelectivePhaseSpec, build_fixed_point, check_level,
-                   selective_phase)
+from .fpqs import build_fixed_point, check_level, selective_phase
 from .voting import build_h_tensor, majority_projector, require_odd
 from .complexity import ComplexityCounters
 
@@ -51,7 +50,7 @@ def assemble_marker(core: LinearOperator, phi: float,
                     zproj: SubspaceProjector) -> LinearOperator:
     """core+ . (1_main x I_Z^phi) . core, on every main row of core; costs
     two core applications each time it is applied."""
-    rotate = selective_phase(SelectivePhaseSpec(zproj, phi, main_rows(core, zproj.dim)))
+    rotate = selective_phase(zproj, phi, main_rows(core, zproj.dim))
     return compose(core.adjoint, rotate, core)
 
 
@@ -85,7 +84,7 @@ class MarkerAssembly:
         return self.q if self.q is not None else self.nu
 
 
-def check_variant(variant: str, q: int | None, nu: int | None, q_cap: int) -> None:
+def check_variant(variant: str, q: int | None, nu: int | None) -> None:
     """Reject a variant and argument combination that build_assembly would
     reject, without building anything."""
     if variant not in VARIANTS:
@@ -96,7 +95,7 @@ def check_variant(variant: str, q: int | None, nu: int | None, q_cap: int) -> No
     elif variant == "fixed_point":
         if q is None or nu is not None:
             raise ValueError("variant 'fixed_point' takes q (and not nu)")
-        check_level(q, q_cap)
+        check_level(q)
     else:
         if nu is None or q is not None:
             raise ValueError("variant 'voting' takes nu (and not q)")
@@ -104,8 +103,7 @@ def check_variant(variant: str, q: int | None, nu: int | None, q_cap: int) -> No
 
 
 def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: float,
-                  variant: str, q: int | None, nu: int | None,
-                  q_cap: int) -> LinearOperator:
+                  variant: str, q: int | None, nu: int | None) -> LinearOperator:
     """The marker in the eigenframe on eigendirections with shifted phases
     lam, main index i for lam[i]; zproj is the variant's marked workspace
     subspace (the window, or voting's winning majority)."""
@@ -114,7 +112,7 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
         # H I_sigma H = I_u: the recursion runs on V_F, reflecting about
         # the uniform state u = H|sigma>, and H follows it once.
         uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
-        core = compose(build_fixed_point(v_f, q, zproj, uniform, q_cap), hadamard)
+        core = compose(build_fixed_point(v_f, q, zproj, uniform), hadamard)
     elif variant == "pea":
         core = compose(v_f, hadamard)
     else:
@@ -123,19 +121,19 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
 
 
 def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
-                   variant: str, q: int | None = None, nu: int | None = None,
-                   q_cap: int = Q_CAP_DEFAULT) -> MarkerAssembly:
+                   variant: str, q: int | None = None,
+                   nu: int | None = None) -> MarkerAssembly:
     """Construct the chosen variant's marker on the eigen-blocks, once on
     all eigendirections (turned by the eigenbasis into the operator) and
     once on each eigendirection alone."""
-    check_variant(variant, q, nu, q_cap)
+    check_variant(variant, q, nu)
     lam = build_shifted(spec, target).eigensystem[0]
     if variant == "voting":
         zproj, ancillas = majority_projector(layout.z_window(), nu), nu * layout.mu
     else:
         zproj, ancillas = layout.z_window(), layout.mu
     marker_on = functools.partial(_eigen_marker, layout=layout, zproj=zproj, phi=target.phi,
-                                  variant=variant, q=q, nu=nu, q_cap=q_cap)
+                                  variant=variant, q=q, nu=nu)
     blocks = marker_on(lam)
     return MarkerAssembly(
         variant=variant, phi=target.phi, blocks=blocks,

@@ -45,7 +45,7 @@ import numpy as np
 
 from .statevec import (LinearOperator, SubspaceProjector, apply, compose, in_frame,
                        real_dtype)
-from .spectral import SpectralUnitary, MarkTarget, build_shifted, wrap_angle
+from .spectral import SpectralUnitary, MarkTarget, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
 VERIFICATION_DIM = 2  # eigendirections of verification_model: one marked, one not
@@ -553,28 +553,18 @@ def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: 
     return spec, target
 
 
-def scaling_constant(mu_values, delta: float, b: float, grid_per_bin: int = 64,
-                     verify=None) -> tuple[float, list[dict]]:
-    """eta * sqrt(2^mu * delta) over a mu sweep at per-mu optimal windows.
-
-    Returns (largest constant observed, per-mu records).  When ``verify``
-    is a dtype, each point is re-measured by driving the actual operator
-    on a worst-case model instead of trusting the closed form.
-    """
+def scaling_constant(mu_values, delta: float, b: float,
+                     grid_per_bin: int = 64) -> tuple[float, list[dict]]:
+    """eta * sqrt(2^mu * delta) over a mu sweep at per-mu optimal windows,
+    eta from the closed form.  Returns (largest constant observed, per-mu
+    records)."""
     records = []
     worst = 0.0
     for mu in mu_values:
         # As in calibrate_workspace: the optimal window scales with 2^mu.
         start = int(records[-1]["window"] * 2.0 ** (mu - records[-1]["mu"])) if records else None
         choice = best_window(mu, delta, b, grid_per_bin, start=start)
-        eta = choice.eta
-        if verify is not None:
-            spec, target = verification_model(delta, b, choice.lam_marked, choice.lam_unmarked)
-            layout = WorkspaceLayout(mu, choice.window)
-            report = measure_eta(build_pea(build_shifted(spec, target), layout),
-                                 spec, target, layout, dtype=verify)
-            eta = report.eta
-        const = eta * np.sqrt(2 ** mu * delta)
+        const = choice.eta * np.sqrt(2 ** mu * delta)
         worst = max(worst, const)
-        records.append({"mu": mu, "window": choice.window, "eta": eta, "constant": const})
+        records.append({"mu": mu, "window": choice.window, "eta": choice.eta, "constant": const})
     return worst, records

@@ -17,11 +17,13 @@ Conventions fixed here and relied on by every other module:
   in_frame is the one place that turns them by an eigenbasis;
 - resource counters live in an explicit Tally passed through applications,
   never in globals, so parallel evaluations keep independent books;
-- arrays passed to operators may be complex128 or complex256; operators
-  must preserve the dtype they are given (extended precision is used when
-  measuring amplitudes near the double-precision noise floor).  Tables and
-  angles an operator builds for a dtype are computed in real_dtype(dtype),
-  so complex256 means longdouble arithmetic throughout.
+- arrays passed to operators may be complex128 or complex256, and a real
+  array is made complex on entry (long double to complex256, any other to
+  complex128); operators must preserve the dtype they are given
+  (extended precision is used when measuring amplitudes near the
+  double-precision noise floor).  Tables and angles an operator builds
+  for a dtype are computed in real_dtype(dtype), so complex256 means
+  longdouble arithmetic throughout.
 
 All values are immutable after construction and safe to share across
 threads; a Tally is single-owner.
@@ -124,6 +126,10 @@ class LinearOperator:
 
     def _run(self, fn: Callable, vec: np.ndarray, tally: Tally | None) -> np.ndarray:
         x = np.asarray(vec)
+        if x.dtype.kind != "c":
+            # Operators compute in the dtype they are given, so a real
+            # input would lose its phases; a complex one passes untouched.
+            x = x.astype(np.result_type(x, np.complex128))
         if x.shape[0] != self.dim:
             raise ValueError(f"operator of dim {self.dim} applied to vector of dim {x.shape[0]}")
         if tally is not None:

@@ -71,7 +71,7 @@ def test_c3_counter_law(small_model):
     op = em.build_pea(em.build_shifted(spec, target), layout)
     wdim = layout.work_dim
     for q in range(4):
-        fp = em.build_fixed_point(op, q, layout.z_window(), q_cap=3)
+        fp = em.build_fixed_point(op, q, layout.z_window())
         tally = em.Tally()
         fp.apply_to(np.outer(spec.basis_column(0), layout.sigma_state()).ravel(), tally)
         assert tally.get("P") == 9 ** q

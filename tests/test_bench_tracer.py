@@ -1,5 +1,6 @@
-"""The benchmark's tracer still finds every library name it rebinds, and
-its layers see a traced marker evaluation."""
+"""The benchmark's tracer still finds every library name it rebinds, its
+layers see a traced marker evaluation, and every benchmark workload still
+runs and passes its own check against the library."""
 
 import json
 import os
@@ -33,13 +34,30 @@ print(json.dumps({"statevec.apply": layers.get("statevec.apply", {}).get("calls"
 """
 
 
-def run_traced(code: str) -> subprocess.CompletedProcess:
+# One task of each benchmark workload at seed 1, after the same set-up a
+# benchmark run makes, judged by the workload's own check.
+WORKLOAD_TASKS = """
+import json
+import os
+import workloads
+passed = {}
+for name, workload in workloads.WORKLOADS.items():
+    wl = workload(1, os.getcwd())
+    wl.prepare()
+    wl.warmup()
+    wl.expect()
+    passed[name] = bool(wl.check(wl.tasks[0], wl.run(wl.tasks[0])))
+print(json.dumps(passed))
+"""
+
+
+def run_traced(code: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "bench"),
                                                       env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave no cache under bench/
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, cwd=cwd)
 
 
 def test_tracer_instruments_the_library():
@@ -58,3 +76,13 @@ def test_traced_evaluation_times_the_driver():
     seen = json.loads(done.stdout)
     assert seen["statevec.apply"] > 0
     assert seen["pea.apply"] == seen["P"] > 0
+
+
+def test_every_workload_passes_its_check(tmp_path):
+    # A library signature that a workload calls (build_assembly's q= and
+    # nu=, selective_phase, measure_eta, ...) changing under it fails here
+    # rather than in a benchmark run.  Files go to tmp_path only.
+    done = run_traced(WORKLOAD_TASKS, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"calibrate": True, "recursion": True,
+                                       "voting": True, "sweep": True}

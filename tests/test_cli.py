@@ -261,22 +261,30 @@ def test_sweep_config_validation(tmp_path):
 WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
 
 
-@pytest.mark.parametrize("doc", [
-    {"variant": "pea", "dtype": "complex512", "worst_case": WORST_CASE,
-     "grid": {"mu": [4]}},
-    {"variant": "pea", "model_path": "no_such_model.json", "grid": {"mu": [4]}},
-    {"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [3], "q": [1]}},
-    {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4, "grid": {"q": [0, 4]}},
-    {"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [1, 2]}},
-    {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [0]}},
-    {"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [6, 7]}},
-    {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": 0},
-    {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": -1},
-    {"variant": "pea", "worst_case": {**WORST_CASE, "b": 0.9}, "grid": {"mu": [4]}},
-    {"variant": "pea", "worst_case": {**WORST_CASE, "delta": 9.0}, "grid": {"mu": [4]}},
+@pytest.mark.parametrize("doc, says", [
+    ({"variant": "pea", "dtype": "complex512", "worst_case": WORST_CASE,
+      "grid": {"mu": [4]}}, "error:"),
+    ({"variant": "pea", "model_path": "no_such_model.json", "grid": {"mu": [4]}}, "error:"),
+    ({"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [3], "q": [1]}},
+     "error:"),
+    ({"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4, "grid": {"q": [0, 4]}},
+     "error: q=4 exceeds the level cap 3"),
+    ({"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [1, 2]}},
+     "error:"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [0]}}, "error:"),
+    ({"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [6, 7]}},
+     "error:"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": 0},
+     "error:"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": -1},
+     "error:"),
+    ({"variant": "pea", "worst_case": {**WORST_CASE, "b": 0.9}, "grid": {"mu": [4]}},
+     "error:"),
+    ({"variant": "pea", "worst_case": {**WORST_CASE, "delta": 9.0}, "grid": {"mu": [4]}},
+     "error:"),
 ], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu", "tensor_guard",
         "grid_zero", "grid_negative", "b_range", "delta_range"])
-def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc):
+def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc, says):
     def no_work(*_args, **_kwargs):
         raise AssertionError("best_window called before validation finished")
 
@@ -284,7 +292,7 @@ def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "c.json", doc)
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert says in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
@@ -326,7 +334,6 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("simulate", {**SIMULATE, "mu": True}),
     ("simulate", {**SIMULATE, "window": 1.7}),
     ("simulate", {**SIMULATE, "variant": "fixed_point", "q": 1.7}),
-    ("simulate", {**SIMULATE, "variant": "fixed_point", "q": 1, "q_cap": True}),
     ("simulate", {**SIMULATE, "variant": "voting", "nu": True}),
     ("simulate", {**SIMULATE, "model": _bad_model(dim=2.9)}),
     ("simulate", {**SIMULATE, "model": _bad_model(dim=True)}),
@@ -355,7 +362,7 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "compare_cell_delta", "calibrate_grid_fraction", "calibrate_mu_cap_fraction",
         "calibrate_mu_cap_bool", "simulate_n_random_fraction", "simulate_n_random_negative",
         "simulate_mu_fraction", "simulate_mu_bool", "simulate_window_fraction",
-        "simulate_q_fraction", "simulate_q_cap_bool", "simulate_nu_bool",
+        "simulate_q_fraction", "simulate_nu_bool",
         "simulate_model_dim_fraction", "simulate_model_dim_bool",
         "simulate_marked_index_fraction", "simulate_marked_index_bool",
         "sweep_n_random_negative", "sweep_n_random_bool", "sweep_mu_fraction",

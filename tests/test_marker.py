@@ -341,7 +341,7 @@ def test_variant_argument_validation(small_model):
     for variant, args in (("fixed_point", (1.5, None)), ("fixed_point", (True, None)),
                           ("voting", (None, 3.7)), ("voting", (None, True))):
         with pytest.raises(TypeError, match="integer"):
-            marker.check_variant(variant, *args, 3)
+            marker.check_variant(variant, *args)
 
 
 def test_report_serialization(tmp_path, small_model):

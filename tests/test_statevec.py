@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ def test_projector_mask_on_basis_states():
 
 
 def test_dense_materialize_selective_phase():
-    op = em.selective_phase(em.SelectivePhaseSpec(em.SubspaceProjector(2, (0,)), np.pi))
+    op = em.selective_phase(em.SubspaceProjector(2, (0,)), np.pi)
     np.testing.assert_allclose(em.dense_materialize(op), np.diag([-1, 1]), atol=1e-15)
 
 
@@ -190,8 +192,7 @@ def test_builders_keep_extended_precision(small_model):
     ops = {
         "build_pea": pea_op,
         "build_fixed_point": em.build_fixed_point(pea_op, 1, layout.z_window()),
-        "selective_phase": em.selective_phase(em.SelectivePhaseSpec(np.array([0.6, 0.8j]),
-                                                                    1.1)),
+        "selective_phase": em.selective_phase(np.array([0.6, 0.8j]), 1.1),
         "build_shifted": shifted,
         "build_h_tensor": em.build_h_tensor(pea_op, 3, layout),
     }
@@ -202,6 +203,28 @@ def test_builders_keep_extended_precision(small_model):
         assert op.adjoint_apply_to(x).dtype == EXTENDED, name
     if hasattr(np, "complex256"):
         assert np.finfo(real_dtype(EXTENDED)).eps < 1e-16
+
+
+def test_real_inputs_are_made_complex():
+    # A real main vector used to reach the real-view Hadamard as float64
+    # and fail to reshape; from_matrix cast its matrix to the real input's
+    # dtype and dropped the imaginary part with a ComplexWarning.
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.03, 2.2), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(mu=3, window=1)
+    marker = em.build_assembly(spec, target, layout, "fixed_point", q=1).operator
+    (real,) = em.apply(marker, [np.array([0.0, 1.0])], layout.work_dim)
+    (cplx,) = em.apply(marker, [np.array([0.0, 1.0 + 0j])], layout.work_dim)
+    assert real.dtype == np.complex128
+    assert np.array_equal(real, cplx)
+    swap = em.from_matrix([[0, 1j], [1j, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = swap.apply_to(np.array([1.0, 0.0]))
+        back = swap.adjoint_apply_to(np.eye(2))
+    assert np.array_equal(out, [0, 1j])
+    assert np.array_equal(back, [[0, -1j], [-1j, 0]])
+    assert swap.apply_to(np.array([1.0, 0.0], dtype=np.longdouble)).dtype == EXTENDED
 
 
 @pytest.mark.parametrize("build", [
