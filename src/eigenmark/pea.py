@@ -20,8 +20,12 @@ Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
 over the window, which on a bin-aligned grid is a box sum over the rows of
 a table of the kernel, one prefix-sum subtraction per grid phase; the table
-covers only the rows the boxes touch.  The exact kernel refines the maxima,
-and an envelope bound limits how far the unmarked sweep must reach.
+covers only the rows the boxes touch.  The exact kernel refines the three
+best maxima together, one call per refinement step over all their sub-grids
+with each shared point evaluated once, and an envelope bound limits how far
+the unmarked sweep must reach.  The kernel reduces the window offsets mod W
+once per (mu, window), so no term pays a modulo and only phases whose bins
+reach W/2 wrap; both it and the table compute in place on one buffer.
 best_window finds the window where the two worst cases cross with a
 galloping search from a start window and keeps the better of the pair at
 the crossing; since the crossing is monotone in the window, the start
@@ -44,7 +48,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .statevec import (LinearOperator, SubspaceProjector, apply, compose, in_frame,
-                       real_dtype)
+                       real_dtype, require_int)
 from .spectral import SpectralUnitary, MarkTarget, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
@@ -64,6 +68,8 @@ class WorkspaceLayout:
     window: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", require_int(self.mu, "mu"))
+        object.__setattr__(self, "window", require_int(self.window, "window"))
         if self.mu < 1:
             raise ValueError("mu must be at least 1")
         if not (0 <= self.window < 2 ** (self.mu - 1)):
@@ -235,31 +241,64 @@ def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarge
 # ---------------------------------------------------------------------------
 # Closed-form workspace response and worst-case search.
 
+@functools.lru_cache(maxsize=128)  # bounded: an exhaustive scan probes every window
+def _window_offsets(mu: int, window: int) -> np.ndarray:
+    """-z mod W in [-W/2, W/2) for the window elements z, in window_indices
+    order, as a read-only float array (its entries lie in [-window, window])."""
+    wdim = 2 ** mu
+    zs = WorkspaceLayout(mu, window).window_indices()
+    offsets = ((wdim // 2 - zs) % wdim - wdim // 2).astype(float)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
     """Probability mass the estimation operator leaves inside the window for
-    an eigendirection with shifted phase lam (vectorized over lam).
+    an eigendirection with shifted phase lam (a scalar or 1-D array).
 
     The workspace amplitude at z is the Dirichlet ratio
     sin(W u/2) / (W sin(u/2)) with u = lam - 2 pi z / W, so the in-window
     mass is an O(window) sum per phase.
     """
+    mu, window = require_int(mu, "mu"), require_int(window, "window")
     wdim = 2 ** mu
     if not (0 <= window < wdim // 2):
         raise ValueError(f"window {window} outside [0, 2^(mu-1))")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    zs = WorkspaceLayout(mu, window).window_indices()
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1:
+        raise ValueError(f"lam must be a scalar or 1-D, got shape {lam.shape}")
+    lam = np.atleast_1d(lam)
     # r = lam - k beta to the nearest bin k, exact up to its own rounding as
     # k * _TWO_PI_HI is exact (k < 2^24).  Element z lies d = k - z (mod W,
     # in [-W/2, W/2)) bins on: u = r + d beta and sin(W u/2) = +-sin(W r/2).
     k = np.round(lam * (wdim / (2 * np.pi)))
     r = (lam - k * (_TWO_PI_HI / wdim)) - k * ((2 * np.pi - _TWO_PI_HI) / wdim)
-    d = (k.astype(np.int64)[:, None] - zs + wdim // 2) % wdim - wdim // 2
-    u = r[:, None] + d * (2 * np.pi / wdim)
-    # sin is exact enough near 0 that only u == 0 needs the limit value
+    k_mod = ((k.astype(np.int64) + wdim // 2) % wdim - wdim // 2).astype(float)
+    half = np.add(k_mod[:, None], _window_offsets(mu, window))  # d, then u/2
+    wraps = np.abs(k_mod) + window >= wdim // 2
+    if wraps.any():
+        d = half[wraps]
+        d[d >= wdim // 2] -= wdim
+        d[d < -(wdim // 2)] += wdim
+        half[wraps] = d
+    # u/2 = d (pi/W) + r/2 is exactly half of r + d beta: halving commutes
+    # with rounding.  sin, the W scale, the divide and the square run in
+    # place on the one buffer.
+    half *= np.pi / wdim
+    half += 0.5 * r[:, None]
+    np.sin(half, out=half)
+    half *= wdim
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin((0.5 * wdim) * r)[:, None] / (wdim * np.sin(0.5 * u))
-    ratio = np.where(u == 0.0, 1.0, ratio)
-    return (ratio * ratio).sum(axis=1)
+        np.divide(np.sin((0.5 * wdim) * r)[:, None], half, out=half)
+    np.multiply(half, half, out=half)
+    # u == 0 exactly when d == 0 and r == 0: there, and only there, the
+    # ratio is 0/0 and takes its limit 1.
+    exact = r == 0.0
+    if exact.any():
+        rows = half[exact]
+        rows[np.isnan(rows)] = 1.0
+        half[exact] = rows
+    return half.sum(axis=1)
 
 
 def _response_envelope(lam: float, mu: int, window: int) -> float:
@@ -292,11 +331,18 @@ def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
     a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
     rows = (np.arange(a0 - window, a0 + span + window) + wdim // 2) % wdim - wdim // 2
     cols = np.arange(g) / g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = (np.sin(np.pi * cols) / (wdim * np.sin((rows[:, None] + cols) * np.pi / wdim))) ** 2
-    table[rows == 0, 0] = 1.0
+    # The table is built, and summed, in place in its prefix buffer.
     prefix = np.zeros((len(rows) + 1, g))
-    np.cumsum(table, axis=0, out=prefix[1:])
+    table = prefix[1:]
+    np.add(rows[:, None], cols, out=table)
+    table *= np.pi / wdim
+    np.sin(table, out=table)
+    table *= wdim
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.sin(np.pi * cols), table, out=table)
+    np.multiply(table, table, out=table)
+    table[rows == 0, 0] = 1.0
+    np.cumsum(table, axis=0, out=table)
     inside = (prefix[2 * window + 1:] - prefix[:span]).ravel()[n0 - a0 * g:n1 - a0 * g + 1]
     return np.arange(n0, n1 + 1) * step, inside
 
@@ -305,22 +351,27 @@ def _sup_scan(mu: int, window: int, lo: float, hi: float, grid_per_bin: int,
               outside: bool = False):
     """(lam, mass) with the largest in-window mass (out-of-window mass when
     outside) over [lo, hi].  The three best of the box-sum grid, lo and hi
-    are refined with the exact kernel, which gives the mass returned."""
+    are refined together with the exact kernel, which gives the mass
+    returned: each of the four steps evaluates every candidate's 33-point
+    sub-grid in one kernel call, and a point two candidates share once."""
     xs, inside = _box_grid(mu, window, lo, hi, grid_per_bin)
     xs = np.concatenate((xs, [lo, hi]))
     sign = -1.0 if outside else 1.0
     vals = sign * np.concatenate((inside, window_response_mass([lo, hi], mu, window)))
-    best_x, best_v = lo, -np.inf
-    for idx in np.argsort(vals)[::-1][:3]:
-        cx, cstep = float(xs[idx]), 2 * np.pi / 2 ** mu / grid_per_bin
-        for _ in range(4):
-            sub = np.linspace(max(lo, cx - cstep), min(hi, cx + cstep), 33)
-            sv = sign * window_response_mass(sub, mu, window)
-            j = int(np.argmax(sv))
-            cx, cv = float(sub[j]), float(sv[j])
-            cstep /= 8.0
-        if cv > best_v:
-            best_x, best_v = cx, cv
+    cx = xs[np.argsort(vals)[::-1][:3]]
+    pick = np.arange(len(cx))
+    cstep = 2 * np.pi / 2 ** mu / grid_per_bin
+    for _ in range(4):
+        # Row by row as the scalar linspace: numpy leaves its multiply-first
+        # path for all rows only when a row has zero width, i.e. lo == hi.
+        sub = np.linspace(np.maximum(lo, cx - cstep), np.minimum(hi, cx + cstep), 33, axis=1)
+        points, where = np.unique(sub, return_inverse=True)
+        sv = (sign * window_response_mass(points, mu, window))[where.reshape(sub.shape)]
+        j = np.argmax(sv, axis=1)
+        cx, cv = sub[pick, j], sv[pick, j]
+        cstep /= 8.0
+    best = int(np.argmax(cv))
+    best_x, best_v = float(cx[best]), float(cv[best])
     return best_x, 1.0 + best_v if outside else best_v
 
 
@@ -384,8 +435,10 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
     (11, 3.0, 0.05); calibrate_workspace passes twice the previous mu's
     window instead.
     """
+    mu = require_int(mu, "mu")
     if mu < 1:
         raise ValueError(f"mu {mu} must be at least 1")
+    check_search(delta, b, grid_per_bin)
     wmax = 2 ** (mu - 1) - 1
 
     @functools.cache
@@ -454,7 +507,7 @@ def check_search(delta: float, b: float, grid_per_bin: int) -> None:
         raise ValueError(f"delta {delta!r} outside (0, pi]")
     if not (0.0 < b <= 0.25):
         raise ValueError(f"b {b!r} outside (0, 0.25]")
-    if grid_per_bin < 1:
+    if require_int(grid_per_bin, "grid_per_bin") < 1:
         raise ValueError(f"grid_per_bin {grid_per_bin!r} must be at least 1")
 
 
@@ -477,6 +530,8 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
     within mu_cap; otherwise, or when the cache is corrupt (reported with a
     RuntimeWarning), the result is recomputed and the file rewritten.
     """
+    mu_cap = require_int(mu_cap, "mu_cap")
+    grid_per_bin = require_int(grid_per_bin, "grid_per_bin")
     check_search(delta, b, grid_per_bin)
     if not (0.0 < eta_target <= 1.0):
         raise ValueError(f"eta_target {eta_target!r} outside (0, 1]")

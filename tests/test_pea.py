@@ -30,6 +30,41 @@ def brute_window_mass(lam: float, mu: int, window: int) -> float:
     return mass
 
 
+def mass_per_term_modulo(lam, mu: int, window: int) -> np.ndarray:
+    """Reference: window_response_mass as first written, one int64 modulo
+    per term and a new temporary per step.  The in-place kernel must
+    match it bit for bit."""
+    wdim = 2 ** mu
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    zs = em.WorkspaceLayout(mu, window).window_indices()
+    k = np.round(lam * (wdim / (2 * np.pi)))
+    r = (lam - k * (pea._TWO_PI_HI / wdim)) - k * ((2 * np.pi - pea._TWO_PI_HI) / wdim)
+    d = (k.astype(np.int64)[:, None] - zs + wdim // 2) % wdim - wdim // 2
+    u = r[:, None] + d * (2 * np.pi / wdim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin((0.5 * wdim) * r)[:, None] / (wdim * np.sin(0.5 * u))
+    ratio = np.where(u == 0.0, 1.0, ratio)
+    return (ratio * ratio).sum(axis=1)
+
+
+def box_grid_from_table(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
+    """Reference: _box_grid as first written, its Fejér table formed as one
+    expression and summed into a separate prefix buffer."""
+    wdim, g = 2 ** mu, grid_per_bin
+    step = 2 * np.pi / (wdim * g)
+    n0, n1 = int(np.floor(lo / step)) + 1, int(np.ceil(hi / step)) - 1
+    a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
+    rows = (np.arange(a0 - window, a0 + span + window) + wdim // 2) % wdim - wdim // 2
+    cols = np.arange(g) / g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = (np.sin(np.pi * cols) / (wdim * np.sin((rows[:, None] + cols) * np.pi / wdim))) ** 2
+    table[rows == 0, 0] = 1.0
+    prefix = np.zeros((len(rows) + 1, g))
+    np.cumsum(table, axis=0, out=prefix[1:])
+    inside = (prefix[2 * window + 1:] - prefix[:span]).ravel()[n0 - a0 * g:n1 - a0 * g + 1]
+    return np.arange(n0, n1 + 1) * step, inside
+
+
 def two_phase_model(lam_marked, lam_unmarked, phi=np.pi):
     gap = abs(wrap_angle(lam_unmarked - lam_marked)) * (1 - 1e-9)
     spec = em.SpectralUnitary(dim=2, eigenphases=(lam_marked, lam_unmarked), delta=gap)
@@ -175,6 +210,65 @@ def test_kernel_matches_brute_force_oracle():
             assert abs(got - want) <= 1e-12
 
 
+def kernel_cases():
+    """(mu, window, lam) covering the kernel's branches: bins that wrap past
+    +-W/2 (phases near +-pi, the widest window, and the whole bin
+    W/2 - window, whose last element sits exactly W/2 bins on), exact bins
+    (lam = 0 and the bin centres), window 0 and 2^(mu-1) - 1, phases
+    outside (-pi, pi], and no phase at all."""
+    rng = np.random.default_rng(5)
+    for mu in (1, 2, 3, 5, 8, 11):
+        wdim = 2 ** mu
+        bins = 2 * np.pi / wdim * np.arange(-wdim // 2, wdim // 2 + 1)
+        lam = np.concatenate(([0.0, -0.0, 7.0, -9.5, np.pi, -np.pi], bins, bins + 1e-3 / wdim,
+                              rng.uniform(-np.pi, np.pi, 16)))
+        for window in sorted({0, wdim // 4, wdim // 2 - 1} | ({1} if mu > 1 else set())):
+            edge = 2 * np.pi / wdim * (wdim // 2 - window + np.linspace(-0.5, 0.5, 401))
+            yield mu, window, np.concatenate((lam, edge, -edge))
+            yield mu, window, np.array([])
+
+
+def test_kernel_is_bit_identical_to_the_per_term_modulo_form():
+    for mu, window, lam in kernel_cases():
+        got = pea.window_response_mass(lam, mu, window)
+        want = mass_per_term_modulo(lam, mu, window)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (mu, window)
+    for lam in (0.0, 7.0, -9.5, np.pi - 1e-3, -np.pi):
+        for mu, window in ((4, 0), (4, 7), (6, 31)):
+            assert np.array_equal(pea.window_response_mass(lam, mu, window),
+                                  mass_per_term_modulo(lam, mu, window)), (lam, mu, window)
+
+
+def test_box_grid_is_bit_identical_to_the_table_expression():
+    for mu in (1, 3, 6, 9):
+        wdim = 2 ** mu
+        for window in sorted({0, wdim // 2 - 1} | ({1} if mu > 1 else set())):
+            for lo, hi in ((0.0, 0.3), (-0.4, 0.9), (np.pi - 0.5, np.pi), (-np.pi, np.pi)):
+                for g in (1, 5, 64):
+                    got = pea._box_grid(mu, window, lo, hi, g)
+                    want = box_grid_from_table(mu, window, lo, hi, g)
+                    assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
+                        (mu, window, lo, hi, g)
+
+
+def test_kernel_domain_is_checked():
+    # A fractional window would sum a mass above 1, and a fractional mu
+    # would build a float work_dim.
+    with pytest.raises(TypeError, match="window"):
+        pea.window_response_mass(0.1, 5, 2.5)
+    with pytest.raises(TypeError, match="mu"):
+        pea.window_response_mass(0.1, 5.0, 2)
+    with pytest.raises(TypeError, match="mu"):
+        em.WorkspaceLayout(5.5, 3)
+    with pytest.raises(TypeError, match="window"):
+        em.WorkspaceLayout(5, 3.0)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        pea.window_response_mass(np.zeros((2, 2)), 5, 2)
+    layout = em.WorkspaceLayout(np.int64(5), np.int64(3))
+    assert type(layout.mu) is int and type(layout.work_dim) is int
+    assert pea.window_response_mass(0.1, np.int64(5), np.int64(3)).shape == (1,)
+
+
 def test_kernel_matches_simulation():
     layout = em.WorkspaceLayout(mu=5, window=3)
     spec, target = two_phase_model(0.003, 1.9)
@@ -241,6 +335,20 @@ def test_best_window_matches_brute_force(mu, delta, b):
 def test_best_window_rejects_mu_below_one():
     with pytest.raises(ValueError, match="mu 0 must be at least 1"):
         em.best_window(0, 0.4, 0.05)
+
+
+@pytest.mark.parametrize("args,kwargs,error,match", [
+    ((5, 1.0, 0.05), {"grid_per_bin": 0}, ValueError, "grid_per_bin"),
+    ((5, 1.0, 0.05), {"grid_per_bin": 8.0}, TypeError, "grid_per_bin"),
+    ((5, -1.0, 0.05), {}, ValueError, "delta"),
+    ((5, 4.0, 0.05), {}, ValueError, "delta"),
+    ((5, 1.0, 0.3), {}, ValueError, "b"),
+    ((5.0, 1.0, 0.05), {}, TypeError, "mu"),
+], ids=["grid0", "grid_float", "delta_negative", "delta_above_pi", "b_above_quarter",
+        "mu_float"])
+def test_best_window_checks_its_domain(args, kwargs, error, match):
+    with pytest.raises(error, match=match):
+        em.best_window(*args, **kwargs)
 
 
 def test_mu8_band_eta_exceeds_working_regime():
@@ -327,6 +435,32 @@ def test_calibration_probes_few_windows_per_mu(monkeypatch):
     assert max(len(windows) for windows in probed.values()) <= 3
 
 
+def test_refinement_shares_kernel_calls(monkeypatch):
+    # The three candidates are refined together: one kernel call for lo and
+    # hi, then one per refinement step over every candidate's sub-grid,
+    # each shared point once.  Refined one candidate at a time, the same
+    # calibration made 694 calls over 2,722,852 terms.
+    calls = []
+    kernel, scan = pea.window_response_mass, pea._sup_scan
+    per_scan = []
+
+    def counted_kernel(lam, mu, window):
+        calls.append(np.size(lam) * (2 * window + 1))
+        return kernel(lam, mu, window)
+
+    def counted_scan(*args, **kwargs):
+        before = len(calls)
+        result = scan(*args, **kwargs)
+        per_scan.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(pea, "window_response_mass", counted_kernel)
+    monkeypatch.setattr(pea, "_sup_scan", counted_scan)
+    assert em.calibrate_workspace(0.4, 0.05) == COLD_SEARCH_RESULTS[0]
+    assert per_scan and max(per_scan) <= 5
+    assert sum(calls) < 2_200_000
+
+
 @pytest.mark.parametrize("mu,delta", [(9, 0.6), (9, 1.2), (9, 2.2), (9, 3.0), (11, 3.0)])
 def test_best_window_starts_at_the_crossing_phase(monkeypatch, mu, delta):
     # The default start is the window whose edge sits at delta/3, next to
@@ -350,6 +484,16 @@ def test_calibration_cache_roundtrip(tmp_path):
     assert path.exists()
     again = em.calibrate_workspace(3.0, 0.05, cache_path=path)
     assert again == first
+
+
+def test_calibration_cache_takes_numpy_counts(tmp_path):
+    # The counts are stored as ints, so the cache file can be written.
+    path = tmp_path / "calib.json"
+    got = em.calibrate_workspace(3.0, 0.05, mu_cap=np.int64(12), grid_per_bin=np.int64(64),
+                                 cache_path=path)
+    assert got == COLD_SEARCH_RESULTS[1] and type(got.grid_per_bin) is int
+    assert json.loads(path.read_text()) == {pea._cache_key(3.0, 0.05, got.eta_target, 64):
+                                            asdict(got)}
 
 
 @pytest.mark.parametrize("first_cap,second_cap", [(4, 20), (20, 4)],
@@ -421,3 +565,7 @@ def test_calibrate_rejects_bad_arguments():
         em.calibrate_workspace(0.4, 0.3)
     with pytest.raises(ValueError, match="eta_target"):
         em.calibrate_workspace(0.4, 0.05, eta_target=0.0)
+    with pytest.raises(TypeError, match="mu_cap"):
+        em.calibrate_workspace(0.4, 0.05, mu_cap=8.0)
+    with pytest.raises(TypeError, match="grid_per_bin"):
+        em.calibrate_workspace(0.4, 0.05, grid_per_bin=64.0)
