@@ -36,6 +36,7 @@ from .statevec import (
     compose,
     in_frame,
     main_rows,
+    require_int,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
 from .pea import WorkspaceLayout, estimation_factors
@@ -232,29 +233,38 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
                     n_random: int = 8, seed: int = 0,
                     dtype=np.complex128) -> MarkerErrorReport:
     """Residuals per eigendirection plus n_random Haar-ish superposition
-    probes, with the resource counters accumulated over the whole run."""
+    probes, with the resource counters accumulated over the whole run.
+    n_random is an int (TypeError otherwise, a bool included); a negative
+    count is a ValueError."""
+    n_random = require_int(n_random, "n_random")
+    if n_random < 0:
+        raise ValueError(f"n_random must be nonnegative, got {n_random}")
     tally = Tally()
-    work_dim = assembly.work_dim
-    ideal = ideal_marker(spec, target)
+    rng = np.random.default_rng(seed)
+    probes = []
+    for _ in range(n_random):
+        main = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        probes.append((main / np.linalg.norm(main)).astype(dtype))
+    # Every eigendirection (sigma through its own marker) and every probe
+    # (through the turned operator) is an independent application, so all
+    # go to the driver in one call.
+    directions = assembly.directions
+    outs = apply(directions + (assembly.operator,) * n_random,
+                 [np.ones(1, dtype=dtype)] * len(directions) + probes,
+                 assembly.work_dim, tally)
     entries = []
-    # Eigendirection i is sigma through its own marker; the ideal output is
-    # sigma times its phase, subtracted in place.
-    one = np.ones((1, 1), dtype=dtype)
-    for i, direction in enumerate(assembly.directions):
-        out = apply(direction, one, work_dim, tally)[0]
+    # The ideal output of eigendirection i is sigma times its phase,
+    # subtracted in place.
+    for i, out in enumerate(outs[:len(directions)]):
         marked = i in target.marked_indices
         out[0, 0] -= np.exp(1j * target.phi) if marked else 1.0
         entries.append(ResidualEntry(i, spec.eigenphases[i], target.lambdas[i],
                                      marked, float(np.linalg.norm(out))))
     worst = max(e.residual for e in entries)
 
-    rng = np.random.default_rng(seed)
-    mains = []
-    for _ in range(n_random):
-        main = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        mains.append((main / np.linalg.norm(main)).astype(dtype))
+    ideal = ideal_marker(spec, target)
     sup_res = 0.0
-    for main, out in zip(mains, apply(assembly.operator, mains, work_dim, tally)):
+    for main, out in zip(probes, outs[len(directions):]):
         out[:, 0] -= ideal.apply_to(main)
         sup_res = max(sup_res, float(np.linalg.norm(out)))
 

@@ -42,6 +42,7 @@ import functools
 import json
 import os
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -146,18 +147,21 @@ def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, Li
     wdim = layout.work_dim
     dim = main_dim * wdim
     cache: dict = {}
+    lock = threading.Lock()
 
     def tables(dtype):
         """(mask, its conjugate) for dtype; conjugation is exact, so the
-        adjoint reads the cached conjugate instead of forming one."""
+        adjoint reads the cached conjugate instead of forming one.  Built
+        once under the lock, so concurrent first applications share one."""
         key = np.dtype(dtype)
-        if key not in cache:
-            work = real_dtype(key)
-            ph = lam.astype(work)
-            z = np.arange(wdim, dtype=work)
-            mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
-            cache[key] = (mask, mask.conj())
-        return cache[key]
+        with lock:
+            if key not in cache:
+                work = real_dtype(key)
+                ph = lam.astype(work)
+                z = np.arange(wdim, dtype=work)
+                mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
+                cache[key] = (mask, mask.conj())
+            return cache[key]
 
     def hadamard(x, _tally):
         return _fwht_axis1(x.reshape(main_dim, wdim, -1)).reshape(x.shape)

@@ -25,14 +25,22 @@ Conventions fixed here and relied on by every other module:
   for a dtype are computed in real_dtype(dtype), so complex256 means
   longdouble arithmetic throughout.
 
-All values are immutable after construction and safe to share across
-threads; a Tally is single-owner.
+Operators are safe to share across threads.  Their state is fixed at
+construction except for per-dtype caches that fill on first use: the
+estimation operator's phase mask (pea.estimation_factors) is built once,
+under a lock the operator owns, since it is a W-point table; the
+selective phase's scalar factor and from_matrix's cast matrix are filled
+without one, as two threads that race compute the same value and one
+store wins; pea._sylvester is a functools.cache.  A Tally is
+single-owner: apply gives each concurrent application its own.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -249,17 +257,63 @@ def in_frame(op: LinearOperator, basis: np.ndarray | None, work_dim: int) -> Lin
     return LinearOperator(op.dim, apply_fn, adjoint_fn, eigensystem=eig)
 
 
-def apply(op: LinearOperator, mains, work_dim: int,
+def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
           tally: Tally | None = None) -> list[np.ndarray]:
-    """op applied to main (x) sigma for each main-space vector in mains, one
-    application (and one charge to tally) per vector; each output is a
-    (main_dim, work_dim) array.  ValueError when work_dim does not tile
-    op.dim (see main_rows)."""
-    main_rows(op, work_dim)
+    """Each main-space vector in mains, tensored with sigma, through its
+    operator: ops is one operator for every vector or a sequence of them,
+    one per vector (ValueError naming both counts otherwise).  One
+    application, and one charge to tally, per vector; each output is a
+    (main_dim, work_dim) array, in input order.  ValueError when work_dim
+    does not tile an operator's dim (see main_rows).
+
+    Extended-precision inputs (real_dtype itemsize above 8 bytes) run
+    concurrently, largest operator first, on a thread pool made for this
+    call with one worker per usable core, at most one per vector.  Each
+    application charges a Tally of its own, merged into tally in input
+    order, so outputs and books equal a serial loop's.  If applications
+    raise, the exception of the first failing vector in input order
+    propagates once all have ended, with tally charged as the serial loop
+    would have left it.  No thread outlives the call, so a process forked
+    later (sweep --jobs) inherits none.  The gate: an extended
+    application's time is long-double FFTs, which numpy runs outside the
+    GIL, while threading complex128 applications made sweep slower and
+    raised voting's peak memory, so those run in the calling thread."""
+    mains = list(mains)
+    if isinstance(ops, LinearOperator):
+        ops = [ops] * len(mains)
+    elif len(ops) != len(mains):
+        raise ValueError(f"{len(ops)} operators for {len(mains)} main vectors")
+    for op in ops:
+        main_rows(op, work_dim)
     sigma = np.zeros(work_dim)
     sigma[0] = 1.0
-    return [op.apply_to(np.outer(main, sigma).ravel(), tally).reshape(-1, work_dim)
-            for main in mains]
+
+    def run(i, books):
+        return ops[i].apply_to(np.outer(mains[i], sigma).ravel(), books).reshape(-1, work_dim)
+
+    extended = any(real_dtype(np.result_type(np.asarray(main), sigma)).itemsize > 8
+                   for main in mains)
+    workers = min(_cores(), len(mains)) if extended else 1
+    if workers <= 1:
+        return [run(i, tally) for i in range(len(mains))]
+    books = [Tally() for _ in mains]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(run, i, books[i])
+                   for i in sorted(range(len(mains)), key=lambda i: -ops[i].dim)}
+    outs = []
+    for i, own in enumerate(books):
+        if tally is not None:
+            tally.charge(own.counts.items())
+        outs.append(futures[i].result())
+    return outs
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def dense_materialize(op: LinearOperator) -> np.ndarray:

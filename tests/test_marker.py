@@ -327,6 +327,20 @@ def test_marker_counters(small_model):
     assert voting_report.counters.n_p == 2 * 3 * spec.dim
 
 
+def test_probe_count_is_a_nonnegative_int(small_model):
+    # True used to run one probe, and -3 none, reporting a superposition
+    # residual of 0.0 within the eigen maximum.
+    spec, target, layout = small_model
+    assembly = em.build_assembly(spec, target, layout, "pea")
+    with pytest.raises(TypeError, match="n_random"):
+        em.evaluate_marker(assembly, spec, target, n_random=True)
+    with pytest.raises(ValueError, match="n_random must be nonnegative, got -3"):
+        em.evaluate_marker(assembly, spec, target, n_random=-3)
+    report = em.evaluate_marker(assembly, spec, target, n_random=np.int64(0))
+    assert report.superposition_residual == 0.0
+    assert report.counters.n_p == 2 * spec.dim
+
+
 def test_variant_argument_validation(small_model):
     spec, target, layout = small_model
     with pytest.raises(ValueError, match="unknown variant"):

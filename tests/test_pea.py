@@ -3,6 +3,9 @@ import functools
 import itertools
 import json
 import re
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -170,6 +173,37 @@ def test_hadamard_matches_dense_kronecker_power(mu):
             got = pea._fwht_axis1(x[:m, :, :k].astype(dtype))
             assert got.dtype == dtype and got.shape == (m, 2 ** mu, k)
             assert np.abs(got - want[:m, :, :k]).max() <= tol
+
+
+def test_estimation_table_is_built_once_under_threads(monkeypatch):
+    # Several threads apply one fresh V_F at once: the operator's lock
+    # lets one build the W-point mask table and the others wait for it, and
+    # every output equals a serial application's.  The counting real_dtype
+    # sleeps, which widens the window a second build could start in.
+    lam, layout = (0.3, -2.9), em.WorkspaceLayout(10, 3)
+    rng = np.random.default_rng(8)
+    x = (rng.normal(size=2 * layout.work_dim)
+         + 1j * rng.normal(size=2 * layout.work_dim)).astype(EXTENDED)
+    want = pea.estimation_factors(lam, layout)[0].apply_to(x)
+    builds = []
+
+    def counting(dtype):
+        builds.append(np.dtype(dtype))
+        time.sleep(0.05)
+        return real_dtype(dtype)
+
+    monkeypatch.setattr(pea, "real_dtype", counting)
+    v_f, _h = pea.estimation_factors(lam, layout)
+    start = threading.Barrier(4, timeout=30)
+
+    def run(_):
+        start.wait()
+        return v_f.apply_to(x)
+
+    with ThreadPoolExecutor(4) as pool:
+        outs = list(pool.map(run, range(4)))
+    assert builds == [np.dtype(EXTENDED)]
+    assert all(np.array_equal(out, want) for out in outs)
 
 
 @needs_extended

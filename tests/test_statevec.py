@@ -1,9 +1,13 @@
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import eigenmark as em
+from eigenmark import statevec
 from eigenmark.statevec import EXTENDED, in_frame, real_dtype
 
 from conftest import haar_unitary
@@ -75,6 +79,122 @@ def test_apply_charges_cost_once_per_application():
             assert np.abs(out - want).max() <= 1e-12
     op.adjoint_apply_to(np.zeros(6, complex), tally)
     assert tally.get("U") == 15
+
+
+def _probes(rng, dim: int, count: int, dtype) -> list[np.ndarray]:
+    mains = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return list((mains / np.linalg.norm(mains, axis=1, keepdims=True)).astype(dtype))
+
+
+def test_driver_matches_a_serial_loop_on_extended_recursion(small_model):
+    # A complex256 level-2 marker on a Haar basis: its directions and its
+    # probes through one driver call equal a serial apply_to loop bit for
+    # bit, and charge the same books.
+    spec, target, layout = small_model
+    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=2)
+    ops = assembly.directions + (assembly.operator,) * 3
+    mains = ([np.ones(1, dtype=EXTENDED)] * spec.dim
+             + _probes(np.random.default_rng(2), spec.dim, 3, EXTENDED))
+    sigma = layout.sigma_state(EXTENDED)
+    serial = em.Tally()
+    want = [op.apply_to(np.outer(main, sigma).ravel(), serial).reshape(-1, layout.work_dim)
+            for op, main in zip(ops, mains)]
+    tally = em.Tally()
+    got = em.apply(ops, mains, layout.work_dim, tally)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == EXTENDED
+        assert np.array_equal(g, w)
+    assert tally.counts == serial.counts
+    assert tally.get("P") == 2 * 9 ** 2 * len(ops)
+
+
+def test_driver_rejects_an_operator_count_mismatch():
+    with pytest.raises(ValueError, match="2 operators for 3 main vectors"):
+        em.apply([em.identity(2)] * 2, [np.ones(1, dtype=EXTENDED)] * 3, 2)
+
+
+def _identity_doing(dim: int, cost=(), action=None) -> em.LinearOperator:
+    def run(x, _tally):
+        if action is not None:
+            action()
+        return x
+    return em.LinearOperator(dim, run, run, cost)
+
+
+def test_driver_raises_the_first_failing_input(monkeypatch):
+    # Input 3 fails first in time, input 1 first in input order: input 1's
+    # exception propagates, after every application ended, and the books
+    # hold what a serial loop charges up to it.
+    monkeypatch.setattr(statevec, "_cores", lambda: 2)
+    ran = []
+
+    def step(k, delay=0.0, fails=False):
+        def act():
+            time.sleep(delay)
+            ran.append(k)
+            if fails:
+                raise RuntimeError(f"input {k}")
+        return act
+
+    cost = (("U", 1),)
+    ops = [_identity_doing(2, cost, step(0)), _identity_doing(2, cost, step(1, 0.2, True)),
+           _identity_doing(2, cost, step(2)), _identity_doing(2, cost, step(3, fails=True))]
+    before = threading.active_count()
+    tally = em.Tally()
+    with pytest.raises(RuntimeError, match="input 1"):
+        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, 2, tally)
+    assert sorted(ran) == [0, 1, 2, 3]
+    assert tally.get("U") == 2
+    assert threading.active_count() == before
+
+
+def test_driver_leaves_no_thread_behind(small_model):
+    # No thread outlives a call: a process forked afterwards (sweep --jobs)
+    # must inherit none.
+    spec, target, layout = small_model
+    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)
+    mains = _probes(np.random.default_rng(3), spec.dim, 4, EXTENDED)
+    before = threading.active_count()
+    em.apply([assembly.operator] * 4, mains, layout.work_dim, em.Tally())
+    assert threading.active_count() == before
+
+
+def test_driver_workers_order_and_dtype_gate(monkeypatch):
+    # min(cores, vectors) workers, the largest operator submitted first
+    # (input order among equals), and complex128 inputs never reach a pool.
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append((max_workers, []))
+
+        def submit(self, fn, i, *args):
+            pools[-1][1].append(i)
+            return super().submit(fn, i, *args)
+
+    monkeypatch.setattr(statevec, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(statevec, "_cores", lambda: 3)
+    ops = [_identity_doing(2), _identity_doing(4), _identity_doing(2), _identity_doing(6), _identity_doing(4)]
+    mains = [np.ones(d // 2, dtype=EXTENDED) for d in (2, 4, 2, 6, 4)]
+    outs = em.apply(ops, mains, 2)
+    assert [out.shape for out in outs] == [(1, 2), (2, 2), (1, 2), (3, 2), (2, 2)]
+    em.apply(ops[:2], mains[:2], 2)
+    assert pools == [(3, [3, 1, 4, 0, 2]), (2, [1, 0])]
+    em.apply(ops, [m.astype(np.complex128) for m in mains], 2)
+    em.apply(ops[:1], mains[:1], 2)
+    assert len(pools) == 2
+
+
+def test_extended_applications_overlap():
+    # Two extended applications are in flight at once: each waits for the
+    # other at a barrier, which a serial loop would never pass.
+    if statevec._cores() < 2:
+        pytest.skip("needs two usable cores")
+    meet = threading.Barrier(2, timeout=30)
+    ops = [_identity_doing(2, action=meet.wait) for _ in range(2)]
+    em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 2, 2)
 
 
 def test_projector_mask_splits_symmetric_state():
