@@ -29,7 +29,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import complexity, marker, pea, spectral, voting
-from .statevec import EXTENDED
+from .statevec import EXTENDED, share_cores
 
 SWEEP_COLUMNS = ("variant", "delta", "mu", "window", "q", "nu", "phi", "eta",
                  "worst_residual", "superposition_residual", "N_U", "N_A", "N_P")
@@ -325,7 +325,8 @@ def _cmd_sweep(args) -> int:
     # ask for no more than there are groups to run.
     workers = min(args.jobs, len(groups))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
+                                 initargs=(workers,)) as pool:
             results = list(pool.map(_run_cells, groups.values()))
     else:
         results = [_run_cells(group) for group in groups.values()]

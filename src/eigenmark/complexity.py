@@ -125,9 +125,21 @@ def tabulate(delta_grid, eps_grid, measured=()) -> list[dict]:
     columns are filled from ``measured`` records (dicts with variant,
     delta, eps, and exact mu/q/nu/n_u/n_a/n_p from a real run) where
     present.  Rows come back in canonical order (variant, delta, eps).
+    Every grid entry must be positive and finite, and delta * eps^2 must
+    have a finite reciprocal in every cell (ValueError otherwise).
     """
     if not delta_grid or not eps_grid:
         raise ValueError("delta and eps grids must be nonempty")
+    for name, grid in (("delta_grid", delta_grid), ("eps_grid", eps_grid)):
+        for value in grid:
+            if not 0.0 < float(value) < math.inf:
+                raise ValueError(f"{name} entries must be positive and finite, got {value!r}")
+    for delta in delta_grid:
+        for eps in eps_grid:
+            scale = float(delta) * float(eps) * float(eps)
+            if scale == 0.0 or math.isinf(1.0 / scale):
+                raise ValueError(f"delta * eps^2 = {scale!r} at delta={delta!r}, eps={eps!r} "
+                                 "is out of a double's range")
     by_cell = {(m["variant"], float(m["delta"]), float(m["eps"])): m for m in measured}
     rows = []
     for delta in delta_grid:

@@ -87,7 +87,7 @@ class WorkspaceLayout:
         return np.concatenate([np.arange(0, w + 1), np.arange(dim - w, dim)])
 
     def z_window(self) -> SubspaceProjector:
-        return SubspaceProjector(self.work_dim, tuple(int(z) for z in self.window_indices()))
+        return SubspaceProjector(self.work_dim, self.window_indices())
 
     def sigma_state(self, dtype=np.complex128) -> np.ndarray:
         v = np.zeros(self.work_dim, dtype=dtype)

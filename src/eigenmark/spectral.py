@@ -208,17 +208,22 @@ def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
     {"dim": int, "eigenphases": [...], "eigenbasis": "computational" | [[...], ...],
      "delta": float, "target": {"psi_prime": float, "b": float, "phi": float}}
 
-    A matrix eigenbasis is given as nested lists of [re, im] pairs.
+    A matrix eigenbasis is given as dim rows of dim [re, im] pairs; any
+    other shape is a ValueError.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("target"), dict):
         raise ValueError("a model and its 'target' must be JSON objects")
+    dim = require_int(doc["dim"], "model dim")
     basis = doc.get("eigenbasis", "computational")
     if basis == "computational" or basis is None:
         matrix = None
     else:
-        matrix = np.array([[complex(c[0], c[1]) for c in row] for row in basis])
+        pairs = np.array(basis, dtype=object)
+        if pairs.shape != (dim, dim, 2):
+            raise ValueError(f"eigenbasis must be {dim} rows of {dim} [re, im] pairs")
+        matrix = np.array([[complex(re, im) for re, im in row] for row in pairs])
     spec = SpectralUnitary(
-        dim=require_int(doc["dim"], "model dim"),
+        dim=dim,
         eigenphases=tuple(float(p) for p in doc["eigenphases"]),
         eigenbasis=matrix,
         delta=float(doc["delta"]),

@@ -25,6 +25,10 @@ Conventions fixed here and relied on by every other module:
   for a dtype are computed in real_dtype(dtype), so complex256 means
   longdouble arithmetic throughout.
 
+Projectors (SubspaceProjector) are read-only boolean masks of length
+dim, built once from member indices and shared as they are by every
+operator and caller that reads them.
+
 Operators are safe to share across threads.  Their state is fixed at
 construction except for per-dtype caches that fill on first use: the
 estimation operator's phase mask (pea.estimation_factors) is built once,
@@ -37,14 +41,22 @@ single-owner: apply gives each concurrent application its own.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import platform
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 DENSE_GUARD = 4096
+# Freed heap memory glibc keeps for reuse instead of returning it to the
+# kernel (see _keep_freed_memory).
+HEAP_KEEP_BYTES = 32 * 2 ** 20
+# Fewest amplitudes per application (op.dim) at which apply runs
+# complex128 applications on threads; see apply for the crossover.
+THREAD_MIN_DIM = 2 ** 15
 # Widest complex type of this platform; complex128 where there is no complex256.
 EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
 
@@ -206,30 +218,32 @@ def from_matrix(matrix: np.ndarray, cost: CostTags = ()) -> LinearOperator:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class SubspaceProjector:
-    """Projector onto a set of computational basis directions."""
+    """Projector onto a set of computational basis directions, kept as a
+    read-only boolean mask of length dim: SubspaceProjector(dim, indices)
+    marks the given indices (any order, repeats allowed) and rejects one
+    outside [0, dim) with ValueError."""
 
-    dim: int
-    member_indices: tuple[int, ...]
+    __slots__ = ("dim", "_mask")
 
-    def __post_init__(self) -> None:
-        idx = tuple(sorted(set(int(i) for i in self.member_indices)))
-        object.__setattr__(self, "member_indices", idx)
+    def __init__(self, dim: int, indices) -> None:
+        self.dim = require_int(dim, "projector dimension")
         if self.dim < 1:
             raise ValueError("projector dimension must be positive")
-        if idx and (idx[0] < 0 or idx[-1] >= self.dim):
-            raise ValueError(f"member indices {idx[0]}..{idx[-1]} outside [0, {self.dim})")
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
+            raise ValueError(f"member indices {idx.min()}..{idx.max()} outside [0, {self.dim})")
+        mask = np.zeros(self.dim, dtype=bool)
+        mask[idx] = True
+        mask.flags.writeable = False
+        self._mask = mask
 
     def mask(self) -> np.ndarray:
-        m = np.zeros(self.dim, dtype=bool)
-        if self.member_indices:
-            m[list(self.member_indices)] = True
-        return m
+        """The stored read-only mask: True on member directions."""
+        return self._mask
 
     def complement(self) -> "SubspaceProjector":
-        members = set(self.member_indices)
-        return SubspaceProjector(self.dim, tuple(i for i in range(self.dim) if i not in members))
+        return SubspaceProjector(self.dim, np.flatnonzero(~self._mask))
 
 
 def in_frame(op: LinearOperator, basis: np.ndarray | None, work_dim: int) -> LinearOperator:
@@ -266,18 +280,32 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
     (main_dim, work_dim) array, in input order.  ValueError when work_dim
     does not tile an operator's dim (see main_rows).
 
-    Extended-precision inputs (real_dtype itemsize above 8 bytes) run
-    concurrently, largest operator first, on a thread pool made for this
-    call with one worker per usable core, at most one per vector.  Each
-    application charges a Tally of its own, merged into tally in input
-    order, so outputs and books equal a serial loop's.  If applications
-    raise, the exception of the first failing vector in input order
-    propagates once all have ended, with tally charged as the serial loop
-    would have left it.  No thread outlives the call, so a process forked
-    later (sweep --jobs) inherits none.  The gate: an extended
-    application's time is long-double FFTs, which numpy runs outside the
-    GIL, while threading complex128 applications made sweep slower and
-    raised voting's peak memory, so those run in the calling thread."""
+    Applications run concurrently, largest operator first, on a thread
+    pool made for this call with one worker per usable core (see
+    share_cores), at most one per vector, when the inputs are extended
+    precision (real_dtype itemsize above 8 bytes) or every operator has at
+    least THREAD_MIN_DIM = 2^15 amplitudes; otherwise they run in the
+    calling thread.  Each application charges a Tally of its own, merged
+    into tally in input order, so outputs and books equal a serial loop's.
+    If applications raise, the exception of the first failing vector in
+    input order propagates once all have ended, with tally charged as the
+    serial loop would have left it.  No thread outlives the call, so a
+    process forked later (sweep --jobs) inherits none; apply returns only
+    once its workers have left the kernel too (see _await_exit).
+
+    The gate: numpy runs an application's FFTs and most of its array
+    loops outside the GIL, so threads pay off once an application
+    outweighs the pool's cost.  Long-double applications, whose time is
+    long-double FFTs, do at every size.  For complex128,
+    THREAD_MIN_DIM is the smallest power of two at which threaded
+    evaluate_marker calls of every variant (pea, voting, fixed_point; 2
+    directions and 2 probes, best of 5, four rounds) were no slower than
+    serial on a 2-core host: threads lost at every size from 2^9 to 2^13,
+    2^14 was mixed (pea 7-11 ms serial, 6-12 ms threaded), and from 2^15
+    every round won (fixed_point 88-138 -> 61-78 ms, pea 18-23 -> 14-17
+    ms, voting 26-35 -> 17-23 ms).  So a mu=9 sweep's applications (512
+    and 1,024 amplitudes) stay serial, and voting's at mu=5, nu=3 (32,768
+    and 65,536) run on the pool."""
     mains = list(mains)
     if isinstance(ops, LinearOperator):
         ops = [ops] * len(mains)
@@ -291,15 +319,23 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
     def run(i, books):
         return ops[i].apply_to(np.outer(mains[i], sigma).ravel(), books).reshape(-1, work_dim)
 
-    extended = any(real_dtype(np.result_type(np.asarray(main), sigma)).itemsize > 8
-                   for main in mains)
-    workers = min(_cores(), len(mains)) if extended else 1
+    threaded = (any(real_dtype(np.result_type(np.asarray(main), sigma)).itemsize > 8
+                    for main in mains)
+                or all(op.dim >= THREAD_MIN_DIM for op in ops))
+    workers = min(_cores(), len(mains)) if threaded else 1
     if workers <= 1:
         return [run(i, tally) for i in range(len(mains))]
     books = [Tally() for _ in mains]
+    tids: set[int] = set()
+
+    def work(i, books):
+        tids.add(threading.get_native_id())
+        return run(i, books)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(run, i, books[i])
+        futures = {i: pool.submit(work, i, books[i])
                    for i in sorted(range(len(mains)), key=lambda i: -ops[i].dim)}
+    _await_exit(tids)
     outs = []
     for i, own in enumerate(books):
         if tally is not None:
@@ -308,12 +344,75 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
     return outs
 
 
+_sharing = 1  # processes that run side by side on this one's cores
+
+
+def share_cores(processes: int) -> None:
+    """Keep every later apply call in this process to max(1, cores //
+    processes) threads: the initializer of each of sweep --jobs' worker
+    processes, so that the workers, running side by side, together run
+    no more threads than there are cores."""
+    global _sharing
+    processes = require_int(processes, "processes")
+    if processes < 1:
+        raise ValueError(f"processes must be positive, got {processes}")
+    _sharing = processes
+
+
 def _cores() -> int:
-    """Cores this process may run on."""
+    """Threads an apply call may run: the cores this process may run on,
+    shared among the processes named by share_cores, at least one."""
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    return max(1, cores // _sharing)
+
+
+def _await_exit(tids) -> None:
+    """Return once the threads with native ids tids have ended in the
+    kernel, where /proc/self/task lists them; elsewhere at once.
+
+    A Python thread counts as joined before its OS thread has run glibc's
+    exit path, which is where it hands its malloc arena back for the next
+    thread to take.  A quarter of apply calls (voting, 2 workers) found a
+    worker still there after the join; when the next call's workers
+    started first they were given new arenas, each of which kept its own
+    freed memory (see _keep_freed_memory), so voting's peak RSS wandered
+    from 57 to 74 MB between runs.  Waiting, under 0.3 ms a call, keeps
+    it to one arena per worker."""
+    if not os.path.isdir("/proc/self/task"):
+        return
+    for tid in tids:
+        while os.path.exists(f"/proc/self/task/{tid}"):
+            os.sched_yield()
+
+
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap and trim thresholds for this process at
+    HEAP_KEEP_BYTES, the ceiling of glibc's own dynamic mmap threshold,
+    so that freed memory up to that much stays in the heap.
+
+    By default glibc hands a freed block back to the kernel once the free
+    space at the top of its heap passes twice the largest block it has
+    mapped, here about 2 MB, and an application's megabyte transients
+    (voting's batches, the FFT and moveaxis copies) crossed that on every
+    call.  Each application then faulted its pages in afresh, and with
+    threads every release interrupted the other core to flush its TLB: a
+    voting pass (mu=5, nu=3, 8 tasks, 2-core host) took 36k page faults
+    and 0.18-0.21 s threaded, 0.30 s serial.  With the thresholds fixed
+    it takes under 100 faults and 0.12-0.15 s.  Serial applications
+    gain too: a serial voting pass still took 18.7k faults at 8 MB, one
+    from 16 MB up.  Other C libraries are left as they are."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt(m_mmap_threshold, HEAP_KEEP_BYTES)
+    mallopt(m_trim_threshold, HEAP_KEEP_BYTES)
+
+
+_keep_freed_memory()
 
 
 def dense_materialize(op: LinearOperator) -> np.ndarray:

@@ -105,8 +105,7 @@ def majority_projector(zwindow: SubspaceProjector, nu: int) -> SubspaceProjector
         shape = [1] * nu
         shape[r] = wdim
         counts = counts + in_window.reshape(shape)
-    members = np.nonzero(counts.ravel() > nu // 2)[0]
-    return SubspaceProjector(wdim ** nu, tuple(int(i) for i in members))
+    return SubspaceProjector(wdim ** nu, np.flatnonzero(counts.ravel() > nu // 2))
 
 
 def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout) -> LinearOperator:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from eigenmark import cli, pea
+from eigenmark import cli, pea, statevec
 
 
 def run_cli(args):
@@ -203,14 +203,17 @@ def test_sweep_searches_each_window_once(tmp_path, monkeypatch):
 
 
 def test_sweep_pool_is_no_larger_than_the_group_count(tmp_path, monkeypatch, capsys):
-    requested = []
+    requested, initializers = [], []
 
     class InlinePool:
         """Stands in for ProcessPoolExecutor: records the worker count and
-        maps in this process, so no worker is ever started."""
+        maps in this process, so no worker is ever started.  The worker
+        initializer is recorded, not run, so this process's driver keeps
+        all its cores."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             requested.append(max_workers)
+            initializers.append((initializer, initargs))
 
         def __enter__(self):
             return self
@@ -232,6 +235,8 @@ def test_sweep_pool_is_no_larger_than_the_group_count(tmp_path, monkeypatch, cap
     assert requested == []
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "wide", "--jobs", 64]) == 0
     assert requested == [3]
+    # Each worker keeps its driver to its share of the cores.
+    assert initializers == [(statevec.share_cores, (3,))]
     serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
     assert serial == (tmp_path / "wide" / "sweep.csv").read_bytes()
     capsys.readouterr()
@@ -354,6 +359,18 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
                "grid": {"nu": [True]}}),
     ("compare", {**COMPARE, "mu_limit": 1.7}),
     ("compare", {**COMPARE, "mu_limit": True}),
+    # An eigenbasis that is not dim rows of dim [re, im] pairs.
+    ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis="x")}),
+    ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis=[[[1, 0], [0, 0]]])}),
+    # Grid entries that are not positive and finite, and an eps whose
+    # delta * eps^2 underflows to 0.
+    ("compare", {**COMPARE, "delta_grid": [0]}),
+    ("compare", {**COMPARE, "delta_grid": [-0.0]}),
+    ("compare", {**COMPARE, "delta_grid": [False]}),
+    ("compare", {**COMPARE, "eps_grid": [0]}),
+    ("compare", {**COMPARE, "eps_grid": [-0.0]}),
+    ("compare", {**COMPARE, "eps_grid": [False]}),
+    ("compare", {**COMPARE, "eps_grid": [1e-300]}),
 ], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
         "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
         "simulate_basis_entries", "simulate_marked_index_text",
@@ -367,7 +384,11 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "simulate_marked_index_fraction", "simulate_marked_index_bool",
         "sweep_n_random_negative", "sweep_n_random_bool", "sweep_mu_fraction",
         "sweep_grid_fraction", "sweep_q_fraction", "sweep_nu_bool",
-        "compare_mu_limit_fraction", "compare_mu_limit_bool"])
+        "compare_mu_limit_fraction", "compare_mu_limit_bool",
+        "simulate_basis_text", "simulate_basis_rows",
+        "compare_delta_zero", "compare_delta_negative_zero", "compare_delta_false",
+        "compare_eps_zero", "compare_eps_negative_zero", "compare_eps_false",
+        "compare_eps_underflow"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
     # Every case is rejected before any window search starts (the sweep
     # cases are in test_sweep_rejects_bad_cells_before_any_work).

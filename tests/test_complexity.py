@@ -126,3 +126,20 @@ def test_table_measured_merge_and_csv(tmp_path):
 def test_table_requires_nonempty_grids():
     with pytest.raises(ValueError, match="nonempty"):
         em.tabulate([], [1e-3])
+
+
+@pytest.mark.parametrize("deltas, epss, match", [
+    ([0], [1e-3], "delta_grid"),
+    ([-0.0], [1e-3], "delta_grid"),
+    ([False], [1e-3], "delta_grid"),
+    ([math.nan], [1e-3], "delta_grid"),
+    ([1.0], [0.0], "eps_grid"),
+    ([1.0], [-1e-3], "eps_grid"),
+    ([1.0], [math.inf], "eps_grid"),
+    ([3.0], [1e-3, 1e-300], "delta \\* eps\\^2"),
+])
+def test_table_rejects_grid_entries_outside_the_models(deltas, epss, match):
+    # Each of these used to end inside the cost models in a
+    # ZeroDivisionError, a math domain error or rows of nan.
+    with pytest.raises(ValueError, match=match):
+        em.tabulate(deltas, epss)

@@ -79,8 +79,8 @@ def two_phase_model(lam_marked, lam_unmarked, phi=np.pi):
 def test_layout_window_partition():
     layout = em.WorkspaceLayout(mu=4, window=3)
     z = layout.z_window()
-    assert set(z.member_indices) == {0, 1, 2, 3, 13, 14, 15}
-    assert set(z.member_indices) | set(z.complement().member_indices) == set(range(16))
+    assert set(np.flatnonzero(z.mask())) == {0, 1, 2, 3, 13, 14, 15}
+    assert set(np.flatnonzero(z.mask())) | set(np.flatnonzero(z.complement().mask())) == set(range(16))
     with pytest.raises(ValueError, match="window"):
         em.WorkspaceLayout(mu=4, window=8)
 

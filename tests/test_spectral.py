@@ -160,3 +160,22 @@ def test_load_model_rejects_invalid_basis():
     }
     with pytest.raises(ValueError, match="unitary"):
         em.load_model(doc)
+
+
+@pytest.mark.parametrize("basis", [
+    "x",
+    [[1]],
+    [[[1.0, 0.0], [0.0, 0.0]]],
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+], ids=["text", "scalar_entries", "one_row", "short_row", "triples"])
+def test_load_model_rejects_a_misshapen_basis(basis):
+    doc = {
+        "dim": 2,
+        "eigenphases": [0.01, 2.0],
+        "eigenbasis": basis,
+        "delta": 1.5,
+        "target": {"psi_prime": 0.0, "b": 0.05, "phi": np.pi},
+    }
+    with pytest.raises(ValueError, match=r"2 rows of 2 \[re, im\] pairs"):
+        em.load_model(doc)

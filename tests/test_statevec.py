@@ -1,3 +1,6 @@
+import os
+import platform
+import resource
 import threading
 import time
 import warnings
@@ -160,9 +163,8 @@ def test_driver_leaves_no_thread_behind(small_model):
     assert threading.active_count() == before
 
 
-def test_driver_workers_order_and_dtype_gate(monkeypatch):
-    # min(cores, vectors) workers, the largest operator submitted first
-    # (input order among equals), and complex128 inputs never reach a pool.
+def _record_pools(monkeypatch) -> list:
+    """(max_workers, submitted input indices) of every pool apply makes."""
     pools = []
 
     class Recording(ThreadPoolExecutor):
@@ -175,6 +177,14 @@ def test_driver_workers_order_and_dtype_gate(monkeypatch):
             return super().submit(fn, i, *args)
 
     monkeypatch.setattr(statevec, "ThreadPoolExecutor", Recording)
+    return pools
+
+
+def test_driver_workers_order_and_dtype_gate(monkeypatch):
+    # min(cores, vectors) workers, the largest operator submitted first
+    # (input order among equals), and small complex128 inputs never reach
+    # a pool.
+    pools = _record_pools(monkeypatch)
     monkeypatch.setattr(statevec, "_cores", lambda: 3)
     ops = [_identity_doing(2), _identity_doing(4), _identity_doing(2), _identity_doing(6), _identity_doing(4)]
     mains = [np.ones(d // 2, dtype=EXTENDED) for d in (2, 4, 2, 6, 4)]
@@ -185,6 +195,105 @@ def test_driver_workers_order_and_dtype_gate(monkeypatch):
     em.apply(ops, [m.astype(np.complex128) for m in mains], 2)
     em.apply(ops[:1], mains[:1], 2)
     assert len(pools) == 2
+
+
+def test_driver_size_gate_for_complex128(monkeypatch):
+    # complex128 applications reach a pool only when every one has at
+    # least THREAD_MIN_DIM amplitudes.
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(statevec, "_cores", lambda: 3)
+    big, under = statevec.THREAD_MIN_DIM, statevec.THREAD_MIN_DIM - 2
+
+    def mains(*dims):
+        return [np.ones(d // 2, dtype=np.complex128) for d in dims]
+
+    em.apply([_identity_doing(under)] * 2, mains(under, under), 2)
+    em.apply([_identity_doing(big), _identity_doing(under)], mains(big, under), 2)
+    assert pools == []
+    em.apply([_identity_doing(big)] * 2, mains(big, big), 2)
+    assert pools == [(2, [0, 1])]
+
+
+def _voting_applications():
+    """complex128 voting at mu=5, nu=3 on a Haar basis: 2 directions of
+    32,768 amplitudes and 2 probes of 65,536, as (ops, mains, work_dim)."""
+    rng = np.random.default_rng(11)
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.02, 1.8),
+                              eigenbasis=haar_unitary(rng, 2), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(mu=5, window=3)
+    assembly = em.build_assembly(spec, target, layout, "voting", nu=3)
+    ops = assembly.directions + (assembly.operator,) * 2
+    mains = [np.ones(1, dtype=complex)] * 2 + _probes(rng, 2, 2, np.complex128)
+    return ops, mains, assembly.work_dim
+
+
+def test_driver_threads_large_complex128_voting(monkeypatch):
+    # The 2 directions and 2 probes of a voting evaluation run on a pool,
+    # and equal a serial apply_to loop bit for bit with the same books.
+    pools = _record_pools(monkeypatch)
+    ops, mains, work_dim = _voting_applications()
+    sigma = np.zeros(work_dim)
+    sigma[0] = 1.0
+    serial = em.Tally()
+    want = [op.apply_to(np.outer(main, sigma).ravel(), serial).reshape(-1, work_dim)
+            for op, main in zip(ops, mains)]
+    before = threading.active_count()
+    tally = em.Tally()
+    got = em.apply(ops, mains, work_dim, tally)
+    assert threading.active_count() == before
+    assert [workers for workers, _ in pools] == [min(statevec._cores(), 4)]
+    assert all(g.dtype == np.complex128 and np.array_equal(g, w) for g, w in zip(got, want))
+    assert tally.counts == serial.counts
+    assert tally.get("P") == 2 * 3 * len(ops)  # core and its adjoint, nu registers each
+
+
+def test_driver_returns_after_its_workers_have_ended():
+    # apply waits for its workers to leave the kernel, not only Python,
+    # so the next call's workers take over their malloc arenas.
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    tids = []
+    ops = [_identity_doing(2, action=lambda: tids.append(threading.get_native_id()))] * 4
+    for _ in range(20):
+        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, 2)
+        assert not [t for t in tids if os.path.exists(f"/proc/self/task/{t}")]
+
+
+def test_warm_voting_applications_fault_in_no_fresh_memory():
+    # Once warm, the transients of a voting evaluation's applications
+    # reuse memory freed by the last call (statevec._keep_freed_memory):
+    # three calls fault in about 30 pages, and about 18,000 with glibc's
+    # default thresholds.
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("sets glibc's malloc thresholds only")
+    ops, mains, work_dim = _voting_applications()
+    for _ in range(2):
+        em.apply(ops, mains, work_dim)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        em.apply(ops, mains, work_dim)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_shared_cores_cap_the_driver(monkeypatch):
+    # A sweep --jobs worker calls share_cores(workers) as its initializer:
+    # its apply calls then run at most max(1, cores // workers) threads.
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(4)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(statevec, "_sharing", 1)  # restored after the test
+    ops = [_identity_doing(2)] * 3
+    mains = [np.ones(1, dtype=EXTENDED)] * 3
+    for processes in (2, 3, 1):
+        statevec.share_cores(processes)
+        em.apply(ops, mains, 2)
+    assert [workers for workers, _ in pools] == [2, 3]
+    # A rejected count leaves the share as it was.
+    with pytest.raises(ValueError, match="positive"):
+        statevec.share_cores(0)
+    em.apply(ops, mains, 2)
+    assert [workers for workers, _ in pools] == [2, 3, 3]
 
 
 def test_extended_applications_overlap():
@@ -298,11 +407,23 @@ def test_dense_guard():
 
 
 def test_projector_validation():
-    with pytest.raises(ValueError, match="outside"):
-        em.SubspaceProjector(4, (0, 4))
+    for bad in ((0, 4), (-1,)):
+        with pytest.raises(ValueError, match="outside"):
+            em.SubspaceProjector(4, bad)
     proj = em.SubspaceProjector(4, (2, 0, 2))
-    assert proj.member_indices == (0, 2)
-    assert proj.complement().member_indices == (1, 3)
+    assert tuple(np.flatnonzero(proj.mask())) == (0, 2)
+    assert tuple(np.flatnonzero(proj.complement().mask())) == (1, 3)
+    # One stored read-only mask, whatever the order and repeats of the
+    # indices; the complement is its exact negation.
+    mask = proj.mask()
+    assert mask.dtype == bool and proj.mask() is mask
+    assert np.array_equal(mask, em.SubspaceProjector(4, np.array([0, 2])).mask())
+    with pytest.raises(ValueError):
+        mask[1] = True
+    comp = proj.complement()
+    assert np.array_equal(comp.mask(), ~mask) and not comp.mask().flags.writeable
+    assert np.array_equal(comp.complement().mask(), mask)
+    assert np.array_equal(em.SubspaceProjector(3, ()).complement().mask(), [True] * 3)
 
 
 def test_builders_keep_extended_precision(small_model):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -196,4 +197,17 @@ def test_majority_projector_membership():
     # Basis index packs registers big-endian: (z1, z2, z3) -> 4 z1 + 2 z2 + z3.
     # In-window register means bit 0, so majority-in-window = at most one 1 bit.
     want = tuple(i for i in range(8) if bin(i).count("1") <= 1)
-    assert maj.member_indices == want
+    assert tuple(np.flatnonzero(maj.mask())) == want
+
+
+@pytest.mark.parametrize("mu, nu", [(2, 3), (3, 3), (2, 5)])
+def test_majority_projector_matches_a_brute_force_count(mu, nu):
+    # Registers pack big-endian into the joint index; a direction is a
+    # member when more than nu/2 registers read inside the window.
+    zwindow = em.WorkspaceLayout(mu, 1).z_window()
+    wdim, inside = zwindow.dim, zwindow.mask()
+    want = [sum(bool(inside[z]) for z in regs) > nu // 2
+            for regs in itertools.product(range(wdim), repeat=nu)]
+    got = em.majority_projector(zwindow, nu).mask()
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
