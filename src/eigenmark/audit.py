@@ -187,8 +187,7 @@ def check_pea_block_structure(ctx) -> CheckResult:
 
 
 def check_pea_scaling_constant(ctx) -> CheckResult:
-    const, _records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05,
-                                           grid_per_bin=32)
+    const, _records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05)
     return CheckResult("pea.scaling_constant", const <= 10.0,
                        f"max eta*sqrt(2^mu*delta) over mu=6..10 at delta=0.4 is "
                        f"{_fmt(const)} (bound 10)")

@@ -128,8 +128,7 @@ def _cmd_calibrate(args) -> int:
     delta = _require(cfg, "delta", float)
     b = _require(cfg, "b", float)
     options = {"eta_target": _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float),
-               "mu_cap": _option(cfg, "mu_cap", 20, int),
-               "grid_per_bin": _option(cfg, "grid_per_bin", 64, int)}
+               "mu_cap": _option(cfg, "mu_cap", 20, int)}
     out = _outdir(args)
     cache = os.path.join(out, "calibration.json")
     try:
@@ -158,7 +157,7 @@ def _resolve_layout(cfg, spec, target):
         return calib.layout()
     mu = _require(cfg, "mu", int)
     try:
-        pea.WorkspaceLayout(mu, 0)  # rejects mu < 1 before best_window runs
+        pea.WorkspaceLayout(mu, 0)  # checks mu's range before best_window runs
         if "window" in cfg:
             window = _integer(cfg["window"], "config['window']")
         else:
@@ -240,20 +239,18 @@ def _sweep_cells(cfg, seed) -> list[dict]:
     qs = axes.get("q", [cfg.get("q")])
     nus = axes.get("nu", [cfg.get("nu")])
     n_random = _probe_count(cfg, 4)
-    grid_per_bin = _option(cfg, "grid_per_bin", 64, int)
     # Worst-case cells run the verification model.
     main_dim = pea.VERIFICATION_DIM if model is None else model[0].dim
     try:
         cells = [{
             "delta": None if delta is None else float(delta),
-            "mu": pea.WorkspaceLayout(_integer(mu, "mu"), 0).mu,  # rejects mu < 1
+            "mu": pea.WorkspaceLayout(_integer(mu, "mu"), 0).mu,  # checks mu's range
             "b": b, "phi": phi, "model": model,
             "variant_args": _assembly_args(cfg, q, nu),
             "n_random": n_random, "dtype": dtype, "seed": seed,
-            "grid_per_bin": grid_per_bin,
         } for delta, mu, q, nu in itertools.product(deltas, mus, qs, nus)]
         for cell in cells:
-            pea.check_search(*_search_band(cell), cell["grid_per_bin"])
+            pea.check_search(*_search_band(cell))
             if cell["variant_args"]["variant"] == "voting":
                 voting.check_joint_dim(main_dim, 2 ** cell["mu"], cell["variant_args"]["nu"])
     except (TypeError, ValueError) as exc:
@@ -270,11 +267,11 @@ def _search_band(cell: dict) -> tuple[float, float]:
 
 
 def _run_cells(cells: list[dict]) -> list[dict]:
-    """Rows of cells that share (delta, mu, b, grid_per_bin), and so share
-    one window search, one model and one measured eta."""
+    """Rows of cells that share (delta, mu), and so share one window
+    search, one model and one measured eta (b is the same in every cell)."""
     first = cells[0]
     delta, b = _search_band(first)
-    choice = pea.best_window(first["mu"], delta, b, first["grid_per_bin"])
+    choice = pea.best_window(first["mu"], delta, b)
     try:
         spec, target = first["model"] or pea.verification_model(
             delta, b, choice.lam_marked, choice.lam_unmarked, phi=first["phi"])
@@ -319,7 +316,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     groups: dict = {}
     for cell in _sweep_cells(cfg, args.seed):
-        key = (cell["delta"], cell["mu"], cell["b"], cell["grid_per_bin"])
+        key = (cell["delta"], cell["mu"])
         groups.setdefault(key, []).append(cell)
     # A fork-started pool starts all its workers at the first submit, so
     # ask for no more than there are groups to run.

@@ -6,9 +6,9 @@ any of the estimation variants (plain, voting tensor, fixed-point level q)
 and Z is the workspace subspace that flags "marked".  Every variant is
 built from phases in the eigenframe of U, where it acts on each
 eigendirection separately.  So one helper builds the marker on a tuple of
-eigenphases, and an assembly holds it twice over: on all eigendirections
-as its eigen-blocks, turned by the eigenbasis once into the operator, and
-on each eigendirection alone, a workspace operator.  The helper never
+eigenphases, and an assembly holds it twice over: on all eigendirections,
+turned by the eigenbasis once into the operator, and on each
+eigendirection alone, a workspace operator.  The helper never
 counts the eigendirections: each builder reads its main row count from the
 operator it wraps, and the Z-phase goes on every row.  The fixed-point core
 is core_q^u(V_F) . H (see fpqs), so the Walsh-Hadamard transform runs
@@ -59,15 +59,14 @@ def assemble_marker(core: LinearOperator, phi: float,
 class MarkerAssembly:
     """An assembled marker plus the bookkeeping needed to evaluate it.
 
-    blocks is the marker in the eigenframe of U (eigendirection i is the
-    main basis state e_i); operator is blocks turned by the eigenbasis.
+    operator is the marker built in the eigenframe of U (eigendirection i
+    is the main basis state e_i) and turned by the eigenbasis.
     directions[i] is the marker of eigendirection i alone, on the
-    workspace: on sigma it gives row i of blocks on e_i (x) sigma, whose
-    other rows are zero."""
+    workspace: on sigma it gives row i of the eigenframe marker on
+    e_i (x) sigma, whose other rows are zero."""
 
     variant: str
     phi: float
-    blocks: LinearOperator
     operator: LinearOperator
     directions: tuple[LinearOperator, ...]
     zproj: SubspaceProjector
@@ -124,7 +123,7 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
 def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
                    variant: str, q: int | None = None,
                    nu: int | None = None) -> MarkerAssembly:
-    """Construct the chosen variant's marker on the eigen-blocks, once on
+    """Construct the chosen variant's marker in the eigenframe, once on
     all eigendirections (turned by the eigenbasis into the operator) and
     once on each eigendirection alone."""
     check_variant(variant, q, nu)
@@ -135,10 +134,9 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
         zproj, ancillas = layout.z_window(), layout.mu
     marker_on = functools.partial(_eigen_marker, layout=layout, zproj=zproj, phi=target.phi,
                                   variant=variant, q=q, nu=nu)
-    blocks = marker_on(lam)
     return MarkerAssembly(
-        variant=variant, phi=target.phi, blocks=blocks,
-        operator=in_frame(blocks, spec.eigenbasis, zproj.dim),
+        variant=variant, phi=target.phi,
+        operator=in_frame(marker_on(lam), spec.eigenbasis, zproj.dim),
         directions=tuple(marker_on((phase,)) for phase in lam),
         zproj=zproj, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
@@ -158,10 +156,11 @@ class MarkerErrorReport:
     """Residuals of the assembled marker against the ideal one.
 
     residual_i = || assembled(|psi_i>|sigma>) - (ideal |psi_i>) (x) |sigma> ||,
-    read on the eigen-blocks.  Random-superposition residuals, read through
-    the turned operator, can never exceed the eigendirection maximum (the
-    marker is block-diagonal across eigendirections); the report records
-    whether that held, which also checks the turn.
+    read through eigendirection i's own marker.  Random-superposition
+    residuals, read through the turned operator, can never exceed the
+    eigendirection maximum (the marker is block-diagonal across
+    eigendirections); the report records whether that held, which also
+    checks the turn.
     """
 
     variant: str

@@ -26,12 +26,15 @@ with each shared point evaluated once, and an envelope bound limits how far
 the unmarked sweep must reach.  The kernel reduces the window offsets mod W
 once per (mu, window), so no term pays a modulo and only phases whose bins
 reach W/2 wrap; both it and the table compute in place on one buffer.
+The grid has a fixed GRID_PER_BIN points per bin: the costs depend on
+the gap and the target alone, so its density is not part of the problem.
 best_window finds the window where the two worst cases cross with a
 galloping search from a start window and keeps the better of the pair at
 the crossing; since the crossing is monotone in the window, the start
 sets only the cost.  The crossing sits at a fixed phase, which spans
-twice as many bins with each added qubit, so calibrate_workspace starts
-each mu at twice the previous mu's window.
+twice as many bins with each added qubit, so a sweep over mu
+(calibrate_workspace, scaling_constant) starts each mu from the previous
+mu's window scaled by that.
 measure_eta drives the actual operator and is the cross-check for both.
 """
 
@@ -55,6 +58,10 @@ from .spectral import SpectralUnitary, MarkTarget, wrap_angle
 ETA_TARGET_DEFAULT = 2.0 ** -5
 VERIFICATION_DIM = 2  # eigendirections of verification_model: one marked, one not
 _TWO_PI_HI = float.fromhex("0x1.921fb54p+2")  # 2 pi to 29 significant bits
+# window_response_mass is exact only while k * _TWO_PI_HI is, i.e. for bins
+# |k| <= 2^24; a phase in [-pi, pi] lies in a bin |k| <= 2^(mu-1).
+MU_MAX = 25
+GRID_PER_BIN = 64  # box-sum grid points per bin in the worst-case search
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,11 @@ class WorkspaceLayout:
         object.__setattr__(self, "mu", require_int(self.mu, "mu"))
         object.__setattr__(self, "window", require_int(self.window, "window"))
         if self.mu < 1:
-            raise ValueError("mu must be at least 1")
-        if not (0 <= self.window < 2 ** (self.mu - 1)):
+            raise ValueError(f"mu {self.mu} must be at least 1")
+        if self.mu > MU_MAX:
+            raise ValueError(f"mu {self.mu} exceeds MU_MAX = {MU_MAX}")
+        # window < 2^(mu-1), compared without forming the power.
+        if not (0 <= self.window and self.window.bit_length() < self.mu):
             raise ValueError(f"window {self.window} outside [0, 2^(mu-1)) for mu={self.mu}")
 
     @property
@@ -264,10 +274,8 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
     sin(W u/2) / (W sin(u/2)) with u = lam - 2 pi z / W, so the in-window
     mass is an O(window) sum per phase.
     """
-    mu, window = require_int(mu, "mu"), require_int(window, "window")
-    wdim = 2 ** mu
-    if not (0 <= window < wdim // 2):
-        raise ValueError(f"window {window} outside [0, 2^(mu-1))")
+    layout = WorkspaceLayout(mu, window)
+    mu, window, wdim = layout.mu, layout.window, layout.work_dim
     lam = np.asarray(lam, dtype=float)
     if lam.ndim > 1:
         raise ValueError(f"lam must be a scalar or 1-D, got shape {lam.shape}")
@@ -379,8 +387,7 @@ def _sup_scan(mu: int, window: int, lo: float, hi: float, grid_per_bin: int,
     return best_x, 1.0 + best_v if outside else best_v
 
 
-def worst_unmarked_mass(mu: int, window: int, delta: float,
-                        grid_per_bin: int = 64):
+def worst_unmarked_mass(mu: int, window: int, delta: float):
     """(worst lam, in-window mass) over circle distance >= delta/2.
 
     Sweeps an adaptive region past theta_min densely and stops once the
@@ -397,7 +404,7 @@ def worst_unmarked_mass(mu: int, window: int, delta: float,
     region = 64.0
     while True:
         hi = min(np.pi, lo + region * bin_width)
-        lam, mass = _sup_scan(mu, window, lo, hi, grid_per_bin)
+        lam, mass = _sup_scan(mu, window, lo, hi, GRID_PER_BIN)
         if hi >= np.pi or _response_envelope(hi, mu, window) < mass:
             return lam, mass
         region *= 2.0
@@ -416,7 +423,7 @@ class WindowChoice:
         return max(self.eta_marked, self.eta_unmarked)
 
 
-def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
+def best_window(mu: int, delta: float, b: float, *,
                 start: int | None = None) -> WindowChoice:
     """Window minimizing the worst-case eta at a given mu.
 
@@ -436,21 +443,19 @@ def best_window(mu: int, delta: float, b: float, grid_per_bin: int = 64, *,
     the window whose edge sits at phase delta/3, near where the worst
     cases cross (0.34-0.36 delta on the pinned configurations).  A start
     next to the answer probes 2-5 windows where start=0 probes 19 at
-    (11, 3.0, 0.05); calibrate_workspace passes twice the previous mu's
-    window instead.
+    (11, 3.0, 0.05); a sweep over mu passes the previous mu's window
+    scaled to this mu instead (_mu_sweep).
     """
-    mu = require_int(mu, "mu")
-    if mu < 1:
-        raise ValueError(f"mu {mu} must be at least 1")
-    check_search(delta, b, grid_per_bin)
+    mu = WorkspaceLayout(mu, 0).mu
+    check_search(delta, b)
     wmax = 2 ** (mu - 1) - 1
 
     @functools.cache
     def choice(w: int) -> WindowChoice:
         # The marked band |lam| <= b*delta: the response is symmetric under
         # lam -> -lam for the symmetric window, so only lam >= 0 is swept.
-        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, grid_per_bin, outside=True)
-        lam_u, mass_u = worst_unmarked_mass(mu, w, delta, grid_per_bin)
+        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, GRID_PER_BIN, outside=True)
+        lam_u, mass_u = worst_unmarked_mass(mu, w, delta)
         return WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
                             float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
 
@@ -487,7 +492,6 @@ class CalibrationResult:
     delta: float
     b: float
     eta_target: float
-    grid_per_bin: int
     mu: int
     window: int
     eta_marked: float
@@ -504,44 +508,53 @@ class CalibrationResult:
         return WorkspaceLayout(self.mu, self.window)
 
 
-def check_search(delta: float, b: float, grid_per_bin: int) -> None:
-    """Reject a worst-case search outside its domain: delta in (0, pi],
-    b in (0, 0.25] and at least one grid point per bin."""
+def check_search(delta: float, b: float) -> None:
+    """Reject a worst-case search outside its domain: delta in (0, pi]
+    and b in (0, 0.25]."""
     if not (0.0 < delta <= np.pi):
         raise ValueError(f"delta {delta!r} outside (0, pi]")
     if not (0.0 < b <= 0.25):
         raise ValueError(f"b {b!r} outside (0, 0.25]")
-    if require_int(grid_per_bin, "grid_per_bin") < 1:
-        raise ValueError(f"grid_per_bin {grid_per_bin!r} must be at least 1")
 
 
-def _cache_key(delta: float, b: float, eta_target: float, grid_per_bin: int) -> str:
-    return (f"delta={delta!r}|b={b!r}|eta_target={eta_target!r}|grid={grid_per_bin}"
-            "|algo=fejer-box-1")
+def _cache_key(delta: float, b: float, eta_target: float) -> str:
+    return f"delta={delta!r}|b={b!r}|eta_target={eta_target!r}|algo=fejer-box-1"
+
+
+def _mu_sweep(mu_values, delta: float, b: float):
+    """(mu, best_window choice) for each mu in turn.  The crossing sits at
+    a fixed phase, which spans 2^(mu - mu') times as many bins at mu as at
+    the previous mu', so each search starts from the previous window
+    scaled by that, truncated: twice the window for consecutive mu."""
+    window = prev_mu = None
+    for mu in mu_values:
+        start = None if window is None else int(window * 2.0 ** (mu - prev_mu))
+        choice = best_window(mu, delta, b, start=start)
+        yield mu, choice
+        window, prev_mu = choice.window, mu
 
 
 def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_DEFAULT,
-                        mu_cap: int = 20, grid_per_bin: int = 64,
-                        cache_path=None) -> CalibrationResult:
+                        mu_cap: int = 20, cache_path=None) -> CalibrationResult:
     """Smallest mu (with its window) whose worst-case eta meets the target.
 
     Worst cases are taken over |lam| <= b*delta for the marked side and
     circle distance >= delta/2 for the unmarked side.  When no mu up to
-    mu_cap reaches the target, the result carries converged=False and the
-    best (mu, window) found.  Results are cached in a JSON file keyed by
-    (delta, b, eta_target, grid density, search algorithm) when cache_path
-    is given.  A cached entry is served only when it converged at a mu
-    within mu_cap; otherwise, or when the cache is corrupt (reported with a
-    RuntimeWarning), the result is recomputed and the file rewritten.
+    min(mu_cap, MU_MAX) reaches the target, the result carries
+    converged=False and the best (mu, window) found.  Results are cached in
+    a JSON file keyed by (delta, b, eta_target, search algorithm) when
+    cache_path is given.  A cached entry is served only when it converged
+    at a mu within mu_cap; otherwise, or when the cache is corrupt
+    (reported with a RuntimeWarning), the result is recomputed and the
+    file rewritten.
     """
     mu_cap = require_int(mu_cap, "mu_cap")
-    grid_per_bin = require_int(grid_per_bin, "grid_per_bin")
-    check_search(delta, b, grid_per_bin)
+    check_search(delta, b)
     if not (0.0 < eta_target <= 1.0):
         raise ValueError(f"eta_target {eta_target!r} outside (0, 1]")
     if mu_cap < 1:
         raise ValueError(f"mu_cap {mu_cap!r} must be at least 1")
-    key = _cache_key(delta, b, eta_target, grid_per_bin)
+    key = _cache_key(delta, b, eta_target)
     cached = {}
     if cache_path is not None and os.path.exists(cache_path):
         try:
@@ -559,18 +572,13 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
             cached = cached if isinstance(cached, dict) else {}
 
     best = None
-    start = None
-    for mu in range(1, mu_cap + 1):
-        choice = best_window(mu, delta, b, grid_per_bin, start=start)
-        candidate = CalibrationResult(delta=delta, b=b, eta_target=eta_target,
-                                      grid_per_bin=grid_per_bin, mu=mu,
+    for mu, choice in _mu_sweep(range(1, min(mu_cap, MU_MAX) + 1), delta, b):
+        candidate = CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
                                       converged=choice.eta <= eta_target, **asdict(choice))
         if best is None or candidate.eta < best.eta:
             best = candidate
         if candidate.converged:
             break
-        # The crossing sits at a fixed phase: twice the bins at mu + 1.
-        start = 2 * choice.window
 
     if cache_path is not None:
         cached[key] = asdict(best)
@@ -612,18 +620,11 @@ def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: 
     return spec, target
 
 
-def scaling_constant(mu_values, delta: float, b: float,
-                     grid_per_bin: int = 64) -> tuple[float, list[dict]]:
+def scaling_constant(mu_values, delta: float, b: float) -> tuple[float, list[dict]]:
     """eta * sqrt(2^mu * delta) over a mu sweep at per-mu optimal windows,
     eta from the closed form.  Returns (largest constant observed, per-mu
     records)."""
-    records = []
-    worst = 0.0
-    for mu in mu_values:
-        # As in calibrate_workspace: the optimal window scales with 2^mu.
-        start = int(records[-1]["window"] * 2.0 ** (mu - records[-1]["mu"])) if records else None
-        choice = best_window(mu, delta, b, grid_per_bin, start=start)
-        const = choice.eta * np.sqrt(2 ** mu * delta)
-        worst = max(worst, const)
-        records.append({"mu": mu, "window": choice.window, "eta": choice.eta, "constant": const})
-    return worst, records
+    records = [{"mu": mu, "window": choice.window, "eta": choice.eta,
+                "constant": choice.eta * np.sqrt(2 ** mu * delta)}
+               for mu, choice in _mu_sweep(mu_values, delta, b)]
+    return max((r["constant"] for r in records), default=0.0), records

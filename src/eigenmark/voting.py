@@ -50,11 +50,15 @@ class VotingModel:
 
 def check_joint_dim(main_dim: int, work_dim: int, nu: int) -> int:
     """Joint dimension main_dim * work_dim^nu of nu registers, rejecting one
-    over the tensor guard."""
-    dim = main_dim * work_dim ** nu
-    if dim > TENSOR_GUARD:
-        raise ValueError(f"joint dimension {dim} exceeds tensor guard {TENSOR_GUARD}")
-    return dim
+    over the tensor guard.  work_dim^nu is at least 2^(nu floor(log2
+    work_dim)), so a count over the guard's bits is rejected before the
+    power, however large nu, is formed."""
+    if nu * (work_dim.bit_length() - 1) < TENSOR_GUARD.bit_length():
+        dim = main_dim * work_dim ** nu
+        if dim <= TENSOR_GUARD:
+            return dim
+    raise ValueError(f"joint dimension {main_dim} * {work_dim}^{nu} exceeds tensor guard "
+                     f"{TENSOR_GUARD}")
 
 
 def majority_tail_amplitude(p: float, nu: int) -> float:
@@ -97,15 +101,14 @@ def majority_projector(zwindow: SubspaceProjector, nu: int) -> SubspaceProjector
     marked input); its complement is the strict-minority subspace."""
     nu = require_odd(nu)
     wdim = zwindow.dim
-    if wdim ** nu > TENSOR_GUARD:
-        raise ValueError(f"workspace dim {wdim}^{nu} exceeds tensor guard {TENSOR_GUARD}")
+    dim = check_joint_dim(1, wdim, nu)
     in_window = zwindow.mask().astype(np.int64)
     counts = np.zeros((1,) * nu, dtype=np.int64)
     for r in range(nu):
         shape = [1] * nu
         shape[r] = wdim
         counts = counts + in_window.reshape(shape)
-    return SubspaceProjector(wdim ** nu, np.flatnonzero(counts.ravel() > nu // 2))
+    return SubspaceProjector(dim, np.flatnonzero(counts.ravel() > nu // 2))
 
 
 def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout) -> LinearOperator:

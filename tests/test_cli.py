@@ -69,6 +69,18 @@ def test_calibrate_recovers_corrupt_cache(tmp_path, capsys):
     assert "mu=11 window=330" in capsys.readouterr().out
 
 
+def test_calibrate_ignores_grid_per_bin(tmp_path, capsys):
+    # The grid density is the constant pea.GRID_PER_BIN; the old key is
+    # ignored like any other unknown key, however large.
+    for name, doc in (("plain", {"delta": 3.0, "b": 0.05}),
+                      ("grid", {"delta": 3.0, "b": 0.05, "grid_per_bin": 10_000_000})):
+        cfg = write_config(tmp_path, f"{name}.json", doc)
+        assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path / name]) == 0
+    assert ((tmp_path / "plain" / "calibration.json").read_bytes()
+            == (tmp_path / "grid" / "calibration.json").read_bytes())
+    assert capsys.readouterr().out.count("mu=11 window=330") == 2
+
+
 def test_simulate_mu_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
     def no_work(*_args, **_kwargs):
         raise AssertionError("best_window called with mu < 1")
@@ -279,16 +291,21 @@ WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
     ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [0]}}, "error:"),
     ({"variant": "voting", "nu": 3, "worst_case": WORST_CASE, "grid": {"mu": [6, 7]}},
      "error:"),
-    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": 0},
-     "error:"),
-    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "grid_per_bin": -1},
-     "error:"),
     ({"variant": "pea", "worst_case": {**WORST_CASE, "b": 0.9}, "grid": {"mu": [4]}},
      "error:"),
     ({"variant": "pea", "worst_case": {**WORST_CASE, "delta": 9.0}, "grid": {"mu": [4]}},
      "error:"),
+    # Neither a register count nor a workspace size is ever raised to a
+    # power before it is checked, so these are rejected at once.
+    ({"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [2 ** 40 + 1]}},
+     "error: joint dimension"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "mu": 2 ** 70, "grid": {}}, "error: mu"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "mu": 1e308, "grid": {}}, "error: mu"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4, 2 ** 70]}}, "error: mu"),
+    ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [1e308]}}, "error: mu"),
 ], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu", "tensor_guard",
-        "grid_zero", "grid_negative", "b_range", "delta_range"])
+        "b_range", "delta_range", "huge_nu", "mu_2**70", "mu_1e308", "grid_mu_2**70",
+        "grid_mu_1e308"])
 def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc, says):
     def no_work(*_args, **_kwargs):
         raise AssertionError("best_window called before validation finished")
@@ -330,7 +347,6 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("compare", {**COMPARE, "mu_limit": None}),
     ("compare", {**COMPARE, "measured_cells": [[9.0, 1e-4]]}),
     # Integer keys: a fraction is not truncated and a bool is not a count.
-    ("calibrate", {"delta": 3.0, "b": 0.05, "grid_per_bin": 1.7}),
     ("calibrate", {"delta": 3.0, "b": 0.05, "mu_cap": 1.7}),
     ("calibrate", {"delta": 3.0, "b": 0.05, "mu_cap": True}),
     ("simulate", {**SIMULATE, "n_random": 1.7}),
@@ -351,8 +367,6 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
                "n_random": True}),
     ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4.5]}}),
-    ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]},
-               "grid_per_bin": 1.7}),
     ("sweep", {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4,
                "grid": {"q": [1.7]}}),
     ("sweep", {"variant": "voting", "worst_case": WORST_CASE, "mu": 3,
@@ -371,24 +385,30 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("compare", {**COMPARE, "eps_grid": [-0.0]}),
     ("compare", {**COMPARE, "eps_grid": [False]}),
     ("compare", {**COMPARE, "eps_grid": [1e-300]}),
+    # Too many registers, or too many qubits, caught before any power of
+    # them is formed.
+    ("simulate", {**SIMULATE, "variant": "voting", "mu": 3, "window": 1, "nu": 2 ** 40 + 1}),
+    ("simulate", {**SIMULATE, "mu": 2 ** 70}),
+    ("simulate", {**SIMULATE, "mu": 1e308}),
 ], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
         "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
         "simulate_basis_entries", "simulate_marked_index_text",
         "simulate_marked_index_range", "simulate_calibrate_eta_target_null",
         "simulate_window_null", "compare_short_cell", "compare_b", "compare_mu_limit_null",
-        "compare_cell_delta", "calibrate_grid_fraction", "calibrate_mu_cap_fraction",
+        "compare_cell_delta", "calibrate_mu_cap_fraction",
         "calibrate_mu_cap_bool", "simulate_n_random_fraction", "simulate_n_random_negative",
         "simulate_mu_fraction", "simulate_mu_bool", "simulate_window_fraction",
         "simulate_q_fraction", "simulate_nu_bool",
         "simulate_model_dim_fraction", "simulate_model_dim_bool",
         "simulate_marked_index_fraction", "simulate_marked_index_bool",
         "sweep_n_random_negative", "sweep_n_random_bool", "sweep_mu_fraction",
-        "sweep_grid_fraction", "sweep_q_fraction", "sweep_nu_bool",
+        "sweep_q_fraction", "sweep_nu_bool",
         "compare_mu_limit_fraction", "compare_mu_limit_bool",
         "simulate_basis_text", "simulate_basis_rows",
         "compare_delta_zero", "compare_delta_negative_zero", "compare_delta_false",
         "compare_eps_zero", "compare_eps_negative_zero", "compare_eps_false",
-        "compare_eps_underflow"])
+        "compare_eps_underflow", "simulate_huge_nu", "simulate_mu_2**70",
+        "simulate_mu_1e308"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
     # Every case is rejected before any window search starts (the sweep
     # cases are in test_sweep_rejects_bad_cells_before_any_work).

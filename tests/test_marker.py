@@ -113,7 +113,8 @@ def test_pea_marker_halves_per_two_extra_qubits():
 @pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
 def test_haar_residuals_equal_computational_twin(dtype):
     # The eigenbasis is applied once, around the marker; eigendirection
-    # residuals come from the eigen-blocks and so do not see the basis.
+    # residuals come from the eigendirection markers and so do not see the
+    # basis.
     basis = haar_unitary(np.random.default_rng(17), 3)
     spec = em.SpectralUnitary(dim=3, eigenphases=(0.02, 1.8, -2.1),
                               eigenbasis=basis, delta=1.5)
@@ -157,7 +158,8 @@ def test_fixed_point_blocks_match_sigma_projector_oracle(q):
     layout = em.WorkspaceLayout(mu=5, window=2)
     assembly = em.build_assembly(TWO_DIRECTIONS, target, layout, "fixed_point", q=q)
     oracle = _oracle_blocks(TWO_DIRECTIONS, target, layout, q)
-    got, want = em.dense_materialize(assembly.blocks), em.dense_materialize(oracle)
+    # In the computational basis the operator is the eigenframe marker.
+    got, want = em.dense_materialize(assembly.operator), em.dense_materialize(oracle)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -174,7 +176,7 @@ def test_fixed_point_marker_runs_hadamard_only_at_its_ends(monkeypatch):
 
     monkeypatch.setattr(pea, "_fwht_axis1", counted)
     tally = em.Tally()
-    assembly.blocks.apply_to(np.outer(np.eye(1, 2)[0], layout.sigma_state()).ravel(), tally)
+    assembly.operator.apply_to(np.outer(np.eye(1, 2)[0], layout.sigma_state()).ravel(), tally)
     assert len(calls) == 2
     assert tally.get("P") == 2 * 9 ** 2
 
@@ -187,7 +189,7 @@ def test_extended_residuals_match_sigma_projector_oracle():
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=7, window=6)
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=q)
-    got = _direction_residuals(assembly.blocks, spec, target, layout, EXTENDED)
+    got = _direction_residuals(assembly.operator, spec, target, layout, EXTENDED)
     want = _direction_residuals(_oracle_blocks(spec, target, layout, q), spec, target, layout,
                                 EXTENDED)
     assert min(want) > 1e-14
@@ -218,16 +220,20 @@ def test_estimation_applications_equal_charged_p(small_model, monkeypatch, varia
                                                    ("fixed_point", {"q": 2}, EXTENDED)],
                          ids=["pea", "voting", "fixed_point"])
 def test_direction_blocks_match_joint_blocks(small_model, variant, extra, dtype):
-    # Eigendirection i's own marker on sigma is row i of the joint blocks on
-    # e_i (x) sigma, bit for bit, and the blocks leave every other row 0.
+    # Eigendirection i's own marker on sigma is row i of the joint
+    # eigenframe marker on e_i (x) sigma, bit for bit, and the joint marker
+    # leaves every other row 0.  The joint marker in the eigenframe is the
+    # operator of the computational twin.
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, variant, **extra)
+    twin = em.build_assembly(dataclasses.replace(spec, eigenbasis=None), target, layout,
+                             variant, **extra)
     assert len(assembly.directions) == spec.dim
     sigma = np.zeros(assembly.work_dim, dtype=dtype)
     sigma[0] = 1.0
     mains = np.eye(spec.dim, dtype=dtype)
     for i, (direction, main) in enumerate(zip(assembly.directions, mains)):
-        out = assembly.blocks.apply_to(np.outer(main, sigma).ravel())
+        out = twin.operator.apply_to(np.outer(main, sigma).ravel())
         out = out.reshape(spec.dim, assembly.work_dim)
         alone = direction.apply_to(sigma)
         assert alone.dtype == out.dtype == dtype

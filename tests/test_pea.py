@@ -5,6 +5,7 @@ import json
 import re
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -371,8 +372,32 @@ def test_best_window_rejects_mu_below_one():
         em.best_window(0, 0.4, 0.05)
 
 
+@pytest.mark.parametrize("mu", [pea.MU_MAX + 1, 2 ** 70, int(1e308)],
+                         ids=["above", "2**70", "1e308"])
+def test_mu_above_the_ceiling_is_rejected_at_once(mu):
+    # The kernel is exact only for bins |k| <= 2^24, i.e. mu <= 25; no
+    # check forms 2^mu, so a huge mu is rejected as fast as mu = 26.
+    with pytest.raises(ValueError, match="exceeds MU_MAX = 25"):
+        em.WorkspaceLayout(mu, 0)
+    with pytest.raises(ValueError, match="exceeds MU_MAX"):
+        em.best_window(mu, 0.4, 0.05)
+    with pytest.raises(ValueError, match="exceeds MU_MAX"):
+        pea.window_response_mass(0.1, mu, 0)
+    with pytest.raises(ValueError, match="outside"):
+        em.WorkspaceLayout(5, mu)
+    assert em.WorkspaceLayout(pea.MU_MAX, 2 ** (pea.MU_MAX - 1) - 1).mu == pea.MU_MAX
+
+
+def test_calibration_searches_no_further_than_the_ceiling(monkeypatch):
+    monkeypatch.setattr(pea, "MU_MAX", 4)
+    result = em.calibrate_workspace(3.0, 0.05, mu_cap=30)
+    assert not result.converged and result.mu <= 4
+    assert result == em.calibrate_workspace(3.0, 0.05, mu_cap=4)
+
+
 @pytest.mark.parametrize("args,kwargs,error,match", [
-    ((5, 1.0, 0.05), {"grid_per_bin": 0}, ValueError, "grid_per_bin"),
+    # The grid density is the constant GRID_PER_BIN, not an argument.
+    ((5, 1.0, 0.05), {"grid_per_bin": 0}, TypeError, "grid_per_bin"),
     ((5, 1.0, 0.05), {"grid_per_bin": 8.0}, TypeError, "grid_per_bin"),
     ((5, -1.0, 0.05), {}, ValueError, "delta"),
     ((5, 4.0, 0.05), {}, ValueError, "delta"),
@@ -432,15 +457,15 @@ def test_calibration_headline_configuration(setup_04):
 # Full results of a search from window 0 at every mu: starting each mu
 # next to the previous mu's window must reproduce them bit for bit.
 COLD_SEARCH_RESULTS = [
-    em.CalibrationResult(delta=0.4, b=0.05, eta_target=0.03125, grid_per_bin=64, mu=14,
+    em.CalibrationResult(delta=0.4, b=0.05, eta_target=0.03125, mu=14,
                          window=370, eta_marked=0.02359656793485948,
                          eta_unmarked=0.02358561443336071, lam_marked=0.019750017273208423,
                          lam_unmarked=0.2, converged=True),
-    em.CalibrationResult(delta=3.0, b=0.05, eta_target=0.03125, grid_per_bin=64, mu=11,
+    em.CalibrationResult(delta=3.0, b=0.05, eta_target=0.03125, mu=11,
                          window=330, eta_marked=0.023939823102613597,
                          eta_unmarked=0.023963771524187247, lam_marked=0.14879628856838742,
                          lam_unmarked=1.5017661555940427, converged=True),
-    em.CalibrationResult(delta=0.05, b=0.05, eta_target=0.03125, grid_per_bin=64, mu=17,
+    em.CalibrationResult(delta=0.05, b=0.05, eta_target=0.03125, mu=17,
                          window=370, eta_marked=0.023615759893491833,
                          eta_unmarked=0.023566427104158783, lam_marked=0.002468752159151053,
                          lam_unmarked=0.025, converged=True),
@@ -495,6 +520,32 @@ def test_refinement_shares_kernel_calls(monkeypatch):
     assert sum(calls) < 2_200_000
 
 
+# Windows a sweep over mu probes, per mu: each search starts from the
+# previous mu's window scaled by 2^(mu - previous mu), truncated.
+SCALED_START_PROBES = [
+    (range(6, 11), {6: [0, 1], 7: [2, 3], 8: [4, 5, 6], 9: [10, 11, 12], 10: [22, 23, 24]}),
+    ([9, 7, 12, 12, 3], {3: [0], 7: [2, 3], 9: [11, 12],
+                         12: [64, 65, 66, 68, 72, 80, 88, 92, 93, 94, 96]}),
+]
+
+
+@pytest.mark.parametrize("mus,want", SCALED_START_PROBES, ids=["consecutive", "unordered"])
+def test_scaling_constant_starts_each_mu_from_the_scaled_window(monkeypatch, mus, want):
+    probed = collections.defaultdict(set)
+    scan = pea._sup_scan
+
+    def counted(mu, window, *args, **kwargs):
+        probed[mu].add(window)
+        return scan(mu, window, *args, **kwargs)
+
+    monkeypatch.setattr(pea, "_sup_scan", counted)
+    _const, records = pea.scaling_constant(mus, delta=0.4, b=0.05)
+    assert {mu: sorted(windows) for mu, windows in probed.items()} == want
+    # The start sets only the cost: each record is the default search's.
+    assert [r["window"] for r in records] == [em.best_window(mu, 0.4, 0.05).window
+                                               for mu in mus]
+
+
 @pytest.mark.parametrize("mu,delta", [(9, 0.6), (9, 1.2), (9, 2.2), (9, 3.0), (11, 3.0)])
 def test_best_window_starts_at_the_crossing_phase(monkeypatch, mu, delta):
     # The default start is the window whose edge sits at delta/3, next to
@@ -523,10 +574,9 @@ def test_calibration_cache_roundtrip(tmp_path):
 def test_calibration_cache_takes_numpy_counts(tmp_path):
     # The counts are stored as ints, so the cache file can be written.
     path = tmp_path / "calib.json"
-    got = em.calibrate_workspace(3.0, 0.05, mu_cap=np.int64(12), grid_per_bin=np.int64(64),
-                                 cache_path=path)
-    assert got == COLD_SEARCH_RESULTS[1] and type(got.grid_per_bin) is int
-    assert json.loads(path.read_text()) == {pea._cache_key(3.0, 0.05, got.eta_target, 64):
+    got = em.calibrate_workspace(3.0, 0.05, mu_cap=np.int64(12), cache_path=path)
+    assert got == COLD_SEARCH_RESULTS[1] and type(got.mu) is int
+    assert json.loads(path.read_text()) == {pea._cache_key(3.0, 0.05, got.eta_target):
                                             asdict(got)}
 
 
@@ -545,19 +595,27 @@ def test_calibration_cache_honours_mu_cap(tmp_path, first_cap, second_cap):
 
 def test_calibration_cache_ignores_old_format_keys(tmp_path):
     # An entry under a key without the algorithm tag (the format of an
-    # earlier search) must be recomputed, not served.
+    # earlier search) must be recomputed, not served; so must one keyed,
+    # and carrying a field, for the grid density, which is no longer an
+    # argument.  Neither is read, so neither warns.
     path = tmp_path / "calib.json"
     stale = asdict(em.calibrate_workspace(3.0, 0.05, mu_cap=4))
-    path.write_text(json.dumps({"delta=3.0|b=0.05|eta_target=0.03125|grid=64": stale}))
-    result = em.calibrate_workspace(3.0, 0.05, cache_path=path)
-    assert (result.mu, result.window) == (11, 330)
-    assert len(json.loads(path.read_text())) == 2
+    path.write_text(json.dumps({
+        "delta=3.0|b=0.05|eta_target=0.03125|grid=64": stale,
+        "delta=3.0|b=0.05|eta_target=0.03125|grid=64|algo=fejer-box-1": {
+            **asdict(COLD_SEARCH_RESULTS[1]), "grid_per_bin": 64},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = em.calibrate_workspace(3.0, 0.05, cache_path=path)
+    assert result == COLD_SEARCH_RESULTS[1]
+    assert len(json.loads(path.read_text())) == 3
 
 
 @pytest.mark.parametrize("content", [
     "{not json",
     "[1, 2]",
-    json.dumps({pea._cache_key(3.0, 0.05, pea.ETA_TARGET_DEFAULT, 64): {"mu": 11}}),
+    json.dumps({pea._cache_key(3.0, 0.05, pea.ETA_TARGET_DEFAULT): {"mu": 11}}),
 ], ids=["bad_json", "list_root", "bad_entry"])
 def test_corrupt_calibration_cache_is_recomputed(tmp_path, content):
     path = tmp_path / "calib.json"
@@ -578,8 +636,7 @@ def test_halving_delta_at_most_quadruples_workspace(calib_04):
 
 
 def test_scaling_constant_bounded():
-    const, records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05,
-                                          grid_per_bin=32)
+    const, records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05)
     assert const <= 10.0
     assert len(records) == 5
     assert all(r["constant"] <= 10.0 for r in records)
@@ -601,5 +658,3 @@ def test_calibrate_rejects_bad_arguments():
         em.calibrate_workspace(0.4, 0.05, eta_target=0.0)
     with pytest.raises(TypeError, match="mu_cap"):
         em.calibrate_workspace(0.4, 0.05, mu_cap=8.0)
-    with pytest.raises(TypeError, match="grid_per_bin"):
-        em.calibrate_workspace(0.4, 0.05, grid_per_bin=64.0)

@@ -1,13 +1,19 @@
 """Property tests over randomly drawn inputs.  conftest.py loads a
 derandomized hypothesis profile, so every run draws the same examples."""
 
+import contextlib
+import copy
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from eigenmark import pea  # noqa: E402
+from eigenmark import cli, marker, pea  # noqa: E402
 from eigenmark.statevec import EXTENDED  # noqa: E402
 
 
@@ -20,12 +26,12 @@ def test_best_window_start_changes_nothing(mu, delta, b, start):
     assert pea.best_window(mu, delta, b, start=start) == pea.best_window(mu, delta, b)
 
 
-def window_choices(mu, delta, b, grid_per_bin=64):
+def window_choices(mu, delta, b):
     """Every window's worst cases, computed as best_window computes them."""
     choices = []
     for w in range(2 ** (mu - 1)):
-        lam_m, mass_m = pea._sup_scan(mu, w, 0.0, b * delta, grid_per_bin, outside=True)
-        lam_u, mass_u = pea.worst_unmarked_mass(mu, w, delta, grid_per_bin)
+        lam_m, mass_m = pea._sup_scan(mu, w, 0.0, b * delta, pea.GRID_PER_BIN, outside=True)
+        lam_u, mass_u = pea.worst_unmarked_mass(mu, w, delta)
         choices.append(pea.WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
                                         float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u))
     return choices
@@ -100,3 +106,85 @@ def test_shared_refinement_matches_the_per_candidate_loop(args):
     assert all(type(x) is float for x in got)
     # Bit for bit: lam, and the mass the kernel gave it.
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# --- the CLI's exit-code contract, searched --------------------------------
+
+MODEL = {"dim": 2, "eigenphases": [0.01, 2.0], "eigenbasis": "computational", "delta": 1.5,
+         "target": {"psi_prime": 0.0, "b": 0.05, "phi": math.pi}}
+WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": math.pi}
+# One valid config per subcommand and variant.  The simulate configs give
+# a window, so the marker is built before the (stubbed) evaluation.
+BASE_CONFIGS = {
+    "calibrate": ("calibrate", {"delta": 3.0, "b": 0.05, "eta_target": 0.03125, "mu_cap": 20}),
+    "simulate_pea": ("simulate", {"model": MODEL, "variant": "pea", "mu": 4, "window": 1,
+                                  "n_random": 1, "dtype": "complex128", "calibrate": False,
+                                  "eta_target": 0.03125}),
+    "simulate_voting": ("simulate", {"model": MODEL, "variant": "voting", "nu": 3, "mu": 3,
+                                     "window": 1, "n_random": 1}),
+    "sweep_fixed_point": ("sweep", {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4,
+                                    "grid": {"q": [0, 1], "delta": [2.8]}, "n_random": 1}),
+    "sweep_voting": ("sweep", {"variant": "voting", "worst_case": WORST_CASE,
+                               "grid": {"mu": [3], "nu": [1, 3]}, "n_random": 1}),
+    "compare": ("compare", {"b": 0.05, "mu_limit": 16, "delta_grid": [3.0, 0.4],
+                            "eps_grid": [1e-4], "measured_cells": [[3.0, 1e-4]]}),
+}
+# Values that broke the contract somewhere once, and an odd register count
+# that passes require_odd.
+MUTANTS = (None, True, False, 0, -1, 1.5, math.inf, -math.inf, math.nan, 1e308, 1e-300,
+           2 ** 70, -0.0, "x", [], {}, [1e-4, "x"], [None], 2 ** 61 + 1)
+
+
+def config_paths(doc, prefix=()):
+    """Every key, nested key and list entry of doc, as a path."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_paths(value, prefix + (key,))
+
+
+class WorkReached(Exception):
+    """Raised by the stubbed work entry points: the config passed every
+    check the CLI makes before work starts."""
+
+
+def reach_work(*_args, **_kwargs):
+    raise WorkReached
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mutated_configs_keep_the_exit_code_contract(fuzz_dir, data):
+    # Exit 0, 1 or 2, a 2 says "error:", and nothing escapes as a traceback.
+    # Deeper paths are set first, so no later change lands inside a value
+    # that replaced its parent.
+    command, doc = BASE_CONFIGS[data.draw(st.sampled_from(sorted(BASE_CONFIGS)))]
+    paths = data.draw(st.lists(st.sampled_from(list(config_paths(doc))), min_size=1,
+                               max_size=3, unique=True))
+    doc = copy.deepcopy(doc)
+    for path in sorted(paths, key=len, reverse=True):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+    config = fuzz_dir / "c.json"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((pea, "best_window"), (pea, "calibrate_workspace"),
+                             (pea, "measure_eta"), (marker, "evaluate_marker")):
+            mp.setattr(module, name, reach_work)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main([command, "--config", str(config), "--out", str(fuzz_dir)])
+            except WorkReached:
+                return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

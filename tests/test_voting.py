@@ -191,6 +191,23 @@ def test_tensor_dimension_guard():
         em.build_h_tensor(op, 11, layout)
 
 
+@pytest.mark.parametrize("nu", [2 ** 61 + 1, 19])
+def test_tensor_guard_never_forms_a_huge_power(nu):
+    # 2^mu >= 2, so nu * mu bits over the guard's 18 are rejected before
+    # (2^mu)^nu is formed; 2^61 + 1 registers take no longer than 19.
+    window = em.WorkspaceLayout(3, 1).z_window()
+    with pytest.raises(ValueError, match="exceeds tensor guard"):
+        voting.check_joint_dim(1, window.dim, nu)
+    with pytest.raises(ValueError, match="exceeds tensor guard"):
+        em.majority_projector(window, nu)
+    with pytest.raises(ValueError, match="exceeds tensor guard"):
+        em.majority_projector(em.SubspaceProjector(2, (0,)), nu)
+    # At the guard exactly: 2 * 2^17 is in, one more register is not.
+    assert voting.check_joint_dim(2, 2, 17) == voting.TENSOR_GUARD
+    with pytest.raises(ValueError, match="exceeds tensor guard"):
+        voting.check_joint_dim(2, 2, 18)
+
+
 def test_majority_projector_membership():
     window = em.SubspaceProjector(2, (0,))
     maj = em.majority_projector(window, 3)
