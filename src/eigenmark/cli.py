@@ -8,7 +8,7 @@ is dumped with sorted keys, and floats are written with repr.  Exit codes:
 0 success, 1 property or calibration failure, 2 usage/config error.
 
 Subcommands:
-  calibrate   write the (mu, window) calibration cache for (delta, b)
+  calibrate   write the calibration result for (delta, b)
   simulate    one marker evaluation -> JSON + CSV report
   sweep       grid over mu/q/nu/delta -> CSV, optionally parallel
   compare     cost-model table over a (delta, eps) grid -> CSV
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -129,42 +130,51 @@ def _cmd_calibrate(args) -> int:
     b = _require(cfg, "b", float)
     options = {"eta_target": _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float),
                "mu_cap": _option(cfg, "mu_cap", 20, int)}
-    out = _outdir(args)
-    cache = os.path.join(out, "calibration.json")
     try:
-        result = pea.calibrate_workspace(delta, b, cache_path=cache, **options)
+        result = pea.calibrate_workspace(delta, b, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    path = os.path.join(_outdir(args), "calibration.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(asdict(result), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     status = "converged" if result.converged else "FAILED (best shown)"
     print(f"calibration {status}: mu={result.mu} window={result.window} "
-          f"eta={result.eta!r} (target {result.eta_target!r}) -> {cache}")
+          f"eta={result.eta!r} (target {result.eta_target!r}) -> {path}")
     return 0 if result.converged else 1
 
 
 # --- simulate ----------------------------------------------------------------
 
-def _resolve_layout(cfg, spec, target):
-    if cfg.get("calibrate"):
-        eta_target = _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float)
-        try:
-            calib = pea.calibrate_workspace(spec.delta, target.b, eta_target=eta_target)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not calib.converged:
-            raise ConfigError(
-                f"calibration did not reach eta target; best eta={calib.eta!r} at "
-                f"mu={calib.mu}")
-        return calib.layout()
-    mu = _require(cfg, "mu", int)
+def _resolve_layout(cfg, spec, target, variant_args):
+    """The calibrated layout, or the configured mu with the configured
+    window or the best one; a voting layout is checked against the tensor
+    guard before any window search."""
     try:
-        pea.WorkspaceLayout(mu, 0)  # checks mu's range before best_window runs
-        if "window" in cfg:
-            window = _integer(cfg["window"], "config['window']")
+        if cfg.get("calibrate"):
+            eta_target = _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float)
+            calib = pea.calibrate_workspace(spec.delta, target.b, eta_target=eta_target)
+            if not calib.converged:
+                raise ConfigError(
+                    f"calibration did not reach eta target; best eta={calib.eta!r} at "
+                    f"mu={calib.mu}")
+            mu, window = calib.mu, calib.window
         else:
+            mu = pea.WorkspaceLayout(_require(cfg, "mu", int), 0).mu  # checks mu's range
+            window = _integer(cfg["window"], "config['window']") if "window" in cfg else None
+        _check_joint_dim(variant_args, spec.dim, mu)
+        if window is None:
             window = pea.best_window(mu, spec.delta, target.b).window
         return pea.WorkspaceLayout(mu, window)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_joint_dim(variant_args: dict, main_dim: int, mu: int) -> None:
+    """Reject (ValueError) a voting assembly whose joint dimension is over
+    the tensor guard."""
+    if variant_args["variant"] == "voting":
+        voting.check_joint_dim(main_dim, 2 ** mu, variant_args["nu"])
 
 
 def _assembly_args(cfg, q, nu) -> dict:
@@ -186,7 +196,7 @@ def _cmd_simulate(args) -> int:
     variant_args = _assembly_args(cfg, cfg.get("q"), cfg.get("nu"))
     dtype = _dtype_from(cfg)
     n_random = _probe_count(cfg, 8)
-    layout = _resolve_layout(cfg, spec, target)
+    layout = _resolve_layout(cfg, spec, target, variant_args)
     try:
         assembly = marker.build_assembly(spec, target, layout, **variant_args)
     except ValueError as exc:
@@ -242,6 +252,8 @@ def _sweep_cells(cfg, seed) -> list[dict]:
     # Worst-case cells run the verification model.
     main_dim = pea.VERIFICATION_DIM if model is None else model[0].dim
     try:
+        if synthetic:
+            spectral.require_finite(phi, "worst_case phi")
         cells = [{
             "delta": None if delta is None else float(delta),
             "mu": pea.WorkspaceLayout(_integer(mu, "mu"), 0).mu,  # checks mu's range
@@ -251,8 +263,7 @@ def _sweep_cells(cfg, seed) -> list[dict]:
         } for delta, mu, q, nu in itertools.product(deltas, mus, qs, nus)]
         for cell in cells:
             pea.check_search(*_search_band(cell))
-            if cell["variant_args"]["variant"] == "voting":
-                voting.check_joint_dim(main_dim, 2 ** cell["mu"], cell["variant_args"]["nu"])
+            _check_joint_dim(cell["variant_args"], main_dim, cell["mu"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cells

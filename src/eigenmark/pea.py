@@ -42,11 +42,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
-import os
-import tempfile
 import threading
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -517,10 +513,6 @@ def check_search(delta: float, b: float) -> None:
         raise ValueError(f"b {b!r} outside (0, 0.25]")
 
 
-def _cache_key(delta: float, b: float, eta_target: float) -> str:
-    return f"delta={delta!r}|b={b!r}|eta_target={eta_target!r}|algo=fejer-box-1"
-
-
 def _mu_sweep(mu_values, delta: float, b: float):
     """(mu, best_window choice) for each mu in turn.  The crossing sits at
     a fixed phase, which spans 2^(mu - mu') times as many bins at mu as at
@@ -535,18 +527,15 @@ def _mu_sweep(mu_values, delta: float, b: float):
 
 
 def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_DEFAULT,
-                        mu_cap: int = 20, cache_path=None) -> CalibrationResult:
+                        mu_cap: int = 20) -> CalibrationResult:
     """Smallest mu (with its window) whose worst-case eta meets the target.
 
     Worst cases are taken over |lam| <= b*delta for the marked side and
     circle distance >= delta/2 for the unmarked side.  When no mu up to
     min(mu_cap, MU_MAX) reaches the target, the result carries
-    converged=False and the best (mu, window) found.  Results are cached in
-    a JSON file keyed by (delta, b, eta_target, search algorithm) when
-    cache_path is given.  A cached entry is served only when it converged
-    at a mu within mu_cap; otherwise, or when the cache is corrupt
-    (reported with a RuntimeWarning), the result is recomputed and the
-    file rewritten.
+    converged=False and the best (mu, window) found.  Every call searches
+    cold and the search is deterministic, so the result is a function of
+    the arguments alone.
     """
     mu_cap = require_int(mu_cap, "mu_cap")
     check_search(delta, b)
@@ -554,23 +543,6 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
         raise ValueError(f"eta_target {eta_target!r} outside (0, 1]")
     if mu_cap < 1:
         raise ValueError(f"mu_cap {mu_cap!r} must be at least 1")
-    key = _cache_key(delta, b, eta_target)
-    cached = {}
-    if cache_path is not None and os.path.exists(cache_path):
-        try:
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                cached = json.load(fh)
-            if not isinstance(cached, dict):
-                raise TypeError(f"root is a JSON {type(cached).__name__}, not an object")
-            if key in cached:
-                hit = CalibrationResult(**cached[key])
-                if hit.converged and hit.mu <= mu_cap:
-                    return hit
-        except (ValueError, TypeError) as exc:
-            warnings.warn(f"calibration cache {cache_path} is corrupt ({exc}); recomputing",
-                          RuntimeWarning, stacklevel=2)
-            cached = cached if isinstance(cached, dict) else {}
-
     best = None
     for mu, choice in _mu_sweep(range(1, min(mu_cap, MU_MAX) + 1), delta, b):
         candidate = CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
@@ -579,13 +551,6 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
             best = candidate
         if candidate.converged:
             break
-
-    if cache_path is not None:
-        cached[key] = asdict(best)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(cache_path)) or ".")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(cached, fh, indent=2, sort_keys=True)
-        os.replace(tmp, cache_path)
     return best
 
 

@@ -15,6 +15,7 @@ operators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,15 @@ def wrap_angle(x):
     r = np.where(r <= -np.pi, r + 2 * np.pi, r)
     r = np.where((arr > -np.pi) & (arr <= np.pi), arr, r)
     return float(r) if np.isscalar(x) or arr.ndim == 0 else r
+
+
+def require_finite(x, name: str) -> float:
+    """x as a float, rejecting (ValueError) a NaN or an infinity, which no
+    phase arithmetic can reduce."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def circle_distance(a, b):
@@ -54,7 +64,8 @@ class SpectralUnitary:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        phases = tuple(float(wrap_angle(p)) for p in self.eigenphases)
+        phases = tuple(float(wrap_angle(require_finite(p, f"eigenphase {i}")))
+                       for i, p in enumerate(self.eigenphases))
         if len(phases) != self.dim:
             raise ValueError(f"{len(phases)} eigenphases for dim {self.dim}")
         object.__setattr__(self, "eigenphases", phases)
@@ -103,7 +114,8 @@ class MarkTarget:
                 b: float = 0.05, marked_index: int | None = None) -> "MarkTarget":
         if not (0.0 < b <= 0.25):
             raise ValueError(f"accuracy fraction b={b!r} outside (0, 0.25]")
-        psi_prime = wrap_angle(psi_prime)
+        psi_prime = wrap_angle(require_finite(psi_prime, "estimate psi_prime"))
+        phi = require_finite(phi, "marker angle phi")
         lam = wrap_angle(np.asarray(spec.eigenphases) - psi_prime)
         window = b * spec.delta
         marked = tuple(int(i) for i in np.nonzero(np.abs(lam) < window)[0])

@@ -1,6 +1,7 @@
 import csv
 import json
-import re
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -47,26 +48,38 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_calibrate_writes_cache(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"delta": 3.0, "b": 0.05})
     assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
-    cache = json.loads((tmp_path / "calibration.json").read_text())
-    (key, entry), = cache.items()
-    assert "delta=3.0" in key
+    entry = json.loads((tmp_path / "calibration.json").read_text())
+    assert (entry["delta"], entry["b"]) == (3.0, 0.05)
     assert entry["converged"]
     assert entry["eta_marked"] <= 2.0 ** -5
-    # Second run hits the cache and reports the same layout.
-    assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
-    out = capsys.readouterr().out
-    assert out.count(f"mu={entry['mu']}") == 2
+    assert f"mu={entry['mu']} window={entry['window']}" in capsys.readouterr().out
 
 
-def test_calibrate_recovers_corrupt_cache(tmp_path, capsys):
+def test_calibrate_writes_the_runs_own_result(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"delta": 3.0, "b": 0.05})
-    cache = tmp_path / "calibration.json"
-    cache.write_text("{not json")
-    with pytest.warns(RuntimeWarning, match=re.escape(str(cache))):
-        assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
-    (entry,) = json.loads(cache.read_text()).values()
-    assert (entry["mu"], entry["window"]) == (11, 330)
-    assert "mu=11 window=330" in capsys.readouterr().out
+    path = tmp_path / "out" / "calibration.json"
+    written = []
+    for _ in range(2):
+        assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0]) == asdict(pea.calibrate_workspace(3.0, 0.05))
+    # Whatever the file held before, a corrupt document or an entry in the
+    # old keyed format, it is overwritten without a warning.
+    old_format = {"delta=3.0|b=0.05|eta_target=0.03125|algo=fejer-box-1": json.loads(written[0])}
+    for before in ("{not json", json.dumps(old_format)):
+        path.write_text(before)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert path.read_bytes() == written[0]
+    # A capped search that does not converge writes its best, with exit 1.
+    capped = write_config(tmp_path, "capped.json", {"delta": 3.0, "b": 0.05, "mu_cap": 4})
+    assert run_cli(["calibrate", "--config", capped, "--out", tmp_path / "out"]) == 1
+    best = json.loads(path.read_text())
+    assert best == asdict(pea.calibrate_workspace(3.0, 0.05, mu_cap=4))
+    assert not best["converged"] and best["mu"] <= 4
+    assert "FAILED (best shown)" in capsys.readouterr().out
 
 
 def test_calibrate_ignores_grid_per_bin(tmp_path, capsys):
@@ -295,6 +308,8 @@ WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
      "error:"),
     ({"variant": "pea", "worst_case": {**WORST_CASE, "delta": 9.0}, "grid": {"mu": [4]}},
      "error:"),
+    ({"variant": "pea", "worst_case": {**WORST_CASE, "phi": float("nan")},
+      "grid": {"mu": [4]}}, "error: worst_case phi must be finite"),
     # Neither a register count nor a workspace size is ever raised to a
     # power before it is checked, so these are rejected at once.
     ({"variant": "voting", "worst_case": WORST_CASE, "mu": 3, "grid": {"nu": [2 ** 40 + 1]}},
@@ -304,7 +319,7 @@ WORST_CASE = {"delta": 2.8, "b": 0.05, "phi": np.pi}
     ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4, 2 ** 70]}}, "error: mu"),
     ({"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [1e308]}}, "error: mu"),
 ], ids=["dtype", "model_path", "voting_q", "q_cap", "even_nu", "mu", "tensor_guard",
-        "b_range", "delta_range", "huge_nu", "mu_2**70", "mu_1e308", "grid_mu_2**70",
+        "b_range", "delta_range", "phi_nan", "huge_nu", "mu_2**70", "mu_1e308", "grid_mu_2**70",
         "grid_mu_1e308"])
 def test_sweep_rejects_bad_cells_before_any_work(tmp_path, capsys, monkeypatch, doc, says):
     def no_work(*_args, **_kwargs):
@@ -390,6 +405,19 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     ("simulate", {**SIMULATE, "variant": "voting", "mu": 3, "window": 1, "nu": 2 ** 40 + 1}),
     ("simulate", {**SIMULATE, "mu": 2 ** 70}),
     ("simulate", {**SIMULATE, "mu": 1e308}),
+    # Phases that are not finite, on either direction or in the target.
+    ("simulate", {**SIMULATE, "window": 1,
+                  "model": _bad_model(eigenphases=[0.01, float("nan")])}),
+    ("simulate", {**SIMULATE, "window": 1,
+                  "model": _bad_model(eigenphases=[float("inf"), 2.0])}),
+    ("simulate", {**SIMULATE, "window": 1,
+                  "model": _bad_model(eigenphases=[0.01, float("-inf")])}),
+    ("simulate", {**SIMULATE, "window": 1,
+                  "model": _bad_model(target={"psi_prime": 0.0, "phi": float("nan")})}),
+    ("simulate", {**SIMULATE, "window": 1,
+                  "model": _bad_model(target={"psi_prime": float("nan"), "phi": np.pi})}),
+    # The tensor guard runs before the window search it would make moot.
+    ("simulate", {**SIMULATE, "variant": "voting", "mu": 16, "nu": 3}),
 ], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
         "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
         "simulate_basis_entries", "simulate_marked_index_text",
@@ -408,7 +436,9 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "compare_delta_zero", "compare_delta_negative_zero", "compare_delta_false",
         "compare_eps_zero", "compare_eps_negative_zero", "compare_eps_false",
         "compare_eps_underflow", "simulate_huge_nu", "simulate_mu_2**70",
-        "simulate_mu_1e308"])
+        "simulate_mu_1e308", "simulate_eigenphase_nan", "simulate_eigenphase_inf",
+        "simulate_eigenphase_minus_inf", "simulate_phi_nan", "simulate_psi_prime_nan",
+        "simulate_voting_guard_before_search"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
     # Every case is rejected before any window search starts (the sweep
     # cases are in test_sweep_rejects_bad_cells_before_any_work).

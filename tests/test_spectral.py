@@ -57,6 +57,28 @@ def test_validation_rejects_gap_violation_with_offending_phase():
         em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("index", [0, 1], ids=["marked", "unmarked"])
+def test_non_finite_eigenphase_is_rejected_by_index(bad, index):
+    # A NaN would drop out of the worst residual's max, and an infinity has
+    # no angle to reduce to.
+    phases = [0.01, 2.0]
+    phases[index] = bad
+    with pytest.raises(ValueError, match=f"eigenphase {index} must be finite"):
+        em.SpectralUnitary(dim=2, eigenphases=tuple(phases), delta=1.5)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("marker angle phi", {"psi_prime": 0.0, "phi": np.nan}),
+    ("marker angle phi", {"psi_prime": 0.0, "phi": np.inf}),
+    ("estimate psi_prime", {"psi_prime": np.nan, "phi": np.pi}),
+], ids=["phi_nan", "phi_inf", "psi_prime_nan"])
+def test_non_finite_target_angle_is_rejected(name, kwargs):
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), delta=1.5)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        em.MarkTarget.resolve(spec, b=0.05, **kwargs)
+
+
 def test_build_shifted_rejects_mismatched_target():
     spec_a = em.SpectralUnitary(dim=2, eigenphases=(0.0, 2.0), delta=1.5)
     spec_b = em.SpectralUnitary(dim=2, eigenphases=(0.0, 2.2), delta=1.5)
