@@ -12,7 +12,6 @@ one measured cell from an actual simulation backs the fixed-point column.
 import math
 
 import eigenmark as em
-from eigenmark import complexity
 
 deltas = [1e-1, 1e-2, 1e-3]
 epss = [1e-2, 1e-4, 1e-6, 1e-8]
@@ -42,12 +41,8 @@ for eps in epss:
 print()
 print("one measured cell (delta=3.0, eps=1e-4): counters from a real run")
 calib = em.calibrate_workspace(3.0, 0.05)
-eta = min(calib.eta, complexity.ETA_REGIME)
-q = em.plan_recursion(eta, 1e-4)
-spec, target = em.verification_model(3.0, 0.05, calib.lam_marked, calib.lam_unmarked)
-layout = calib.layout()
-assembly = em.build_assembly(spec, target, layout, "fixed_point", q=q)
-counters = em.application_counters(assembly)
+cell = em.measured_cell(calib, 1e-4)
+q = cell["q"]
 print(f"  planned recursion level q={q} at eta={calib.eta:.5f}")
-print(f"  one marker application: N_P={counters.n_p} (= 2*9^{q}), "
-      f"N_U={counters.n_u} (= N_P * 2^{layout.mu}), N_A={counters.n_a}")
+print(f"  one marker application: N_P={cell['n_p']} (= 2*9^{q}), "
+      f"N_U={cell['n_u']} (= N_P * 2^{cell['mu']}), N_A={cell['n_a']}")

@@ -64,6 +64,7 @@ from .marker import (
     assemble_marker,
     build_assembly,
     evaluate_marker,
+    measured_cell,
 )
 from .complexity import (
     ComplexityCounters,

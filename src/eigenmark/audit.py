@@ -463,15 +463,9 @@ def check_complexity_planner(ctx) -> CheckResult:
 
 def check_complexity_table_consistency(ctx) -> CheckResult:
     eps = 1e-8
-    eta = ctx.eta_report.eta
-    q = complexity.plan_recursion(min(eta, complexity.ETA_REGIME), eps)
-    assembly = marker.build_assembly(ctx.spec, ctx.target, ctx.layout,
-                                     "fixed_point", q=q)
-    counters = marker.application_counters(assembly)
-    measured = [{"variant": "fixed_point", "delta": AUDIT_DELTA, "eps": eps,
-                 "mu": ctx.layout.mu, "q": q, "nu": None,
-                 "n_u": counters.n_u, "n_a": counters.n_a, "n_p": counters.n_p}]
-    rows = complexity.tabulate([AUDIT_DELTA], [eps], measured)
+    measured = marker.measured_cell(ctx.calib, eps)
+    q = measured["q"]
+    rows = complexity.tabulate([AUDIT_DELTA], [eps], [measured])
     cell = [r for r in rows if r["variant"] == "fixed_point"][0]
     want = 2 * 9 ** q * 2 ** ctx.layout.mu
     ok = cell["N_U_measured"] == want

@@ -3,9 +3,11 @@ emission.
 
 All configuration comes from a single JSON document (never environment
 variables), and given the same config and seed the emitted files are
-byte-identical: rows are sorted by cell key regardless of scheduling, JSON
-is dumped with sorted keys, and floats are written with repr.  Exit codes:
-0 success, 1 property or calibration failure, 2 usage/config error.
+byte-identical: rows are sorted by cell key regardless of scheduling, and
+every file goes through one of two writers here (_write_json, _write_csv),
+so JSON is dumped with indent 2 and sorted keys, and a CSV cell is empty
+for None and repr for a float (_cell).  Exit codes: 0 success, 1 property or
+calibration failure, 2 usage/config error.
 
 Subcommands:
   calibrate   write the calibration result for (delta, b)
@@ -28,7 +30,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import audit as audit_mod
 from . import complexity, marker, pea, spectral, voting
 from .statevec import EXTENDED, share_cores
 
@@ -122,6 +123,31 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a float is its repr, anything else its
+    str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, columns, rows) -> None:
+    """A header of columns, then each row's values in that order, as _cell
+    formats them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+
+
 # --- calibrate ---------------------------------------------------------------
 
 def _cmd_calibrate(args) -> int:
@@ -135,9 +161,7 @@ def _cmd_calibrate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     path = os.path.join(_outdir(args), "calibration.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, asdict(result))
     status = "converged" if result.converged else "FAILED (best shown)"
     print(f"calibration {status}: mu={result.mu} window={result.window} "
           f"eta={result.eta!r} (target {result.eta_target!r}) -> {path}")
@@ -208,8 +232,8 @@ def _cmd_simulate(args) -> int:
         dtype=dtype,
     )
     out = _outdir(args)
-    marker.write_report_json(report, os.path.join(out, "report.json"))
-    marker.write_report_csv(report, os.path.join(out, "report.csv"))
+    _write_json(os.path.join(out, "report.json"), report.to_json_dict())
+    _write_csv(os.path.join(out, "report.csv"), marker.CSV_COLUMNS, report.csv_rows())
     print(f"simulate: variant={report.variant} mu={report.mu} "
           f"q_or_nu={report.q_or_nu} worst_residual={report.worst_residual!r}")
     return 0
@@ -299,18 +323,17 @@ def _run_cell(cell: dict, delta: float, spec, target, layout, eta: float) -> dic
     report = marker.evaluate_marker(assembly, spec, target,
                                     n_random=cell["n_random"], seed=cell["seed"],
                                     dtype=cell["dtype"])
-    q, nu = cell["variant_args"]["q"], cell["variant_args"]["nu"]
     return {
         "variant": assembly.variant,
-        "delta": repr(float(delta)),
+        "delta": float(delta),
         "mu": cell["mu"],
         "window": layout.window,
-        "q": "" if q is None else q,
-        "nu": "" if nu is None else nu,
-        "phi": repr(float(target.phi)),
-        "eta": repr(eta),
-        "worst_residual": repr(report.worst_residual),
-        "superposition_residual": repr(report.superposition_residual),
+        "q": cell["variant_args"]["q"],
+        "nu": cell["variant_args"]["nu"],
+        "phi": float(target.phi),
+        "eta": eta,
+        "worst_residual": report.worst_residual,
+        "superposition_residual": report.superposition_residual,
         "N_U": report.counters.n_u,
         "N_A": report.counters.n_a,
         "N_P": report.counters.n_p,
@@ -318,7 +341,10 @@ def _run_cell(cell: dict, delta: float, spec, target, layout, eta: float) -> dic
 
 
 def _cell_key(row: dict):
-    return (row["variant"], row["delta"], row["mu"], str(row["q"]), str(row["nu"]))
+    """Sweep row order: delta, q and nu compare as their written cells (so
+    1e-05 follows 0.5), mu as a number."""
+    return (row["variant"], _cell(row["delta"]), row["mu"], _cell(row["q"]),
+            _cell(row["nu"]))
 
 
 def _cmd_sweep(args) -> int:
@@ -339,33 +365,13 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_run_cells(group) for group in groups.values()]
     rows = sorted((row for group in results for row in group), key=_cell_key)
-    out = _outdir(args)
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    path = os.path.join(_outdir(args), "sweep.csv")
+    _write_csv(path, SWEEP_COLUMNS, rows)
     print(f"sweep: {len(rows)} cells -> {path}")
     return 0
 
 
 # --- compare -----------------------------------------------------------------
-
-def _measured_cell(delta: float, eps: float, b: float, mu_limit: int) -> dict | None:
-    calib = pea.calibrate_workspace(delta, b)
-    if not calib.converged or calib.mu > mu_limit:
-        return None
-    eta = min(calib.eta, complexity.ETA_REGIME)
-    q = complexity.plan_recursion(eta, eps)
-    spec, target = pea.verification_model(delta, b, calib.lam_marked, calib.lam_unmarked)
-    layout = calib.layout()
-    assembly = marker.build_assembly(spec, target, layout, "fixed_point", q=q)
-    counters = marker.application_counters(assembly)
-    return {"variant": "fixed_point", "delta": delta, "eps": eps,
-            "mu": layout.mu, "q": q, "nu": None,
-            "n_u": counters.n_u, "n_a": counters.n_a, "n_p": counters.n_p}
-
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args.config)
@@ -380,18 +386,17 @@ def _cmd_compare(args) -> int:
     measured = []
     for delta, eps in pairs:
         try:
-            cell = _measured_cell(delta, eps, b, mu_limit)
+            calib = pea.calibrate_workspace(delta, b)
+            if calib.converged and calib.mu <= mu_limit:
+                measured.append(marker.measured_cell(calib, eps))
         except ValueError as exc:
             raise ConfigError(f"measured cell ({delta!r}, {eps!r}): {exc}") from exc
-        if cell is not None:
-            measured.append(cell)
     try:
         rows = complexity.tabulate(delta_grid, eps_grid, measured)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _outdir(args)
-    path = os.path.join(out, "compare.csv")
-    complexity.write_table_csv(rows, path)
+    path = os.path.join(_outdir(args), "compare.csv")
+    _write_csv(path, complexity.TABLE_COLUMNS, rows)
     print(f"compare: {len(rows)} rows ({len(measured)} measured cells) -> {path}")
     return 0
 
@@ -399,15 +404,16 @@ def _cmd_compare(args) -> int:
 # --- audit -------------------------------------------------------------------
 
 def _cmd_audit(args) -> int:
-    results = audit_mod.run_audit(seed=args.seed)
-    text = audit_mod.format_results(results)
+    # Imported here: no other subcommand needs the invariant suite.
+    from . import audit
+
+    results = audit.run_audit(seed=args.seed)
+    text = audit.format_results(results)
     out = _outdir(args)
     with open(os.path.join(out, "audit.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
-    with open(os.path.join(out, "audit.json"), "w", encoding="utf-8") as fh:
-        json.dump([{"name": r.name, "ok": bool(r.ok), "detail": r.detail}
-                   for r in results], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "audit.json"),
+                [{"name": r.name, "ok": bool(r.ok), "detail": r.detail} for r in results])
     sys.stdout.write(text)
     return 0 if all(r.ok for r in results) else 1
 

@@ -9,7 +9,6 @@ meaningful as ratios and trends across a grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -160,30 +159,3 @@ def tabulate(delta_grid, eps_grid, measured=()) -> list[dict]:
                 })
     rows.sort(key=lambda r: (_VARIANT_ORDER.index(r["variant"]), r["delta"], r["eps"]))
     return rows
-
-
-def write_table_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                "variant": row["variant"],
-                "delta": repr(row["delta"]),
-                "eps": repr(row["eps"]),
-                "mu": _fmt(row["mu"]),
-                "q": _fmt(row["q"]),
-                "nu": _fmt(row["nu"]),
-                "N_U_model": _fmt(row["N_U_model"]),
-                "N_U_measured": _fmt(row["N_U_measured"]),
-                "N_A": _fmt(row["N_A"]),
-                "N_P": _fmt(row["N_P"]),
-            })
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

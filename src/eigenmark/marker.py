@@ -21,9 +21,7 @@ probes (through the turned operator).
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +37,10 @@ from .statevec import (
     require_int,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
-from .pea import WorkspaceLayout, estimation_factors
+from .pea import CalibrationResult, WorkspaceLayout, estimation_factors, verification_model
 from .fpqs import build_fixed_point, check_level, selective_phase
 from .voting import build_h_tensor, majority_projector, require_odd
-from .complexity import ComplexityCounters
+from .complexity import ETA_REGIME, ComplexityCounters, plan_recursion
 
 VARIANTS = ("pea", "voting", "fixed_point")
 
@@ -192,10 +190,10 @@ class MarkerErrorReport:
         }
 
     def csv_rows(self) -> list[dict]:
+        """One row per eigendirection, keyed by CSV_COLUMNS."""
         return [
-            {"direction": e.index, "eigenphase": repr(e.eigenphase),
-             "residual": repr(e.residual), "variant": self.variant,
-             "mu": self.mu, "q_or_nu": "" if self.q_or_nu is None else self.q_or_nu,
+            {"direction": e.index, "eigenphase": e.eigenphase, "residual": e.residual,
+             "variant": self.variant, "mu": self.mu, "q_or_nu": self.q_or_nu,
              "N_U": self.counters.n_u, "N_A": self.counters.n_a}
             for e in self.entries
         ]
@@ -205,20 +203,6 @@ CSV_COLUMNS = ("direction", "eigenphase", "residual", "variant", "mu", "q_or_nu"
                "N_U", "N_A")
 
 
-def write_report_json(report: MarkerErrorReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_report_csv(report: MarkerErrorReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in report.csv_rows():
-            writer.writerow(row)
-
-
 def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
     """Exact counters of one application of the assembled marker.  Tally
     charges per application whatever the state, and every eigendirection's
@@ -226,6 +210,21 @@ def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
     tally = Tally()
     apply(assembly.directions[0], np.ones((1, 1), dtype=complex), assembly.work_dim, tally)
     return ComplexityCounters.from_tally(tally, assembly.ancillas)
+
+
+def measured_cell(calib: CalibrationResult, eps: float) -> dict:
+    """The measured fixed-point record complexity.tabulate takes for
+    (calib.delta, eps): the level q planned from the calibrated eta (capped
+    at the working regime), and the exact counters of one marker
+    application on the calibrated verification model."""
+    q = plan_recursion(min(calib.eta, ETA_REGIME), eps)
+    spec, target = verification_model(calib.delta, calib.b, calib.lam_marked,
+                                      calib.lam_unmarked)
+    counters = application_counters(
+        build_assembly(spec, target, calib.layout(), "fixed_point", q=q))
+    return {"variant": "fixed_point", "delta": calib.delta, "eps": eps,
+            "mu": calib.mu, "q": q, "nu": None,
+            "n_u": counters.n_u, "n_a": counters.n_a, "n_p": counters.n_p}
 
 
 def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: MarkTarget,

@@ -295,8 +295,13 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
 
     The gate: numpy runs an application's FFTs and most of its array
     loops outside the GIL, so threads pay off once an application
-    outweighs the pool's cost.  Long-double applications, whose time is
-    long-double FFTs, do at every size.  For complex128,
+    outweighs the pool's cost.  Long-double applications whose time is
+    long-double FFTs (marker levels) do at every size.  pea.measure_eta's
+    single estimation-operator applications are the exception: their time
+    is the long-double Walsh-Hadamard, whose BLAS-less matmul holds the
+    GIL, so the gate threads them for no gain (on calibrate's three
+    verifications per pass, 2-core host, threads were no faster and
+    raised peak RSS from 44.6 to 50.8 MB).  For complex128,
     THREAD_MIN_DIM is the smallest power of two at which threaded
     evaluate_marker calls of every variant (pea, voting, fixed_point; 2
     directions and 2 probes, best of 5, four rounds) were no slower than

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from eigenmark import cli, pea, statevec
+from eigenmark import cli, complexity, marker, pea, statevec
 
 
 def run_cli(args):
@@ -496,3 +500,42 @@ def test_compare_with_measured_cell(tmp_path):
     q = int(f_row["q"])
     mu = int(f_row["mu"])
     assert int(f_row["N_U_measured"]) == 2 * 9 ** q * 2 ** mu
+
+
+@pytest.mark.parametrize("value, cell", [(None, ""), (0.1, "0.1"), (1e-05, "1e-05"),
+                                         (3, "3")])
+def test_cell_rule(value, cell):
+    assert cli._cell(value) == cell
+
+
+def test_csv_writer_dialect_and_column_order(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [{"b": 0.5, "a": None, "c": "x,y"}, {"a": 2, "b": 1e-05, "c": "z"}]
+    cli._write_csv(path, ("b", "a"), rows)
+    assert path.read_bytes() == b"b,a\r\n0.5,\r\n1e-05,2\r\n"
+    cli._write_csv(path, ("c",), rows)
+    assert path.read_bytes() == b'c\r\n"x,y"\r\nz\r\n'
+
+
+def test_json_writer_layout(tmp_path):
+    path = tmp_path / "t.json"
+    cli._write_json(path, {"b": [1, None], "a": 0.1})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": 0.1,\n  "b": [\n    1,\n    null\n  ]\n}\n')
+
+
+def test_only_cli_writes_files():
+    for module in (marker, complexity):
+        assert not {"csv", "json"} & set(vars(module)), module.__name__
+
+
+def test_cli_import_leaves_audit_unloaded():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, eigenmark.cli; print('eigenmark.audit' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

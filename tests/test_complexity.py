@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import complexity
+from eigenmark import cli, complexity
 
 
 def test_plan_examples():
@@ -112,7 +112,7 @@ def test_table_measured_merge_and_csv(tmp_path):
     assert cell["N_U_measured"] == 2654208
     assert cell["mu"] == 14 and cell["q"] == 2
     path = tmp_path / "table.csv"
-    complexity.write_table_csv(rows, path)
+    cli._write_csv(path, complexity.TABLE_COLUMNS, rows)
     with open(path, newline="") as fh:
         got = list(csv.DictReader(fh))
     assert list(got[0].keys()) == list(complexity.TABLE_COLUMNS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import marker, pea
+from eigenmark import cli, marker, pea
 from eigenmark.statevec import EXTENDED
 
 from conftest import haar_unitary, rotation_block
@@ -370,8 +370,8 @@ def test_report_serialization(tmp_path, small_model):
     report = em.evaluate_marker(assembly, spec, target, n_random=2, seed=6)
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
-    marker.write_report_json(report, jpath)
-    marker.write_report_csv(report, cpath)
+    cli._write_json(jpath, report.to_json_dict())
+    cli._write_csv(cpath, marker.CSV_COLUMNS, report.csv_rows())
     doc = json.loads(jpath.read_text())
     assert doc["variant"] == "fixed_point"
     assert doc["q_or_nu"] == 1
