@@ -23,6 +23,7 @@ from .spectral import (
     SpectralUnitary,
     build_shifted,
     circle_distance,
+    haar_unitary,
     ideal_marker,
     load_model,
     load_model_file,

@@ -7,8 +7,10 @@ byte-stable across runs with the same seed.
 
 Scales are chosen for speed: dense oracles run at joint dimensions of a
 few dozen, and the calibrated-recursion checks run at delta = 3.0 where
-the calibrated workspace stays modest.  The heavyweight spec-scale runs
-live in the acceptance test suite instead.
+the calibrated workspace stays modest.  A check that an acceptance
+criterion shares takes the configuration it runs on (a seed, or a model,
+layout and operator) as plain arguments: `run_audit` passes the audit's,
+and the acceptance suite passes its own, heavier ones, to the same code.
 """
 
 from __future__ import annotations
@@ -31,18 +33,12 @@ class CheckResult:
     detail: str
 
 
-def _haar(rng, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 class _Context:
     """Shared artifacts so expensive constructions happen once per audit."""
 
     def __init__(self, seed: int) -> None:
         # Small model with a nontrivial eigenbasis for dense oracles.
-        basis = _haar(np.random.default_rng(seed + 1), 3)
+        basis = spectral.haar_unitary(np.random.default_rng(seed + 1), 3)
         self.small_spec = spectral.SpectralUnitary(
             dim=3, eigenphases=(0.05, 1.9, -2.0), eigenbasis=basis, delta=1.5)
         self.small_target = spectral.MarkTarget.resolve(
@@ -147,9 +143,9 @@ def check_spectral_marker_composition(ctx) -> CheckResult:
                        f"phase additivity and diagonality deviation = {_fmt(worst)} (tol 1e-12)")
 
 
-def check_spectral_shift_commutes(ctx) -> CheckResult:
-    u = dense_materialize(spectral.unitary_of(ctx.small_spec))
-    s = dense_materialize(ctx.small_shifted)
+def check_spectral_shift_commutes(spec, target) -> CheckResult:
+    u = dense_materialize(spectral.unitary_of(spec))
+    s = dense_materialize(spectral.build_shifted(spec, target))
     worst = float(np.abs(u @ s - s @ u).max())
     return CheckResult("spectral.shift_commutes", worst <= 1e-12,
                        f"max |US - SU| = {_fmt(worst)} (tol 1e-12)")
@@ -157,43 +153,40 @@ def check_spectral_shift_commutes(ctx) -> CheckResult:
 
 # --- pea --------------------------------------------------------------------
 
-def check_pea_grid_exactness(ctx) -> CheckResult:
-    layout = pea.WorkspaceLayout(mu=5, window=2)
-    wdim = layout.work_dim
-    spec = spectral.SpectralUnitary(
-        dim=2, eigenphases=(2 * np.pi * 1 / wdim, 2 * np.pi * 12 / wdim), delta=1.5)
-    target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.2)
+def check_pea_grid_exactness(spec, target, layout) -> CheckResult:
+    """On a model whose eigenphases sit on the 2^mu grid, estimation leaves
+    no magnitude in the wrong window."""
     op = pea.build_pea(spectral.build_shifted(spec, target), layout)
     report = pea.measure_eta(op, spec, target, layout)
     return CheckResult("pea.grid_exactness", report.eta <= 1e-12,
                        f"grid-aligned eta = {_fmt(report.eta)} (tol 1e-12)")
 
 
-def _main_disturbance(ctx, op) -> float:
-    """Largest norm op moves out of psi_i (x) workspace, over the small
-    model's eigendirections psi_i with sigma on the workspace."""
+def _main_disturbance(op, spec, layout) -> float:
+    """Largest norm op moves out of psi_i (x) workspace, over the
+    eigendirections psi_i of spec with sigma on the workspace."""
     worst = 0.0
-    psis = _columns(ctx.small_spec)
-    for psi, out in zip(psis, apply(op, psis, ctx.small_layout.work_dim)):
+    psis = _columns(spec)
+    for psi, out in zip(psis, apply(op, psis, layout.work_dim)):
         keep = np.outer(psi, psi.conj() @ out)
         worst = max(worst, float(np.linalg.norm(out - keep)))
     return worst
 
 
 def check_pea_block_structure(ctx) -> CheckResult:
-    worst = _main_disturbance(ctx, ctx.small_pea)
+    worst = _main_disturbance(ctx.small_pea, ctx.small_spec, ctx.small_layout)
     return CheckResult("pea.block_structure", worst <= 1e-12,
                        f"main-factor disturbance = {_fmt(worst)} (tol 1e-12)")
 
 
-def check_pea_scaling_constant(ctx) -> CheckResult:
-    const, _records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05)
-    return CheckResult("pea.scaling_constant", const <= 10.0,
+def check_pea_scaling_constant() -> CheckResult:
+    const, records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05)
+    return CheckResult("pea.scaling_constant", const <= 10.0 and len(records) == 5,
                        f"max eta*sqrt(2^mu*delta) over mu=6..10 at delta=0.4 is "
                        f"{_fmt(const)} (bound 10)")
 
 
-def check_pea_kernel_vs_simulation(ctx) -> CheckResult:
+def check_pea_kernel_vs_simulation() -> CheckResult:
     layout = pea.WorkspaceLayout(mu=6, window=3)
     worst = 0.0
     for lam_other in (0.3, 1.7, -2.2):
@@ -232,13 +225,13 @@ def _random_levels(seed: int, level):
         wdim = 2 ** mu
         layout = pea.WorkspaceLayout(mu, int(rng.integers(0, max(1, wdim // 2))))
         window, sigma = layout.z_window(), layout.sigma_state()
-        v = from_matrix(_haar(rng, wdim))
+        v = from_matrix(spectral.haar_unitary(rng, wdim))
         yield window.mask(), v.apply_to(sigma), level(v, window).apply_to(sigma)
 
 
-def check_fpqs_exact_cubing(ctx) -> CheckResult:
+def check_fpqs_exact_cubing(seed: int) -> CheckResult:
     worst = 0.0
-    for inside, before, after in _random_levels(21, fpqs.pi3_compress):
+    for inside, before, after in _random_levels(seed, fpqs.pi3_compress):
         eta = float(np.linalg.norm(before[~inside]))
         got = float(np.linalg.norm(after[~inside]))
         worst = max(worst, abs(got - eta ** 3))
@@ -247,9 +240,9 @@ def check_fpqs_exact_cubing(ctx) -> CheckResult:
                        f"random unitaries (tol 1e-12)")
 
 
-def check_fpqs_balance_mass_cubing(ctx) -> CheckResult:
+def check_fpqs_balance_mass_cubing(seed: int) -> CheckResult:
     worst = 0.0
-    for inside, before, after in _random_levels(22, fpqs.pi3_balance):
+    for inside, before, after in _random_levels(seed, fpqs.pi3_balance):
         u0 = float(np.linalg.norm(before[inside]) ** 2)
         u1 = float(np.linalg.norm(after[inside]) ** 2)
         worst = max(worst, abs(u1 - u0 ** 3))
@@ -257,15 +250,16 @@ def check_fpqs_balance_mass_cubing(ctx) -> CheckResult:
                        f"max |in-window mass after balance - u^3| = {_fmt(worst)} (tol 1e-12)")
 
 
-def check_fpqs_measured_vs_predicted(ctx) -> CheckResult:
-    eta = ctx.eta_report.eta
+def check_fpqs_measured_vs_predicted(pea_op, spec, target, layout, eta: float) -> CheckResult:
+    """The recursion error law at q = 1, 2 on the estimation operator pea_op,
+    whose measured (extended-precision) eta is given."""
     ok = eta <= fpqs.ETA_REGIME
     details = [f"eta={_fmt(eta)}"]
     slack = 1.0 + 10.0 * eta * eta
     for q in (1, 2):
         pred = fpqs.predict_schedule(q, eta)
-        level = fpqs.build_fixed_point(ctx.pea_op, q, ctx.layout.z_window())
-        got = pea.measure_eta(level, ctx.spec, ctx.target, ctx.layout, dtype=EXTENDED)
+        level = fpqs.build_fixed_point(pea_op, q, layout.z_window())
+        got = pea.measure_eta(level, spec, target, layout, dtype=EXTENDED)
         marked, unmarked = got.eta_marked, got.eta_unmarked
         ok_q = (marked <= pred.marked_magnitude * slack
                 and unmarked <= pred.unmarked_magnitude * slack
@@ -278,7 +272,7 @@ def check_fpqs_measured_vs_predicted(ctx) -> CheckResult:
     return CheckResult("fpqs.measured_vs_predicted", ok, "; ".join(details))
 
 
-def check_fpqs_recurrences(ctx) -> CheckResult:
+def check_fpqs_recurrences() -> CheckResult:
     worst = 0.0
     for q in range(6):
         here = fpqs.RecursionSchedule.closed_form(q)
@@ -295,16 +289,16 @@ def check_fpqs_recurrences(ctx) -> CheckResult:
                        f"{_fmt(worst)} (tol 1e-12)")
 
 
-def check_fpqs_counter_law(ctx) -> CheckResult:
-    layout = ctx.small_layout
+def check_fpqs_counter_law(pea_op, spec, layout) -> CheckResult:
+    """N_P = 9^q and N_U = 9^q * 2^mu for one level-q application, q <= 3."""
     window = layout.z_window()
     wdim = layout.work_dim
     ok = True
     details = []
     for q in range(4):
-        op = fpqs.build_fixed_point(ctx.small_pea, q, window)
+        op = fpqs.build_fixed_point(pea_op, q, window)
         tally = Tally()
-        apply(op, _columns(ctx.small_spec)[:1], wdim, tally)
+        apply(op, _columns(spec)[:1], wdim, tally)
         n_p, n_u = tally.get("P"), tally.get("U")
         ok = ok and n_p == 9 ** q and n_u == 9 ** q * wdim
         details.append(f"q={q}: N_P={n_p} N_U={n_u}")
@@ -312,25 +306,25 @@ def check_fpqs_counter_law(ctx) -> CheckResult:
                        "; ".join(details) + f" (want 9^q and 9^q*{wdim})")
 
 
-def check_fpqs_block_locality(ctx) -> CheckResult:
-    window = ctx.small_layout.z_window()
-    op = fpqs.build_fixed_point(ctx.small_pea, 1, window)
-    worst = _main_disturbance(ctx, op)
+def check_fpqs_block_locality(pea_op, spec, layout, q: int) -> CheckResult:
+    op = fpqs.build_fixed_point(pea_op, q, layout.z_window())
+    worst = _main_disturbance(op, spec, layout)
     return CheckResult("fpqs.block_locality", worst <= 1e-12,
-                       f"main-factor disturbance under level-1 recursion = {_fmt(worst)} "
+                       f"main-factor disturbance under level-{q} recursion = {_fmt(worst)} "
                        f"(tol 1e-12)")
 
 
 # --- voting -----------------------------------------------------------------
 
-def check_voting_tensor_equivalence(ctx) -> CheckResult:
-    layout = pea.WorkspaceLayout(mu=2, window=0)
+def check_voting_tensor_equivalence(layout, nus) -> CheckResult:
+    """The nu-register tensor's majority loss equals the binomial tail of
+    each direction's single-register eta, on a two-direction model."""
     spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.02, 2.1), delta=1.9)
     target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     op = pea.build_pea(spectral.build_shifted(spec, target), layout)
     etas = pea.measure_eta(op, spec, target, layout)
     worst = 0.0
-    for nu in (1, 3, 5):
+    for nu in nus:
         h = voting.build_h_tensor(op, nu, layout)
         majority = voting.majority_projector(layout.z_window(), nu)
         outs = apply(h, _columns(spec), layout.work_dim ** nu)
@@ -340,11 +334,12 @@ def check_voting_tensor_equivalence(ctx) -> CheckResult:
             want = voting.majority_tail_amplitude(entry.eta ** 2, nu)
             worst = max(worst, abs(got - want))
     return CheckResult("voting.tensor_equivalence", worst <= 1e-10,
-                       f"max |tensor - binomial| amplitude over nu in {{1,3,5}} = "
+                       f"max |tensor - binomial| amplitude over nu in "
+                       f"{{{','.join(map(str, nus))}}} = "
                        f"{_fmt(worst)} (tol 1e-10)")
 
 
-def check_voting_tail_monotonicity(ctx) -> CheckResult:
+def check_voting_tail_monotonicity() -> CheckResult:
     ok = True
     for p in (0.001, 0.05, 0.3, 0.49):
         tails = [voting.majority_tail_amplitude(p, nu) for nu in range(1, 23, 2)]
@@ -354,7 +349,7 @@ def check_voting_tail_monotonicity(ctx) -> CheckResult:
                        "{0.001, 0.05, 0.3, 0.49}")
 
 
-def check_voting_hoeffding(ctx) -> CheckResult:
+def check_voting_hoeffding() -> CheckResult:
     p = 2.0 ** -10
     worst_ratio = 0.0
     for nu in range(1, 42, 2):
@@ -447,7 +442,7 @@ def check_complexity_counter_consistency(ctx) -> CheckResult:
                        f"(want N_P*2^mu={got.n_p * 2 ** ctx.small_layout.mu}), N_A={got.n_a}")
 
 
-def check_complexity_planner(ctx) -> CheckResult:
+def check_complexity_planner() -> CheckResult:
     eta = 2.0 ** -5
     grid = [10.0 ** -k for k in range(1, 13)]
     qs = [complexity.plan_recursion(eta, eps) for eps in grid]
@@ -474,39 +469,43 @@ def check_complexity_table_consistency(ctx) -> CheckResult:
                        f"{cell['N_U_measured']} (want 2*9^{q}*2^{ctx.layout.mu} = {want})")
 
 
-CHECKS = (
-    check_statevec_unitarity,
-    check_statevec_dense_agreement,
-    check_statevec_adjoint,
-    check_spectral_marker_composition,
-    check_spectral_shift_commutes,
-    check_pea_grid_exactness,
-    check_pea_block_structure,
-    check_pea_scaling_constant,
-    check_pea_kernel_vs_simulation,
-    check_pea_calibration_reverified,
-    check_fpqs_exact_cubing,
-    check_fpqs_balance_mass_cubing,
-    check_fpqs_measured_vs_predicted,
-    check_fpqs_recurrences,
-    check_fpqs_counter_law,
-    check_fpqs_block_locality,
-    check_voting_tensor_equivalence,
-    check_voting_tail_monotonicity,
-    check_voting_hoeffding,
-    check_marker_workspace_restoration,
-    check_marker_superposition_bound,
-    check_marker_phi_additivity,
-    check_marker_phi_zero_identity,
-    check_complexity_counter_consistency,
-    check_complexity_planner,
-    check_complexity_table_consistency,
-)
-
-
-def run_audit(seed: int = 0) -> list[CheckResult]:
+def run_audit(seed: int) -> list[CheckResult]:
+    """Every check in report order, each at the audit's pinned configuration."""
     ctx = _Context(seed)
-    return [check(ctx) for check in CHECKS]
+    grid_layout = pea.WorkspaceLayout(mu=5, window=2)
+    wdim = grid_layout.work_dim
+    grid_spec = spectral.SpectralUnitary(
+        dim=2, eigenphases=(2 * np.pi * 1 / wdim, 2 * np.pi * 12 / wdim), delta=1.5)
+    grid_target = spectral.MarkTarget.resolve(grid_spec, psi_prime=0.0, phi=np.pi, b=0.2)
+    return [
+        check_statevec_unitarity(ctx),
+        check_statevec_dense_agreement(ctx),
+        check_statevec_adjoint(ctx),
+        check_spectral_marker_composition(ctx),
+        check_spectral_shift_commutes(ctx.small_spec, ctx.small_target),
+        check_pea_grid_exactness(grid_spec, grid_target, grid_layout),
+        check_pea_block_structure(ctx),
+        check_pea_scaling_constant(),
+        check_pea_kernel_vs_simulation(),
+        check_pea_calibration_reverified(ctx),
+        check_fpqs_exact_cubing(21),
+        check_fpqs_balance_mass_cubing(22),
+        check_fpqs_measured_vs_predicted(ctx.pea_op, ctx.spec, ctx.target, ctx.layout,
+                                         ctx.eta_report.eta),
+        check_fpqs_recurrences(),
+        check_fpqs_counter_law(ctx.small_pea, ctx.small_spec, ctx.small_layout),
+        check_fpqs_block_locality(ctx.small_pea, ctx.small_spec, ctx.small_layout, 1),
+        check_voting_tensor_equivalence(pea.WorkspaceLayout(mu=2, window=0), (1, 3, 5)),
+        check_voting_tail_monotonicity(),
+        check_voting_hoeffding(),
+        check_marker_workspace_restoration(ctx),
+        check_marker_superposition_bound(ctx),
+        check_marker_phi_additivity(ctx),
+        check_marker_phi_zero_identity(ctx),
+        check_complexity_counter_consistency(ctx),
+        check_complexity_planner(),
+        check_complexity_table_consistency(ctx),
+    ]
 
 
 def format_results(results) -> str:

@@ -429,7 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", metavar="N", type=int, default=1,
                         help="parallel workers for sweep cells")
     common.add_argument("--seed", metavar="N", type=int, default=0,
-                        help="random seed for superposition probes")
+                        help="random seed, at least 0: draws the superposition probes "
+                             "of simulate and sweep, and audit's small model's Haar "
+                             "eigenbasis")
     parser = argparse.ArgumentParser(
         prog="eigenmark",
         description="eigenstate-marking simulations with exact resource accounting")
@@ -458,6 +460,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 0 if exc.code in (0, None) else 2
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

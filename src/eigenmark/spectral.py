@@ -47,6 +47,14 @@ def circle_distance(a, b):
     return np.abs(wrap_angle(np.asarray(a, dtype=float) - b))
 
 
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n unitary drawn from the Haar measure with rng (QR of a
+    complex Gaussian matrix, with the phases of R's diagonal divided out)."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralUnitary:
     """Operator defined by eigenphases, an eigenbasis, and a gap delta.

@@ -15,12 +15,6 @@ else:
     settings.load_profile("repeatable")
 
 
-def haar_unitary(rng, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def rotation_block(eta: float) -> np.ndarray:
     """2x2 real rotation sending e0 to sqrt(1-eta^2) e0 + eta e1."""
     th = np.arcsin(eta)
@@ -56,7 +50,7 @@ def setup_04(calib_04):
 def small_model():
     """Tiny model with a nontrivial eigenbasis for dense-oracle tests."""
     rng = np.random.default_rng(5)
-    basis = haar_unitary(rng, 3)
+    basis = em.haar_unitary(rng, 3)
     spec = em.SpectralUnitary(dim=3, eigenphases=(0.02, 1.8, -2.1),
                               eigenbasis=basis, delta=1.5)
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)

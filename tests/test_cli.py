@@ -277,6 +277,18 @@ def test_sweep_pool_is_no_larger_than_the_group_count(tmp_path, monkeypatch, cap
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "sweep", "compare", "audit"])
+@pytest.mark.parametrize("seed", [-1, -2])
+def test_negative_seed_exits_2_without_traceback(tmp_path, capsys, command, seed):
+    # numpy's generators refuse a negative seed (audit draws from seed + 1,
+    # so -1 alone would pass there): every subcommand rejects one up front.
+    assert run_cli([command, "--out", tmp_path / "out", "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert f"--seed must be at least 0, got {seed}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_config_validation(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "variant": "pea",

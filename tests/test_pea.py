@@ -577,13 +577,6 @@ def test_halving_delta_at_most_quadruples_workspace(calib_04):
         assert 1 <= ratio <= 4
 
 
-def test_scaling_constant_bounded():
-    const, records = pea.scaling_constant(range(6, 11), delta=0.4, b=0.05)
-    assert const <= 10.0
-    assert len(records) == 5
-    assert all(r["constant"] <= 10.0 for r in records)
-
-
 def test_calibration_failure_reports_best():
     result = em.calibrate_workspace(0.4, 0.05, mu_cap=8)
     assert not result.converged

@@ -11,9 +11,8 @@ import pytest
 
 import eigenmark as em
 from eigenmark import statevec
+from eigenmark.spectral import haar_unitary
 from eigenmark.statevec import EXTENDED, in_frame, real_dtype
-
-from conftest import haar_unitary
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

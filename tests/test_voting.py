@@ -119,18 +119,6 @@ def test_hoeffding_bound_values():
         em.hoeffding_amplitude_bound(0)
 
 
-def test_hoeffding_bound_covers_tail_at_reference_p():
-    p = 2.0 ** -10
-    for nu in range(1, 42, 2):
-        assert em.majority_tail_amplitude(p, nu) <= em.hoeffding_amplitude_bound(nu)
-
-
-def test_tail_monotone_in_nu():
-    for p in (0.001, 0.05, 0.3):
-        tails = [em.majority_tail_amplitude(p, nu) for nu in range(1, 23, 2)]
-        assert all(b < a for a, b in zip(tails, tails[1:]))
-
-
 def _small_voting_setup(mu=2, window=0):
     layout = em.WorkspaceLayout(mu=mu, window=window)
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.02, 2.1), delta=1.9)
