@@ -1,0 +1,5 @@
+"""python -m eigenmark: the eigenmark command line (see cli)."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -186,20 +186,19 @@ def check_pea_scaling_constant() -> CheckResult:
                        f"{_fmt(const)} (bound 10)")
 
 
-def check_pea_kernel_vs_simulation() -> CheckResult:
-    layout = pea.WorkspaceLayout(mu=6, window=3)
+def check_pea_kernel_vs_simulation(layout, models, tol) -> CheckResult:
+    """The simulated in-window mass of every direction of each (spec,
+    target) model matches window_response_mass to tol."""
     worst = 0.0
-    for lam_other in (0.3, 1.7, -2.2):
-        spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.002, lam_other), delta=0.1)
-        target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    for spec, target in models:
         op = pea.build_pea(spectral.build_shifted(spec, target), layout)
         for i, out in enumerate(apply(op, _columns(spec), layout.work_dim)):
             sim = float(np.linalg.norm(out[:, layout.z_window().mask()])) ** 2
             kern = float(pea.window_response_mass(target.lambdas[i], layout.mu,
                                                   layout.window)[0])
             worst = max(worst, abs(sim - kern))
-    return CheckResult("pea.kernel_vs_simulation", worst <= 1e-10,
-                       f"max |simulated - closed form| window mass = {_fmt(worst)} (tol 1e-10)")
+    return CheckResult("pea.kernel_vs_simulation", worst <= tol,
+                       f"max |simulated - closed form| window mass = {_fmt(worst)} (tol {tol:g})")
 
 
 def check_pea_calibration_reverified(ctx) -> CheckResult:
@@ -321,11 +320,11 @@ def check_voting_tensor_equivalence(layout, nus) -> CheckResult:
     each direction's single-register eta, on a two-direction model."""
     spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.02, 2.1), delta=1.9)
     target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
-    op = pea.build_pea(spectral.build_shifted(spec, target), layout)
-    etas = pea.measure_eta(op, spec, target, layout)
+    shifted = spectral.build_shifted(spec, target)
+    etas = pea.measure_eta(pea.build_pea(shifted, layout), spec, target, layout)
     worst = 0.0
     for nu in nus:
-        h = voting.build_h_tensor(op, nu, layout)
+        h = voting.build_h_tensor(shifted.eigensystem[0], nu, layout)
         majority = voting.majority_projector(layout.z_window(), nu)
         outs = apply(h, _columns(spec), layout.work_dim ** nu)
         for entry, out in zip(etas.entries, outs):
@@ -442,18 +441,20 @@ def check_complexity_counter_consistency(ctx) -> CheckResult:
                        f"(want N_P*2^mu={got.n_p * 2 ** ctx.small_layout.mu}), N_A={got.n_a}")
 
 
-def check_complexity_planner() -> CheckResult:
+def check_complexity_planner(decades, delta) -> CheckResult:
+    """At eta 2^-5: the planned level never falls as eps = 10^-k tightens
+    over k in decades, plan(1e-8)=2, plan(0.1)=0, and a budget of 10^6
+    invocations at gap delta plans q=2."""
     eta = 2.0 ** -5
-    grid = [10.0 ** -k for k in range(1, 13)]
-    qs = [complexity.plan_recursion(eta, eps) for eps in grid]
+    qs = [complexity.plan_recursion(eta, 10.0 ** -k) for k in decades]
     ok = all(b >= a for a, b in zip(qs, qs[1:]))
     ok = ok and complexity.plan_recursion(eta, 1e-8) == 2
     ok = ok and complexity.plan_recursion(eta, 0.1) == 0
-    req = complexity.PlanRequest(delta=AUDIT_DELTA, invocations=10 ** 6)
+    req = complexity.PlanRequest(delta=delta, invocations=10 ** 6)
     ok = ok and complexity.plan_recursion(eta, req.resolved_eps) == 2
     return CheckResult("complexity.planner", ok,
-                       f"q over eps=1e-1..1e-12: {qs}; plan(1e-8)=2, plan(0.1)=0, "
-                       f"plan(0.01/1e6)=2")
+                       f"q over eps=1e-{decades[0]}..1e-{decades[-1]}: {qs}; plan(1e-8)=2, "
+                       f"plan(0.1)=0, plan(0.01/1e6)=2")
 
 
 def check_complexity_table_consistency(ctx) -> CheckResult:
@@ -477,6 +478,11 @@ def run_audit(seed: int) -> list[CheckResult]:
     grid_spec = spectral.SpectralUnitary(
         dim=2, eigenphases=(2 * np.pi * 1 / wdim, 2 * np.pi * 12 / wdim), delta=1.5)
     grid_target = spectral.MarkTarget.resolve(grid_spec, psi_prime=0.0, phi=np.pi, b=0.2)
+    kernel_models = []
+    for lam in (0.3, 1.7, -2.2):
+        spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.002, lam), delta=0.1)
+        kernel_models.append(
+            (spec, spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)))
     return [
         check_statevec_unitarity(ctx),
         check_statevec_dense_agreement(ctx),
@@ -486,7 +492,8 @@ def run_audit(seed: int) -> list[CheckResult]:
         check_pea_grid_exactness(grid_spec, grid_target, grid_layout),
         check_pea_block_structure(ctx),
         check_pea_scaling_constant(),
-        check_pea_kernel_vs_simulation(),
+        check_pea_kernel_vs_simulation(pea.WorkspaceLayout(mu=6, window=3), kernel_models,
+                                       1e-10),
         check_pea_calibration_reverified(ctx),
         check_fpqs_exact_cubing(21),
         check_fpqs_balance_mass_cubing(22),
@@ -503,7 +510,7 @@ def run_audit(seed: int) -> list[CheckResult]:
         check_marker_phi_additivity(ctx),
         check_marker_phi_zero_identity(ctx),
         check_complexity_counter_consistency(ctx),
-        check_complexity_planner(),
+        check_complexity_planner(range(1, 13), AUDIT_DELTA),
         check_complexity_table_consistency(ctx),
     ]
 

@@ -9,10 +9,11 @@ eigendirection separately.  So one helper builds the marker on a tuple of
 eigenphases, and an assembly holds it twice over: on all eigendirections,
 turned by the eigenbasis once into the operator, and on each
 eigendirection alone, a workspace operator.  The helper never
-counts the eigendirections: each builder reads its main row count from the
-operator it wraps, and the Z-phase goes on every row.  The fixed-point core
-is core_q^u(V_F) . H (see fpqs), so the Walsh-Hadamard transform runs
-twice per marker application, at its ends, whatever the level.  Deviation
+counts the eigendirections: the estimation factors take one row per
+eigenphase, the other builders read theirs from the operator they wrap,
+and the Z-phase goes on every row.  Every variant's core applies H first:
+V_F . H, voting's T . H^(x nu) and the fixed-point core_q^u(V_F) . H (see
+voting, fpqs), so H runs twice per marker application, at its ends.  Deviation
 is the Euclidean residual against the ideal marker on eigenstate (x) sigma
 inputs, reported per eigendirection (each through its own marker, so no
 application transforms rows that stay zero) plus random-superposition
@@ -105,16 +106,16 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
     """The marker in the eigenframe on eigendirections with shifted phases
     lam, main index i for lam[i]; zproj is the variant's marked workspace
     subspace (the window, or voting's winning majority)."""
-    v_f, hadamard = estimation_factors(lam, layout)
     if variant == "fixed_point":
         # H I_sigma H = I_u: the recursion runs on V_F, reflecting about
         # the uniform state u = H|sigma>, and H follows it once.
+        v_f, hadamard = estimation_factors(lam, layout)
         uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
         core = compose(build_fixed_point(v_f, q, zproj, uniform), hadamard)
     elif variant == "pea":
-        core = compose(v_f, hadamard)
+        core = compose(*estimation_factors(lam, layout))
     else:
-        core = build_h_tensor(compose(v_f, hadamard), nu, layout)
+        core = build_h_tensor(lam, nu, layout)
     return assemble_marker(core, phi, zproj)
 
 

@@ -13,8 +13,8 @@ without BLAS), so both stay in the amplitudes' own real dtype.
 V_F carries the whole cost: each application charges the U counter with
 exactly 2^mu and the P counter with 1 (adjoint applications charge the
 same), and H charges nothing.  Since H acts on the workspace only and is
-an involution, the fixed-point recursion runs on V_F and needs H only at
-the ends of the marker (see fpqs).
+an involution, every variant runs H only at the ends of the marker: the
+fixed-point recursion runs on V_F (see fpqs), and so do voting's registers.
 
 Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
@@ -126,6 +126,10 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
     # BLAS multiplies float32/64 in factors of order up to 64; numpy
     # multiplies long double without BLAS, fastest in factors of order 4.
     count = -(-mu // (6 if real.itemsize <= 8 else 2))
+    if count == 1 and k == 1 and real.itemsize <= 8:
+        # One factor on one column: one 2-D product (S is symmetric), about
+        # 3x faster than a batch of (W, W) @ (W, 2) real products.
+        return (a.reshape(m, dim) @ _sylvester(dim, real)).reshape(a.shape)
     out = np.ascontiguousarray(a).view(real)
     rows = m
     for i in range(count):
@@ -135,10 +139,12 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
     return out.reshape(m, dim, 2 * k).view(a.dtype)
 
 
-def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, LinearOperator]:
+def estimation_factors(lam, layout: WorkspaceLayout,
+                       registers: int = 1) -> tuple[LinearOperator, ...]:
     """The estimation operator V = V_F . H in the eigenframe of the shifted
-    unitary, as its two factors, for the shifted eigenphases lam (one main
-    index per phase).
+    unitary, as its factors, for the shifted eigenphases lam (one main
+    index per phase): (V_F, H), or with registers = nu (V_F on register 1,
+    ..., V_F on register nu, H on all nu registers).
 
     H is the Walsh-Hadamard transform on the workspace, its own inverse,
     charging nothing.  V_F is the z-controlled power of the shifted
@@ -146,12 +152,14 @@ def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, Li
     on the U counter (the stated accounting convention, even though a
     ladder of controlled squarings could be tallied as 2^mu - 1) and 1 on
     the P counter per application.  The controlled powers are phases in the
-    eigenframe, so the eigenphases are all the factors need.
+    eigenframe, so the eigenphases are all the factors need.  Register r
+    acts on the row view (main_dim * W^(r-1), W, rest) of the joint state,
+    its mask broadcast over the earlier registers, so nothing is copied.
     """
     lam = np.asarray(lam, dtype=float)
     main_dim = lam.shape[0]
     wdim = layout.work_dim
-    dim = main_dim * wdim
+    dim = main_dim * wdim ** registers
     cache: dict = {}
     lock = threading.Lock()
 
@@ -165,27 +173,33 @@ def estimation_factors(lam, layout: WorkspaceLayout) -> tuple[LinearOperator, Li
                 work = real_dtype(key)
                 ph = lam.astype(work)
                 z = np.arange(wdim, dtype=work)
-                mask = np.exp(1j * ph[:, None] * z[None, :]).astype(dtype)
+                mask = np.exp(1j * ph[:, None, None, None] * z[:, None]).astype(dtype)
                 cache[key] = (mask, mask.conj())
             return cache[key]
 
     def hadamard(x, _tally):
-        return _fwht_axis1(x.reshape(main_dim, wdim, -1)).reshape(x.shape)
+        out = x
+        for r in range(registers):
+            out = _fwht_axis1(out.reshape(main_dim * wdim ** r, wdim, -1))
+        return out.reshape(x.shape)
 
-    # norm="ortho" scales by 1/sqrt(W) in the array's own real dtype.
-    def apply_fn(x, _tally):
-        mask, _conj = tables(x.dtype)
-        a = x.reshape(main_dim, wdim, -1) * mask[:, :, None]
-        return np.fft.fft(a, axis=1, norm="ortho", out=a).reshape(x.shape)
+    def v_f(before):
+        # norm="ortho" scales by 1/sqrt(W) in the array's own real dtype.
+        def apply_fn(x, _tally):
+            mask, _conj = tables(x.dtype)
+            a = x.reshape(main_dim, before, wdim, -1) * mask
+            return np.fft.fft(a, axis=2, norm="ortho", out=a).reshape(x.shape)
 
-    def adjoint_fn(x, _tally):
-        _mask, conj = tables(x.dtype)
-        a = np.fft.ifft(x.reshape(main_dim, wdim, -1), axis=1, norm="ortho")
-        a *= conj[:, :, None]
-        return a.reshape(x.shape)
+        def adjoint_fn(x, _tally):
+            _mask, conj = tables(x.dtype)
+            a = np.fft.ifft(x.reshape(main_dim, before, wdim, -1), axis=2, norm="ortho")
+            a *= conj
+            return a.reshape(x.shape)
 
-    v_f = LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
-    return v_f, LinearOperator(dim, hadamard, hadamard)
+        return LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
+
+    return (*(v_f(wdim ** r) for r in range(registers)),
+            LinearOperator(dim, hadamard, hadamard))
 
 
 def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperator:

@@ -310,7 +310,9 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
     every round won (fixed_point 88-138 -> 61-78 ms, pea 18-23 -> 14-17
     ms, voting 26-35 -> 17-23 ms).  So a mu=9 sweep's applications (512
     and 1,024 amplitudes) stay serial, and voting's at mu=5, nu=3 (32,768
-    and 65,536) run on the pool."""
+    and 65,536) run on the pool: on its register row views, a pass of 8
+    evaluations took 0.098-0.102 s threaded against 0.104-0.112 s serial
+    (medians of 18 alternating rounds, threads won 11, BLAS on one thread)."""
     mains = list(mains)
     if isinstance(ops, LinearOperator):
         ops = [ops] * len(mains)
@@ -401,7 +403,7 @@ def _keep_freed_memory() -> None:
     By default glibc hands a freed block back to the kernel once the free
     space at the top of its heap passes twice the largest block it has
     mapped, here about 2 MB, and an application's megabyte transients
-    (voting's batches, the FFT and moveaxis copies) crossed that on every
+    (voting's batches and their FFT and register copies) crossed that on every
     call.  Each application then faulted its pages in afresh, and with
     threads every release interrupted the other core to flush its TLB: a
     voting pass (mu=5, nu=3, 8 tasks, 2-core host) took 36k page faults

@@ -6,6 +6,10 @@ wrong probability p, so the amplitude that ends in the losing majority
 subspace is a binomial tail; Hoeffding gives the e^{-nu/4} envelope at
 p << 1/2.  Register counts are restricted to odd values so strict
 majority never ties.
+
+The tensor is T . H^(x nu) on the shifted eigenphases: each register's
+V_F runs on a row view of the joint state, copying nothing, so like every
+variant the marker H^(x nu) T+ I_maj T H^(x nu) runs H only at its ends.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator, SubspaceProjector, main_rows, require_int
-from .pea import WorkspaceLayout
+from .statevec import LinearOperator, SubspaceProjector, compose, require_int
+from .pea import WorkspaceLayout, estimation_factors
 
 TENSOR_GUARD = 2 ** 18
 
@@ -111,31 +115,14 @@ def majority_projector(zwindow: SubspaceProjector, nu: int) -> SubspaceProjector
     return SubspaceProjector(dim, np.flatnonzero(counts.ravel() > nu // 2))
 
 
-def build_h_tensor(pea_op: LinearOperator, nu: int, layout: WorkspaceLayout) -> LinearOperator:
-    """nu-fold parallel application of the estimation operator, one register
-    per workspace factor, on every main row of pea_op.  Joint dimension
-    main_dim * (2^mu)^nu is guarded; each application charges the wrapped
-    operator nu times."""
+def build_h_tensor(lam, nu: int, layout: WorkspaceLayout) -> LinearOperator:
+    """nu parallel estimation registers in the eigenframe of the shifted
+    unitary, for the shifted eigenphases lam (one main index per phase):
+    T . H^(x nu), with T the product of the registers' V_F factors (see
+    pea.estimation_factors) and H^(x nu) the Walsh-Hadamard transform on
+    all nu * mu register qubits.  Joint dimension main_dim * (2^mu)^nu is
+    guarded.  Each application charges one V_F application per register;
+    a caller with an eigenbasis turns the result once with in_frame."""
     nu = require_odd(nu)
-    wdim = layout.work_dim
-    main_dim = main_rows(pea_op, wdim)
-    dim = check_joint_dim(main_dim, wdim, nu)
-
-    def run(x, tally, adjoint):
-        shape = (main_dim,) + (wdim,) * nu + (x.shape[1],)
-        a = x.reshape(shape)
-        for r in range(1, nu + 1):
-            b = np.moveaxis(a, r, 1)
-            flat = b.reshape(main_dim * wdim, -1)
-            if adjoint:
-                flat = pea_op.adjoint_apply_to(flat, tally)
-            else:
-                flat = pea_op.apply_to(flat, tally)
-            a = np.moveaxis(flat.reshape(b.shape), 1, r)
-        return a.reshape(dim, x.shape[1])
-
-    return LinearOperator(
-        dim,
-        lambda x, tally: run(x, tally, adjoint=False),
-        lambda x, tally: run(x, tally, adjoint=True),
-    )
+    check_joint_dim(len(lam), layout.work_dim, nu)
+    return compose(*estimation_factors(lam, layout, nu))

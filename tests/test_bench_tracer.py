@@ -8,10 +8,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# One traced fixed-point evaluation on a two-direction model; prints the
-# statevec.apply and pea.apply span counts beside the Tally's P.
+# One traced evaluation of a variant on a two-direction model; prints the
+# statevec.apply and pea.apply span counts beside the Tally's P.  The
+# layout keeps voting's joint dimension (2 * 16^3) under the thread gate.
 TRACED_EVALUATION = """
 import json
 import numpy as np
@@ -22,8 +25,8 @@ tracer = tracing.Tracer()
 tracing.instrument(tracer)
 spec = em.SpectralUnitary(dim=2, eigenphases=(0.03, 2.2), delta=1.5)
 target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
-assembly = marker.build_assembly(spec, target, em.WorkspaceLayout(mu=5, window=2),
-                                 "fixed_point", q=1)
+assembly = marker.build_assembly(spec, target, em.WorkspaceLayout(mu=4, window=2),
+                                 {variant})
 tracer.active = True
 report = marker.evaluate_marker(assembly, spec, target, n_random=1)
 tracer.active = False
@@ -68,10 +71,13 @@ def test_tracer_instruments_the_library():
     assert done.returncode == 0, done.stderr
 
 
-def test_traced_evaluation_times_the_driver():
+@pytest.mark.parametrize("variant", ['"pea"', '"voting", nu=3', '"fixed_point", q=1'],
+                         ids=["pea", "voting", "fixed_point"])
+def test_traced_evaluation_times_the_driver(variant):
     # The statevec.apply layer sees the driver's calls, and every
-    # estimation-operator application is one pea.apply span and one P.
-    done = run_traced(TRACED_EVALUATION)
+    # estimation-operator application (each voting register's included)
+    # is one pea.apply span and one P, as bench/run.py --trace 1 checks.
+    done = run_traced(TRACED_EVALUATION.replace("{variant}", variant))
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
     assert seen["statevec.apply"] > 0

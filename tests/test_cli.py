@@ -49,7 +49,7 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
 
 
-def test_calibrate_writes_cache(tmp_path, capsys):
+def test_calibrate_writes_a_converged_result(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"delta": 3.0, "b": 0.05})
     assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
     entry = json.loads((tmp_path / "calibration.json").read_text())
@@ -551,3 +551,20 @@ def test_cli_import_leaves_audit_unloaded():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_module_runs_the_cli(tmp_path):
+    # python -m eigenmark is the eigenmark entry point: the same audit,
+    # byte for byte, as cli.main in this process.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "eigenmark", "audit", "--seed", "0",
+                           "--out", str(tmp_path / "module")], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert run_cli(["audit", "--seed", "0", "--out", tmp_path / "main"]) == 0
+    for name in ("audit.txt", "audit.json"):
+        assert ((tmp_path / "module" / name).read_bytes()
+                == (tmp_path / "main" / name).read_bytes())

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import cli, complexity
+from eigenmark import audit, cli, complexity
 
 
 def test_plan_examples():
+    # plan(1e-8)=2 and plan(0.1)=0 at eta 2^-5, the examples' own two eps.
+    check = audit.check_complexity_planner((1, 8), 0.4)
+    assert check.ok, check.detail
     eta = 2.0 ** -5
-    assert em.plan_recursion(eta, 1e-8) == 2
-    assert em.plan_recursion(eta, 0.1) == 0
     # eps_1 ~ 3.6e-4 fails a 1e-8 budget, the level-2 value ~2.1e-11 passes
     s1 = em.RecursionSchedule.closed_form(1)
     s2 = em.RecursionSchedule.closed_form(2)
@@ -21,7 +22,8 @@ def test_plan_examples():
 def test_plan_from_invocation_budget():
     req = em.PlanRequest(delta=0.4, invocations=10 ** 6)
     assert req.resolved_eps == pytest.approx(1e-8)
-    assert em.plan_recursion(2.0 ** -5, req.resolved_eps) == 2
+    check = audit.check_complexity_planner(range(1, 13), 0.4)
+    assert check.ok, check.detail
 
 
 def test_plan_request_validation():
@@ -34,9 +36,8 @@ def test_plan_request_validation():
 
 
 def test_planner_monotonicity():
-    eta = 2.0 ** -5
-    qs = [em.plan_recursion(eta, 10.0 ** -k) for k in range(1, 16)]
-    assert all(b >= a for a, b in zip(qs, qs[1:]))
+    check = audit.check_complexity_planner(range(1, 16), 0.4)
+    assert check.ok, check.detail
 
 
 def test_planner_input_validation():

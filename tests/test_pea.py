@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import pea
+from eigenmark import audit, pea
 from eigenmark.spectral import wrap_angle
 from eigenmark.statevec import EXTENDED, real_dtype
 
@@ -303,16 +303,9 @@ def test_kernel_domain_is_checked():
 
 
 def test_kernel_matches_simulation():
-    layout = em.WorkspaceLayout(mu=5, window=3)
-    spec, target = two_phase_model(0.003, 1.9)
-    op = em.build_pea(em.build_shifted(spec, target), layout)
-    for i in range(2):
-        out = op.apply_to(np.outer(spec.basis_column(i), layout.sigma_state()).ravel())
-        inside = out.reshape(2, layout.work_dim)[:, layout.z_window().mask()]
-        sim = np.linalg.norm(inside) ** 2
-        kern = float(pea.window_response_mass(target.lambdas[i], layout.mu,
-                                              layout.window)[0])
-        assert abs(sim - kern) <= 1e-12
+    check = audit.check_pea_kernel_vs_simulation(em.WorkspaceLayout(mu=5, window=3),
+                                                 [two_phase_model(0.003, 1.9)], 1e-12)
+    assert check.ok, check.detail
 
 
 def test_eta_report_shape_and_range(setup_04):
@@ -561,7 +554,7 @@ def test_best_window_starts_at_the_crossing_phase(monkeypatch, mu, delta):
     assert len(probed) <= 5
 
 
-def test_calibration_cache_takes_numpy_counts():
+def test_calibration_takes_numpy_counts():
     # The counts come back as ints, so the result serialises to JSON.
     got = em.calibrate_workspace(3.0, 0.05, mu_cap=np.int64(12))
     assert got == COLD_SEARCH_RESULTS[1] and type(got.mu) is int

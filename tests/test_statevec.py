@@ -434,7 +434,7 @@ def test_builders_keep_extended_precision(small_model):
         "build_fixed_point": em.build_fixed_point(pea_op, 1, layout.z_window()),
         "selective_phase": em.selective_phase(np.array([0.6, 0.8j]), 1.1),
         "build_shifted": shifted,
-        "build_h_tensor": em.build_h_tensor(pea_op, 3, layout),
+        "build_h_tensor": em.build_h_tensor(shifted.eigensystem[0], 3, layout),
     }
     for name, op in ops.items():
         x = np.zeros(op.dim, dtype=EXTENDED)
@@ -471,8 +471,7 @@ def test_real_inputs_are_made_complex():
     lambda op, layout: em.pi3_compress(op, layout.z_window()),
     lambda op, layout: em.build_fixed_point(op, 0, layout.z_window()),
     lambda op, layout: em.assemble_marker(op, np.pi, layout.z_window()),
-    lambda op, layout: em.build_h_tensor(op, 3, layout),
-], ids=["pi3_compress", "build_fixed_point", "assemble_marker", "build_h_tensor"])
+], ids=["pi3_compress", "build_fixed_point", "assemble_marker"])
 def test_builders_reject_a_non_whole_row_count(build):
     # Each builder reads its main row count from the operator it wraps, so
     # an operator the workspace does not tile is rejected, not truncated.

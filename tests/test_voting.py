@@ -10,6 +10,7 @@ import pytest
 
 import eigenmark as em
 from eigenmark import voting
+from eigenmark.statevec import EXTENDED, in_frame
 
 
 def enumeration_tail(p: float, nu: int) -> float:
@@ -128,17 +129,45 @@ def _small_voting_setup(mu=2, window=0):
 
 
 def test_tensor_nu1_equals_estimator():
-    spec, _target, layout, op = _small_voting_setup()
-    h = em.build_h_tensor(op, 1, layout)
+    spec, target, layout, op = _small_voting_setup()
+    h = em.build_h_tensor(target.lambdas, 1, layout)
     assert np.abs(em.dense_materialize(h) - em.dense_materialize(op)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
+def test_tensor_equals_kronecker_power_of_the_estimator(dtype):
+    # Oracle: the dense estimation operator M on main (x) one register,
+    # embedded once per register (identity on the others) and multiplied
+    # out, is sum_i P_i (x) V_i^(x)3 for the eigenprojectors P_i.  The
+    # tensor, built from the eigenphases and turned once by the Haar
+    # eigenbasis, must equal it on the joint dimension 2 * 4^3 = 128.
+    layout = em.WorkspaceLayout(mu=2, window=0)
+    basis = em.haar_unitary(np.random.default_rng(3), 2)
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.02, 2.1), eigenbasis=basis, delta=1.9)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    shifted = em.build_shifted(spec, target)
+    wdim, nu = layout.work_dim, 3
+    m = em.build_pea(shifted, layout).apply_to(np.eye(2 * wdim, dtype=dtype))
+    m = m.reshape(2, wdim, 2, wdim)
+    eye = np.eye(wdim)
+    embedded = [np.einsum("aibj,kl,mn->aikmbjln", m, eye, eye),
+                np.einsum("akbl,ij,mn->aikmbjln", m, eye, eye),
+                np.einsum("ambn,ij,kl->aikmbjln", m, eye, eye)]
+    want = np.eye(2 * wdim ** nu, dtype=dtype)
+    for factor in embedded:
+        want = factor.reshape(want.shape) @ want
+    h = in_frame(em.build_h_tensor(shifted.eigensystem[0], nu, layout), basis,
+                wdim ** nu)
+    got = h.apply_to(np.eye(h.dim, dtype=dtype))
+    assert got.dtype == dtype
+    assert np.abs(got - want).max() <= 1e-13
 
 
 def test_tensor_grid_aligned_has_no_loss():
     layout = em.WorkspaceLayout(mu=2, window=0)
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.0, np.pi), delta=3.0)
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
-    op = em.build_pea(em.build_shifted(spec, target), layout)
-    h = em.build_h_tensor(op, 3, layout)
+    h = em.build_h_tensor(target.lambdas, 3, layout)
     majority = em.majority_projector(layout.z_window(), 3)
     work = np.zeros(layout.work_dim ** 3, complex)
     work[0] = 1.0
@@ -150,7 +179,7 @@ def test_tensor_matches_binomial_oracle():
     spec, target, layout, op = _small_voting_setup(mu=3, window=1)
     etas = em.measure_eta(op, spec, target, layout)
     for nu in (1, 3):
-        h = em.build_h_tensor(op, nu, layout)
+        h = em.build_h_tensor(target.lambdas, nu, layout)
         majority = em.majority_projector(layout.z_window(), nu)
         for entry in etas.entries:
             work = np.zeros(layout.work_dim ** nu, complex)
@@ -163,8 +192,8 @@ def test_tensor_matches_binomial_oracle():
 
 
 def test_tensor_charges_nu_estimator_applications():
-    spec, _target, layout, op = _small_voting_setup()
-    h = em.build_h_tensor(op, 3, layout)
+    spec, target, layout, _op = _small_voting_setup()
+    h = em.build_h_tensor(target.lambdas, 3, layout)
     tally = em.Tally()
     work = np.zeros(layout.work_dim ** 3, complex)
     work[0] = 1.0
@@ -174,9 +203,9 @@ def test_tensor_charges_nu_estimator_applications():
 
 
 def test_tensor_dimension_guard():
-    spec, _target, layout, op = _small_voting_setup(mu=2)
+    _spec, target, layout, _op = _small_voting_setup(mu=2)
     with pytest.raises(ValueError, match="guard"):
-        em.build_h_tensor(op, 11, layout)
+        em.build_h_tensor(target.lambdas, 11, layout)
 
 
 @pytest.mark.parametrize("nu", [2 ** 61 + 1, 19])
