@@ -52,7 +52,6 @@ from .fpqs import (
     selective_phase,
 )
 from .voting import (
-    VotingModel,
     build_h_tensor,
     hoeffding_amplitude_bound,
     majority_projector,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexity, fpqs, marker, pea, spectral, voting
-from .statevec import EXTENDED, Tally, apply, dense_materialize, from_matrix
+from .statevec import EXTENDED, Tally, apply, dense_materialize, from_matrix, in_frame
 
 AUDIT_DELTA = 3.0
 AUDIT_B = 0.05
@@ -71,14 +71,14 @@ def _columns(spec) -> list:
 
 def _sample_operators(ctx):
     window = ctx.small_layout.z_window()
+    assembly = marker.build_assembly(ctx.small_spec, ctx.small_target, ctx.small_layout,
+                                     "fixed_point", q=1)
     return [
         ("shifted", ctx.small_shifted),
         ("pea", ctx.small_pea),
         ("phase_state", fpqs.selective_phase(np.array([0.6, 0.8j]), 1.1)),
         ("fixed_point_q1", fpqs.build_fixed_point(ctx.small_pea, 1, window)),
-        ("marker_q1", marker.build_assembly(
-            ctx.small_spec, ctx.small_target, ctx.small_layout,
-            "fixed_point", q=1).operator),
+        ("marker_q1", in_frame(assembly.frame, ctx.small_spec.eigenbasis, assembly.work_dim)),
     ]
 
 
@@ -361,15 +361,17 @@ def check_voting_hoeffding() -> CheckResult:
 
 # --- marker -----------------------------------------------------------------
 
-def check_marker_workspace_restoration(ctx) -> CheckResult:
-    assembly = marker.build_assembly(ctx.small_spec, ctx.small_target,
-                                     ctx.small_layout, "fixed_point", q=1)
+def check_marker_workspace_restoration(spec, target, layout) -> CheckResult:
+    """On psi_i (x) sigma, the level-1 marker turned by the eigenbasis
+    leaves the residual its workspace displacement and off-psi_i mass add to."""
+    assembly = marker.build_assembly(spec, target, layout, "fixed_point", q=1)
+    joint = in_frame(assembly.frame, spec.eigenbasis, assembly.work_dim)
     worst = 0.0
-    psis = _columns(ctx.small_spec)
-    sigma = ctx.small_layout.sigma_state()
-    outs = apply(assembly.operator, psis, ctx.small_layout.work_dim)
+    psis = _columns(spec)
+    sigma = layout.sigma_state()
+    outs = apply(joint, psis, layout.work_dim)
     for i, (psi, out) in enumerate(zip(psis, outs)):
-        phase = np.exp(1j * ctx.small_target.phi) if i in ctx.small_target.marked_indices else 1.0
+        phase = np.exp(1j * target.phi) if i in target.marked_indices else 1.0
         residual = np.linalg.norm(out - phase * np.outer(psi, sigma))
         block = psi.conj() @ out
         cross_mass = np.linalg.norm(out - np.outer(psi, block)) ** 2
@@ -380,24 +382,27 @@ def check_marker_workspace_restoration(ctx) -> CheckResult:
                        f"{_fmt(worst)} (tol 1e-10)")
 
 
-def check_marker_superposition_bound(ctx) -> CheckResult:
-    assembly = marker.build_assembly(ctx.small_spec, ctx.small_target,
-                                     ctx.small_layout, "fixed_point", q=1)
-    report = marker.evaluate_marker(assembly, ctx.small_spec, ctx.small_target,
-                                    n_random=6, seed=31)
+def check_marker_superposition_bound(spec, target, layout, n_random: int,
+                                     seed: int) -> CheckResult:
+    """A level-1 report's superposition residual is within its eigen max."""
+    assembly = marker.build_assembly(spec, target, layout, "fixed_point", q=1)
+    report = marker.evaluate_marker(assembly, spec, target, n_random=n_random, seed=seed)
     ok = report.superposition_within_eigen_max
     return CheckResult("marker.superposition_bound", ok,
                        f"superposition residual {_fmt(report.superposition_residual)} <= "
                        f"eigen max {_fmt(report.worst_residual)} + 1e-10")
 
 
-def check_marker_phi_additivity(ctx) -> CheckResult:
-    spec, layout = ctx.small_spec, ctx.small_layout
+def check_marker_phi_additivity(spec, target, layout, pairs) -> CheckResult:
+    """For (p1, p2) in pairs, the plain marker turned by the eigenbasis
+    composes in its angle on each eigenstate, up to the three residuals."""
     psis, sigma = _columns(spec), layout.sigma_state()
     worst = 0.0
-    for p1, p2 in ((0.7, 1.3), (np.pi / 2, np.pi / 2)):
-        targets = [spectral.MarkTarget.resolve(spec, 0.0, p, b=0.05) for p in (p1, p2, p1 + p2)]
-        ops = [marker.build_assembly(spec, t, layout, "pea").operator for t in targets]
+    for p1, p2 in pairs:
+        targets = [spectral.MarkTarget.resolve(spec, target.psi_prime, p, b=target.b)
+                   for p in (p1, p2, p1 + p2)]
+        frames = [marker.build_assembly(spec, t, layout, "pea").frame for t in targets]
+        ops = [in_frame(frame, spec.eigenbasis, layout.work_dim) for frame in frames]
         outs = [apply(op, psis, layout.work_dim) for op in ops]
         for i, psi in enumerate(psis):
             state = np.outer(psi, sigma)
@@ -411,6 +416,30 @@ def check_marker_phi_additivity(ctx) -> CheckResult:
     return CheckResult("marker.phi_additivity", worst <= 1e-10,
                        f"max composition defect beyond residual budget = {_fmt(worst)} "
                        f"(tol 1e-10)")
+
+
+def check_marker_joint_oracle(spec, target, layout, variants, n_random: int, seed: int,
+                              tol: float) -> CheckResult:
+    """The turn no evaluation makes, on a model with an eigenbasis E: for
+    each (variant, q, nu) in variants, the marker turned by E on E c (x)
+    sigma is E times the frame on c (x) sigma, for c = e_i (psi_i) and
+    n_random normal draws."""
+    basis = spec.eigenbasis
+    rng = np.random.default_rng(seed)
+    draws = rng.normal(size=(n_random, spec.dim)) + 1j * rng.normal(size=(n_random, spec.dim))
+    coeffs = [*np.eye(spec.dim), *(draws / np.linalg.norm(draws, axis=1, keepdims=True))]
+    worst, names = 0.0, []
+    for variant, q, nu in variants:
+        assembly = marker.build_assembly(spec, target, layout, variant, q=q, nu=nu)
+        joint = in_frame(assembly.frame, basis, assembly.work_dim)
+        turned = apply(joint, [basis @ c for c in coeffs], assembly.work_dim)
+        framed = apply(assembly.frame, coeffs, assembly.work_dim)
+        worst = max([worst] + [float(np.abs(t - basis @ f).max()) for t, f in zip(turned, framed)])
+        names.append(variant + {"fixed_point": f" q={q}", "voting": f" nu={nu}"}.get(variant, ""))
+    return CheckResult("marker.joint_oracle", worst <= tol,
+                       f"turned marker vs eigenframe outputs on psi_i and {n_random} "
+                       f"probes E c over {', '.join(names)}: max deviation = "
+                       f"{_fmt(worst)} (tol {tol:g})")
 
 
 def check_marker_phi_zero_identity(ctx) -> CheckResult:
@@ -441,16 +470,16 @@ def check_complexity_counter_consistency(ctx) -> CheckResult:
                        f"(want N_P*2^mu={got.n_p * 2 ** ctx.small_layout.mu}), N_A={got.n_a}")
 
 
-def check_complexity_planner(decades, delta) -> CheckResult:
+def check_complexity_planner(decades) -> CheckResult:
     """At eta 2^-5: the planned level never falls as eps = 10^-k tightens
     over k in decades, plan(1e-8)=2, plan(0.1)=0, and a budget of 10^6
-    invocations at gap delta plans q=2."""
+    invocations plans q=2."""
     eta = 2.0 ** -5
     qs = [complexity.plan_recursion(eta, 10.0 ** -k) for k in decades]
     ok = all(b >= a for a, b in zip(qs, qs[1:]))
     ok = ok and complexity.plan_recursion(eta, 1e-8) == 2
     ok = ok and complexity.plan_recursion(eta, 0.1) == 0
-    req = complexity.PlanRequest(delta=delta, invocations=10 ** 6)
+    req = complexity.PlanRequest(invocations=10 ** 6)
     ok = ok and complexity.plan_recursion(eta, req.resolved_eps) == 2
     return CheckResult("complexity.planner", ok,
                        f"q over eps=1e-{decades[0]}..1e-{decades[-1]}: {qs}; plan(1e-8)=2, "
@@ -505,12 +534,17 @@ def run_audit(seed: int) -> list[CheckResult]:
         check_voting_tensor_equivalence(pea.WorkspaceLayout(mu=2, window=0), (1, 3, 5)),
         check_voting_tail_monotonicity(),
         check_voting_hoeffding(),
-        check_marker_workspace_restoration(ctx),
-        check_marker_superposition_bound(ctx),
-        check_marker_phi_additivity(ctx),
+        check_marker_workspace_restoration(ctx.small_spec, ctx.small_target, ctx.small_layout),
+        check_marker_superposition_bound(ctx.small_spec, ctx.small_target, ctx.small_layout,
+                                         6, 31),
+        check_marker_phi_additivity(ctx.small_spec, ctx.small_target, ctx.small_layout,
+                                    ((0.7, 1.3), (np.pi / 2, np.pi / 2))),
+        check_marker_joint_oracle(ctx.small_spec, ctx.small_target, ctx.small_layout,
+                                  (("pea", None, None), ("voting", None, 3),
+                                   ("fixed_point", 2, None)), 2, 34, 1e-12),
         check_marker_phi_zero_identity(ctx),
         check_complexity_counter_consistency(ctx),
-        check_complexity_planner(range(1, 13), AUDIT_DELTA),
+        check_complexity_planner(range(1, 13)),
         check_complexity_table_consistency(ctx),
     ]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .statevec import Tally
 
 ETA_REGIME = 2.0 ** -5
+PLAN_SAFETY = 0.01  # the budget share c of one of Q invocations: eps = c / Q
 
 TABLE_COLUMNS = ("variant", "delta", "eps", "mu", "q", "nu",
                  "N_U_model", "N_U_measured", "N_A", "N_P")
@@ -47,12 +48,10 @@ class ComplexityCounters:
 @dataclass(frozen=True)
 class PlanRequest:
     """Error budget for a whole procedure: either a direct eps target or a
-    total invocation count Q with a safety factor c, giving eps = c / Q."""
+    total invocation count Q, giving eps = PLAN_SAFETY / Q."""
 
-    delta: float
     eps_target: float | None = None
     invocations: int | None = None
-    safety: float = 0.01
 
     def __post_init__(self) -> None:
         if (self.eps_target is None) == (self.invocations is None):
@@ -66,7 +65,7 @@ class PlanRequest:
     def resolved_eps(self) -> float:
         if self.eps_target is not None:
             return self.eps_target
-        return self.safety / self.invocations
+        return PLAN_SAFETY / self.invocations
 
 
 def plan_recursion(eta: float, eps_target: float) -> int:

@@ -39,7 +39,7 @@ from .statevec import (
     real_dtype,
     require_int,
 )
-from .complexity import ETA_REGIME
+from .complexity import ETA_REGIME  # noqa: F401  (the error law's regime, fpqs.ETA_REGIME)
 
 # pi/3 rounded once in long double, so a complex256 phase turns by pi/3 to
 # a long-double ulp; complex128 rounds it on to the nearest double.
@@ -200,17 +200,15 @@ class RecursionSchedule:
 @dataclass(frozen=True)
 class SchedulePrediction:
     schedule: RecursionSchedule
-    eta: float
     marked_magnitude: float
     unmarked_magnitude: float
-    in_regime: bool
 
 
 def predict_schedule(q: int, eta: float) -> SchedulePrediction:
     """Leading-order wrong magnitudes g_q eta^m (marked) and h_q eta^m
     (unmarked) after level q, evaluated in log space to dodge under- and
-    overflow.  eta beyond the 2^-5 working regime still yields numbers but
-    is flagged."""
+    overflow.  eta beyond the ETA_REGIME = 2^-5 working regime still
+    yields numbers; the caller compares eta with ETA_REGIME."""
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta {eta!r} outside (0, 1)")
     sched = RecursionSchedule.closed_form(q)
@@ -218,10 +216,4 @@ def predict_schedule(q: int, eta: float) -> SchedulePrediction:
     log3 = math.log(3.0)
     marked = math.exp((sched.m - 1) / 4.0 * log3 + sched.m * log_eta)
     unmarked = math.exp(3.0 * (sched.m - 1) / 4.0 * log3 + sched.m * log_eta)
-    return SchedulePrediction(
-        schedule=sched,
-        eta=float(eta),
-        marked_magnitude=marked,
-        unmarked_magnitude=unmarked,
-        in_regime=eta <= ETA_REGIME,
-    )
+    return SchedulePrediction(schedule=sched, marked_magnitude=marked, unmarked_magnitude=unmarked)

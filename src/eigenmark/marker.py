@@ -6,18 +6,19 @@ any of the estimation variants (plain, voting tensor, fixed-point level q)
 and Z is the workspace subspace that flags "marked".  Every variant is
 built from phases in the eigenframe of U, where it acts on each
 eigendirection separately.  So one helper builds the marker on a tuple of
-eigenphases, and an assembly holds it twice over: on all eigendirections,
-turned by the eigenbasis once into the operator, and on each
-eigendirection alone, a workspace operator.  The helper never
-counts the eigendirections: the estimation factors take one row per
-eigenphase, the other builders read theirs from the operator they wrap,
-and the Z-phase goes on every row.  Every variant's core applies H first:
-V_F . H, voting's T . H^(x nu) and the fixed-point core_q^u(V_F) . H (see
-voting, fpqs), so H runs twice per marker application, at its ends.  Deviation
-is the Euclidean residual against the ideal marker on eigenstate (x) sigma
-inputs, reported per eigendirection (each through its own marker, so no
-application transforms rows that stay zero) plus random-superposition
-probes (through the turned operator).
+eigenphases, and an assembly holds it twice over, never turned by the
+eigenbasis: on all eigendirections (the frame) and on each alone, a
+workspace operator.  The helper never counts the eigendirections: the
+estimation factors take one row per eigenphase, the other builders read
+theirs from the operator they wrap, and the Z-phase goes on every row.
+Every variant's core applies H first: V_F . H, voting's T . H^(x nu) and
+the fixed-point core_q^u(V_F) . H (see voting, fpqs), so H runs twice per
+marker application, at its ends.  Deviation is the Euclidean residual
+against the ideal marker, diagonal in the eigenframe, per eigendirection
+(each through its own marker, so no application transforms rows that stay
+zero) and over superposition probes drawn as eigen-coefficients (through
+the frame).  So no report reads the eigenbasis; the audit checks the frame
+turned by it (statevec.in_frame) in check_marker_joint_oracle.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .statevec import (
     Tally,
     apply,
     compose,
-    in_frame,
     main_rows,
+    real_dtype,
     require_int,
 )
-from .spectral import SpectralUnitary, MarkTarget, build_shifted, ideal_marker
+from .spectral import SpectralUnitary, MarkTarget, build_shifted
 from .pea import CalibrationResult, WorkspaceLayout, estimation_factors, verification_model
 from .fpqs import build_fixed_point, check_level, selective_phase
 from .voting import build_h_tensor, majority_projector, require_odd
@@ -58,25 +59,20 @@ def assemble_marker(core: LinearOperator, phi: float,
 class MarkerAssembly:
     """An assembled marker plus the bookkeeping needed to evaluate it.
 
-    operator is the marker built in the eigenframe of U (eigendirection i
-    is the main basis state e_i) and turned by the eigenbasis.
-    directions[i] is the marker of eigendirection i alone, on the
-    workspace: on sigma it gives row i of the eigenframe marker on
-    e_i (x) sigma, whose other rows are zero."""
+    frame is the marker in the eigenframe of U (eigendirection i is the
+    main basis state e_i), not turned by the eigenbasis.  directions[i] is
+    the marker of eigendirection i alone, on the workspace: on sigma it
+    gives row i of frame on e_i (x) sigma, whose other rows are zero."""
 
     variant: str
     phi: float
-    operator: LinearOperator
+    frame: LinearOperator
     directions: tuple[LinearOperator, ...]
-    zproj: SubspaceProjector
+    work_dim: int
     mu: int
     q: int | None
     nu: int | None
     ancillas: int
-
-    @property
-    def work_dim(self) -> int:
-        return self.zproj.dim
 
     @property
     def q_or_nu(self) -> int | None:
@@ -123,8 +119,7 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
                    variant: str, q: int | None = None,
                    nu: int | None = None) -> MarkerAssembly:
     """Construct the chosen variant's marker in the eigenframe, once on
-    all eigendirections (turned by the eigenbasis into the operator) and
-    once on each eigendirection alone."""
+    all eigendirections and once on each eigendirection alone."""
     check_variant(variant, q, nu)
     lam = build_shifted(spec, target).eigensystem[0]
     if variant == "voting":
@@ -134,10 +129,9 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     marker_on = functools.partial(_eigen_marker, layout=layout, zproj=zproj, phi=target.phi,
                                   variant=variant, q=q, nu=nu)
     return MarkerAssembly(
-        variant=variant, phi=target.phi,
-        operator=in_frame(marker_on(lam), spec.eigenbasis, zproj.dim),
+        variant=variant, phi=target.phi, frame=marker_on(lam),
         directions=tuple(marker_on((phase,)) for phase in lam),
-        zproj=zproj, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
+        work_dim=zproj.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
 
 
@@ -155,11 +149,11 @@ class MarkerErrorReport:
     """Residuals of the assembled marker against the ideal one.
 
     residual_i = || assembled(|psi_i>|sigma>) - (ideal |psi_i>) (x) |sigma> ||,
-    read through eigendirection i's own marker.  Random-superposition
-    residuals, read through the turned operator, can never exceed the
-    eigendirection maximum (the marker is block-diagonal across
-    eigendirections); the report records whether that held, which also
-    checks the turn.
+    read through eigendirection i's own marker.  A superposition residual,
+    read through the frame on unit eigen-coefficients c (the state E c),
+    can never exceed the eigendirection maximum (the marker is
+    block-diagonal across eigendirections); the report records whether
+    that held.  No field depends on the eigenbasis.
     """
 
     variant: str
@@ -231,10 +225,11 @@ def measured_cell(calib: CalibrationResult, eps: float) -> dict:
 def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: MarkTarget,
                     n_random: int = 8, seed: int = 0,
                     dtype=np.complex128) -> MarkerErrorReport:
-    """Residuals per eigendirection plus n_random Haar-ish superposition
-    probes, with the resource counters accumulated over the whole run.
-    n_random is an int (TypeError otherwise, a bool included); a negative
-    count is a ValueError."""
+    """Residuals per eigendirection plus n_random superposition probes
+    (unit eigen-coefficient vectors from normal draws with seed), with the
+    resource counters accumulated over the whole run.  n_random is an int
+    (TypeError otherwise, a bool included); a negative count is a
+    ValueError."""
     n_random = require_int(n_random, "n_random")
     if n_random < 0:
         raise ValueError(f"n_random must be nonnegative, got {n_random}")
@@ -242,29 +237,29 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(n_random):
-        main = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        probes.append((main / np.linalg.norm(main)).astype(dtype))
+        coeffs = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        probes.append((coeffs / np.linalg.norm(coeffs)).astype(dtype))
     # Every eigendirection (sigma through its own marker) and every probe
-    # (through the turned operator) is an independent application, so all
-    # go to the driver in one call.
+    # (its eigen-coefficients through the frame) is an independent
+    # application, so all go to the driver in one call.
     directions = assembly.directions
-    outs = apply(directions + (assembly.operator,) * n_random,
+    outs = apply(directions + (assembly.frame,) * n_random,
                  [np.ones(1, dtype=dtype)] * len(directions) + probes,
                  assembly.work_dim, tally)
-    entries = []
-    # The ideal output of eigendirection i is sigma times its phase,
+    # The ideal marker's phase on each eigendirection, in real_dtype(dtype),
     # subtracted in place.
+    marked = np.isin(np.arange(spec.dim), target.marked_indices)
+    ideal = np.exp(1j * np.where(marked, target.phi, 0.0).astype(real_dtype(dtype))).astype(dtype)
+    entries = []
     for i, out in enumerate(outs[:len(directions)]):
-        marked = i in target.marked_indices
-        out[0, 0] -= np.exp(1j * target.phi) if marked else 1.0
+        out[0, 0] -= ideal[i]
         entries.append(ResidualEntry(i, spec.eigenphases[i], target.lambdas[i],
-                                     marked, float(np.linalg.norm(out))))
+                                     bool(marked[i]), float(np.linalg.norm(out))))
     worst = max(e.residual for e in entries)
 
-    ideal = ideal_marker(spec, target)
     sup_res = 0.0
-    for main, out in zip(probes, outs[len(directions):]):
-        out[:, 0] -= ideal.apply_to(main)
+    for coeffs, out in zip(probes, outs[len(directions):]):
+        out[:, 0] -= ideal * coeffs
         sup_res = max(sup_res, float(np.linalg.norm(out)))
 
     counters = ComplexityCounters.from_tally(tally, assembly.ancillas)

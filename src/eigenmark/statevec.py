@@ -160,11 +160,8 @@ class LinearOperator:
 
     @property
     def adjoint(self) -> "LinearOperator":
-        eig = self.eigensystem
-        if eig is not None:
-            phases, basis = eig
-            eig = (tuple(-p for p in phases), basis)
-        return LinearOperator(self.dim, self._adjoint, self._apply, self.cost, eig)
+        """The adjoint, with the same cost and no eigensystem."""
+        return LinearOperator(self.dim, self._adjoint, self._apply, self.cost)
 
     def __repr__(self) -> str:
         return f"LinearOperator(dim={self.dim}, cost={self.cost})"
@@ -193,8 +190,7 @@ def compose(*ops: LinearOperator) -> LinearOperator:
 
 
 def identity(dim: int) -> LinearOperator:
-    return LinearOperator(dim, lambda x, _t: x, lambda x, _t: x,
-                          eigensystem=((0.0,) * dim, None))
+    return LinearOperator(dim, lambda x, _t: x, lambda x, _t: x)
 
 
 def from_matrix(matrix: np.ndarray, cost: CostTags = ()) -> LinearOperator:

@@ -15,7 +15,6 @@ variant the marker H^(x nu) T+ I_maj T H^(x nu) runs H only at its ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +31,6 @@ def require_odd(nu: int) -> int:
     if nu < 1 or nu % 2 == 0:
         raise ValueError(f"register count nu={nu} must be odd and positive")
     return nu
-
-
-@dataclass(frozen=True)
-class VotingModel:
-    """nu registers, each wrong with probability p; t = 1/2 - p is the
-    Hoeffding deviation."""
-
-    nu: int
-    p: float
-
-    def __post_init__(self) -> None:
-        require_odd(self.nu)
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"wrong probability p={self.p!r} outside [0, 1]")
-
-    @property
-    def t(self) -> float:
-        return 0.5 - self.p
 
 
 def check_joint_dim(main_dim: int, work_dim: int, nu: int) -> int:
@@ -74,10 +55,13 @@ def majority_tail_amplitude(p: float, nu: int) -> float:
     no 1 - cdf cancels and no term underflows ahead of the result.  The
     amplitude is sqrt(S) p^(m/2), multiplied in by two factors p^(m/4) so
     that it stays representable wherever the result is.  A nu whose
-    binomial coefficients overflow a double is rejected with ValueError.
+    binomial coefficients overflow a double, or a p outside [0, 1], is
+    rejected with ValueError.
     """
     nu = require_odd(nu)
-    p = float(VotingModel(nu, p).p)
+    p = float(p)
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"wrong probability p={p!r} outside [0, 1]")
     m = nu // 2 + 1
     try:
         tail = math.fsum(float(math.comb(nu, k)) * p ** (k - m) * (1.0 - p) ** (nu - k)

@@ -10,7 +10,7 @@ from eigenmark import audit, cli, complexity
 
 def test_plan_examples():
     # plan(1e-8)=2 and plan(0.1)=0 at eta 2^-5, the examples' own two eps.
-    check = audit.check_complexity_planner((1, 8), 0.4)
+    check = audit.check_complexity_planner((1, 8))
     assert check.ok, check.detail
     eta = 2.0 ** -5
     # eps_1 ~ 3.6e-4 fails a 1e-8 budget, the level-2 value ~2.1e-11 passes
@@ -20,23 +20,23 @@ def test_plan_examples():
 
 
 def test_plan_from_invocation_budget():
-    req = em.PlanRequest(delta=0.4, invocations=10 ** 6)
+    req = em.PlanRequest(invocations=10 ** 6)
     assert req.resolved_eps == pytest.approx(1e-8)
-    check = audit.check_complexity_planner(range(1, 13), 0.4)
+    check = audit.check_complexity_planner(range(1, 13))
     assert check.ok, check.detail
 
 
 def test_plan_request_validation():
     with pytest.raises(ValueError, match="exactly one"):
-        em.PlanRequest(delta=0.4)
+        em.PlanRequest()
     with pytest.raises(ValueError, match="exactly one"):
-        em.PlanRequest(delta=0.4, eps_target=1e-4, invocations=10)
+        em.PlanRequest(eps_target=1e-4, invocations=10)
     with pytest.raises(ValueError, match="eps"):
-        em.PlanRequest(delta=0.4, eps_target=1.5)
+        em.PlanRequest(eps_target=1.5)
 
 
 def test_planner_monotonicity():
-    check = audit.check_complexity_planner(range(1, 16), 0.4)
+    check = audit.check_complexity_planner(range(1, 16))
     assert check.ok, check.detail
 
 

@@ -271,13 +271,13 @@ def test_schedule_closed_forms():
     assert abs(s2.eps - (3 ** 0.75 * 2.0 ** -5) ** 9) <= 1e-12 * s2.eps
 
 
-def test_predict_schedule_regime_flag():
+def test_predict_schedule_magnitudes():
+    # Inside the working regime and beyond it, where the law holds only
+    # loosely but still yields numbers.
     good = em.predict_schedule(2, 2.0 ** -5)
-    assert good.in_regime
     assert abs(good.unmarked_magnitude - 729.0 * (2.0 ** -5) ** 9) <= 1e-23
-    flagged = em.predict_schedule(1, 0.1)
-    assert not flagged.in_regime
-    assert flagged.marked_magnitude == pytest.approx(np.sqrt(3) * 1e-3, rel=1e-12)
+    loose = em.predict_schedule(1, 0.1)
+    assert loose.marked_magnitude == pytest.approx(np.sqrt(3) * 1e-3, rel=1e-12)
     with pytest.raises(ValueError, match="eta"):
         em.predict_schedule(1, 0.0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import cli, marker, pea
+from eigenmark import audit, cli, marker, pea
 from eigenmark.spectral import haar_unitary
 from eigenmark.statevec import EXTENDED
 
@@ -39,7 +39,7 @@ def test_exact_core_acts_as_ideal_marker():
     assembly = em.build_assembly(spec, target, layout, "pea")
     for i, phase in ((0, -1.0), (1, 1.0)):
         state = np.outer(spec.basis_column(i), layout.sigma_state()).ravel()
-        out = assembly.operator.apply_to(state)
+        out = assembly.frame.apply_to(state)
         assert np.abs(out - phase * state).max() <= 1e-12
 
 
@@ -111,24 +111,62 @@ def test_pea_marker_halves_per_two_extra_qubits():
         assert 0.35 <= ratio <= 0.65
 
 
+VARIANTS = [("pea", {}), ("voting", {"nu": 3}), ("fixed_point", {"q": 2})]
+
+
+def _report_files(directory, report):
+    cli._write_json(directory / "report.json", report.to_json_dict())
+    cli._write_csv(directory / "report.csv", marker.CSV_COLUMNS, report.csv_rows())
+    return [(directory / name).read_bytes() for name in ("report.json", "report.csv")]
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
-def test_haar_residuals_equal_computational_twin(dtype):
-    # The eigenbasis is applied once, around the marker; eigendirection
-    # residuals come from the eigendirection markers and so do not see the
-    # basis.
+def test_haar_residuals_equal_computational_twin(tmp_path, dtype):
+    # An evaluation runs in the eigenframe and never reads the eigenbasis:
+    # directions through their own markers, probes as eigen-coefficients
+    # through the frame.  So for every variant a Haar model and its
+    # computational twin write the same report files byte for byte.
     basis = haar_unitary(np.random.default_rng(17), 3)
     spec = em.SpectralUnitary(dim=3, eigenphases=(0.02, 1.8, -2.1),
                               eigenbasis=basis, delta=1.5)
     twin = dataclasses.replace(spec, eigenbasis=None)
-    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=0.9, b=0.05)
     layout = em.WorkspaceLayout(mu=5, window=2)
-    reports = [em.evaluate_marker(em.build_assembly(s, target, layout, "fixed_point", q=2),
-                                  s, target, n_random=2, dtype=dtype)
-               for s in (spec, twin)]
-    residuals = [[e.residual for e in r.entries] for r in reports]
-    assert residuals[0] == residuals[1]
-    assert max(residuals[0]) > 1e-8
-    assert reports[0].superposition_within_eigen_max
+    for variant, extra in VARIANTS:
+        files = []
+        for name, s in (("haar", spec), ("twin", twin)):
+            report = em.evaluate_marker(em.build_assembly(s, target, layout, variant, **extra),
+                                        s, target, n_random=2, seed=3, dtype=dtype)
+            assert report.worst_residual > 1e-8
+            assert report.superposition_within_eigen_max
+            directory = tmp_path / f"{variant}-{name}"
+            directory.mkdir()
+            files.append(_report_files(directory, report))
+        assert files[0] == files[1], variant
+
+
+@pytest.mark.skipif(not hasattr(np, "complex256"), reason="no extended precision here")
+def test_extended_direction_residuals_use_a_long_double_ideal():
+    # The ideal phase e^{i phi} of a marked direction is computed in long
+    # double for complex256, as the probes' ideal is.  Rounded to double it
+    # moved the marked residual here from 2.022158e-14 to 2.022164e-14.
+    spec, target = em.verification_model(3.0, 0.05, 0.1487962892185004, 1.50176615759041,
+                                         phi=0.9)
+    layout = em.WorkspaceLayout(11, 330)
+    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=2)
+    report = em.evaluate_marker(assembly, spec, target, n_random=0, dtype=np.complex256)
+    (i,) = target.marked_indices
+    (out,) = em.apply(assembly.directions[i], [np.ones(1, dtype=np.complex256)],
+                      layout.work_dim)
+    residuals = {}
+    for name, ideal in (("long double", np.exp(1j * np.longdouble(0.9))),
+                        ("double", np.exp(1j * 0.9))):
+        moved = out.copy()
+        moved[0, 0] -= ideal
+        residuals[name] = float(np.linalg.norm(moved))
+    assert report.entries[i].residual == residuals["long double"]
+    assert residuals["long double"] != residuals["double"]
+    assert 2.0e-14 < report.entries[i].residual < 2.05e-14
 
 
 def _oracle_blocks(spec, target, layout, q):
@@ -159,8 +197,7 @@ def test_fixed_point_blocks_match_sigma_projector_oracle(q):
     layout = em.WorkspaceLayout(mu=5, window=2)
     assembly = em.build_assembly(TWO_DIRECTIONS, target, layout, "fixed_point", q=q)
     oracle = _oracle_blocks(TWO_DIRECTIONS, target, layout, q)
-    # In the computational basis the operator is the eigenframe marker.
-    got, want = em.dense_materialize(assembly.operator), em.dense_materialize(oracle)
+    got, want = em.dense_materialize(assembly.frame), em.dense_materialize(oracle)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -177,7 +214,7 @@ def test_fixed_point_marker_runs_hadamard_only_at_its_ends(monkeypatch):
 
     monkeypatch.setattr(pea, "_fwht_axis1", counted)
     tally = em.Tally()
-    assembly.operator.apply_to(np.outer(np.eye(1, 2)[0], layout.sigma_state()).ravel(), tally)
+    assembly.frame.apply_to(np.outer(np.eye(1, 2)[0], layout.sigma_state()).ravel(), tally)
     assert len(calls) == 2
     assert tally.get("P") == 2 * 9 ** 2
 
@@ -190,7 +227,7 @@ def test_extended_residuals_match_sigma_projector_oracle():
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=7, window=6)
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=q)
-    got = _direction_residuals(assembly.operator, spec, target, layout, EXTENDED)
+    got = _direction_residuals(assembly.frame, spec, target, layout, EXTENDED)
     want = _direction_residuals(_oracle_blocks(spec, target, layout, q), spec, target, layout,
                                 EXTENDED)
     assert min(want) > 1e-14
@@ -221,20 +258,16 @@ def test_estimation_applications_equal_charged_p(small_model, monkeypatch, varia
                                                    ("fixed_point", {"q": 2}, EXTENDED)],
                          ids=["pea", "voting", "fixed_point"])
 def test_direction_blocks_match_joint_blocks(small_model, variant, extra, dtype):
-    # Eigendirection i's own marker on sigma is row i of the joint
-    # eigenframe marker on e_i (x) sigma, bit for bit, and the joint marker
-    # leaves every other row 0.  The joint marker in the eigenframe is the
-    # operator of the computational twin.
+    # Eigendirection i's own marker on sigma is row i of the frame on
+    # e_i (x) sigma, bit for bit, and the frame leaves every other row 0.
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, variant, **extra)
-    twin = em.build_assembly(dataclasses.replace(spec, eigenbasis=None), target, layout,
-                             variant, **extra)
     assert len(assembly.directions) == spec.dim
     sigma = np.zeros(assembly.work_dim, dtype=dtype)
     sigma[0] = 1.0
     mains = np.eye(spec.dim, dtype=dtype)
     for i, (direction, main) in enumerate(zip(assembly.directions, mains)):
-        out = twin.operator.apply_to(np.outer(main, sigma).ravel())
+        out = assembly.frame.apply_to(np.outer(main, sigma).ravel())
         out = out.reshape(spec.dim, assembly.work_dim)
         alone = direction.apply_to(sigma)
         assert alone.dtype == out.dtype == dtype
@@ -268,55 +301,36 @@ def test_eigendirections_transform_one_row_each(small_model, monkeypatch, varian
 
 
 def test_superposition_residual_bounded_by_eigen_max(small_model):
-    spec, target, layout = small_model
-    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)
-    report = em.evaluate_marker(assembly, spec, target, n_random=10, seed=4)
-    assert report.superposition_within_eigen_max
-    assert report.superposition_residual <= report.worst_residual + 1e-10
+    result = audit.check_marker_superposition_bound(*small_model, 10, 4)
+    assert result.ok, result.detail
 
 
 def test_marker_unitarity(small_model):
     spec, target, layout = small_model
     for variant, extra in (("pea", {}), ("fixed_point", {"q": 1}), ("voting", {"nu": 3})):
-        assembly = em.build_assembly(spec, target, layout, variant, **extra)
-        m = em.dense_materialize(assembly.operator)
-        assert np.abs(m.conj().T @ m - np.eye(assembly.operator.dim)).max() <= 1e-12
+        frame = em.build_assembly(spec, target, layout, variant, **extra).frame
+        m = em.dense_materialize(frame)
+        assert np.abs(m.conj().T @ m - np.eye(frame.dim)).max() <= 1e-12
 
 
 def test_phi_additivity(small_model):
-    spec, _target, layout = small_model
-    t1 = em.MarkTarget.resolve(spec, 0.0, 0.9, b=0.05)
-    t2 = em.MarkTarget.resolve(spec, 0.0, 1.7, b=0.05)
-    t12 = em.MarkTarget.resolve(spec, 0.0, 2.6, b=0.05)
-    a1 = em.build_assembly(spec, t1, layout, "pea")
-    a2 = em.build_assembly(spec, t2, layout, "pea")
-    a12 = em.build_assembly(spec, t12, layout, "pea")
-    for i in range(spec.dim):
-        state = np.outer(spec.basis_column(i), layout.sigma_state()).ravel()
-        composed = a1.operator.apply_to(a2.operator.apply_to(state))
-        direct = a12.operator.apply_to(state)
-        budget = 1e-10
-        for t, a in ((t1, a1), (t2, a2), (t12, a12)):
-            phase = np.exp(1j * t.phi) if i in t.marked_indices else 1.0
-            out = a.operator.apply_to(state)
-            budget += float(np.linalg.norm(out - phase * state))
-        assert float(np.linalg.norm(composed - direct)) <= budget
+    result = audit.check_marker_phi_additivity(*small_model, ((0.9, 1.7),))
+    assert result.ok, result.detail
 
 
 def test_workspace_restoration(small_model):
-    spec, target, layout = small_model
-    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)
-    for i in range(spec.dim):
-        psi = spec.basis_column(i)
-        state = np.outer(psi, layout.sigma_state()).ravel()
-        out = assembly.operator.apply_to(state)
-        phase = np.exp(1j * target.phi) if i in target.marked_indices else 1.0
-        residual = np.linalg.norm(out - phase * state)
-        rows = out.reshape(spec.dim, layout.work_dim)
-        work_part = psi.conj() @ rows
-        cross_mass = np.linalg.norm(rows - np.outer(psi, work_part)) ** 2
-        displaced = np.linalg.norm(work_part - phase * layout.sigma_state())
-        assert abs(np.sqrt(displaced ** 2 + cross_mass) - residual) <= 1e-10
+    result = audit.check_marker_workspace_restoration(*small_model)
+    assert result.ok, result.detail
+
+
+@pytest.mark.parametrize("variant, q, nu", [("pea", None, None), ("voting", None, 3),
+                                            ("fixed_point", 2, None)],
+                         ids=["pea", "voting", "fixed_point"])
+def test_joint_marker_matches_the_eigenframe(small_model, variant, q, nu):
+    # The marker turned by the Haar eigenbasis, on eigenstates and on
+    # probes E c, against the eigenframe outputs the reports are read from.
+    result = audit.check_marker_joint_oracle(*small_model, ((variant, q, nu),), 3, 9, 1e-12)
+    assert result.ok, result.detail
 
 
 def test_marker_counters(small_model):

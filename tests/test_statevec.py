@@ -89,12 +89,12 @@ def _probes(rng, dim: int, count: int, dtype) -> list[np.ndarray]:
 
 
 def test_driver_matches_a_serial_loop_on_extended_recursion(small_model):
-    # A complex256 level-2 marker on a Haar basis: its directions and its
-    # probes through one driver call equal a serial apply_to loop bit for
-    # bit, and charge the same books.
+    # A complex256 level-2 marker: its directions and its probes through
+    # one driver call equal a serial apply_to loop bit for bit, and charge
+    # the same books.
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=2)
-    ops = assembly.directions + (assembly.operator,) * 3
+    ops = assembly.directions + (assembly.frame,) * 3
     mains = ([np.ones(1, dtype=EXTENDED)] * spec.dim
              + _probes(np.random.default_rng(2), spec.dim, 3, EXTENDED))
     sigma = layout.sigma_state(EXTENDED)
@@ -158,7 +158,7 @@ def test_driver_leaves_no_thread_behind(small_model):
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)
     mains = _probes(np.random.default_rng(3), spec.dim, 4, EXTENDED)
     before = threading.active_count()
-    em.apply([assembly.operator] * 4, mains, layout.work_dim, em.Tally())
+    em.apply([assembly.frame] * 4, mains, layout.work_dim, em.Tally())
     assert threading.active_count() == before
 
 
@@ -214,15 +214,15 @@ def test_driver_size_gate_for_complex128(monkeypatch):
 
 
 def _voting_applications():
-    """complex128 voting at mu=5, nu=3 on a Haar basis: 2 directions of
-    32,768 amplitudes and 2 probes of 65,536, as (ops, mains, work_dim)."""
+    """complex128 voting at mu=5, nu=3: 2 directions of 32,768 amplitudes
+    and 2 probes of 65,536, as (ops, mains, work_dim)."""
     rng = np.random.default_rng(11)
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.02, 1.8),
                               eigenbasis=haar_unitary(rng, 2), delta=1.5)
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=5, window=3)
     assembly = em.build_assembly(spec, target, layout, "voting", nu=3)
-    ops = assembly.directions + (assembly.operator,) * 2
+    ops = assembly.directions + (assembly.frame,) * 2
     mains = [np.ones(1, dtype=complex)] * 2 + _probes(rng, 2, 2, np.complex128)
     return ops, mains, assembly.work_dim
 
@@ -452,7 +452,7 @@ def test_real_inputs_are_made_complex():
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.03, 2.2), delta=1.5)
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=3, window=1)
-    marker = em.build_assembly(spec, target, layout, "fixed_point", q=1).operator
+    marker = em.build_assembly(spec, target, layout, "fixed_point", q=1).frame
     (real,) = em.apply(marker, [np.array([0.0, 1.0])], layout.work_dim)
     (cplx,) = em.apply(marker, [np.array([0.0, 1.0 + 0j])], layout.work_dim)
     assert real.dtype == np.complex128

@@ -84,10 +84,8 @@ def test_import_leaves_scipy_unloaded():
 def test_even_nu_rejected():
     with pytest.raises(ValueError, match="odd"):
         em.majority_tail_amplitude(0.1, 4)
-    with pytest.raises(ValueError, match="odd"):
-        voting.VotingModel(2, 0.1)
     with pytest.raises(ValueError, match="probability"):
-        voting.VotingModel(3, 1.5)
+        em.majority_tail_amplitude(1.5, 3)
 
 
 @pytest.mark.parametrize("nu", [3.7, 3.0, True, np.float64(3.0)],
@@ -96,8 +94,6 @@ def test_non_integer_nu_rejected(nu):
     # A fraction was truncated (3.7 gave nu=3's tail) and True read as 1.
     with pytest.raises(TypeError, match="integer"):
         em.majority_tail_amplitude(0.1, nu)
-    with pytest.raises(TypeError, match="integer"):
-        voting.VotingModel(nu, 0.1)
     # The envelope truncated too: 3.7 gave nu=3's value and True nu=1's.
     with pytest.raises(TypeError, match="integer"):
         voting.hoeffding_amplitude_bound(nu)
@@ -105,11 +101,6 @@ def test_non_integer_nu_rejected(nu):
 
 def test_numpy_integer_nu_accepted():
     assert em.majority_tail_amplitude(0.1, np.int64(3)) == em.majority_tail_amplitude(0.1, 3)
-
-
-def test_voting_model_deviation():
-    model = voting.VotingModel(5, 0.01)
-    assert model.t == pytest.approx(0.49)
 
 
 def test_hoeffding_bound_values():
