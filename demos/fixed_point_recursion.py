@@ -32,7 +32,7 @@ for q in range(3):
     fp = em.build_fixed_point(pea_op, q, window)
     pred = em.predict_schedule(q, eta)
     tally = em.Tally()
-    em.apply(fp, [spec.basis_column(0)], layout.work_dim, tally)
+    em.apply(fp, [spec.basis_column(0)], layout.sigma_state(), tally)
     for entry in em.measure_eta(fp, spec, target, layout, dtype=EXTENDED).entries:
         bound = pred.marked_magnitude if entry.marked else pred.unmarked_magnitude
         side = "marked" if entry.marked else "unmarked"

@@ -167,7 +167,7 @@ def _main_disturbance(op, spec, layout) -> float:
     eigendirections psi_i of spec with sigma on the workspace."""
     worst = 0.0
     psis = _columns(spec)
-    for psi, out in zip(psis, apply(op, psis, layout.work_dim)):
+    for psi, out in zip(psis, apply(op, psis, layout.sigma_state())):
         keep = np.outer(psi, psi.conj() @ out)
         worst = max(worst, float(np.linalg.norm(out - keep)))
     return worst
@@ -192,7 +192,7 @@ def check_pea_kernel_vs_simulation(layout, models, tol) -> CheckResult:
     worst = 0.0
     for spec, target in models:
         op = pea.build_pea(spectral.build_shifted(spec, target), layout)
-        for i, out in enumerate(apply(op, _columns(spec), layout.work_dim)):
+        for i, out in enumerate(apply(op, _columns(spec), layout.sigma_state())):
             sim = float(np.linalg.norm(out[:, layout.z_window().mask()])) ** 2
             kern = float(pea.window_response_mass(target.lambdas[i], layout.mu,
                                                   layout.window)[0])
@@ -297,7 +297,7 @@ def check_fpqs_counter_law(pea_op, spec, layout) -> CheckResult:
     for q in range(4):
         op = fpqs.build_fixed_point(pea_op, q, window)
         tally = Tally()
-        apply(op, _columns(spec)[:1], wdim, tally)
+        apply(op, _columns(spec)[:1], layout.sigma_state(), tally)
         n_p, n_u = tally.get("P"), tally.get("U")
         ok = ok and n_p == 9 ** q and n_u == 9 ** q * wdim
         details.append(f"q={q}: N_P={n_p} N_U={n_u}")
@@ -326,7 +326,7 @@ def check_voting_tensor_equivalence(layout, nus) -> CheckResult:
     for nu in nus:
         h = voting.build_h_tensor(shifted.eigensystem[0], nu, layout)
         majority = voting.majority_projector(layout.z_window(), nu)
-        outs = apply(h, _columns(spec), layout.work_dim ** nu)
+        outs = apply(h, _columns(spec), np.eye(1, majority.dim)[0])  # sigma on nu registers
         for entry, out in zip(etas.entries, outs):
             lose = majority.complement() if entry.marked else majority
             got = float(np.linalg.norm(out[:, lose.mask()]))
@@ -369,7 +369,7 @@ def check_marker_workspace_restoration(spec, target, layout) -> CheckResult:
     worst = 0.0
     psis = _columns(spec)
     sigma = layout.sigma_state()
-    outs = apply(joint, psis, layout.work_dim)
+    outs = apply(joint, psis, sigma)
     for i, (psi, out) in enumerate(zip(psis, outs)):
         phase = np.exp(1j * target.phi) if i in target.marked_indices else 1.0
         residual = np.linalg.norm(out - phase * np.outer(psi, sigma))
@@ -403,7 +403,7 @@ def check_marker_phi_additivity(spec, target, layout, pairs) -> CheckResult:
                    for p in (p1, p2, p1 + p2)]
         frames = [marker.build_assembly(spec, t, layout, "pea").frame for t in targets]
         ops = [in_frame(frame, spec.eigenbasis, layout.work_dim) for frame in frames]
-        outs = [apply(op, psis, layout.work_dim) for op in ops]
+        outs = [apply(op, psis, sigma) for op in ops]
         for i, psi in enumerate(psis):
             state = np.outer(psi, sigma)
             composed = ops[0].apply_to(outs[1][i].ravel())
@@ -420,10 +420,10 @@ def check_marker_phi_additivity(spec, target, layout, pairs) -> CheckResult:
 
 def check_marker_joint_oracle(spec, target, layout, variants, n_random: int, seed: int,
                               tol: float) -> CheckResult:
-    """The turn no evaluation makes, on a model with an eigenbasis E: for
-    each (variant, q, nu) in variants, the marker turned by E on E c (x)
-    sigma is E times the frame on c (x) sigma, for c = e_i (psi_i) and
-    n_random normal draws."""
+    """The two steps no evaluation makes, on a model with an eigenbasis E:
+    for each (variant, q, nu) in variants, the physical marker
+    H . inner . H turned by E, on E c (x) sigma, is (E x H) times inner on
+    c (x) u, u = H sigma, for c = e_i (psi_i) and n_random normal draws."""
     basis = spec.eigenbasis
     rng = np.random.default_rng(seed)
     draws = rng.normal(size=(n_random, spec.dim)) + 1j * rng.normal(size=(n_random, spec.dim))
@@ -432,12 +432,14 @@ def check_marker_joint_oracle(spec, target, layout, variants, n_random: int, see
     for variant, q, nu in variants:
         assembly = marker.build_assembly(spec, target, layout, variant, q=q, nu=nu)
         joint = in_frame(assembly.frame, basis, assembly.work_dim)
-        turned = apply(joint, [basis @ c for c in coeffs], assembly.work_dim)
-        framed = apply(assembly.frame, coeffs, assembly.work_dim)
-        worst = max([worst] + [float(np.abs(t - basis @ f).max()) for t, f in zip(turned, framed)])
+        turned = apply(joint, [basis @ c for c in coeffs], np.eye(1, assembly.work_dim)[0])
+        inner = apply(assembly.inner, coeffs, assembly.uniform())
+        for t, out in zip(turned, inner):
+            read = assembly.hadamard.apply_to((basis @ out).ravel())
+            worst = max(worst, float(np.abs(t.ravel() - read).max()))
         names.append(variant + {"fixed_point": f" q={q}", "voting": f" nu={nu}"}.get(variant, ""))
     return CheckResult("marker.joint_oracle", worst <= tol,
-                       f"turned marker vs eigenframe outputs on psi_i and {n_random} "
+                       f"turned marker vs (E x H) inner outputs on psi_i and {n_random} "
                        f"probes E c over {', '.join(names)}: max deviation = "
                        f"{_fmt(worst)} (tol {tol:g})")
 

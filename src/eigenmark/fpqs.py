@@ -21,7 +21,8 @@ The estimation operator is V = V_F . H with H the Walsh-Hadamard transform
 on the workspace, an involution, so H I_sigma H = I_u for the uniform
 state u = H|sigma>.  By induction on the level,
 core_q(V) = core_q^u(V_F) . H, where core^u takes its sigma-phase about u;
-the marker builds its core that way, and H then runs only at its ends.
+the marker builds its core that way and leaves H out, and an evaluation
+drives it on u (see marker), so H runs only on sigma, to form u.
 """
 
 from __future__ import annotations

@@ -3,22 +3,32 @@ from the ideal selective phase.
 
 The assembled marker is core+ . (1_main x I_Z^phi) . core, where core is
 any of the estimation variants (plain, voting tensor, fixed-point level q)
-and Z is the workspace subspace that flags "marked".  Every variant is
-built from phases in the eigenframe of U, where it acts on each
-eigendirection separately.  So one helper builds the marker on a tuple of
-eigenphases, and an assembly holds it twice over, never turned by the
-eigenbasis: on all eigendirections (the frame) and on each alone, a
-workspace operator.  The helper never counts the eigendirections: the
-estimation factors take one row per eigenphase, the other builders read
-theirs from the operator they wrap, and the Z-phase goes on every row.
-Every variant's core applies H first: V_F . H, voting's T . H^(x nu) and
-the fixed-point core_q^u(V_F) . H (see voting, fpqs), so H runs twice per
-marker application, at its ends.  Deviation is the Euclidean residual
-against the ideal marker, diagonal in the eigenframe, per eigendirection
-(each through its own marker, so no application transforms rows that stay
-zero) and over superposition probes drawn as eigen-coefficients (through
-the frame).  So no report reads the eigenbasis; the audit checks the frame
-turned by it (statevec.in_frame) in check_marker_joint_oracle.
+and Z is the workspace subspace that flags "marked".  Every variant's core
+applies H first, with H = H^(x nu) the Walsh-Hadamard transform on the
+workspace (nu = 1 but for voting): V_F . H, voting's T . H^(x nu) and the
+fixed-point core_q^u(V_F) . H (see voting, fpqs).  So the marker is
+H . inner . H, where inner = core'+ . (1_main x I_Z^phi) . core' is built
+from the V_F factors alone (core' = V_F, T or core_q^u(V_F)).  H is real,
+orthogonal and its own inverse, and H sigma = u is the uniform state, so
+|| marker(c x sigma) - ideal c x sigma || = || inner(c x u) - ideal c x u ||
+exactly, and an evaluation drives inner on u: H runs on sigma, once per
+workspace and dtype, to form u (uniform_state), and never on a marker's
+output.
+
+Every variant is built from phases in the eigenframe of U, where it acts
+on each eigendirection separately.  So one helper builds inner on a tuple
+of eigenphases, and an assembly holds it twice over, never turned by the
+eigenbasis: on all eigendirections and on each alone, a workspace
+operator.  The helper never counts the eigendirections: the estimation
+factors take one row per eigenphase, the other builders read theirs from
+the operator they wrap, and the Z-phase goes on every row.  Deviation is
+the Euclidean residual against the ideal marker, diagonal in the
+eigenframe, per eigendirection (each through its own inner marker, so no
+application transforms rows that stay zero) and over superposition probes
+drawn as eigen-coefficients (through inner on all rows).  So no report
+reads the eigenbasis or applies H to a marker's output; the audit checks the physical marker
+H . inner . H (MarkerAssembly.frame) turned by the eigenbasis
+(statevec.in_frame) against those outputs in check_marker_joint_oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .statevec import (
 from .spectral import SpectralUnitary, MarkTarget, build_shifted
 from .pea import CalibrationResult, WorkspaceLayout, estimation_factors, verification_model
 from .fpqs import build_fixed_point, check_level, selective_phase
-from .voting import build_h_tensor, majority_projector, require_odd
+from .voting import check_joint_dim, majority_projector, require_odd
 from .complexity import ETA_REGIME, ComplexityCounters, plan_recursion
 
 VARIANTS = ("pea", "voting", "fixed_point")
@@ -57,16 +67,20 @@ def assemble_marker(core: LinearOperator, phi: float,
 
 @dataclass(frozen=True, eq=False)
 class MarkerAssembly:
-    """An assembled marker plus the bookkeeping needed to evaluate it.
+    """An assembled marker plus the bookkeeping needed to evaluate it, in
+    the eigenframe of U (eigendirection i is the main basis state e_i),
+    never turned by the eigenbasis.
 
-    frame is the marker in the eigenframe of U (eigendirection i is the
-    main basis state e_i), not turned by the eigenbasis.  directions[i] is
-    the marker of eigendirection i alone, on the workspace: on sigma it
-    gives row i of frame on e_i (x) sigma, whose other rows are zero."""
+    inner is the marker on all eigendirections without its Walsh-Hadamard
+    ends, and hadamard is H = H^(x nu) on its rows, so frame = hadamard .
+    inner . hadamard is the physical marker.  directions[i] is inner for
+    eigendirection i alone, on the workspace: on u = uniform(dtype) it
+    gives row i of inner on e_i (x) u, whose other rows are zero."""
 
     variant: str
     phi: float
-    frame: LinearOperator
+    inner: LinearOperator
+    hadamard: LinearOperator
     directions: tuple[LinearOperator, ...]
     work_dim: int
     mu: int
@@ -77,6 +91,28 @@ class MarkerAssembly:
     @property
     def q_or_nu(self) -> int | None:
         return self.q if self.q is not None else self.nu
+
+    @property
+    def frame(self) -> LinearOperator:
+        """The physical marker H . inner . H on all eigendirections."""
+        return compose(self.hadamard, self.inner, self.hadamard)
+
+    def uniform(self, dtype=np.complex128) -> np.ndarray:
+        """u = H sigma on the workspace, in dtype: the start state of inner
+        and directions (read-only, see uniform_state)."""
+        return uniform_state(self.mu, self.nu or 1, np.dtype(dtype))
+
+
+@functools.cache
+def uniform_state(mu: int, registers: int, dtype: np.dtype) -> np.ndarray:
+    """u = H^(x registers) sigma on registers mu-qubit registers, in dtype,
+    by the library's own transform on one row.  Cached and read-only: it
+    depends on nothing else, and forming it in every evaluation left a
+    voting pass (mu=5, nu=3, 2-core host) about 7% slower."""
+    workspace = estimation_factors((0.0,), WorkspaceLayout(mu, 0), registers)[-1]
+    u = workspace.apply_to(np.eye(1, workspace.dim, dtype=dtype)[0])
+    u.flags.writeable = False
+    return u
 
 
 def check_variant(variant: str, q: int | None, nu: int | None) -> None:
@@ -99,27 +135,29 @@ def check_variant(variant: str, q: int | None, nu: int | None) -> None:
 
 def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: float,
                   variant: str, q: int | None, nu: int | None) -> LinearOperator:
-    """The marker in the eigenframe on eigendirections with shifted phases
-    lam, main index i for lam[i]; zproj is the variant's marked workspace
-    subspace (the window, or voting's winning majority)."""
-    if variant == "fixed_point":
-        # H I_sigma H = I_u: the recursion runs on V_F, reflecting about
-        # the uniform state u = H|sigma>, and H follows it once.
-        v_f, hadamard = estimation_factors(lam, layout)
-        uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
-        core = compose(build_fixed_point(v_f, q, zproj, uniform), hadamard)
-    elif variant == "pea":
-        core = compose(*estimation_factors(lam, layout))
+    """The marker without its Walsh-Hadamard ends in the eigenframe, on
+    eigendirections with shifted phases lam, main index i for lam[i]:
+    core'+ . (1 x I_Z^phi) . core' with core' = V_F (pea), the registers'
+    V_F factors (voting) or core_q^u(V_F), the recursion on V_F with its
+    sigma-phases about the uniform state u = H sigma (fixed_point).  zproj
+    is the variant's marked workspace subspace (the window, or voting's
+    winning majority)."""
+    if variant == "voting":
+        check_joint_dim(len(lam), layout.work_dim, nu)
+        core = compose(*estimation_factors(lam, layout, nu)[:-1])
     else:
-        core = build_h_tensor(lam, nu, layout)
+        v_f, _hadamard = estimation_factors(lam, layout)
+        uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
+        core = v_f if variant == "pea" else build_fixed_point(v_f, q, zproj, uniform)
     return assemble_marker(core, phi, zproj)
 
 
 def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceLayout,
                    variant: str, q: int | None = None,
                    nu: int | None = None) -> MarkerAssembly:
-    """Construct the chosen variant's marker in the eigenframe, once on
-    all eigendirections and once on each eigendirection alone."""
+    """Construct the chosen variant's marker without its Walsh-Hadamard
+    ends in the eigenframe, once on all eigendirections and once on each
+    eigendirection alone, and the transform on all of them."""
     check_variant(variant, q, nu)
     lam = build_shifted(spec, target).eigensystem[0]
     if variant == "voting":
@@ -129,7 +167,8 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     marker_on = functools.partial(_eigen_marker, layout=layout, zproj=zproj, phi=target.phi,
                                   variant=variant, q=q, nu=nu)
     return MarkerAssembly(
-        variant=variant, phi=target.phi, frame=marker_on(lam),
+        variant=variant, phi=target.phi, inner=marker_on(lam),
+        hadamard=estimation_factors(lam, layout, nu or 1)[-1],
         directions=tuple(marker_on((phase,)) for phase in lam),
         work_dim=zproj.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
@@ -149,11 +188,11 @@ class MarkerErrorReport:
     """Residuals of the assembled marker against the ideal one.
 
     residual_i = || assembled(|psi_i>|sigma>) - (ideal |psi_i>) (x) |sigma> ||,
-    read through eigendirection i's own marker.  A superposition residual,
-    read through the frame on unit eigen-coefficients c (the state E c),
-    can never exceed the eigendirection maximum (the marker is
-    block-diagonal across eigendirections); the report records whether
-    that held.  No field depends on the eigenbasis.
+    read through eigendirection i's own inner marker on u = H sigma.  A
+    superposition residual, read through inner on unit eigen-coefficients
+    c (the state E c), can never exceed the eigendirection maximum (the
+    marker is block-diagonal across eigendirections); the report records
+    whether that held.  No field depends on the eigenbasis.
     """
 
     variant: str
@@ -203,7 +242,7 @@ def application_counters(assembly: MarkerAssembly) -> ComplexityCounters:
     charges per application whatever the state, and every eigendirection's
     marker charges as the whole one, so the first direction will do."""
     tally = Tally()
-    apply(assembly.directions[0], np.ones((1, 1), dtype=complex), assembly.work_dim, tally)
+    apply(assembly.directions[0], [np.ones(1, dtype=complex)], assembly.uniform(), tally)
     return ComplexityCounters.from_tally(tally, assembly.ancillas)
 
 
@@ -239,27 +278,28 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     for _ in range(n_random):
         coeffs = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         probes.append((coeffs / np.linalg.norm(coeffs)).astype(dtype))
-    # Every eigendirection (sigma through its own marker) and every probe
-    # (its eigen-coefficients through the frame) is an independent
+    # Every eigendirection (u through its own inner marker) and every probe
+    # (its eigen-coefficients through inner on all rows) is an independent
     # application, so all go to the driver in one call.
     directions = assembly.directions
-    outs = apply(directions + (assembly.frame,) * n_random,
-                 [np.ones(1, dtype=dtype)] * len(directions) + probes,
-                 assembly.work_dim, tally)
+    u = assembly.uniform(dtype)
+    outs = apply(directions + (assembly.inner,) * n_random,
+                 [np.ones(1, dtype=dtype)] * len(directions) + probes, u, tally)
     # The ideal marker's phase on each eigendirection, in real_dtype(dtype),
-    # subtracted in place.
+    # times the start state, subtracted in place: u = H sigma is uniform, so
+    # that is the phase times u's one value on every workspace column.
     marked = np.isin(np.arange(spec.dim), target.marked_indices)
     ideal = np.exp(1j * np.where(marked, target.phi, 0.0).astype(real_dtype(dtype))).astype(dtype)
     entries = []
     for i, out in enumerate(outs[:len(directions)]):
-        out[0, 0] -= ideal[i]
+        out[0] -= ideal[i] * u[0]
         entries.append(ResidualEntry(i, spec.eigenphases[i], target.lambdas[i],
                                      bool(marked[i]), float(np.linalg.norm(out))))
     worst = max(e.residual for e in entries)
 
     sup_res = 0.0
     for coeffs, out in zip(probes, outs[len(directions):]):
-        out[:, 0] -= ideal * coeffs
+        out -= (ideal * coeffs * u[0])[:, None]
         sup_res = max(sup_res, float(np.linalg.norm(out)))
 
     counters = ComplexityCounters.from_tally(tally, assembly.ancillas)

@@ -13,8 +13,12 @@ without BLAS), so both stay in the amplitudes' own real dtype.
 V_F carries the whole cost: each application charges the U counter with
 exactly 2^mu and the P counter with 1 (adjoint applications charge the
 same), and H charges nothing.  Since H acts on the workspace only and is
-an involution, every variant runs H only at the ends of the marker: the
-fixed-point recursion runs on V_F (see fpqs), and so do voting's registers.
+an involution, every variant's marker is H . inner . H, with inner built
+from V_F alone: the fixed-point recursion runs on V_F (see fpqs), and so do
+voting's registers.  On sigma the transform gives the uniform state
+u = H sigma, so a marker evaluation runs H on sigma alone, once per
+workspace and dtype (see marker.uniform_state), and never on a marker's
+output; H runs in full in measure_eta, build_pea and the oracles.
 
 Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
@@ -252,7 +256,9 @@ def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarge
     window_mask = layout.z_window().mask()
     columns = [spec.basis_column(i).astype(dtype) for i in range(spec.dim)]
     entries = []
-    for i, out in enumerate(apply(pea_op, columns, layout.work_dim)):
+    # sigma in float64: each joint input takes its column's dtype, and
+    # sigma itself stays W doubles whatever that dtype is.
+    for i, out in enumerate(apply(pea_op, columns, layout.sigma_state(np.float64))):
         marked = i in target.marked_indices
         wrong = ~window_mask if marked else window_mask
         eta_i = float(np.linalg.norm(out[:, wrong]))

@@ -1,7 +1,7 @@
 """Matrix-free unitary operators on a main (x) workspace tensor product,
 with per-application resource counting, and apply, the one driver that
-puts main-space vectors (x) sigma through a joint operator.  States are
-plain numpy arrays; there is no state type.
+puts main-space vectors (x) a workspace start state through a joint
+operator.  States are plain numpy arrays; there is no state type.
 
 Conventions fixed here and relied on by every other module:
 
@@ -12,7 +12,8 @@ Conventions fixed here and relied on by every other module:
 - a workspace phase acts as 1_main (x) phase, lifted by fpqs.selective_phase;
 - the workspace index z is little-endian over ancilla qubits; only the
   integer index ever matters because all workspace transforms are defined
-  directly on z; the workspace start state sigma is |0>, z = 0;
+  directly on z; the workspace start state sigma is |0>, z = 0, and a
+  marker evaluated without its Walsh-Hadamard ends starts on u = H sigma;
 - operators built from phases act in the eigenframe of the main space;
   in_frame is the one place that turns them by an eigenbasis;
 - resource counters live in an explicit Tally passed through applications,
@@ -267,14 +268,16 @@ def in_frame(op: LinearOperator, basis: np.ndarray | None, work_dim: int) -> Lin
     return LinearOperator(op.dim, apply_fn, adjoint_fn, eigensystem=eig)
 
 
-def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
+def apply(ops: LinearOperator | Sequence[LinearOperator], mains, start: np.ndarray,
           tally: Tally | None = None) -> list[np.ndarray]:
-    """Each main-space vector in mains, tensored with sigma, through its
-    operator: ops is one operator for every vector or a sequence of them,
-    one per vector (ValueError naming both counts otherwise).  One
-    application, and one charge to tally, per vector; each output is a
-    (main_dim, work_dim) array, in input order.  ValueError when work_dim
-    does not tile an operator's dim (see main_rows).
+    """Each main-space vector in mains, tensored with the workspace state
+    start (sigma = |0> for the physical operators, the uniform state for
+    a marker without its Walsh-Hadamard ends), through its operator: ops
+    is one operator for every vector or a sequence of them, one per vector
+    (ValueError naming both counts otherwise).  One application, and one
+    charge to tally, per vector; each output is a (main_dim, work_dim)
+    array, work_dim = len(start), in input order.  ValueError when
+    work_dim does not tile an operator's dim (see main_rows).
 
     Applications run concurrently, largest operator first, on a thread
     pool made for this call with one worker per usable core (see
@@ -299,30 +302,35 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, work_dim: int,
     verifications per pass, 2-core host, threads were no faster and
     raised peak RSS from 44.6 to 50.8 MB).  For complex128,
     THREAD_MIN_DIM is the smallest power of two at which threaded
-    evaluate_marker calls of every variant (pea, voting, fixed_point; 2
-    directions and 2 probes, best of 5, four rounds) were no slower than
-    serial on a 2-core host: threads lost at every size from 2^9 to 2^13,
-    2^14 was mixed (pea 7-11 ms serial, 6-12 ms threaded), and from 2^15
-    every round won (fixed_point 88-138 -> 61-78 ms, pea 18-23 -> 14-17
-    ms, voting 26-35 -> 17-23 ms).  So a mu=9 sweep's applications (512
-    and 1,024 amplitudes) stay serial, and voting's at mu=5, nu=3 (32,768
-    and 65,536) run on the pool: on its register row views, a pass of 8
-    evaluations took 0.098-0.102 s threaded against 0.104-0.112 s serial
-    (medians of 18 alternating rounds, threads won 11, BLAS on one thread)."""
+    evaluate_marker calls of every variant won most rounds against serial
+    with BLAS on one thread (OPENBLAS_NUM_THREADS=1, as the benchmark
+    runs; 2 directions and 2 probes, median of 5 calls, 12 alternating
+    rounds, 2-core host).  An evaluation's markers run no Walsh-Hadamard,
+    so the workers make no BLAS call.  At 2^15 threads won 7 rounds for
+    pea (7.7 -> 8.2 ms, the median slower, so the gate may thread it for
+    no gain), 8 for voting at mu=5, nu=3
+    (32,768 and 65,536 amplitudes; 10.1 ms both) and 11 for fixed_point
+    q=1 (68 -> 48 ms); at 2^16 9 and 11 (pea 21 -> 15 ms, fixed_point
+    148 -> 91 ms); at 2^17 all.  On the voting benchmark threads beat
+    serial in 8 of 10 alternating runs (medians 0.079 against 0.086 s a
+    pass) for 4-6 MB more peak RSS.  With OpenBLAS at its default thread
+    count threads won fewer rounds below 2^17 (pea 4 and 5, fixed_point 7
+    and 8, voting 2 to 8 of 12 over four runs) and all at 2^17.  A mu=9
+    sweep's applications (512 and 1,024 amplitudes) stay serial."""
     mains = list(mains)
     if isinstance(ops, LinearOperator):
         ops = [ops] * len(mains)
     elif len(ops) != len(mains):
         raise ValueError(f"{len(ops)} operators for {len(mains)} main vectors")
+    start = np.asarray(start)
+    work_dim = start.shape[0]
     for op in ops:
         main_rows(op, work_dim)
-    sigma = np.zeros(work_dim)
-    sigma[0] = 1.0
 
     def run(i, books):
-        return ops[i].apply_to(np.outer(mains[i], sigma).ravel(), books).reshape(-1, work_dim)
+        return ops[i].apply_to(np.outer(mains[i], start).ravel(), books).reshape(-1, work_dim)
 
-    threaded = (any(real_dtype(np.result_type(np.asarray(main), sigma)).itemsize > 8
+    threaded = (any(real_dtype(np.result_type(np.asarray(main), start)).itemsize > 8
                     for main in mains)
                 or all(op.dim >= THREAD_MIN_DIM for op in ops))
     workers = min(_cores(), len(mains)) if threaded else 1

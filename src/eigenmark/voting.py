@@ -8,8 +8,13 @@ p << 1/2.  Register counts are restricted to odd values so strict
 majority never ties.
 
 The tensor is T . H^(x nu) on the shifted eigenphases: each register's
-V_F runs on a row view of the joint state, copying nothing, so like every
-variant the marker H^(x nu) T+ I_maj T H^(x nu) runs H only at its ends.
+V_F runs on a row view of the joint state, copying nothing.  The marker is
+H^(x nu) . T+ I_maj T . H^(x nu), and like every variant's it is evaluated
+without its ends: the marker module builds T from the registers' V_F
+factors and drives T+ I_maj T on u = H^(x nu) sigma, so H runs only on
+sigma, to form u.
+build_h_tensor, the whole tensor, is the construction the audit and the
+tests check against.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ def build_h_tensor(lam, nu: int, layout: WorkspaceLayout) -> LinearOperator:
     pea.estimation_factors) and H^(x nu) the Walsh-Hadamard transform on
     all nu * mu register qubits.  Joint dimension main_dim * (2^mu)^nu is
     guarded.  Each application charges one V_F application per register;
-    a caller with an eigenbasis turns the result once with in_frame."""
+    a caller with an eigenbasis turns the result once with in_frame.  The
+    marker leaves H^(x nu) out (see marker); this is its oracle."""
     nu = require_odd(nu)
     check_joint_dim(len(lam), layout.work_dim, nu)
     return compose(*estimation_factors(lam, layout, nu))

@@ -8,7 +8,7 @@ import pytest
 import eigenmark as em
 from eigenmark import audit, cli, marker, pea
 from eigenmark.spectral import haar_unitary
-from eigenmark.statevec import EXTENDED
+from eigenmark.statevec import EXTENDED, real_dtype
 
 from conftest import rotation_block
 
@@ -156,13 +156,13 @@ def test_extended_direction_residuals_use_a_long_double_ideal():
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=2)
     report = em.evaluate_marker(assembly, spec, target, n_random=0, dtype=np.complex256)
     (i,) = target.marked_indices
-    (out,) = em.apply(assembly.directions[i], [np.ones(1, dtype=np.complex256)],
-                      layout.work_dim)
+    u = assembly.uniform(np.complex256)
+    (out,) = em.apply(assembly.directions[i], [np.ones(1, dtype=np.complex256)], u)
     residuals = {}
     for name, ideal in (("long double", np.exp(1j * np.longdouble(0.9))),
                         ("double", np.exp(1j * 0.9))):
         moved = out.copy()
-        moved[0, 0] -= ideal
+        moved[0] -= np.asarray(ideal, dtype=np.complex256) * u
         residuals[name] = float(np.linalg.norm(moved))
     assert report.entries[i].residual == residuals["long double"]
     assert residuals["long double"] != residuals["double"]
@@ -179,11 +179,14 @@ def _oracle_blocks(spec, target, layout, q):
 
 
 def _direction_residuals(blocks, spec, target, layout, dtype):
+    """Each eigendirection's residual on sigma through the physical marker
+    blocks, against an ideal phase computed in real_dtype(dtype)."""
     residuals = []
+    phi = real_dtype(dtype).type(target.phi)
     for i, main in enumerate(np.eye(spec.dim, dtype=dtype)):
         out = blocks.apply_to(np.outer(main, layout.sigma_state(dtype)).ravel())
         out = out.reshape(spec.dim, layout.work_dim)
-        out[i, 0] -= np.exp(1j * target.phi) if i in target.marked_indices else 1.0
+        out[i, 0] -= np.exp(1j * phi) if i in target.marked_indices else 1.0
         residuals.append(float(np.linalg.norm(out)))
     return residuals
 
@@ -217,6 +220,56 @@ def test_fixed_point_marker_runs_hadamard_only_at_its_ends(monkeypatch):
     assembly.frame.apply_to(np.outer(np.eye(1, 2)[0], layout.sigma_state()).ravel(), tally)
     assert len(calls) == 2
     assert tally.get("P") == 2 * 9 ** 2
+
+
+@pytest.mark.parametrize("variant, extra", [("pea", {}), ("voting", {"nu": 3}),
+                                            ("fixed_point", {"q": 1})])
+def test_evaluation_runs_walsh_hadamard_on_sigma_only(small_model, monkeypatch, variant,
+                                                       extra):
+    # An evaluation drives the inner marker on u = H sigma: the first one
+    # transforms sigma (one pass per register) to form u, the next reuses
+    # it, and none transforms a marker output.  The counters keep the
+    # pinned laws: per application N_P = 2 * 9^q (2 * nu for voting) and
+    # N_U = N_P * 2^mu.
+    spec, target, layout = small_model
+    assembly = em.build_assembly(spec, target, layout, variant, **extra)
+    calls = []
+    fwht = pea._fwht_axis1
+
+    def counted(a):
+        calls.append(a.copy())
+        return fwht(a)
+
+    monkeypatch.setattr(pea, "_fwht_axis1", counted)
+    marker.uniform_state.cache_clear()
+    n_random = 2
+    report = em.evaluate_marker(assembly, spec, target, n_random=n_random, seed=8)
+    assert len(calls) == extra.get("nu", 1)
+    assert np.array_equal(calls[0].ravel(), np.eye(1, calls[0].size)[0])
+    again = em.evaluate_marker(assembly, spec, target, n_random=n_random, seed=8)
+    assert len(calls) == extra.get("nu", 1)
+    assert again.to_json_dict() == report.to_json_dict()
+    per_marker = 2 * extra.get("nu", 9 ** extra.get("q", 0))
+    assert report.counters.n_p == per_marker * (spec.dim + n_random)
+    assert report.counters.n_u == report.counters.n_p * layout.work_dim
+    assert report.counters.n_a == extra.get("nu", 1) * layout.mu
+
+
+@pytest.mark.skipif(not hasattr(np, "complex256"), reason="no extended precision here")
+def test_extended_report_residuals_match_the_physical_marker():
+    # complex256, fixed_point q=2: the residuals a report reads on u through
+    # the inner markers equal the physical marker's on sigma within the
+    # 2 * 9^q * eps floor, direction by direction.
+    q = 2
+    spec, target = em.verification_model(3.0, 0.05, 0.1487962892185004, 1.50176615759041,
+                                         phi=0.9)
+    layout = em.WorkspaceLayout(11, 330)
+    assembly = em.build_assembly(spec, target, layout, "fixed_point", q=q)
+    report = em.evaluate_marker(assembly, spec, target, n_random=0, dtype=np.complex256)
+    want = _direction_residuals(assembly.frame, spec, target, layout, np.complex256)
+    assert min(want) > 1e-16
+    bound = 2 * 9 ** q * np.finfo(np.complex256).eps
+    assert max(abs(e.residual - w) for e, w in zip(report.entries, want)) <= bound
 
 
 def test_extended_residuals_match_sigma_projector_oracle():
@@ -258,18 +311,17 @@ def test_estimation_applications_equal_charged_p(small_model, monkeypatch, varia
                                                    ("fixed_point", {"q": 2}, EXTENDED)],
                          ids=["pea", "voting", "fixed_point"])
 def test_direction_blocks_match_joint_blocks(small_model, variant, extra, dtype):
-    # Eigendirection i's own marker on sigma is row i of the frame on
-    # e_i (x) sigma, bit for bit, and the frame leaves every other row 0.
+    # Eigendirection i's own inner marker on u is row i of inner on
+    # e_i (x) u, bit for bit, and inner leaves every other row 0.
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, variant, **extra)
     assert len(assembly.directions) == spec.dim
-    sigma = np.zeros(assembly.work_dim, dtype=dtype)
-    sigma[0] = 1.0
+    u = assembly.uniform(dtype)
     mains = np.eye(spec.dim, dtype=dtype)
     for i, (direction, main) in enumerate(zip(assembly.directions, mains)):
-        out = assembly.frame.apply_to(np.outer(main, sigma).ravel())
+        out = assembly.inner.apply_to(np.outer(main, u).ravel())
         out = out.reshape(spec.dim, assembly.work_dim)
-        alone = direction.apply_to(sigma)
+        alone = direction.apply_to(u)
         assert alone.dtype == out.dtype == dtype
         assert np.array_equal(alone, out[i])
         assert not np.delete(out, i, axis=0).any()

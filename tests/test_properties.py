@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from eigenmark import cli, marker, pea  # noqa: E402
+from eigenmark import cli, marker, pea, spectral, voting  # noqa: E402
 from eigenmark.statevec import EXTENDED  # noqa: E402
 
 
@@ -65,6 +65,44 @@ def test_walsh_hadamard_is_an_involution(mu, rows, cols, extended, seed):
     assert twice.dtype == dtype and twice.shape == shape
     bound = 4 * mu * np.finfo(dtype).eps * np.linalg.norm(x)
     assert np.linalg.norm(twice - x) <= bound
+
+
+@st.composite
+def marker_cases(draw):
+    """A valid model (D <= 4, the marked phase first), its target, and a
+    variant at mu <= 6 and q <= 1 or nu in {1, 3}."""
+    dim = draw(st.integers(1, 4))
+    phases = (draw(st.floats(-0.015, 0.015)),
+              *(draw(st.sampled_from((-1, 1))) * draw(st.floats(0.5, float(np.pi)))
+                for _ in range(dim - 1)))
+    spec = spectral.SpectralUnitary(dim=dim, eigenphases=phases, delta=0.4)
+    target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=draw(st.floats(-3.0, 3.0)),
+                                         b=0.05, marked_index=0)
+    mu = draw(st.integers(1, 6))
+    layout = pea.WorkspaceLayout(mu, draw(st.integers(0, 2 ** (mu - 1) - 1)))
+    variant, extra = draw(st.sampled_from((("pea", {}), ("fixed_point", {"q": 0}),
+                                           ("fixed_point", {"q": 1}), ("voting", {"nu": 1}),
+                                           ("voting", {"nu": 3}))))
+    assume(dim * layout.work_dim ** extra.get("nu", 1) <= voting.TENSOR_GUARD)
+    return spec, target, layout, variant, extra
+
+
+@settings(max_examples=60)
+@given(case=marker_cases(), extended=st.booleans())
+def test_inner_rows_are_the_directions(case, extended):
+    # On 1 (x) u, with every main row u, row i of the inner marker is
+    # directions[i] on u bit for bit: the inner marker is block-diagonal
+    # across eigendirections and each row runs the same arithmetic.
+    spec, target, layout, variant, extra = case
+    dtype = EXTENDED if extended else np.complex128
+    assembly = marker.build_assembly(spec, target, layout, variant, **extra)
+    u = assembly.uniform(dtype)
+    rows = assembly.inner.apply_to(np.outer(np.ones(spec.dim, dtype=dtype), u).ravel())
+    rows = rows.reshape(spec.dim, assembly.work_dim)
+    for i, direction in enumerate(assembly.directions):
+        alone = direction.apply_to(u)
+        assert alone.dtype == rows.dtype == dtype
+        assert np.array_equal(alone, rows[i])
 
 
 def scan_per_candidate(mu, window, lo, hi, grid_per_bin, outside):

@@ -15,6 +15,7 @@ from eigenmark.spectral import haar_unitary
 from eigenmark.statevec import EXTENDED, in_frame, real_dtype
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+SIGMA2, SIGMA4 = np.eye(1, 2)[0], np.eye(1, 4)[0]  # sigma = |0> on 2 and 4 workspace states
 
 
 def test_identity_leaves_state_unchanged():
@@ -56,9 +57,9 @@ def test_apply_dimension_mismatch_reports_both_dims():
     # The driver names both dimensions: a workspace that does not tile the
     # operator, and a main vector of the wrong length.
     with pytest.raises(ValueError, match="dim 6 .*work dim 4"):
-        em.apply(em.identity(6), [np.ones(1)], 4)
+        em.apply(em.identity(6), [np.ones(1)], SIGMA4)
     with pytest.raises(ValueError, match="dim 4 .*dim 6"):
-        em.apply(em.identity(4), [np.ones(3)], 2)
+        em.apply(em.identity(4), [np.ones(3)], SIGMA2)
 
 
 def test_apply_charges_cost_once_per_application():
@@ -72,7 +73,7 @@ def test_apply_charges_cost_once_per_application():
     sigma = np.array([1, 0], complex)
     tally = em.Tally()
     for run, dense, charged in ((op, matrix, 6), (op.adjoint, matrix.conj().T, 12)):
-        outs = em.apply(run, mains, 2, tally)
+        outs = em.apply(run, mains, sigma, tally)
         assert tally.get("U") == charged
         assert len(outs) == len(mains)
         for main, out in zip(mains, outs):
@@ -90,19 +91,19 @@ def _probes(rng, dim: int, count: int, dtype) -> list[np.ndarray]:
 
 def test_driver_matches_a_serial_loop_on_extended_recursion(small_model):
     # A complex256 level-2 marker: its directions and its probes through
-    # one driver call equal a serial apply_to loop bit for bit, and charge
-    # the same books.
+    # one driver call on u equal a serial apply_to loop bit for bit, and
+    # charge the same books.
     spec, target, layout = small_model
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=2)
-    ops = assembly.directions + (assembly.frame,) * 3
+    ops = assembly.directions + (assembly.inner,) * 3
     mains = ([np.ones(1, dtype=EXTENDED)] * spec.dim
              + _probes(np.random.default_rng(2), spec.dim, 3, EXTENDED))
-    sigma = layout.sigma_state(EXTENDED)
+    u = assembly.uniform(EXTENDED)
     serial = em.Tally()
-    want = [op.apply_to(np.outer(main, sigma).ravel(), serial).reshape(-1, layout.work_dim)
+    want = [op.apply_to(np.outer(main, u).ravel(), serial).reshape(-1, layout.work_dim)
             for op, main in zip(ops, mains)]
     tally = em.Tally()
-    got = em.apply(ops, mains, layout.work_dim, tally)
+    got = em.apply(ops, mains, u, tally)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == EXTENDED
@@ -113,7 +114,7 @@ def test_driver_matches_a_serial_loop_on_extended_recursion(small_model):
 
 def test_driver_rejects_an_operator_count_mismatch():
     with pytest.raises(ValueError, match="2 operators for 3 main vectors"):
-        em.apply([em.identity(2)] * 2, [np.ones(1, dtype=EXTENDED)] * 3, 2)
+        em.apply([em.identity(2)] * 2, [np.ones(1, dtype=EXTENDED)] * 3, SIGMA2)
 
 
 def _identity_doing(dim: int, cost=(), action=None) -> em.LinearOperator:
@@ -145,7 +146,7 @@ def test_driver_raises_the_first_failing_input(monkeypatch):
     before = threading.active_count()
     tally = em.Tally()
     with pytest.raises(RuntimeError, match="input 1"):
-        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, 2, tally)
+        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, SIGMA2, tally)
     assert sorted(ran) == [0, 1, 2, 3]
     assert tally.get("U") == 2
     assert threading.active_count() == before
@@ -158,7 +159,7 @@ def test_driver_leaves_no_thread_behind(small_model):
     assembly = em.build_assembly(spec, target, layout, "fixed_point", q=1)
     mains = _probes(np.random.default_rng(3), spec.dim, 4, EXTENDED)
     before = threading.active_count()
-    em.apply([assembly.frame] * 4, mains, layout.work_dim, em.Tally())
+    em.apply([assembly.inner] * 4, mains, assembly.uniform(EXTENDED), em.Tally())
     assert threading.active_count() == before
 
 
@@ -187,12 +188,12 @@ def test_driver_workers_order_and_dtype_gate(monkeypatch):
     monkeypatch.setattr(statevec, "_cores", lambda: 3)
     ops = [_identity_doing(2), _identity_doing(4), _identity_doing(2), _identity_doing(6), _identity_doing(4)]
     mains = [np.ones(d // 2, dtype=EXTENDED) for d in (2, 4, 2, 6, 4)]
-    outs = em.apply(ops, mains, 2)
+    outs = em.apply(ops, mains, SIGMA2)
     assert [out.shape for out in outs] == [(1, 2), (2, 2), (1, 2), (3, 2), (2, 2)]
-    em.apply(ops[:2], mains[:2], 2)
+    em.apply(ops[:2], mains[:2], SIGMA2)
     assert pools == [(3, [3, 1, 4, 0, 2]), (2, [1, 0])]
-    em.apply(ops, [m.astype(np.complex128) for m in mains], 2)
-    em.apply(ops[:1], mains[:1], 2)
+    em.apply(ops, [m.astype(np.complex128) for m in mains], SIGMA2)
+    em.apply(ops[:1], mains[:1], SIGMA2)
     assert len(pools) == 2
 
 
@@ -206,40 +207,38 @@ def test_driver_size_gate_for_complex128(monkeypatch):
     def mains(*dims):
         return [np.ones(d // 2, dtype=np.complex128) for d in dims]
 
-    em.apply([_identity_doing(under)] * 2, mains(under, under), 2)
-    em.apply([_identity_doing(big), _identity_doing(under)], mains(big, under), 2)
+    em.apply([_identity_doing(under)] * 2, mains(under, under), SIGMA2)
+    em.apply([_identity_doing(big), _identity_doing(under)], mains(big, under), SIGMA2)
     assert pools == []
-    em.apply([_identity_doing(big)] * 2, mains(big, big), 2)
+    em.apply([_identity_doing(big)] * 2, mains(big, big), SIGMA2)
     assert pools == [(2, [0, 1])]
 
 
 def _voting_applications():
     """complex128 voting at mu=5, nu=3: 2 directions of 32,768 amplitudes
-    and 2 probes of 65,536, as (ops, mains, work_dim)."""
+    and 2 probes of 65,536 through the inner markers, as (ops, mains, u)."""
     rng = np.random.default_rng(11)
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.02, 1.8),
                               eigenbasis=haar_unitary(rng, 2), delta=1.5)
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=5, window=3)
     assembly = em.build_assembly(spec, target, layout, "voting", nu=3)
-    ops = assembly.directions + (assembly.frame,) * 2
+    ops = assembly.directions + (assembly.inner,) * 2
     mains = [np.ones(1, dtype=complex)] * 2 + _probes(rng, 2, 2, np.complex128)
-    return ops, mains, assembly.work_dim
+    return ops, mains, assembly.uniform()
 
 
 def test_driver_threads_large_complex128_voting(monkeypatch):
     # The 2 directions and 2 probes of a voting evaluation run on a pool,
     # and equal a serial apply_to loop bit for bit with the same books.
     pools = _record_pools(monkeypatch)
-    ops, mains, work_dim = _voting_applications()
-    sigma = np.zeros(work_dim)
-    sigma[0] = 1.0
+    ops, mains, u = _voting_applications()
     serial = em.Tally()
-    want = [op.apply_to(np.outer(main, sigma).ravel(), serial).reshape(-1, work_dim)
+    want = [op.apply_to(np.outer(main, u).ravel(), serial).reshape(-1, len(u))
             for op, main in zip(ops, mains)]
     before = threading.active_count()
     tally = em.Tally()
-    got = em.apply(ops, mains, work_dim, tally)
+    got = em.apply(ops, mains, u, tally)
     assert threading.active_count() == before
     assert [workers for workers, _ in pools] == [min(statevec._cores(), 4)]
     assert all(g.dtype == np.complex128 and np.array_equal(g, w) for g, w in zip(got, want))
@@ -255,7 +254,7 @@ def test_driver_returns_after_its_workers_have_ended():
     tids = []
     ops = [_identity_doing(2, action=lambda: tids.append(threading.get_native_id()))] * 4
     for _ in range(20):
-        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, 2)
+        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, SIGMA2)
         assert not [t for t in tids if os.path.exists(f"/proc/self/task/{t}")]
 
 
@@ -266,12 +265,12 @@ def test_warm_voting_applications_fault_in_no_fresh_memory():
     # default thresholds.
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("sets glibc's malloc thresholds only")
-    ops, mains, work_dim = _voting_applications()
+    ops, mains, u = _voting_applications()
     for _ in range(2):
-        em.apply(ops, mains, work_dim)
+        em.apply(ops, mains, u)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        em.apply(ops, mains, work_dim)
+        em.apply(ops, mains, u)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
@@ -286,12 +285,12 @@ def test_shared_cores_cap_the_driver(monkeypatch):
     mains = [np.ones(1, dtype=EXTENDED)] * 3
     for processes in (2, 3, 1):
         statevec.share_cores(processes)
-        em.apply(ops, mains, 2)
+        em.apply(ops, mains, SIGMA2)
     assert [workers for workers, _ in pools] == [2, 3]
     # A rejected count leaves the share as it was.
     with pytest.raises(ValueError, match="positive"):
         statevec.share_cores(0)
-    em.apply(ops, mains, 2)
+    em.apply(ops, mains, SIGMA2)
     assert [workers for workers, _ in pools] == [2, 3, 3]
 
 
@@ -302,7 +301,7 @@ def test_extended_applications_overlap():
         pytest.skip("needs two usable cores")
     meet = threading.Barrier(2, timeout=30)
     ops = [_identity_doing(2, action=meet.wait) for _ in range(2)]
-    em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 2, 2)
+    em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 2, SIGMA2)
 
 
 def test_projector_mask_splits_symmetric_state():
@@ -453,8 +452,9 @@ def test_real_inputs_are_made_complex():
     target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
     layout = em.WorkspaceLayout(mu=3, window=1)
     marker = em.build_assembly(spec, target, layout, "fixed_point", q=1).frame
-    (real,) = em.apply(marker, [np.array([0.0, 1.0])], layout.work_dim)
-    (cplx,) = em.apply(marker, [np.array([0.0, 1.0 + 0j])], layout.work_dim)
+    sigma = layout.sigma_state(np.float64)
+    (real,) = em.apply(marker, [np.array([0.0, 1.0])], sigma)
+    (cplx,) = em.apply(marker, [np.array([0.0, 1.0 + 0j])], sigma)
     assert real.dtype == np.complex128
     assert np.array_equal(real, cplx)
     swap = em.from_matrix([[0, 1j], [1j, 0]])
