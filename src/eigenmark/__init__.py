@@ -68,7 +68,6 @@ from .marker import (
 )
 from .complexity import (
     ComplexityCounters,
-    PlanRequest,
     plan_recursion,
     tabulate,
 )

@@ -481,8 +481,7 @@ def check_complexity_planner(decades) -> CheckResult:
     ok = all(b >= a for a, b in zip(qs, qs[1:]))
     ok = ok and complexity.plan_recursion(eta, 1e-8) == 2
     ok = ok and complexity.plan_recursion(eta, 0.1) == 0
-    req = complexity.PlanRequest(invocations=10 ** 6)
-    ok = ok and complexity.plan_recursion(eta, req.resolved_eps) == 2
+    ok = ok and complexity.plan_recursion(eta, complexity.PLAN_SAFETY / 10 ** 6) == 2
     return CheckResult("complexity.planner", ok,
                        f"q over eps=1e-{decades[0]}..1e-{decades[-1]}: {qs}; plan(1e-8)=2, "
                        f"plan(0.1)=0, plan(0.01/1e6)=2")

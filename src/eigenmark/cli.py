@@ -2,12 +2,13 @@
 emission.
 
 All configuration comes from a single JSON document (never environment
-variables), and given the same config and seed the emitted files are
-byte-identical: rows are sorted by cell key regardless of scheduling, and
-every file goes through one of two writers here (_write_json, _write_csv),
-so JSON is dumped with indent 2 and sorted keys, and a CSV cell is empty
-for None and repr for a float (_cell).  Exit codes: 0 success, 1 property or
-calibration failure, 2 usage/config error.
+variables), read through the subcommand's key table in CONFIG_KEYS.  Given
+the same config and seed the emitted files are byte-identical: rows are
+sorted by cell key regardless of scheduling, and every file goes through
+one of two writers here (_write_json, _write_csv), so JSON is dumped with
+indent 2 and sorted keys, and a CSV cell is empty for None and repr for a
+float (_cell).  Exit codes: 0 success, 1 property or calibration failure,
+2 usage/config error.
 
 Subcommands:
   calibrate   write the calibration result for (delta, b)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -41,17 +43,16 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """The --config document, read through the subcommand's key table."""
+    if args.config is None:
         raise ConfigError("this subcommand requires --config PATH")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return doc
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    return _read(doc, CONFIG_KEYS[args.command])
 
 
 def _integer(value, where: str) -> int:
@@ -65,55 +66,119 @@ def _integer(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-def _require(doc: dict, key, kind, where="config"):
-    if key not in doc:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    value = doc[key]
-    if kind is int:
-        return _integer(value, f"{where}[{key!r}]")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}[{key!r}] must be {kind.__name__}, got {type(value).__name__}")
-    return value
+def _count(value, where: str) -> int:
+    """A nonnegative integer, as _integer reads it."""
+    count = _integer(value, where)
+    if count < 0:
+        raise ConfigError(f"{where} must be nonnegative, got {count!r}")
+    return count
 
 
-def _option(doc: dict, key, default, kind):
-    """doc[key], or default when absent, converted by kind (int through
-    _integer); a value kind cannot convert is a ConfigError."""
-    if kind is int:
-        return _integer(doc.get(key, default), f"config[{key!r}]")
-    try:
-        return kind(doc.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config[{key!r}] must be {kind.__name__}: {exc}") from exc
+def _number(value, where: str) -> float:
+    """value as a float: any JSON number but a bool (not read as 1 or 0)."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                    and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
+
+def _instance(cls, what: str):
+    """The kind of a JSON value that is a cls, read as it is."""
+    def read(value, where: str):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+_text = _instance(str, "a string")
+_flag = _instance(bool, "true or false")
+_list = _instance(list, "a list")
+_object = _instance(dict, "a JSON object")  # a model: spectral.load_model reads its keys
+
+
+def _entries(kind):
+    """The kind of a JSON array whose every entry kind reads."""
+    def read(value, where: str) -> list:
+        return [kind(entry, f"{where}[{i}]") for i, entry in enumerate(_list(value, where))]
+    return read
+
+
+def _pair(value, where: str) -> list[float]:
+    """A measured cell: a [delta, eps] pair of numbers."""
+    pair = _entries(_number)(value, where)
+    if len(pair) != 2:
+        raise ConfigError(f"{where} must be a [delta, eps] pair, got {value!r}")
+    return pair
+
+
+def _one_of(choices: dict):
+    """The kind of a name that choices maps to its value."""
+    def read(value, where: str):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{where} must be one of {sorted(choices)}, got {value!r}")
+        return choices[value]
+    return read
+
+
+REQUIRED = object()  # the default of a key that must be given
 
 _DTYPES = {np.dtype(t).name: t for t in (np.complex128, EXTENDED)}
+# The keys simulate and sweep share.
+_MARKER_KEYS = {"model": (_object, None), "model_path": (_text, None),
+                "variant": (_text, REQUIRED), "q": (_integer, None), "nu": (_integer, None),
+                "mu": (_integer, None), "dtype": (_one_of(_DTYPES), np.complex128)}
+
+# Every key each subcommand reads: key -> (kind, default), where a kind
+# reads one JSON value or raises ConfigError, a dict kind is a nested
+# table, and a default of None stands for an absent key.
+CONFIG_KEYS = {
+    "calibrate": {"delta": (_number, REQUIRED), "b": (_number, REQUIRED),
+                  "eta_target": (_number, pea.ETA_TARGET_DEFAULT), "mu_cap": (_integer, 20)},
+    "simulate": {**_MARKER_KEYS, "window": (_integer, None),
+                 "n_random": (_count, 8), "calibrate": (_flag, False),
+                 "eta_target": (_number, pea.ETA_TARGET_DEFAULT)},
+    "sweep": {**_MARKER_KEYS, "n_random": (_count, 4),
+              "worst_case": ({"b": (_number, REQUIRED), "phi": (_number, REQUIRED),
+                              "delta": (_number, None)}, None),
+              "grid": ({"mu": (_entries(_integer), None), "q": (_entries(_integer), None),
+                        "nu": (_entries(_integer), None), "delta": (_entries(_number), None)},
+                       REQUIRED)},
+    "compare": {"b": (_number, 0.05), "mu_limit": (_integer, 16),
+                "delta_grid": (_entries(_number), REQUIRED),
+                "eps_grid": (_entries(_number), REQUIRED),
+                "measured_cells": (_entries(_pair), ())},
+}
 
 
-def _probe_count(doc: dict, default: int) -> int:
-    """The n_random option: how many superposition probes, at least 0."""
-    n_random = _option(doc, "n_random", default, int)
-    if n_random < 0:
-        raise ConfigError(f"config['n_random'] must be nonnegative, got {n_random!r}")
-    return n_random
+def _read(doc, table: dict, where: str = "config") -> dict:
+    """Every key of table, read from doc by its kind or set to its default.
+    An unknown key, a missing required key or a value its kind rejects is
+    a ConfigError; null is no kind's value."""
+    try:
+        spectral.require_known_keys(_object(doc, where), table, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    values = {}
+    for key, (kind, default) in table.items():
+        if key not in doc:
+            if default is REQUIRED:
+                raise ConfigError(f"{where} is missing required key {key!r}")
+            values[key] = default
+        elif isinstance(kind, dict):
+            values[key] = _read(doc[key], kind, f"{where}[{key!r}]")
+        else:
+            values[key] = kind(doc[key], f"{where}[{key!r}]")
+    return values
 
 
-def _dtype_from(doc: dict):
-    name = doc.get("dtype", "complex128")
-    if not isinstance(name, str) or name not in _DTYPES:
-        raise ConfigError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    return _DTYPES[name]
-
-
-def _model_from(doc: dict):
-    if ("model" in doc) == ("model_path" in doc):
+def _model_from(cfg: dict):
+    if (cfg["model"] is None) == (cfg["model_path"] is None):
         raise ConfigError("give exactly one of 'model' (inline) or 'model_path'")
     try:
-        if "model" in doc:
-            return spectral.load_model(_require(doc, "model", dict))
-        return spectral.load_model_file(doc["model_path"])
+        if cfg["model"] is not None:
+            return spectral.load_model(cfg["model"])
+        return spectral.load_model_file(cfg["model_path"])
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid spectral model: {exc}") from exc
 
@@ -151,13 +216,10 @@ def _write_csv(path, columns, rows) -> None:
 # --- calibrate ---------------------------------------------------------------
 
 def _cmd_calibrate(args) -> int:
-    cfg = _load_config(args.config)
-    delta = _require(cfg, "delta", float)
-    b = _require(cfg, "b", float)
-    options = {"eta_target": _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float),
-               "mu_cap": _option(cfg, "mu_cap", 20, int)}
+    cfg = _load_config(args)
     try:
-        result = pea.calibrate_workspace(delta, b, **options)
+        result = pea.calibrate_workspace(cfg["delta"], cfg["b"], eta_target=cfg["eta_target"],
+                                         mu_cap=cfg["mu_cap"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     path = os.path.join(_outdir(args), "calibration.json")
@@ -172,21 +234,22 @@ def _cmd_calibrate(args) -> int:
 
 def _resolve_layout(cfg, spec, target, variant_args):
     """The calibrated layout, or the configured mu with the configured
-    window or the best one; a voting layout is checked against the tensor
-    guard before any window search."""
+    window or the best one; the variant is checked before any calibration,
+    and a voting layout against the tensor guard before any window search."""
     try:
-        if cfg.get("calibrate"):
-            eta_target = _option(cfg, "eta_target", pea.ETA_TARGET_DEFAULT, float)
-            calib = pea.calibrate_workspace(spec.delta, target.b, eta_target=eta_target)
+        marker.check_variant(**variant_args)
+        if cfg["calibrate"]:
+            calib = pea.calibrate_workspace(spec.delta, target.b, eta_target=cfg["eta_target"])
             if not calib.converged:
                 raise ConfigError(
                     f"calibration did not reach eta target; best eta={calib.eta!r} at "
                     f"mu={calib.mu}")
             mu, window = calib.mu, calib.window
+        elif cfg["mu"] is None:
+            raise ConfigError("config is missing required key 'mu' (or \"calibrate\": true)")
         else:
-            mu = pea.WorkspaceLayout(_require(cfg, "mu", int), 0).mu  # checks mu's range
-            window = _integer(cfg["window"], "config['window']") if "window" in cfg else None
-        _check_joint_dim(variant_args, spec.dim, mu)
+            mu, window = cfg["mu"], cfg["window"]
+        _check_cell(variant_args, spec.dim, mu)
         if window is None:
             window = pea.best_window(mu, spec.delta, target.b).window
         return pea.WorkspaceLayout(mu, window)
@@ -194,43 +257,26 @@ def _resolve_layout(cfg, spec, target, variant_args):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_joint_dim(variant_args: dict, main_dim: int, mu: int) -> None:
-    """Reject (ValueError) a voting assembly whose joint dimension is over
-    the tensor guard."""
+def _check_cell(variant_args: dict, main_dim: int, mu: int) -> None:
+    """Reject (TypeError, ValueError) a mu out of range, or a voting
+    assembly whose joint dimension is over the tensor guard: neither
+    forms the power it bounds."""
+    pea.WorkspaceLayout(mu, 0)
     if variant_args["variant"] == "voting":
         voting.check_joint_dim(main_dim, 2 ** mu, variant_args["nu"])
 
 
-def _assembly_args(cfg, q, nu) -> dict:
-    """build_assembly's variant arguments for one (q, nu), checked before
-    any work."""
-    variant = _require(cfg, "variant", str)
-    try:
-        args = {"variant": variant, "q": None if q is None else _integer(q, "q"),
-                "nu": None if nu is None else _integer(nu, "nu")}
-        marker.check_variant(**args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return args
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec, target = _model_from(cfg)
-    variant_args = _assembly_args(cfg, cfg.get("q"), cfg.get("nu"))
-    dtype = _dtype_from(cfg)
-    n_random = _probe_count(cfg, 8)
+    variant_args = {key: cfg[key] for key in ("variant", "q", "nu")}
     layout = _resolve_layout(cfg, spec, target, variant_args)
     try:
         assembly = marker.build_assembly(spec, target, layout, **variant_args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = marker.evaluate_marker(
-        assembly, spec, target,
-        n_random=n_random,
-        seed=args.seed,
-        dtype=dtype,
-    )
+    report = marker.evaluate_marker(assembly, spec, target, n_random=cfg["n_random"],
+                                    seed=args.seed, dtype=cfg["dtype"])
     out = _outdir(args)
     _write_json(os.path.join(out, "report.json"), report.to_json_dict())
     _write_csv(os.path.join(out, "report.csv"), marker.CSV_COLUMNS, report.csv_rows())
@@ -241,103 +287,65 @@ def _cmd_simulate(args) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
-def _sweep_cells(cfg, seed) -> list[dict]:
-    """Every cell of the grid, each checked before any cell runs."""
-    axes = _require(cfg, "grid", dict)
-    unknown = set(axes) - {"mu", "q", "nu", "delta"}
-    if unknown:
-        raise ConfigError(f"unknown sweep axes {sorted(unknown)}")
-    synthetic = "worst_case" in cfg
-    if synthetic == ("model" in cfg or "model_path" in cfg):
+def _sweep_plan(cfg: dict, seed: int) -> tuple[dict, list[tuple[float, int]]]:
+    """The settings every cell shares, and the (delta, mu) groups, each of
+    which runs every (q, nu) cell.  Every cell is checked before any group
+    runs."""
+    axes, band, model = cfg["grid"], cfg["worst_case"], None
+    if (band is None) == (cfg["model"] is None and cfg["model_path"] is None):
         raise ConfigError("give exactly one of 'worst_case' or a spectral model")
-    if "delta" in axes and not synthetic:
-        raise ConfigError("a delta axis requires 'worst_case' mode (a fixed model "
-                          "pins its own delta)")
-    if synthetic:
-        wc = _require(cfg, "worst_case", dict)
-        b = _require(wc, "b", float, "worst_case")
-        phi = _require(wc, "phi", float, "worst_case")
-        if "delta" in axes:
-            deltas = axes["delta"]
-        else:
-            deltas = [_require(wc, "delta", float, "worst_case")]
-        model = None
-    else:
-        b = phi = None
-        deltas = [None]
+    if band is None:
+        if axes["delta"] is not None:
+            raise ConfigError("a delta axis needs 'worst_case' mode: a model pins its delta")
         model = _model_from(cfg)
-    dtype = _dtype_from(cfg)
-    mus = axes.get("mu", [cfg.get("mu")])
-    if mus == [None]:
-        raise ConfigError("sweep needs 'mu' as an axis or a scalar config key")
-    qs = axes.get("q", [cfg.get("q")])
-    nus = axes.get("nu", [cfg.get("nu")])
-    n_random = _probe_count(cfg, 4)
+        band = {"b": model[1].b, "phi": model[1].phi, "delta": model[0].delta}
+    deltas, mus, qs, nus = ([value] if axes[key] is None else axes[key] for key, value in (
+        ("delta", band["delta"]), ("mu", cfg["mu"]), ("q", cfg["q"]), ("nu", cfg["nu"])))
+    if mus == [None] or deltas == [None]:
+        raise ConfigError("sweep needs 'mu', and worst_case 'delta', as an axis or a key")
+    variants = [{"variant": cfg["variant"], "q": q, "nu": nu}
+                for q, nu in itertools.product(qs, nus)]
     # Worst-case cells run the verification model.
     main_dim = pea.VERIFICATION_DIM if model is None else model[0].dim
     try:
-        if synthetic:
-            spectral.require_finite(phi, "worst_case phi")
-        cells = [{
-            "delta": None if delta is None else float(delta),
-            "mu": pea.WorkspaceLayout(_integer(mu, "mu"), 0).mu,  # checks mu's range
-            "b": b, "phi": phi, "model": model,
-            "variant_args": _assembly_args(cfg, q, nu),
-            "n_random": n_random, "dtype": dtype, "seed": seed,
-        } for delta, mu, q, nu in itertools.product(deltas, mus, qs, nus)]
-        for cell in cells:
-            pea.check_search(*_search_band(cell))
-            _check_joint_dim(cell["variant_args"], main_dim, cell["mu"])
+        spectral.require_finite(band["phi"], "worst_case phi")
+        for delta, mu, variant_args in itertools.product(deltas, mus, variants):
+            marker.check_variant(**variant_args)
+            pea.check_search(delta, band["b"])
+            _check_cell(variant_args, main_dim, mu)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cells
+    shared = {"model": model, "b": band["b"], "phi": band["phi"], "variants": variants,
+              "n_random": cfg["n_random"], "dtype": cfg["dtype"], "seed": seed}
+    # A grid without a (q, nu) cell has no group to run.
+    return shared, list(itertools.product(deltas, mus)) if variants else []
 
 
-def _search_band(cell: dict) -> tuple[float, float]:
-    """(delta, b) of a cell's window search: the model's own, or the
-    worst-case configuration's."""
-    if cell["model"] is not None:
-        return cell["model"][0].delta, cell["model"][1].b
-    return cell["delta"], cell["b"]
-
-
-def _run_cells(cells: list[dict]) -> list[dict]:
-    """Rows of cells that share (delta, mu), and so share one window
-    search, one model and one measured eta (b is the same in every cell)."""
-    first = cells[0]
-    delta, b = _search_band(first)
-    choice = pea.best_window(first["mu"], delta, b)
+def _run_group(shared: dict, group: tuple[float, int]) -> list[dict]:
+    """The rows of one (delta, mu) group, whose cells share one window
+    search, one model and one measured eta."""
+    (delta, mu), b = group, shared["b"]
+    choice = pea.best_window(mu, delta, b)
     try:
-        spec, target = first["model"] or pea.verification_model(
-            delta, b, choice.lam_marked, choice.lam_unmarked, phi=first["phi"])
+        spec, target = shared["model"] or pea.verification_model(
+            delta, b, choice.lam_marked, choice.lam_unmarked, phi=shared["phi"])
     except ValueError as exc:
         raise ConfigError(f"no worst-case model at delta={delta!r}, b={b!r}: {exc}") from exc
-    layout = pea.WorkspaceLayout(first["mu"], choice.window)
+    layout = pea.WorkspaceLayout(mu, choice.window)
     eta = pea.measure_eta(pea.build_pea(spectral.build_shifted(spec, target), layout),
                           spec, target, layout).eta
-    return [_run_cell(cell, delta, spec, target, layout, eta) for cell in cells]
-
-
-def _run_cell(cell: dict, delta: float, spec, target, layout, eta: float) -> dict:
-    assembly = marker.build_assembly(spec, target, layout, **cell["variant_args"])
-    report = marker.evaluate_marker(assembly, spec, target,
-                                    n_random=cell["n_random"], seed=cell["seed"],
-                                    dtype=cell["dtype"])
-    return {
-        "variant": assembly.variant,
-        "delta": float(delta),
-        "mu": cell["mu"],
-        "window": layout.window,
-        "q": cell["variant_args"]["q"],
-        "nu": cell["variant_args"]["nu"],
-        "phi": float(target.phi),
-        "eta": eta,
-        "worst_residual": report.worst_residual,
-        "superposition_residual": report.superposition_residual,
-        "N_U": report.counters.n_u,
-        "N_A": report.counters.n_a,
-        "N_P": report.counters.n_p,
-    }
+    rows = []
+    for variant_args in shared["variants"]:
+        assembly = marker.build_assembly(spec, target, layout, **variant_args)
+        report = marker.evaluate_marker(assembly, spec, target, n_random=shared["n_random"],
+                                        seed=shared["seed"], dtype=shared["dtype"])
+        rows.append({"variant": assembly.variant, "delta": delta, "mu": mu,
+                     "window": layout.window, "q": variant_args["q"], "nu": variant_args["nu"],
+                     "phi": target.phi, "eta": eta, "worst_residual": report.worst_residual,
+                     "superposition_residual": report.superposition_residual,
+                     "N_U": report.counters.n_u, "N_A": report.counters.n_a,
+                     "N_P": report.counters.n_p})
+    return rows
 
 
 def _cell_key(row: dict):
@@ -350,20 +358,17 @@ def _cell_key(row: dict):
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = _load_config(args.config)
-    groups: dict = {}
-    for cell in _sweep_cells(cfg, args.seed):
-        key = (cell["delta"], cell["mu"])
-        groups.setdefault(key, []).append(cell)
+    shared, groups = _sweep_plan(_load_config(args), args.seed)
+    run = functools.partial(_run_group, shared)
     # A fork-started pool starts all its workers at the first submit, so
     # ask for no more than there are groups to run.
     workers = min(args.jobs, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
                                  initargs=(workers,)) as pool:
-            results = list(pool.map(_run_cells, groups.values()))
+            results = list(pool.map(run, groups))
     else:
-        results = [_run_cells(group) for group in groups.values()]
+        results = [run(group) for group in groups]
     rows = sorted((row for group in results for row in group), key=_cell_key)
     path = os.path.join(_outdir(args), "sweep.csv")
     _write_csv(path, SWEEP_COLUMNS, rows)
@@ -374,25 +379,17 @@ def _cmd_sweep(args) -> int:
 # --- compare -----------------------------------------------------------------
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    b = _option(cfg, "b", 0.05, float)
-    mu_limit = _option(cfg, "mu_limit", 16, int)
-    try:
-        delta_grid = [float(d) for d in _require(cfg, "delta_grid", list)]
-        eps_grid = [float(e) for e in _require(cfg, "eps_grid", list)]
-        pairs = [(float(d), float(e)) for d, e in cfg.get("measured_cells", [])]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grids and measured_cells must hold numbers: {exc}") from exc
+    cfg = _load_config(args)
     measured = []
-    for delta, eps in pairs:
+    for delta, eps in cfg["measured_cells"]:
         try:
-            calib = pea.calibrate_workspace(delta, b)
-            if calib.converged and calib.mu <= mu_limit:
+            calib = pea.calibrate_workspace(delta, cfg["b"])
+            if calib.converged and calib.mu <= cfg["mu_limit"]:
                 measured.append(marker.measured_cell(calib, eps))
         except ValueError as exc:
             raise ConfigError(f"measured cell ({delta!r}, {eps!r}): {exc}") from exc
     try:
-        rows = complexity.tabulate(delta_grid, eps_grid, measured)
+        rows = complexity.tabulate(cfg["delta_grid"], cfg["eps_grid"], measured)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     path = os.path.join(_outdir(args), "compare.csv")

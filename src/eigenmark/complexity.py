@@ -45,29 +45,6 @@ class ComplexityCounters:
         return self.n_u == self.n_p * 2 ** mu
 
 
-@dataclass(frozen=True)
-class PlanRequest:
-    """Error budget for a whole procedure: either a direct eps target or a
-    total invocation count Q, giving eps = PLAN_SAFETY / Q."""
-
-    eps_target: float | None = None
-    invocations: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.eps_target is None) == (self.invocations is None):
-            raise ValueError("set exactly one of eps_target and invocations")
-        if self.invocations is not None and self.invocations < 1:
-            raise ValueError("invocations must be positive")
-        if not (0.0 < self.resolved_eps < 1.0):
-            raise ValueError(f"resolved eps {self.resolved_eps!r} outside (0, 1)")
-
-    @property
-    def resolved_eps(self) -> float:
-        if self.eps_target is not None:
-            return self.eps_target
-        return PLAN_SAFETY / self.invocations
-
-
 def plan_recursion(eta: float, eps_target: float) -> int:
     """Smallest recursion level q with h_q eta^{3^q} <= eps_target,
     evaluated in log space.  eps_target >= eta trivially yields q = 0."""

@@ -14,6 +14,7 @@ operators.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +41,15 @@ def require_finite(x, name: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def require_known_keys(doc: dict, known, name: str) -> None:
+    """Reject (ValueError) a key of doc that is not in known, naming the
+    nearest known key, so a misspelt key never runs on its default."""
+    for key in doc:
+        if key not in known:
+            nearest = difflib.get_close_matches(key, list(known), n=1, cutoff=0)[0]
+            raise ValueError(f"unknown key {key!r} in {name}; nearest known key is {nearest!r}")
 
 
 def circle_distance(a, b):
@@ -226,13 +236,17 @@ def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
     """Build (SpectralUnitary, MarkTarget) from the JSON document format:
 
     {"dim": int, "eigenphases": [...], "eigenbasis": "computational" | [[...], ...],
-     "delta": float, "target": {"psi_prime": float, "b": float, "phi": float}}
+     "delta": float, "target": {"psi_prime": float, "b": float, "phi": float,
+                                "marked_index": int}}
 
-    A matrix eigenbasis is given as dim rows of dim [re, im] pairs; any
-    other shape is a ValueError.
+    eigenbasis, target b and marked_index may be left out.  A matrix
+    eigenbasis is given as dim rows of dim [re, im] pairs; any other shape,
+    and any other key, is a ValueError.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("target"), dict):
         raise ValueError("a model and its 'target' must be JSON objects")
+    require_known_keys(doc, ("dim", "eigenphases", "eigenbasis", "delta", "target"), "model")
+    require_known_keys(doc["target"], ("psi_prime", "b", "phi", "marked_index"), "model target")
     dim = require_int(doc["dim"], "model dim")
     basis = doc.get("eigenbasis", "computational")
     if basis == "computational" or basis is None:

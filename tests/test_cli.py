@@ -86,16 +86,16 @@ def test_calibrate_writes_the_runs_own_result(tmp_path, capsys):
     assert "FAILED (best shown)" in capsys.readouterr().out
 
 
-def test_calibrate_ignores_grid_per_bin(tmp_path, capsys):
+def test_calibrate_rejects_grid_per_bin(tmp_path, capsys):
     # The grid density is the constant pea.GRID_PER_BIN; the old key is
-    # ignored like any other unknown key, however large.
-    for name, doc in (("plain", {"delta": 3.0, "b": 0.05}),
-                      ("grid", {"delta": 3.0, "b": 0.05, "grid_per_bin": 10_000_000})):
-        cfg = write_config(tmp_path, f"{name}.json", doc)
-        assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path / name]) == 0
-    assert ((tmp_path / "plain" / "calibration.json").read_bytes()
-            == (tmp_path / "grid" / "calibration.json").read_bytes())
-    assert capsys.readouterr().out.count("mu=11 window=330") == 2
+    # rejected like any other unknown key, before any calibration work.
+    cfg = write_config(tmp_path, "grid.json",
+                       {"delta": 3.0, "b": 0.05, "grid_per_bin": 10_000_000})
+    assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path / "grid"]) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown key 'grid_per_bin' in config" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "grid").exists()
 
 
 def test_simulate_mu_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -434,6 +434,25 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
                   "model": _bad_model(target={"psi_prime": float("nan"), "phi": np.pi})}),
     # The tensor guard runs before the window search it would make moot.
     ("simulate", {**SIMULATE, "variant": "voting", "mu": 16, "nu": 3}),
+    # A number key takes no bool and no string, at any depth.
+    ("calibrate", {"delta": True, "b": 0.05}),
+    ("calibrate", {"delta": 3.0, "b": 0.05, "eta_target": "0.01"}),
+    ("sweep", {"variant": "pea", "worst_case": {"b": 0.05, "phi": np.pi}, "mu": 4,
+               "grid": {"delta": [True]}}),
+    ("sweep", {"variant": "pea", "worst_case": {**WORST_CASE, "phi": True}, "grid": {"mu": [4]}}),
+    ("compare", {**COMPARE, "delta_grid": [True]}),
+    ("compare", {**COMPARE, "measured_cells": [[True, 1e-4]]}),
+    ("compare", {**COMPARE, "b": "0.05"}),
+    # A flag is a bool, and null is no key's value.
+    ("simulate", {**SIMULATE, "calibrate": 1}),
+    ("simulate", {**SIMULATE, "q": None}),
+    ("sweep", {"variant": "pea", "worst_case": WORST_CASE, "grid": {"mu": [4]}, "nu": None}),
+    # Unknown keys, at the top, in a nested table and in a model.
+    ("calibrate", {"delta": 3.0, "b": 0.05, "grid_per_bin": 64}),
+    ("sweep", {"variant": "pea", "worst_case": {**WORST_CASE, "bb": 0.05},
+               "grid": {"mu": [4]}}),
+    ("simulate", {**SIMULATE, "windw": 1}),
+    ("simulate", {**SIMULATE, "model": _bad_model(dims=2)}),
 ], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
         "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
         "simulate_basis_entries", "simulate_marked_index_text",
@@ -454,7 +473,11 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "compare_eps_underflow", "simulate_huge_nu", "simulate_mu_2**70",
         "simulate_mu_1e308", "simulate_eigenphase_nan", "simulate_eigenphase_inf",
         "simulate_eigenphase_minus_inf", "simulate_phi_nan", "simulate_psi_prime_nan",
-        "simulate_voting_guard_before_search"])
+        "simulate_voting_guard_before_search", "calibrate_delta_bool",
+        "calibrate_eta_target_text", "sweep_delta_axis_bool", "sweep_phi_bool",
+        "compare_delta_bool", "compare_cell_bool", "compare_b_text", "simulate_calibrate_int",
+        "simulate_q_null", "sweep_nu_null", "calibrate_unknown_key", "sweep_worst_case_unknown_key",
+        "simulate_unknown_key", "simulate_model_unknown_key"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
     # Every case is rejected before any window search starts (the sweep
     # cases are in test_sweep_rejects_bad_cells_before_any_work).
@@ -467,6 +490,57 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, com
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+BASELINE_TYPOS = {**SIMULATE, "windw": 1, "n_randon": 2, "dtyp": "complex128"}
+
+
+@pytest.mark.parametrize("command, doc, meant", [
+    ("simulate", BASELINE_TYPOS, "window"),
+    ("simulate", {**SIMULATE, "n_randon": 2}, "n_random"),
+    ("simulate", {**SIMULATE, "dtyp": "complex128"}, "dtype"),
+    ("sweep", {"variant": "pea", "worst_case": {"delta": 2.8, "b": 0.05, "phii": np.pi},
+               "grid": {"mu": [4]}}, "phi"),
+    ("sweep", {"variant": "fixed_point", "worst_case": WORST_CASE, "mu": 4,
+               "grid": {"qs": [0, 1]}}, "q"),
+    ("simulate", {**SIMULATE, "model": _bad_model(eigenphase=[0.01, 2.0])}, "eigenphases"),
+    ("simulate", {**SIMULATE, "model": _bad_model(target={"psi_prime": 0.0, "bb": 0.05,
+                                                          "phi": np.pi})}, "b"),
+], ids=["baseline", "top", "top_dtype", "worst_case", "grid", "model", "model_target"])
+def test_misspelt_key_names_the_intended_key(tmp_path, capsys, monkeypatch, command, doc,
+                                             meant):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("best_window called before validation finished")
+
+    monkeypatch.setattr(pea, "best_window", no_work)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown key" in err
+    assert f"nearest known key is {meant!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def readme_config_sketches():
+    """(subcommand, config) for each sketch in README's CLI section: a
+    block of // comment lines naming the subcommand, then its JSON."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    sketches = []
+    for paragraph in block.strip().split("\n\n"):
+        command = paragraph.split("//", 1)[1].split(":", 1)[0].strip()
+        text = "\n".join(line.split("//", 1)[0] for line in paragraph.splitlines())
+        sketches.append((command, json.loads(text)))
+    return sketches
+
+
+def test_readme_config_sketches_are_accepted():
+    sketches = readme_config_sketches()
+    assert sorted(command for command, _ in sketches) == sorted(cli.CONFIG_KEYS)
+    for command, doc in sketches:
+        assert set(cli._read(doc, cli.CONFIG_KEYS[command])) == set(cli.CONFIG_KEYS[command])
 
 
 def test_sweep_delta_axis_needs_no_worst_case_delta(tmp_path):

@@ -19,22 +19,6 @@ def test_plan_examples():
     assert s1.h * eta ** s1.m > 1e-8 > s2.h * eta ** s2.m
 
 
-def test_plan_from_invocation_budget():
-    req = em.PlanRequest(invocations=10 ** 6)
-    assert req.resolved_eps == pytest.approx(1e-8)
-    check = audit.check_complexity_planner(range(1, 13))
-    assert check.ok, check.detail
-
-
-def test_plan_request_validation():
-    with pytest.raises(ValueError, match="exactly one"):
-        em.PlanRequest()
-    with pytest.raises(ValueError, match="exactly one"):
-        em.PlanRequest(eps_target=1e-4, invocations=10)
-    with pytest.raises(ValueError, match="eps"):
-        em.PlanRequest(eps_target=1.5)
-
-
 def test_planner_monotonicity():
     check = audit.check_complexity_planner(range(1, 16))
     assert check.ok, check.detail

@@ -195,21 +195,30 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @settings(max_examples=300)
 @given(data=st.data())
 def test_mutated_configs_keep_the_exit_code_contract(fuzz_dir, data):
     # Exit 0, 1 or 2, a 2 says "error:", and nothing escapes as a traceback.
     # Deeper paths are set first, so no later change lands inside a value
-    # that replaced its parent.
+    # that replaced its parent.  Then a key may be misspelt, by doubling
+    # its last letter, which exits 2 before any work.
     command, doc = BASE_CONFIGS[data.draw(st.sampled_from(sorted(BASE_CONFIGS)))]
     paths = data.draw(st.lists(st.sampled_from(list(config_paths(doc))), min_size=1,
                                max_size=3, unique=True))
     doc = copy.deepcopy(doc)
     for path in sorted(paths, key=len, reverse=True):
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+        value_at(doc, path[:-1])[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+    keys = [path for path in config_paths(doc) if isinstance(value_at(doc, path[:-1]), dict)]
+    renamed = data.draw(st.one_of(st.none(), st.sampled_from(keys)))
+    if renamed is not None:
+        parent, key = value_at(doc, renamed[:-1]), renamed[-1]
+        parent[key + key[-1]] = parent.pop(key)
     config = fuzz_dir / "c.json"
     config.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -221,8 +230,13 @@ def test_mutated_configs_keep_the_exit_code_contract(fuzz_dir, data):
             try:
                 code = cli.main([command, "--config", str(config), "--out", str(fuzz_dir)])
             except WorkReached:
+                assert renamed is None
                 return
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in err.getvalue()
+    if renamed is not None:
+        assert code == 2
+        if len(renamed) == 1:
+            assert f"nearest known key is {key!r}" in err.getvalue()
     assert "Traceback" not in err.getvalue()
