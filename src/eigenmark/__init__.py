@@ -25,8 +25,6 @@ from .spectral import (
     circle_distance,
     haar_unitary,
     ideal_marker,
-    load_model,
-    load_model_file,
     unitary_of,
     wrap_angle,
 )

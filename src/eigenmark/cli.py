@@ -2,7 +2,9 @@
 emission.
 
 All configuration comes from a single JSON document (never environment
-variables), read through the subcommand's key table in CONFIG_KEYS.  Given
+variables), read through the subcommand's key table in CONFIG_KEYS; a
+spectral model, inline or in its model_path file, is read through the same
+table (MODEL_KEYS) by the same function (_read).  Given
 the same config and seed the emitted files are byte-identical: rows are
 sorted by cell key regardless of scheduling, and every file goes through
 one of two writers here (_write_json, _write_csv), so JSON is dumped with
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import functools
 import itertools
 import json
@@ -43,16 +46,20 @@ class ConfigError(Exception):
     pass
 
 
+def _json_file(path, what: str):
+    """The JSON document in the file at path (a config or a model)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_config(args) -> dict:
     """The --config document, read through the subcommand's key table."""
     if args.config is None:
         raise ConfigError("this subcommand requires --config PATH")
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    return _read(doc, CONFIG_KEYS[args.command])
+    return _read(_json_file(args.config, "config"), CONFIG_KEYS[args.command])
 
 
 def _integer(value, where: str) -> int:
@@ -94,7 +101,7 @@ def _instance(cls, what: str):
 _text = _instance(str, "a string")
 _flag = _instance(bool, "true or false")
 _list = _instance(list, "a list")
-_object = _instance(dict, "a JSON object")  # a model: spectral.load_model reads its keys
+_object = _instance(dict, "a JSON object")
 
 
 def _entries(kind):
@@ -104,12 +111,14 @@ def _entries(kind):
     return read
 
 
-def _pair(value, where: str) -> list[float]:
-    """A measured cell: a [delta, eps] pair of numbers."""
-    pair = _entries(_number)(value, where)
-    if len(pair) != 2:
-        raise ConfigError(f"{where} must be a [delta, eps] pair, got {value!r}")
-    return pair
+def _pair(first: str, second: str):
+    """The kind of a [first, second] pair of numbers."""
+    def read(value, where: str) -> list[float]:
+        pair = _entries(_number)(value, where)
+        if len(pair) != 2:
+            raise ConfigError(f"{where} must be a [{first}, {second}] pair, got {value!r}")
+        return pair
+    return read
 
 
 def _one_of(choices: dict):
@@ -121,11 +130,28 @@ def _one_of(choices: dict):
     return read
 
 
+def _basis(value, where: str):
+    """An eigenbasis: "computational" (None), or n rows of n [re, im] pairs
+    (rows of complex numbers; SpectralUnitary checks n against dim)."""
+    if value == "computational":
+        return None
+    rows = _entries(_entries(_pair("re", "im")))(value, where) if isinstance(value, list) else ()
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f'{where} must be "computational" or n rows of n [re, im] pairs, '
+                          f"got {value!r}")
+    return [[complex(re, im) for re, im in row] for row in rows]
+
+
 REQUIRED = object()  # the default of a key that must be given
 
 _DTYPES = {np.dtype(t).name: t for t in (np.complex128, EXTENDED)}
+# A spectral model: the operator by its spectrum, and the marking target.
+MODEL_KEYS = {"dim": (_integer, REQUIRED), "eigenphases": (_entries(_number), REQUIRED),
+              "eigenbasis": (_basis, None), "delta": (_number, REQUIRED),
+              "target": ({"psi_prime": (_number, REQUIRED), "phi": (_number, REQUIRED),
+                          "b": (_number, 0.05), "marked_index": (_integer, None)}, REQUIRED)}
 # The keys simulate and sweep share.
-_MARKER_KEYS = {"model": (_object, None), "model_path": (_text, None),
+_MARKER_KEYS = {"model": (MODEL_KEYS, None), "model_path": (_text, None),
                 "variant": (_text, REQUIRED), "q": (_integer, None), "nu": (_integer, None),
                 "mu": (_integer, None), "dtype": (_one_of(_DTYPES), np.complex128)}
 
@@ -147,7 +173,7 @@ CONFIG_KEYS = {
     "compare": {"b": (_number, 0.05), "mu_limit": (_integer, 16),
                 "delta_grid": (_entries(_number), REQUIRED),
                 "eps_grid": (_entries(_number), REQUIRED),
-                "measured_cells": (_entries(_pair), ())},
+                "measured_cells": (_entries(_pair("delta", "eps")), ())},
 }
 
 
@@ -155,10 +181,10 @@ def _read(doc, table: dict, where: str = "config") -> dict:
     """Every key of table, read from doc by its kind or set to its default.
     An unknown key, a missing required key or a value its kind rejects is
     a ConfigError; null is no kind's value."""
-    try:
-        spectral.require_known_keys(_object(doc, where), table, where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key in _object(doc, where):
+        if key not in table:
+            nearest = difflib.get_close_matches(key, list(table), n=1, cutoff=0)[0]
+            raise ConfigError(f"unknown key {key!r} in {where}; nearest known key is {nearest!r}")
     values = {}
     for key, (kind, default) in table.items():
         if key not in doc:
@@ -173,13 +199,17 @@ def _read(doc, table: dict, where: str = "config") -> dict:
 
 
 def _model_from(cfg: dict):
+    """(SpectralUnitary, MarkTarget) of the inline model or the model_path
+    file, both read through MODEL_KEYS."""
     if (cfg["model"] is None) == (cfg["model_path"] is None):
         raise ConfigError("give exactly one of 'model' (inline) or 'model_path'")
+    model = cfg["model"] or _read(_json_file(cfg["model_path"], "model"), MODEL_KEYS,
+                                  cfg["model_path"])
     try:
-        if cfg["model"] is not None:
-            return spectral.load_model(cfg["model"])
-        return spectral.load_model_file(cfg["model_path"])
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+        spec = spectral.SpectralUnitary(**{key: value for key, value in model.items()
+                                           if key != "target"})
+        return spec, spectral.MarkTarget.resolve(spec, **model["target"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid spectral model: {exc}") from exc
 
 

@@ -14,8 +14,6 @@ operators.
 
 from __future__ import annotations
 
-import difflib
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,15 +39,6 @@ def require_finite(x, name: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
-
-
-def require_known_keys(doc: dict, known, name: str) -> None:
-    """Reject (ValueError) a key of doc that is not in known, naming the
-    nearest known key, so a misspelt key never runs on its default."""
-    for key in doc:
-        if key not in known:
-            nearest = difflib.get_close_matches(key, list(known), n=1, cutoff=0)[0]
-            raise ValueError(f"unknown key {key!r} in {name}; nearest known key is {nearest!r}")
 
 
 def circle_distance(a, b):
@@ -80,6 +69,7 @@ class SpectralUnitary:
     delta: float = 0.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", require_int(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError("dim must be positive")
         phases = tuple(float(wrap_angle(require_finite(p, f"eigenphase {i}")))
@@ -230,50 +220,3 @@ def ideal_marker(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
     phases = np.zeros(spec.dim)
     phases[list(target.marked_indices)] = target.phi
     return _diagonal_in_basis(phases, spec.eigenbasis)
-
-
-def load_model(doc: dict) -> tuple[SpectralUnitary, MarkTarget]:
-    """Build (SpectralUnitary, MarkTarget) from the JSON document format:
-
-    {"dim": int, "eigenphases": [...], "eigenbasis": "computational" | [[...], ...],
-     "delta": float, "target": {"psi_prime": float, "b": float, "phi": float,
-                                "marked_index": int}}
-
-    eigenbasis, target b and marked_index may be left out.  A matrix
-    eigenbasis is given as dim rows of dim [re, im] pairs; any other shape,
-    and any other key, is a ValueError.
-    """
-    if not isinstance(doc, dict) or not isinstance(doc.get("target"), dict):
-        raise ValueError("a model and its 'target' must be JSON objects")
-    require_known_keys(doc, ("dim", "eigenphases", "eigenbasis", "delta", "target"), "model")
-    require_known_keys(doc["target"], ("psi_prime", "b", "phi", "marked_index"), "model target")
-    dim = require_int(doc["dim"], "model dim")
-    basis = doc.get("eigenbasis", "computational")
-    if basis == "computational" or basis is None:
-        matrix = None
-    else:
-        pairs = np.array(basis, dtype=object)
-        if pairs.shape != (dim, dim, 2):
-            raise ValueError(f"eigenbasis must be {dim} rows of {dim} [re, im] pairs")
-        matrix = np.array([[complex(re, im) for re, im in row] for row in pairs])
-    spec = SpectralUnitary(
-        dim=dim,
-        eigenphases=tuple(float(p) for p in doc["eigenphases"]),
-        eigenbasis=matrix,
-        delta=float(doc["delta"]),
-    )
-    t = doc["target"]
-    target = MarkTarget.resolve(
-        spec,
-        psi_prime=float(t["psi_prime"]),
-        phi=float(t["phi"]),
-        b=float(t.get("b", 0.05)),
-        marked_index=(None if t.get("marked_index") is None
-                      else require_int(t["marked_index"], "target marked_index")),
-    )
-    return spec, target
-
-
-def load_model_file(path) -> tuple[SpectralUnitary, MarkTarget]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(json.load(fh))

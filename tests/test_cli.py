@@ -10,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from eigenmark import cli, complexity, marker, pea, statevec
+from eigenmark import cli, complexity, marker, pea, spectral, statevec
 
 
 def run_cli(args):
@@ -157,6 +157,63 @@ def test_simulate_variant_requirements(tmp_path):
         "mu": 4,
     })
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+
+
+def model_with_basis(basis):
+    """small_model_doc with its eigenbasis given as rows of [re, im] pairs."""
+    rows = [[[c.real, c.imag] for c in row] for row in basis]
+    return {**small_model_doc(), "eigenbasis": rows}
+
+
+HAAR_BASIS = spectral.haar_unitary(np.random.default_rng(9), 2)
+
+
+@pytest.mark.parametrize("model", [small_model_doc(), model_with_basis(HAAR_BASIS)],
+                         ids=["computational", "haar"])
+def test_model_path_writes_the_inline_models_reports(tmp_path, model):
+    path = write_config(tmp_path, "model.json", model)
+    settings = {"variant": "fixed_point", "q": 1, "mu": 4, "n_random": 2}
+    for name, entry in (("inline", {"model": model}), ("file", {"model_path": str(path)})):
+        cfg = write_config(tmp_path, f"{name}.json", {**settings, **entry})
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / name]) == 0
+    for report in ("report.json", "report.csv"):
+        assert (tmp_path / "inline" / report).read_bytes() == \
+            (tmp_path / "file" / report).read_bytes()
+
+
+def test_matrix_eigenbasis_reaches_the_report(tmp_path, monkeypatch):
+    # The model the CLI reads carries the basis as given, and its report is
+    # the one the same model, built in Python, gives.
+    seen, evaluate = [], marker.evaluate_marker
+
+    def seeing(assembly, spec, *args, **kwargs):
+        seen.append(spec)
+        return evaluate(assembly, spec, *args, **kwargs)
+
+    monkeypatch.setattr(marker, "evaluate_marker", seeing)
+    cfg = write_config(tmp_path, "c.json", {"model": model_with_basis(HAAR_BASIS),
+                                            "variant": "pea", "mu": 4, "window": 1,
+                                            "n_random": 2})
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path, "--seed", 5]) == 0
+    assert np.abs(seen[0].eigenbasis - HAAR_BASIS).max() <= 1e-15
+    spec = spectral.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), eigenbasis=HAAR_BASIS,
+                                    delta=1.5)
+    target = spectral.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = pea.WorkspaceLayout(4, 1)
+    want = evaluate(marker.build_assembly(spec, target, layout, variant="pea"), spec, target,
+                    n_random=2, seed=5)
+    got = json.loads((tmp_path / "report.json").read_text())
+    assert [e["residual"] for e in got["entries"]] == [e.residual for e in want.entries]
+    assert got["superposition_residual"] == want.superposition_residual
+
+
+def test_non_unitary_basis_exits_2(tmp_path, capsys):
+    model = {**small_model_doc(),
+             "eigenbasis": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    cfg = write_config(tmp_path, "c.json", {"model": model, "variant": "pea", "mu": 4})
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unitary" in err
 
 
 def test_sweep_recursion_levels(tmp_path):
@@ -356,6 +413,18 @@ def _bad_model(**changes):
 
 
 SIMULATE = {"model": small_model_doc(), "variant": "pea", "mu": 4}
+# A model inside a "model_path" entry is written to a file, whose path
+# replaces it, before the run.
+MODEL_FILE = {"variant": "pea", "mu": 4}
+# A bool or a string where a model takes a number, and null where it takes
+# an eigenbasis or an index.
+BAD_MODELS = [_bad_model(delta=True), _bad_model(eigenphases=[0.01, "2.0"]),
+              _bad_model(target={"psi_prime": False, "phi": np.pi}),
+              _bad_model(target={"psi_prime": 0.0, "phi": np.pi, "b": "0.05"}),
+              _bad_model(eigenbasis=None),
+              _bad_model(target={"psi_prime": 0.0, "phi": np.pi, "marked_index": None})]
+BAD_MODEL_IDS = ["delta_bool", "eigenphase_text", "psi_prime_bool", "target_b_text",
+                 "eigenbasis_null", "marked_index_null"]
 COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
 
 
@@ -407,6 +476,9 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
     # An eigenbasis that is not dim rows of dim [re, im] pairs.
     ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis="x")}),
     ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis=[[[1, 0], [0, 0]]])}),
+    ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis=[[[1, 0], [0, 0]], [[0, 0]]])}),
+    ("simulate", {**SIMULATE, "model": _bad_model(eigenbasis=[[[1, 0, 0], [0, 0, 0]],
+                                                              [[0, 0, 0], [1, 0, 0]]])}),
     # Grid entries that are not positive and finite, and an eps whose
     # delta * eps^2 underflows to 0.
     ("compare", {**COMPARE, "delta_grid": [0]}),
@@ -453,6 +525,9 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
                "grid": {"mu": [4]}}),
     ("simulate", {**SIMULATE, "windw": 1}),
     ("simulate", {**SIMULATE, "model": _bad_model(dims=2)}),
+    # A model is read by the same table, inline or from its file.
+    *(("simulate", {**SIMULATE, "model": model}) for model in BAD_MODELS),
+    *(("simulate", {**MODEL_FILE, "model_path": model}) for model in BAD_MODELS),
 ], ids=["calibrate_mu_cap_null", "calibrate_eta_target_null", "calibrate_mu_cap_0",
         "simulate_n_random", "simulate_dtype_list", "simulate_target_null",
         "simulate_basis_entries", "simulate_marked_index_text",
@@ -467,7 +542,8 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "sweep_n_random_negative", "sweep_n_random_bool", "sweep_mu_fraction",
         "sweep_q_fraction", "sweep_nu_bool",
         "compare_mu_limit_fraction", "compare_mu_limit_bool",
-        "simulate_basis_text", "simulate_basis_rows",
+        "simulate_basis_text", "simulate_basis_rows", "simulate_basis_short_row",
+        "simulate_basis_triples",
         "compare_delta_zero", "compare_delta_negative_zero", "compare_delta_false",
         "compare_eps_zero", "compare_eps_negative_zero", "compare_eps_false",
         "compare_eps_underflow", "simulate_huge_nu", "simulate_mu_2**70",
@@ -477,7 +553,9 @@ COMPARE = {"delta_grid": [3.0], "eps_grid": [1e-4]}
         "calibrate_eta_target_text", "sweep_delta_axis_bool", "sweep_phi_bool",
         "compare_delta_bool", "compare_cell_bool", "compare_b_text", "simulate_calibrate_int",
         "simulate_q_null", "sweep_nu_null", "calibrate_unknown_key", "sweep_worst_case_unknown_key",
-        "simulate_unknown_key", "simulate_model_unknown_key"])
+        "simulate_unknown_key", "simulate_model_unknown_key",
+        *(f"simulate_model_{name}" for name in BAD_MODEL_IDS),
+        *(f"simulate_model_path_{name}" for name in BAD_MODEL_IDS)])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, doc):
     # Every case is rejected before any window search starts (the sweep
     # cases are in test_sweep_rejects_bad_cells_before_any_work).
@@ -485,6 +563,8 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, monkeypatch, com
         raise AssertionError("best_window called before validation finished")
 
     monkeypatch.setattr(pea, "best_window", no_work)
+    if isinstance(doc.get("model_path"), dict):
+        doc = {**doc, "model_path": str(write_config(tmp_path, "model.json", doc["model_path"]))}
     cfg = write_config(tmp_path, "c.json", doc)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err

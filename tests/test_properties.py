@@ -201,24 +201,44 @@ def value_at(doc, path):
     return doc
 
 
+def held_at(doc, path):
+    """The value at path in doc, or None where a change left no such path."""
+    for key in path:
+        if not (isinstance(doc, dict) and key in doc
+                or isinstance(doc, list) and isinstance(key, int) and key < len(doc)):
+            return None
+        doc = doc[key]
+    return doc
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @settings(max_examples=300)
 @given(data=st.data())
 def test_mutated_configs_keep_the_exit_code_contract(fuzz_dir, data):
     # Exit 0, 1 or 2, a 2 says "error:", and nothing escapes as a traceback.
     # Deeper paths are set first, so no later change lands inside a value
     # that replaced its parent.  Then a key may be misspelt, by doubling
-    # its last letter, which exits 2 before any work.
-    command, doc = BASE_CONFIGS[data.draw(st.sampled_from(sorted(BASE_CONFIGS)))]
-    paths = data.draw(st.lists(st.sampled_from(list(config_paths(doc))), min_size=1,
+    # its last letter, which exits 2 before any work.  A bool or a string
+    # left where the base config held a number exits 2 as well, at any
+    # depth, a model's keys included, before any domain check.
+    command, base = BASE_CONFIGS[data.draw(st.sampled_from(sorted(BASE_CONFIGS)))]
+    paths = data.draw(st.lists(st.sampled_from(list(config_paths(base))), min_size=1,
                                max_size=3, unique=True))
-    doc = copy.deepcopy(doc)
+    doc, mutated = copy.deepcopy(base), []
     for path in sorted(paths, key=len, reverse=True):
-        value_at(doc, path[:-1])[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+        mutant = data.draw(st.sampled_from(MUTANTS))
+        value_at(doc, path[:-1])[path[-1]] = copy.deepcopy(mutant)
+        mutated.append((path, mutant))
     keys = [path for path in config_paths(doc) if isinstance(value_at(doc, path[:-1]), dict)]
     renamed = data.draw(st.one_of(st.none(), st.sampled_from(keys)))
     if renamed is not None:
         parent, key = value_at(doc, renamed[:-1]), renamed[-1]
         parent[key + key[-1]] = parent.pop(key)
+    wrong_kind = any(isinstance(mutant, (bool, str)) and is_number(value_at(base, path))
+                     and held_at(doc, path) is mutant for path, mutant in mutated)
     config = fuzz_dir / "c.json"
     config.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -230,13 +250,16 @@ def test_mutated_configs_keep_the_exit_code_contract(fuzz_dir, data):
             try:
                 code = cli.main([command, "--config", str(config), "--out", str(fuzz_dir)])
             except WorkReached:
-                assert renamed is None
+                assert renamed is None and not wrong_kind
                 return
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in err.getvalue()
-    if renamed is not None:
+    if renamed is not None or wrong_kind:
         assert code == 2
-        if len(renamed) == 1:
-            assert f"nearest known key is {key!r}" in err.getvalue()
+    if renamed is not None and len(renamed) == 1:
+        assert f"nearest known key is {key!r}" in err.getvalue()
+    if wrong_kind and renamed is None:
+        # The key table rejects it, naming where it is; no later check does.
+        assert err.getvalue().startswith("error: config")
     assert "Traceback" not in err.getvalue()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -140,62 +138,9 @@ def test_delta_range_enforced():
         em.SpectralUnitary(dim=1, eigenphases=(0.0,), delta=3.5)
 
 
-def test_load_model_roundtrip(tmp_path):
-    doc = {
-        "dim": 2,
-        "eigenphases": [0.01, 2.0],
-        "eigenbasis": "computational",
-        "delta": 1.5,
-        "target": {"psi_prime": 0.0, "b": 0.05, "phi": np.pi},
-    }
-    spec, target = em.load_model(doc)
-    assert spec.dim == 2 and target.marked_indices == (0,)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
-    spec2, target2 = em.load_model_file(path)
-    assert spec2.eigenphases == spec.eigenphases
-    assert target2.lambdas == target.lambdas
-
-
-def test_load_model_matrix_eigenbasis():
-    basis = haar_unitary(np.random.default_rng(9), 2)
-    doc = {
-        "dim": 2,
-        "eigenphases": [0.01, 2.0],
-        "eigenbasis": [[[c.real, c.imag] for c in row] for row in basis],
-        "delta": 1.5,
-        "target": {"psi_prime": 0.0, "b": 0.05, "phi": np.pi},
-    }
-    spec, _target = em.load_model(doc)
-    assert np.abs(spec.eigenbasis - basis).max() <= 1e-15
-
-
-def test_load_model_rejects_invalid_basis():
-    doc = {
-        "dim": 2,
-        "eigenphases": [0.01, 2.0],
-        "eigenbasis": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-        "delta": 1.5,
-        "target": {"psi_prime": 0.0, "b": 0.05, "phi": np.pi},
-    }
-    with pytest.raises(ValueError, match="unitary"):
-        em.load_model(doc)
-
-
-@pytest.mark.parametrize("basis", [
-    "x",
-    [[1]],
-    [[[1.0, 0.0], [0.0, 0.0]]],
-    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
-    [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
-], ids=["text", "scalar_entries", "one_row", "short_row", "triples"])
-def test_load_model_rejects_a_misshapen_basis(basis):
-    doc = {
-        "dim": 2,
-        "eigenphases": [0.01, 2.0],
-        "eigenbasis": basis,
-        "delta": 1.5,
-        "target": {"psi_prime": 0.0, "b": 0.05, "phi": np.pi},
-    }
-    with pytest.raises(ValueError, match=r"2 rows of 2 \[re, im\] pairs"):
-        em.load_model(doc)
+@pytest.mark.parametrize("dim", [2.0, True], ids=["float", "bool"])
+def test_dim_must_be_an_integer(dim):
+    # As WorkspaceLayout reads mu: a float or a bool fails at construction,
+    # not later inside numpy.
+    with pytest.raises(TypeError, match="dim must be an integer"):
+        em.SpectralUnitary(dim=dim, eigenphases=(0.01, 2.0), delta=1.5)
