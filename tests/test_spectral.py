@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark import audit
+from eigenmark import audit, cli
 from eigenmark.spectral import circle_distance, haar_unitary, wrap_angle
 
 
@@ -144,3 +144,29 @@ def test_dim_must_be_an_integer(dim):
     # not later inside numpy.
     with pytest.raises(TypeError, match="dim must be an integer"):
         em.SpectralUnitary(dim=dim, eigenphases=(0.01, 2.0), delta=1.5)
+
+
+_ROWS = r'must be "computational" or n rows of n \[re, im\] pairs'
+
+
+@pytest.mark.parametrize("basis, message", [
+    ("x", _ROWS),
+    ([[1]], r"\['eigenbasis'\]\[0\]\[0\] must be a list"),
+    ([[[1.0, 0.0], [0.0, 0.0]]], _ROWS),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], _ROWS),
+    ([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+     r"\['eigenbasis'\]\[0\]\[0\] must be a \[re, im\] pair"),
+], ids=["text", "scalar_entries", "one_row", "short_row", "triples"])
+def test_load_model_rejects_a_misshapen_basis(basis, message):
+    # A spectral model is loaded through the CLI's model key table; a basis
+    # that is not dim rows of dim [re, im] pairs fails there, naming the
+    # eigenbasis, before any SpectralUnitary is built.
+    doc = {
+        "dim": 2,
+        "eigenphases": [0.01, 2.0],
+        "eigenbasis": basis,
+        "delta": 1.5,
+        "target": {"psi_prime": 0.0, "b": 0.05, "phi": np.pi},
+    }
+    with pytest.raises(cli.ConfigError, match=message):
+        cli._read(doc, cli.MODEL_KEYS, "model")
