@@ -43,13 +43,9 @@ print()
 print("exact per-level laws (any unitary, any window):")
 print("  compress: wrong amplitude beta -> beta^3")
 print("  balance:  in-window mass u -> u^3")
-rng = np.random.default_rng(0)
-z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-qm, rm = np.linalg.qr(z)
-v = em.from_matrix(qm * (np.diag(rm) / np.abs(np.diag(rm))))
-win = em.WorkspaceLayout(3, 1).z_window()
-sigma = np.zeros(8, complex)
-sigma[0] = 1.0
+v = em.from_matrix(em.haar_unitary(np.random.default_rng(0), 8))
+small = em.WorkspaceLayout(3, 1)
+win, sigma = small.z_window(), small.sigma_state()
 beta = np.linalg.norm(v.apply_to(sigma)[~win.mask()])
 after = np.linalg.norm(em.pi3_compress(v, win).apply_to(sigma)[~win.mask()])
 print(f"  random 8-dim unitary: beta={beta:.6f}, after compress={after:.6e}, "

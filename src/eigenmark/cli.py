@@ -6,11 +6,12 @@ variables), read through the subcommand's key table in CONFIG_KEYS; a
 spectral model, inline or in its model_path file, is read through the same
 table (MODEL_KEYS) by the same function (_read).  Given
 the same config and seed the emitted files are byte-identical: rows are
-sorted by cell key regardless of scheduling, and every file goes through
-one of two writers here (_write_json, _write_csv), so JSON is dumped with
-indent 2 and sorted keys, and a CSV cell is empty for None and repr for a
-float (_cell).  Exit codes: 0 success, 1 property or calibration failure,
-2 usage/config error.
+sorted by cell key regardless of scheduling, and every JSON or CSV file
+goes through one of two writers here (_write_json, _write_csv), so JSON is
+dumped with indent 2 and sorted keys, and a CSV cell is empty for None and
+repr for a float (_cell).  The one other file, audit.txt, _cmd_audit
+writes with its own open: the same text the audit prints.  Exit codes:
+0 success, 1 property or calibration failure, 2 usage/config error.
 
 Subcommands:
   calibrate   write the calibration result for (delta, b)

@@ -22,7 +22,7 @@ on the workspace, an involution, so H I_sigma H = I_u for the uniform
 state u = H|sigma>.  By induction on the level,
 core_q(V) = core_q^u(V_F) . H, where core^u takes its sigma-phase about u;
 the marker builds its core that way and leaves H out, and an evaluation
-drives it on u (see marker), so H runs only on sigma, to form u.
+drives it on u, formed from its formula (see marker), so H never runs.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ H . inner . H, where inner = core'+ . (1_main x I_Z^phi) . core' is built
 from the V_F factors alone (core' = V_F, T or core_q^u(V_F)).  H is real,
 orthogonal and its own inverse, and H sigma = u is the uniform state, so
 || marker(c x sigma) - ideal c x sigma || = || inner(c x u) - ideal c x u ||
-exactly, and an evaluation drives inner on u: H runs on sigma, once per
-workspace and dtype, to form u (uniform_state), and never on a marker's
-output.
+exactly, and an evaluation drives inner on u.  u is formed from its
+formula, every amplitude 1/sqrt(work_dim) (uniform_state), so an
+evaluation runs no Walsh-Hadamard transform at all: only V_F applications
+and workspace phases.
 
 Every variant is built from phases in the eigenframe of U, where it acts
 on each eigendirection separately.  So one helper builds inner on a tuple
@@ -26,7 +27,7 @@ the Euclidean residual against the ideal marker, diagonal in the
 eigenframe, per eigendirection (each through its own inner marker, so no
 application transforms rows that stay zero) and over superposition probes
 drawn as eigen-coefficients (through inner on all rows).  So no report
-reads the eigenbasis or applies H to a marker's output; the audit checks the physical marker
+reads the eigenbasis or applies H; the audit checks the physical marker
 H . inner . H (MarkerAssembly.frame) turned by the eigenbasis
 (statevec.in_frame) against those outputs in check_marker_joint_oracle.
 """
@@ -74,8 +75,9 @@ class MarkerAssembly:
     inner is the marker on all eigendirections without its Walsh-Hadamard
     ends, and hadamard is H = H^(x nu) on its rows, so frame = hadamard .
     inner . hadamard is the physical marker.  directions[i] is inner for
-    eigendirection i alone, on the workspace: on u = uniform(dtype) it
-    gives row i of inner on e_i (x) u, whose other rows are zero."""
+    eigendirection i alone, on the workspace: on the uniform state
+    u = uniform(dtype) it gives row i of inner on e_i (x) u, whose other
+    rows are zero."""
 
     variant: str
     phi: float
@@ -99,20 +101,15 @@ class MarkerAssembly:
 
     def uniform(self, dtype=np.complex128) -> np.ndarray:
         """u = H sigma on the workspace, in dtype: the start state of inner
-        and directions (read-only, see uniform_state)."""
-        return uniform_state(self.mu, self.nu or 1, np.dtype(dtype))
+        and directions."""
+        return uniform_state(self.work_dim, dtype)
 
 
-@functools.cache
-def uniform_state(mu: int, registers: int, dtype: np.dtype) -> np.ndarray:
-    """u = H^(x registers) sigma on registers mu-qubit registers, in dtype,
-    by the library's own transform on one row.  Cached and read-only: it
-    depends on nothing else, and forming it in every evaluation left a
-    voting pass (mu=5, nu=3, 2-core host) about 7% slower."""
-    workspace = estimation_factors((0.0,), WorkspaceLayout(mu, 0), registers)[-1]
-    u = workspace.apply_to(np.eye(1, workspace.dim, dtype=dtype)[0])
-    u.flags.writeable = False
-    return u
+def uniform_state(work_dim: int, dtype=np.float64) -> np.ndarray:
+    """The uniform state u = H sigma on a workspace of work_dim amplitudes,
+    in dtype: every amplitude is 1/sqrt(work_dim), the root taken in
+    real_dtype(dtype)."""
+    return np.full(work_dim, 1 / np.sqrt(real_dtype(dtype).type(work_dim)), dtype)
 
 
 def check_variant(variant: str, q: int | None, nu: int | None) -> None:
@@ -147,8 +144,8 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
         core = compose(*estimation_factors(lam, layout, nu)[:-1])
     else:
         v_f, _hadamard = estimation_factors(lam, layout)
-        uniform = np.full(layout.work_dim, layout.work_dim ** -0.5)
-        core = v_f if variant == "pea" else build_fixed_point(v_f, q, zproj, uniform)
+        core = (v_f if variant == "pea"
+                else build_fixed_point(v_f, q, zproj, uniform_state(layout.work_dim)))
     return assemble_marker(core, phi, zproj)
 
 

@@ -16,9 +16,9 @@ same), and H charges nothing.  Since H acts on the workspace only and is
 an involution, every variant's marker is H . inner . H, with inner built
 from V_F alone: the fixed-point recursion runs on V_F (see fpqs), and so do
 voting's registers.  On sigma the transform gives the uniform state
-u = H sigma, so a marker evaluation runs H on sigma alone, once per
-workspace and dtype (see marker.uniform_state), and never on a marker's
-output; H runs in full in measure_eta, build_pea and the oracles.
+u = H sigma, which marker.uniform_state forms from its formula, so a marker
+evaluation runs no H at all; H runs in measure_eta, build_pea and the
+oracles.
 
 Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
@@ -130,10 +130,6 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
     # BLAS multiplies float32/64 in factors of order up to 64; numpy
     # multiplies long double without BLAS, fastest in factors of order 4.
     count = -(-mu // (6 if real.itemsize <= 8 else 2))
-    if count == 1 and k == 1 and real.itemsize <= 8:
-        # One factor on one column: one 2-D product (S is symmetric), about
-        # 3x faster than a batch of (W, W) @ (W, 2) real products.
-        return (a.reshape(m, dim) @ _sylvester(dim, real)).reshape(a.shape)
     out = np.ascontiguousarray(a).view(real)
     rows = m
     for i in range(count):

@@ -194,25 +194,20 @@ def unitary_of(spec: SpectralUnitary) -> LinearOperator:
 def build_shifted(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
     """exp(-i psi') U: eigenphases become lambda_i, eigenbasis unchanged.
 
-    Re-validates the separation assumption so a target resolved against a
-    different model is rejected here rather than corrupting measurements.
+    The target must be exactly the one MarkTarget.resolve gives for spec at
+    the target's own estimate, marker angle and accuracy, so a target
+    resolved against a different model, or a model that breaks the marking
+    rules, is rejected here (ValueError, with resolve's reason) rather than
+    corrupting measurements.
     """
-    if len(target.lambdas) != spec.dim:
-        raise ValueError(f"target carries {len(target.lambdas)} lambdas for dim {spec.dim}")
-    lam = wrap_angle(np.asarray(spec.eigenphases) - target.psi_prime)
-    if np.abs(lam - np.asarray(target.lambdas)).max() > 1e-12:
-        raise ValueError("target was resolved against a different spectral model")
-    window = target.b * spec.delta
-    for i in range(spec.dim):
-        inside = abs(lam[i]) < window
-        if inside != (i in target.marked_indices):
-            raise ValueError(f"eigenphase {spec.eigenphases[i]!r} breaks the marked/unmarked split")
-        if not inside and abs(lam[i]) <= target.theta_min:
-            raise ValueError(
-                f"shift assumption violated by eigenphase {spec.eigenphases[i]!r}: "
-                f"|lambda|={abs(lam[i])!r} <= theta_min={target.theta_min!r}"
-            )
-    return _diagonal_in_basis(lam, spec.eigenbasis, cost=(("U", 1),))
+    try:
+        same = MarkTarget.resolve(spec, target.psi_prime, target.phi, target.b) == target
+        reason = "it resolves to another target"
+    except ValueError as exc:
+        same, reason = False, str(exc)
+    if not same:
+        raise ValueError(f"target was resolved against a different spectral model: {reason}")
+    return _diagonal_in_basis(target.lambdas, spec.eigenbasis, cost=(("U", 1),))
 
 
 def ideal_marker(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:

@@ -305,8 +305,9 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, start: np.ndarr
     evaluate_marker calls of every variant won most rounds against serial
     with BLAS on one thread (OPENBLAS_NUM_THREADS=1, as the benchmark
     runs; 2 directions and 2 probes, median of 5 calls, 12 alternating
-    rounds, 2-core host).  An evaluation's markers run no Walsh-Hadamard,
-    so the workers make no BLAS call.  At 2^15 threads won 7 rounds for
+    rounds, 2-core host).  An evaluation runs no Walsh-Hadamard at all
+    (its start state u is formed from its formula), so the workers make
+    no BLAS call.  At 2^15 threads won 7 rounds for
     pea (7.7 -> 8.2 ms, the median slower, so the gate may thread it for
     no gain), 8 for voting at mu=5, nu=3
     (32,768 and 65,536 amplitudes; 10.1 ms both) and 11 for fixed_point

@@ -11,8 +11,8 @@ The tensor is T . H^(x nu) on the shifted eigenphases: each register's
 V_F runs on a row view of the joint state, copying nothing.  The marker is
 H^(x nu) . T+ I_maj T . H^(x nu), and like every variant's it is evaluated
 without its ends: the marker module builds T from the registers' V_F
-factors and drives T+ I_maj T on u = H^(x nu) sigma, so H runs only on
-sigma, to form u.
+factors and drives T+ I_maj T on u = H^(x nu) sigma, the uniform state on
+all nu registers, formed from its formula, so H never runs.
 build_h_tensor, the whole tensor, is the construction the audit and the
 tests check against.
 """

@@ -1,5 +1,8 @@
-"""Each demo script runs to completion and prints its headline result."""
+"""Each demo script runs to completion and prints its headline result, and
+README's library tour prints a report."""
 
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
@@ -31,3 +34,17 @@ def test_demo_runs(name):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert HEADLINES[name] in done.stdout.splitlines()
+
+
+def test_readme_library_tour_prints_a_report():
+    # The ```python block of README's library tour, run as written.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    worst, counters = out.getvalue().rstrip("\n").split(" ", 1)
+    assert 0.0 < float(worst) < 2.0 ** -5
+    # N_P = 2 * 9^q * (directions + probes) = 2 * 81 * (2 + 8) at q=2.
+    assert counters.startswith("ComplexityCounters(") and "n_p=1620" in counters

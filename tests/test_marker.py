@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,37 +226,60 @@ def test_fixed_point_marker_runs_hadamard_only_at_its_ends(monkeypatch):
     assert tally.get("P") == 2 * 9 ** 2
 
 
-@pytest.mark.parametrize("variant, extra", [("pea", {}), ("voting", {"nu": 3}),
-                                            ("fixed_point", {"q": 1})])
-def test_evaluation_runs_walsh_hadamard_on_sigma_only(small_model, monkeypatch, variant,
-                                                       extra):
-    # An evaluation drives the inner marker on u = H sigma: the first one
-    # transforms sigma (one pass per register) to form u, the next reuses
-    # it, and none transforms a marker output.  The counters keep the
-    # pinned laws: per application N_P = 2 * 9^q (2 * nu for voting) and
-    # N_U = N_P * 2^mu.
-    spec, target, layout = small_model
+# Run in a fresh process, so no earlier evaluation in the test run can have
+# formed anything the ones below reuse.
+_EVALUATIONS_WITHOUT_TRANSFORM = """
+import json
+import numpy as np
+import eigenmark as em
+from eigenmark import pea
+
+calls = []
+fwht = pea._fwht_axis1
+
+def counted(a):
+    calls.append(a.shape)
+    return fwht(a)
+
+pea._fwht_axis1 = counted
+spec = em.SpectralUnitary(dim=3, eigenphases=(0.02, 1.8, -2.1), delta=1.5)
+target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+layout = em.WorkspaceLayout(mu=3, window=1)
+runs = {}
+for variant, extra in (("pea", {}), ("voting", {"nu": 3}), ("fixed_point", {"q": 1})):
     assembly = em.build_assembly(spec, target, layout, variant, **extra)
-    calls = []
-    fwht = pea._fwht_axis1
+    before = len(calls)
+    report = em.evaluate_marker(assembly, spec, target, n_random=2, seed=8)
+    again = em.evaluate_marker(assembly, spec, target, n_random=2, seed=8)
+    counters = report.counters
+    runs[variant] = [len(calls) - before, counters.n_p, counters.n_u, counters.n_a,
+                     again.to_json_dict() == report.to_json_dict()]
+print(json.dumps(runs))
+"""
 
-    def counted(a):
-        calls.append(a.copy())
-        return fwht(a)
 
-    monkeypatch.setattr(pea, "_fwht_axis1", counted)
-    marker.uniform_state.cache_clear()
-    n_random = 2
-    report = em.evaluate_marker(assembly, spec, target, n_random=n_random, seed=8)
-    assert len(calls) == extra.get("nu", 1)
-    assert np.array_equal(calls[0].ravel(), np.eye(1, calls[0].size)[0])
-    again = em.evaluate_marker(assembly, spec, target, n_random=n_random, seed=8)
-    assert len(calls) == extra.get("nu", 1)
-    assert again.to_json_dict() == report.to_json_dict()
-    per_marker = 2 * extra.get("nu", 9 ** extra.get("q", 0))
-    assert report.counters.n_p == per_marker * (spec.dim + n_random)
-    assert report.counters.n_u == report.counters.n_p * layout.work_dim
-    assert report.counters.n_a == extra.get("nu", 1) * layout.mu
+def test_evaluation_runs_no_walsh_hadamard():
+    # An evaluation drives the inner markers on u = H sigma, formed from its
+    # formula, so not one Walsh-Hadamard transform runs, not even in the
+    # first evaluation, and a repeat gives the same report.  The counters
+    # keep the pinned laws: per application N_P = 2 * 9^q (2 * nu for
+    # voting) and N_U = N_P * 2^mu.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _EVALUATIONS_WITHOUT_TRANSFORM], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    dim, n_random, mu = 3, 2, 3
+    for variant, per_marker, registers in (("pea", 2, 1), ("voting", 2 * 3, 3),
+                                           ("fixed_point", 2 * 9, 1)):
+        transforms, n_p, n_u, n_a, repeats = runs[variant]
+        assert transforms == 0 and repeats, variant
+        assert n_p == per_marker * (dim + n_random), variant
+        assert n_u == n_p * 2 ** mu, variant
+        assert n_a == registers * mu, variant
 
 
 @pytest.mark.skipif(not hasattr(np, "complex256"), reason="no extended precision here")

@@ -190,6 +190,21 @@ def reach_work(*_args, **_kwargs):
     raise WorkReached
 
 
+def run_stubbed(command, doc, directory):
+    """(exit code, stderr) of the CLI on the config doc, with the work entry
+    points stubbed to raise WorkReached, which propagates."""
+    config = directory / "c.json"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((pea, "best_window"), (pea, "calibrate_workspace"),
+                             (pea, "measure_eta"), (marker, "evaluate_marker")):
+            mp.setattr(module, name, reach_work)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(config), "--out", str(directory)])
+    return code, err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -213,6 +228,24 @@ def held_at(doc, path):
 
 def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+NUMBER_PATHS = [(name, path) for name, (_command, base) in sorted(BASE_CONFIGS.items())
+                for path in config_paths(base) if is_number(value_at(base, path))]
+
+
+@pytest.mark.parametrize("wrong", [True, False, "x", "1.0"], ids=repr)
+@pytest.mark.parametrize("name, path", NUMBER_PATHS,
+                         ids=[f"{name}:{'.'.join(map(str, path))}" for name, path in NUMBER_PATHS])
+def test_a_bool_or_string_for_a_number_exits_2(fuzz_dir, name, path, wrong):
+    # Every number-valued path of every base config, at any depth, with
+    # no example search: a bool or a string there exits 2 before any work.
+    command, base = BASE_CONFIGS[name]
+    doc = copy.deepcopy(base)
+    value_at(doc, path[:-1])[path[-1]] = wrong
+    code, err = run_stubbed(command, doc, fuzz_dir)
+    assert code == 2
+    assert err.startswith("error: config"), err
 
 
 @settings(max_examples=300)
@@ -239,27 +272,19 @@ def test_mutated_configs_keep_the_exit_code_contract(fuzz_dir, data):
         parent[key + key[-1]] = parent.pop(key)
     wrong_kind = any(isinstance(mutant, (bool, str)) and is_number(value_at(base, path))
                      and held_at(doc, path) is mutant for path, mutant in mutated)
-    config = fuzz_dir / "c.json"
-    config.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        for module, name in ((pea, "best_window"), (pea, "calibrate_workspace"),
-                             (pea, "measure_eta"), (marker, "evaluate_marker")):
-            mp.setattr(module, name, reach_work)
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = cli.main([command, "--config", str(config), "--out", str(fuzz_dir)])
-            except WorkReached:
-                assert renamed is None and not wrong_kind
-                return
+    try:
+        code, err = run_stubbed(command, doc, fuzz_dir)
+    except WorkReached:
+        assert renamed is None and not wrong_kind
+        return
     assert code in (0, 1, 2)
     if code == 2:
-        assert "error:" in err.getvalue()
+        assert "error:" in err
     if renamed is not None or wrong_kind:
         assert code == 2
     if renamed is not None and len(renamed) == 1:
-        assert f"nearest known key is {key!r}" in err.getvalue()
+        assert f"nearest known key is {key!r}" in err
     if wrong_kind and renamed is None:
         # The key table rejects it, naming where it is; no later check does.
-        assert err.getvalue().startswith("error: config")
-    assert "Traceback" not in err.getvalue()
+        assert err.startswith("error: config")
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ def test_build_shifted_rejects_mismatched_target():
     target = em.MarkTarget.resolve(spec_a, psi_prime=0.0, phi=np.pi, b=0.05)
     with pytest.raises(ValueError, match="different spectral model"):
         em.build_shifted(spec_b, target)
+
+
+def test_build_shifted_rejects_a_model_that_breaks_the_gap():
+    # Same phases, wider gap: resolve rejects the model, so the builders
+    # must reject it too when handed the target resolved at the narrower
+    # gap, with resolve's reason.
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.0, 2.0), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    wider = dataclasses.replace(spec, delta=2.5)
+    with pytest.raises(ValueError, match="violates the gap"):
+        em.MarkTarget.resolve(wider, psi_prime=0.0, phi=np.pi, b=0.05)
+    with pytest.raises(ValueError, match="different spectral model.*violates the gap"):
+        em.build_shifted(wider, target)
+    with pytest.raises(ValueError, match="different spectral model.*violates the gap"):
+        em.build_assembly(wider, target, em.WorkspaceLayout(3, 1), "pea")
 
 
 def test_ideal_marker_examples():
