@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fpqs import ETA_REGIME, log_wrong_magnitudes
 from .statevec import Tally
 
-ETA_REGIME = 2.0 ** -5
 PLAN_SAFETY = 0.01  # the budget share c of one of Q invocations: eps = c / Q
 
 TABLE_COLUMNS = ("variant", "delta", "eps", "mu", "q", "nu",
@@ -46,21 +46,17 @@ class ComplexityCounters:
 
 
 def plan_recursion(eta: float, eps_target: float) -> int:
-    """Smallest recursion level q with h_q eta^{3^q} <= eps_target,
-    evaluated in log space.  eps_target >= eta trivially yields q = 0."""
+    """Smallest recursion level q with h_q eta^{3^q} <= eps_target, in log
+    space (fpqs.log_wrong_magnitudes).  eps_target >= eta yields q = 0."""
     if not (0.0 < eta <= ETA_REGIME):
         raise ValueError(f"eta {eta!r} outside the working regime (0, 2^-5]")
     if not (0.0 < eps_target < 1.0):
         raise ValueError(f"eps_target {eps_target!r} outside (0, 1)")
-    log_eta = math.log(eta)
     log_eps = math.log(eps_target)
-    log3 = math.log(3.0)
     q = 0
-    while True:
-        m = 3 ** q
-        if 3.0 * (m - 1) / 4.0 * log3 + m * log_eta <= log_eps:
-            return q
+    while log_wrong_magnitudes(q, eta)[1] > log_eps:
         q += 1
+    return q
 
 
 def _models(delta: float, eps: float) -> list[dict]:

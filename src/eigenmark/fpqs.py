@@ -23,6 +23,10 @@ state u = H|sigma>.  By induction on the level,
 core_q(V) = core_q^u(V_F) . H, where core^u takes its sigma-phase about u;
 the marker builds its core that way and leaves H out, and an evaluation
 drives it on u, formed from its formula (see marker), so H never runs.
+selective_phase picks its rotation at build by the kind of target, and a
+constant state such as u keeps only its dimension.  The level-q error
+law (log_wrong_magnitudes, for eta within ETA_REGIME) is read by
+predict_schedule and complexity.plan_recursion.
 """
 
 from __future__ import annotations
@@ -40,26 +44,26 @@ from .statevec import (
     real_dtype,
     require_int,
 )
-from .complexity import ETA_REGIME  # noqa: F401  (the error law's regime, fpqs.ETA_REGIME)
 
 # pi/3 rounded once in long double, so a complex256 phase turns by pi/3 to
 # a long-double ulp; complex128 rounds it on to the nearest double.
 PI3 = np.arccos(np.longdouble(-1)) / 3
 Q_CAP = 3  # deepest recursion level built: 9^3 = 729 applications
+ETA_REGIME = 2.0 ** -5  # the largest eta at which the level-q error law holds
 
 
 def selective_phase(target: np.ndarray | SubspaceProjector, angle: float | np.floating,
                     main_dim: int = 1) -> LinearOperator:
     """1_main (x) (1 - (1 - e^{i angle}) P) on dim = main_dim * work_dim,
     the amplitudes seen as (main_dim, work_dim) rows; with main_dim 1 it is
-    a phase on the target's own space.  The target lives on the workspace:
-    a basis-subspace projector P scales its columns, and a unit state
-    vector t, P = |t><t|, has its projection subtracted from every row.  A
-    state target is kept in at least complex128 (complex256 stays
-    complex256), and the angle as given: a long-double angle keeps its
-    precision.  A constant state, such as the uniform one, needs no
-    product with it: its projection is a row sum over the workspace,
-    scaled in real_dtype."""
+    a phase on the target's own space.  The target lives on the workspace,
+    and its kind picks the rotation here, once: a basis-subspace projector
+    P scales its columns; a constant unit state, such as the uniform one,
+    keeps only its dimension, its projection a row sum over the workspace
+    scaled in real_dtype; any other unit state t, P = |t><t|, is kept in
+    at least complex128 (complex256 stays complex256) and has its
+    projection subtracted from every row.  The angle is kept as given: a
+    long-double angle keeps its precision."""
     main_dim = require_int(main_dim, "main_dim")
     if main_dim < 1:
         raise ValueError(f"main_dim {main_dim} must be positive")
@@ -83,28 +87,28 @@ def selective_phase(target: np.ndarray | SubspaceProjector, angle: float | np.fl
             return out
     else:
         state = np.asarray(target)
-        state = state.astype(np.result_type(state, np.complex128), copy=False)
         if state.ndim != 1:
             raise ValueError(f"state target must be a vector, got shape {state.shape}")
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state target norm {float(nrm)!r} deviates from 1")
         work_dim = state.shape[0]
-        # A constant state t has |t><t| = J / work_dim whatever its phase,
-        # so its projection is a row sum scaled by 1 / work_dim.
-        constant = bool(np.all(state == state[0]))
-
-        def rotate(rows, phase):
-            if constant:
+        if np.all(state == state[0]):
+            # A constant state t has |t><t| = J / work_dim whatever its
+            # phase, so its projection is a row sum scaled by 1 / work_dim.
+            def rotate(rows, phase):
                 # Pairwise sums over a contiguous workspace axis (@ adds
                 # in sequence) keep the row sums within a few ulps.
                 along = np.ascontiguousarray(rows.transpose(0, 2, 1))
                 part = (along.sum(axis=2) * ((phase - 1.0) / work_dim))[:, None, :]
-            else:
+                return rows + part
+        else:
+            state = state.astype(np.result_type(state, np.complex128), copy=False)
+
+            def rotate(rows, phase):
                 w = state.astype(rows.dtype)
                 coeff = (w.conj() @ rows)[:, None, :]
-                part = (phase - 1.0) * (w[:, None] * coeff)
-            return rows + part
+                return rows + (phase - 1.0) * (w[:, None] * coeff)
 
     def make(sign):
         def run(x, _tally):
@@ -205,16 +209,22 @@ class SchedulePrediction:
     unmarked_magnitude: float
 
 
+def log_wrong_magnitudes(q: int, eta: float) -> tuple[float, float]:
+    """log(g_q eta^m) and log(h_q eta^m), m = 3^q: the leading-order wrong
+    magnitudes after level q, marked and unmarked, in log space to dodge
+    under- and overflow.  The law holds for eta within ETA_REGIME."""
+    m, log_eta, log3 = 3 ** q, math.log(eta), math.log(3.0)
+    return ((m - 1) / 4.0 * log3 + m * log_eta,
+            3.0 * (m - 1) / 4.0 * log3 + m * log_eta)
+
+
 def predict_schedule(q: int, eta: float) -> SchedulePrediction:
     """Leading-order wrong magnitudes g_q eta^m (marked) and h_q eta^m
-    (unmarked) after level q, evaluated in log space to dodge under- and
-    overflow.  eta beyond the ETA_REGIME = 2^-5 working regime still
-    yields numbers; the caller compares eta with ETA_REGIME."""
+    (unmarked) after level q, from log_wrong_magnitudes.  eta beyond the
+    ETA_REGIME = 2^-5 working regime still yields numbers; the caller
+    compares eta with ETA_REGIME."""
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta {eta!r} outside (0, 1)")
     sched = RecursionSchedule.closed_form(q)
-    log_eta = math.log(eta)
-    log3 = math.log(3.0)
-    marked = math.exp((sched.m - 1) / 4.0 * log3 + sched.m * log_eta)
-    unmarked = math.exp(3.0 * (sched.m - 1) / 4.0 * log3 + sched.m * log_eta)
+    marked, unmarked = (math.exp(v) for v in log_wrong_magnitudes(q, eta))
     return SchedulePrediction(schedule=sched, marked_magnitude=marked, unmarked_magnitude=unmarked)

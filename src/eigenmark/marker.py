@@ -51,9 +51,9 @@ from .statevec import (
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted
 from .pea import CalibrationResult, WorkspaceLayout, estimation_factors, verification_model
-from .fpqs import build_fixed_point, check_level, selective_phase
+from .fpqs import ETA_REGIME, build_fixed_point, check_level, selective_phase
 from .voting import check_joint_dim, majority_projector, require_odd
-from .complexity import ETA_REGIME, ComplexityCounters, plan_recursion
+from .complexity import ComplexityCounters, plan_recursion
 
 VARIANTS = ("pea", "voting", "fixed_point")
 
@@ -130,8 +130,8 @@ def check_variant(variant: str, q: int | None, nu: int | None) -> None:
         require_odd(nu)
 
 
-def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: float,
-                  variant: str, q: int | None, nu: int | None) -> LinearOperator:
+def _eigen_marker(lam, layout: WorkspaceLayout, u: np.ndarray, zproj: SubspaceProjector,
+                  phi: float, variant: str, q: int | None, nu: int | None) -> LinearOperator:
     """The marker without its Walsh-Hadamard ends in the eigenframe, on
     eigendirections with shifted phases lam, main index i for lam[i]:
     core'+ . (1 x I_Z^phi) . core' with core' = V_F (pea), the registers'
@@ -144,8 +144,7 @@ def _eigen_marker(lam, layout: WorkspaceLayout, zproj: SubspaceProjector, phi: f
         core = compose(*estimation_factors(lam, layout, nu)[:-1])
     else:
         v_f, _hadamard = estimation_factors(lam, layout)
-        core = (v_f if variant == "pea"
-                else build_fixed_point(v_f, q, zproj, uniform_state(layout.work_dim)))
+        core = v_f if variant == "pea" else build_fixed_point(v_f, q, zproj, u)
     return assemble_marker(core, phi, zproj)
 
 
@@ -161,8 +160,8 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
         zproj, ancillas = majority_projector(layout.z_window(), nu), nu * layout.mu
     else:
         zproj, ancillas = layout.z_window(), layout.mu
-    marker_on = functools.partial(_eigen_marker, layout=layout, zproj=zproj, phi=target.phi,
-                                  variant=variant, q=q, nu=nu)
+    marker_on = functools.partial(_eigen_marker, layout=layout, u=uniform_state(layout.work_dim),
+                                  zproj=zproj, phi=target.phi, variant=variant, q=q, nu=nu)
     return MarkerAssembly(
         variant=variant, phi=target.phi, inner=marker_on(lam),
         hadamard=estimation_factors(lam, layout, nu or 1)[-1],

@@ -131,13 +131,15 @@ class MarkTarget:
             raise ValueError(
                 f"no eigenphase within b*delta={window!r} of estimate {psi_prime!r}"
             )
-        if marked_index is not None and not 0 <= marked_index < spec.dim:
-            raise ValueError(f"declared marked index {marked_index} outside [0, {spec.dim})")
-        if marked_index is not None and marked_index not in marked:
-            raise ValueError(
-                f"declared marked index {marked_index} has |lambda|="
-                f"{abs(lam[marked_index])!r} >= b*delta={window!r}"
-            )
+        if marked_index is not None:
+            marked_index = require_int(marked_index, "declared marked index")
+            if not 0 <= marked_index < spec.dim:
+                raise ValueError(f"declared marked index {marked_index} outside [0, {spec.dim})")
+            if marked_index not in marked:
+                raise ValueError(
+                    f"declared marked index {marked_index} has |lambda|="
+                    f"{abs(lam[marked_index])!r} >= b*delta={window!r}"
+                )
         psi = spec.eigenphases[marked[0]]
         for i in marked[1:]:
             if spec.eigenphases[i] != psi:

@@ -31,13 +31,11 @@ dim, built once from member indices and shared as they are by every
 operator and caller that reads them.
 
 Operators are safe to share across threads.  Their state is fixed at
-construction except for per-dtype caches that fill on first use: the
-estimation operator's phase mask (pea.estimation_factors) is built once,
-under a lock the operator owns, since it is a W-point table; the
-selective phase's scalar factor and from_matrix's cast matrix are filled
-without one, as two threads that race compute the same value and one
-store wins; pea._sylvester is a functools.cache.  A Tally is
-single-owner: apply gives each concurrent application its own.
+construction except for two per-dtype caches that fill on first use:
+the estimation tables (pea.estimation_factors), under a lock the
+operator owns, and the selective phase's scalar factors, without one,
+as racing threads compute the same value.  A Tally is single-owner:
+apply gives each concurrent application its own.
 """
 
 from __future__ import annotations
@@ -199,18 +197,10 @@ def from_matrix(matrix: np.ndarray, cost: CostTags = ()) -> LinearOperator:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    cache: dict = {}
-
-    def _cast(dtype, adj: bool):
-        key = (np.dtype(dtype), adj)
-        if key not in cache:
-            cache[key] = (m.conj().T if adj else m).astype(dtype)
-        return cache[key]
-
     return LinearOperator(
         m.shape[0],
-        lambda x, _t: _cast(x.dtype, False) @ x,
-        lambda x, _t: _cast(x.dtype, True) @ x,
+        lambda x, _t: m.astype(x.dtype) @ x,
+        lambda x, _t: m.conj().T.astype(x.dtype) @ x,
         cost,
     )
 

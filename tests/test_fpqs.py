@@ -282,6 +282,21 @@ def test_predict_schedule_magnitudes():
         em.predict_schedule(1, 0.0)
 
 
+def test_level_law_matches_the_schedule():
+    # The log-space law is g_q eta^m and h_q eta^m with the closed-form
+    # growth factors; predict_schedule and the planner both read it.
+    for q in range(4):
+        sched = em.RecursionSchedule.closed_form(q)
+        for eta in (2.0 ** -5, 1e-3, 0.1):
+            marked, unmarked = fpqs.log_wrong_magnitudes(q, eta)
+            assert marked == pytest.approx(np.log(sched.g) + sched.m * np.log(eta), rel=1e-12)
+            assert unmarked == pytest.approx(np.log(sched.h) + sched.m * np.log(eta),
+                                             rel=1e-12)
+            pred = em.predict_schedule(q, eta)
+            assert (pred.marked_magnitude, pred.unmarked_magnitude) == (np.exp(marked),
+                                                                        np.exp(unmarked))
+
+
 def test_compress_dimension_mismatch():
     window = em.SubspaceProjector(3, (0,))
     v = em.from_matrix(np.eye(4, dtype=complex))

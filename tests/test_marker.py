@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,25 @@ def test_evaluation_runs_no_walsh_hadamard():
         assert n_p == per_marker * (dim + n_random), variant
         assert n_u == n_p * 2 ** mu, variant
         assert n_a == registers * mu, variant
+
+
+def test_fixed_point_assembly_holds_no_copy_of_u():
+    # The sigma-phases about the uniform state u keep only its dimension, so
+    # a q=2 marker at mu=18 (u is 4 MiB in complex128) holds well under one
+    # copy of it.  Each phase used to keep its own complex128 copy: 2 q
+    # (D + 1) = 12 copies, 48 MiB.
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(18, round(2 ** 18 * 1.5 / (6 * np.pi)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assembly = em.build_assembly(spec, target, layout, "fixed_point", q=2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(assembly.directions) == 2
+    assert held < 2 ** 20, f"{held / 2 ** 20:.1f} MiB held"
 
 
 @pytest.mark.skipif(not hasattr(np, "complex256"), reason="no extended precision here")

@@ -101,6 +101,21 @@ def test_build_shifted_rejects_a_model_that_breaks_the_gap():
         em.build_assembly(wider, target, em.WorkspaceLayout(3, 1), "pea")
 
 
+@pytest.mark.parametrize("index", [False, True, 0.0, np.float64(0)],
+                         ids=["false", "true", "float", "numpy_float"])
+def test_declared_marked_index_must_be_an_integer(index):
+    # A bool or a float used to pass: False and 0.0 marked index 0, and
+    # True indexed the phases as a boolean mask.  As for dim, a count is
+    # never read from a flag or a float.
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.0, 2.0), delta=1.5)
+    with pytest.raises(TypeError, match="declared marked index must be an integer"):
+        em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05, marked_index=index)
+    for whole in (0, np.int64(0)):
+        target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05,
+                                       marked_index=whole)
+        assert target.marked_indices == (0,)
+
+
 def test_ideal_marker_examples():
     spec = em.SpectralUnitary(dim=2, eigenphases=(0.0, 2.0), delta=1.5)
     t0 = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=0.0, b=0.05)
