@@ -38,6 +38,7 @@ from .pea import (
     estimation_factors,
     measure_eta,
     verification_model,
+    walsh_hadamard,
     window_response_mass,
 )
 from .fpqs import (

@@ -434,8 +434,9 @@ def check_marker_joint_oracle(spec, target, layout, variants, n_random: int, see
         joint = in_frame(assembly.frame, basis, assembly.work_dim)
         turned = apply(joint, [basis @ c for c in coeffs], np.eye(1, assembly.work_dim)[0])
         inner = apply(assembly.inner, coeffs, assembly.uniform())
+        hadamard = pea.walsh_hadamard(assembly.inner.dim, assembly.work_dim)
         for t, out in zip(turned, inner):
-            read = assembly.hadamard.apply_to((basis @ out).ravel())
+            read = hadamard.apply_to((basis @ out).ravel())
             worst = max(worst, float(np.abs(t.ravel() - read).max()))
         names.append(variant + {"fixed_point": f" q={q}", "voting": f" nu={nu}"}.get(variant, ""))
     return CheckResult("marker.joint_oracle", worst <= tol,

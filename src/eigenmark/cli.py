@@ -264,12 +264,17 @@ def _cmd_calibrate(args) -> int:
 # --- simulate ----------------------------------------------------------------
 
 def _resolve_layout(cfg, spec, target, variant_args):
-    """The calibrated layout, or the configured mu with the configured
-    window or the best one; the variant is checked before any calibration,
-    and a voting layout against the tensor guard before any window search."""
+    """The calibrated layout, which a configured mu or window contradicts,
+    or the configured mu with the configured window or the best one; the
+    variant is checked before any calibration, and a voting layout against
+    the tensor guard before any window search."""
     try:
         marker.check_variant(**variant_args)
         if cfg["calibrate"]:
+            given = [key for key in ("mu", "window") if cfg[key] is not None]
+            if given:
+                raise ConfigError(f'"calibrate": true chooses mu and window, but the config '
+                                  f'also gives {" and ".join(map(repr, given))}')
             calib = pea.calibrate_workspace(spec.delta, target.b, eta_target=cfg["eta_target"])
             if not calib.converged:
                 raise ConfigError(

@@ -4,17 +4,15 @@ from the ideal selective phase.
 The assembled marker is core+ . (1_main x I_Z^phi) . core, where core is
 any of the estimation variants (plain, voting tensor, fixed-point level q)
 and Z is the workspace subspace that flags "marked".  Every variant's core
-applies H first, with H = H^(x nu) the Walsh-Hadamard transform on the
-workspace (nu = 1 but for voting): V_F . H, voting's T . H^(x nu) and the
-fixed-point core_q^u(V_F) . H (see voting, fpqs).  So the marker is
+applies H first, H = H^(x nu) = pea.walsh_hadamard on the W^nu workspace
+amplitudes (nu = 1 but for voting): V_F . H, voting's T . H^(x nu) and
+the fixed-point core_q^u(V_F) . H (see voting, fpqs).  So the marker is
 H . inner . H, where inner = core'+ . (1_main x I_Z^phi) . core' is built
 from the V_F factors alone (core' = V_F, T or core_q^u(V_F)).  H is real,
 orthogonal and its own inverse, and H sigma = u is the uniform state, so
 || marker(c x sigma) - ideal c x sigma || = || inner(c x u) - ideal c x u ||
-exactly, and an evaluation drives inner on u.  u is formed from its
-formula, every amplitude 1/sqrt(work_dim) (uniform_state), so an
-evaluation runs no Walsh-Hadamard transform at all: only V_F applications
-and workspace phases.
+exactly, and an evaluation drives inner on u, formed from its formula
+(uniform_state): only V_F applications and workspace phases, no H.
 
 Every variant is built from phases in the eigenframe of U, where it acts
 on each eigendirection separately.  So one helper builds inner on a tuple
@@ -50,7 +48,8 @@ from .statevec import (
     require_int,
 )
 from .spectral import SpectralUnitary, MarkTarget, build_shifted
-from .pea import CalibrationResult, WorkspaceLayout, estimation_factors, verification_model
+from .pea import (CalibrationResult, WorkspaceLayout, estimation_factors, verification_model,
+                  walsh_hadamard)
 from .fpqs import ETA_REGIME, build_fixed_point, check_level, selective_phase
 from .voting import check_joint_dim, majority_projector, require_odd
 from .complexity import ComplexityCounters, plan_recursion
@@ -73,16 +72,15 @@ class MarkerAssembly:
     never turned by the eigenbasis.
 
     inner is the marker on all eigendirections without its Walsh-Hadamard
-    ends, and hadamard is H = H^(x nu) on its rows, so frame = hadamard .
-    inner . hadamard is the physical marker.  directions[i] is inner for
-    eigendirection i alone, on the workspace: on the uniform state
-    u = uniform(dtype) it gives row i of inner on e_i (x) u, whose other
-    rows are zero."""
+    ends; frame = H . inner . H is the physical marker, with H the
+    transform on the work_dim amplitudes of each row (pea.walsh_hadamard,
+    composed on access).  directions[i] is inner for eigendirection i
+    alone, on the workspace: on the uniform state u = uniform(dtype) it
+    gives row i of inner on e_i (x) u, whose other rows are zero."""
 
     variant: str
     phi: float
     inner: LinearOperator
-    hadamard: LinearOperator
     directions: tuple[LinearOperator, ...]
     work_dim: int
     mu: int
@@ -97,7 +95,8 @@ class MarkerAssembly:
     @property
     def frame(self) -> LinearOperator:
         """The physical marker H . inner . H on all eigendirections."""
-        return compose(self.hadamard, self.inner, self.hadamard)
+        hadamard = walsh_hadamard(self.inner.dim, self.work_dim)
+        return compose(hadamard, self.inner, hadamard)
 
     def uniform(self, dtype=np.complex128) -> np.ndarray:
         """u = H sigma on the workspace, in dtype: the start state of inner
@@ -141,9 +140,9 @@ def _eigen_marker(lam, layout: WorkspaceLayout, u: np.ndarray, zproj: SubspacePr
     winning majority)."""
     if variant == "voting":
         check_joint_dim(len(lam), layout.work_dim, nu)
-        core = compose(*estimation_factors(lam, layout, nu)[:-1])
+        core = compose(*estimation_factors(lam, layout, nu))
     else:
-        v_f, _hadamard = estimation_factors(lam, layout)
+        v_f, = estimation_factors(lam, layout)
         core = v_f if variant == "pea" else build_fixed_point(v_f, q, zproj, u)
     return assemble_marker(core, phi, zproj)
 
@@ -153,7 +152,7 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
                    nu: int | None = None) -> MarkerAssembly:
     """Construct the chosen variant's marker without its Walsh-Hadamard
     ends in the eigenframe, once on all eigendirections and once on each
-    eigendirection alone, and the transform on all of them."""
+    eigendirection alone."""
     check_variant(variant, q, nu)
     lam = build_shifted(spec, target).eigensystem[0]
     if variant == "voting":
@@ -164,7 +163,6 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
                                   zproj=zproj, phi=target.phi, variant=variant, q=q, nu=nu)
     return MarkerAssembly(
         variant=variant, phi=target.phi, inner=marker_on(lam),
-        hadamard=estimation_factors(lam, layout, nu or 1)[-1],
         directions=tuple(marker_on((phase,)) for phase in lam),
         work_dim=zproj.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )

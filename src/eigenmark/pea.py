@@ -4,12 +4,10 @@ calibration of the workspace size.
 
 The estimation operator on a mu-qubit workspace is V = V_F . H: H is the
 Walsh-Hadamard transform and V_F = inverse-QFT . controlled-powers.
-estimation_factors is the one home of the split; build_pea composes it.
-No W x W matrix is ever formed (W = 2^mu): V_F is an FFT, O(W log W), and
-H is its Kronecker factorisation H_{2^a} (x) H_{2^b} (x) ..., one matmul
-of a small Sylvester matrix per factor (order up to 64 in double precision,
-where BLAS serves it; order 4 in long double, which numpy multiplies
-without BLAS), so both stay in the amplitudes' own real dtype.
+estimation_factors builds V_F, walsh_hadamard builds H, and build_pea
+composes the two.  No W x W matrix is ever formed (W = 2^mu): V_F is an
+FFT and H is mu radix-2 butterfly stages, both O(W log W) and both in the
+amplitudes' own real dtype.
 V_F carries the whole cost: each application charges the U counter with
 exactly 2^mu and the P counter with 1 (adjoint applications charge the
 same), and H charges nothing.  Since H acts on the workspace only and is
@@ -17,8 +15,8 @@ an involution, every variant's marker is H . inner . H, with inner built
 from V_F alone: the fixed-point recursion runs on V_F (see fpqs), and so do
 voting's registers.  On sigma the transform gives the uniform state
 u = H sigma, which marker.uniform_state forms from its formula, so a marker
-evaluation runs no H at all; H runs in measure_eta, build_pea and the
-oracles.
+evaluation runs no H at all; H runs in measure_eta and in the oracles
+(voting.build_h_tensor, marker.MarkerAssembly.frame).
 
 Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
@@ -52,7 +50,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .statevec import (LinearOperator, SubspaceProjector, apply, compose, in_frame,
-                       real_dtype, require_int)
+                       main_rows, real_dtype, require_int)
 from .spectral import SpectralUnitary, MarkTarget, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
@@ -105,56 +103,57 @@ class WorkspaceLayout:
         return v
 
 
-@functools.cache
-def _sylvester(order: int, real: np.dtype) -> np.ndarray:
-    """Normalized order x order Sylvester-Hadamard matrix, entries
-    +-1/sqrt(order) in the real dtype."""
-    h = np.ones((1, 1), dtype=real)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    h /= np.sqrt(real.type(order))
-    h.flags.writeable = False
-    return h
-
-
 def _fwht_axis1(a: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform along axis 1 of (m, W, k).
+    """Normalized Walsh-Hadamard transform along axis 1 of (m, W, k), as a
+    new array: log2 W radix-2 butterflies (x, y) -> (x + y, x - y) in place
+    on the real view of one copy, then one scaling by 1/sqrt(W) in its real
+    dtype (long double for complex256), one path for every dtype."""
+    out = np.array(a, order="C")
+    flat = out.view(real_dtype(a.dtype))
+    for bit in range(a.shape[1].bit_length() - 1):
+        pairs = flat.reshape(-1, 2, flat.shape[2] << bit)
+        x, y = pairs[:, 0], pairs[:, 1]
+        diff = x - y
+        x += y
+        y[...] = diff
+    flat *= 1 / np.sqrt(flat.dtype.type(a.shape[1]))
+    return out
 
-    H_W = H_{2^a} (x) H_{2^b} (x) ... acts on the real view of the array
-    one Kronecker factor at a time: each is one matmul of a Sylvester
-    matrix over the index bits it owns, so the arithmetic stays in the
-    array's own real dtype."""
-    m, dim, k = a.shape
-    real = real_dtype(a.dtype)
-    mu = dim.bit_length() - 1
-    # BLAS multiplies float32/64 in factors of order up to 64; numpy
-    # multiplies long double without BLAS, fastest in factors of order 4.
-    count = -(-mu // (6 if real.itemsize <= 8 else 2))
-    out = np.ascontiguousarray(a).view(real)
-    rows = m
-    for i in range(count):
-        order = 2 ** (mu // count + (i < mu % count))
-        out = np.matmul(_sylvester(order, real), out.reshape(rows, order, -1))
-        rows *= order
-    return out.reshape(m, dim, 2 * k).view(a.dtype)
+
+def walsh_hadamard(dim: int, work_dim: int) -> LinearOperator:
+    """H on the work_dim amplitudes of each main row of a dim-dimensional
+    joint space (flat = i * work_dim + z): the normalized Walsh-Hadamard
+    transform, real, orthogonal and its own inverse, charging nothing.  On
+    nu registers of W amplitudes work_dim = W^nu, since H on nu * mu
+    qubits is H_W^(x nu).  ValueError when work_dim is not a power of two
+    or does not tile dim."""
+    if work_dim < 1 or work_dim & (work_dim - 1):
+        raise ValueError(f"work dim {work_dim} is not a power of two")
+
+    def transform(x, _tally):
+        return _fwht_axis1(x.reshape(-1, work_dim, x.shape[1])).reshape(x.shape)
+
+    op = LinearOperator(dim, transform, transform)
+    main_rows(op, work_dim)
+    return op
 
 
 def estimation_factors(lam, layout: WorkspaceLayout,
                        registers: int = 1) -> tuple[LinearOperator, ...]:
-    """The estimation operator V = V_F . H in the eigenframe of the shifted
-    unitary, as its factors, for the shifted eigenphases lam (one main
-    index per phase): (V_F, H), or with registers = nu (V_F on register 1,
-    ..., V_F on register nu, H on all nu registers).
+    """The V_F factors of the estimation operator V = V_F . H in the
+    eigenframe of the shifted unitary, for the shifted eigenphases lam (one
+    main index per phase): (V_F,), or with registers = nu (V_F on register
+    1, ..., V_F on register nu).  H is walsh_hadamard, which the callers
+    that apply it compose themselves.
 
-    H is the Walsh-Hadamard transform on the workspace, its own inverse,
-    charging nothing.  V_F is the z-controlled power of the shifted
-    operator followed by the inverse QFT on the workspace; it charges 2^mu
-    on the U counter (the stated accounting convention, even though a
-    ladder of controlled squarings could be tallied as 2^mu - 1) and 1 on
-    the P counter per application.  The controlled powers are phases in the
-    eigenframe, so the eigenphases are all the factors need.  Register r
-    acts on the row view (main_dim * W^(r-1), W, rest) of the joint state,
-    its mask broadcast over the earlier registers, so nothing is copied.
+    V_F is the z-controlled power of the shifted operator followed by the
+    inverse QFT on the workspace; it charges 2^mu on the U counter (the
+    stated accounting convention, even though a ladder of controlled
+    squarings could be tallied as 2^mu - 1) and 1 on the P counter per
+    application.  The controlled powers are phases in the eigenframe, so
+    the eigenphases are all the factors need.  Register r acts on the row
+    view (main_dim * W^(r-1), W, rest) of the joint state, its mask
+    broadcast over the earlier registers, so nothing is copied.
     """
     lam = np.asarray(lam, dtype=float)
     main_dim = lam.shape[0]
@@ -177,12 +176,6 @@ def estimation_factors(lam, layout: WorkspaceLayout,
                 cache[key] = (mask, mask.conj())
             return cache[key]
 
-    def hadamard(x, _tally):
-        out = x
-        for r in range(registers):
-            out = _fwht_axis1(out.reshape(main_dim * wdim ** r, wdim, -1))
-        return out.reshape(x.shape)
-
     def v_f(before):
         # norm="ortho" scales by 1/sqrt(W) in the array's own real dtype.
         def apply_fn(x, _tally):
@@ -198,15 +191,14 @@ def estimation_factors(lam, layout: WorkspaceLayout,
 
         return LinearOperator(dim, apply_fn, adjoint_fn, cost=(("U", wdim), ("P", 1)))
 
-    return (*(v_f(wdim ** r) for r in range(registers)),
-            LinearOperator(dim, hadamard, hadamard))
+    return tuple(v_f(wdim ** r) for r in range(registers))
 
 
 def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperator:
-    """Joint-space estimation operator for the shifted unitary: the factors
-    of estimation_factors composed, V = V_F . H, turned by the eigenbasis
-    once around the whole application.  Cost per application: 2^mu on the
-    U counter and 1 on the P counter.
+    """Joint-space estimation operator for the shifted unitary, V = V_F . H
+    (estimation_factors' V_F after walsh_hadamard), turned by the
+    eigenbasis once around the whole application.  Cost per application:
+    2^mu on the U counter and 1 on the P counter.
 
     The shifted operator must carry its eigensystem (as build_shifted's
     does); an operator without one is rejected with ValueError.
@@ -214,7 +206,9 @@ def build_pea(shifted: LinearOperator, layout: WorkspaceLayout) -> LinearOperato
     if shifted.eigensystem is None:
         raise ValueError("build_pea needs an operator that carries its eigensystem")
     phases, basis = shifted.eigensystem
-    return in_frame(compose(*estimation_factors(phases, layout)), basis, layout.work_dim)
+    v_f, = estimation_factors(phases, layout)
+    return in_frame(compose(v_f, walsh_hadamard(v_f.dim, layout.work_dim)), basis,
+                    layout.work_dim)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,8 @@ class SubspaceProjector:
     """Projector onto a set of computational basis directions, kept as a
     read-only boolean mask of length dim: SubspaceProjector(dim, indices)
     marks the given indices (any order, repeats allowed) and rejects one
-    outside [0, dim) with ValueError."""
+    outside [0, dim) with ValueError, and floats or bools, as require_int
+    would one index, with TypeError; an empty sequence marks nothing."""
 
     __slots__ = ("dim", "_mask")
 
@@ -217,7 +218,10 @@ class SubspaceProjector:
         self.dim = require_int(dim, "projector dimension")
         if self.dim < 1:
             raise ValueError("projector dimension must be positive")
-        idx = np.asarray(indices, dtype=np.int64).ravel()
+        idx = np.asarray(indices).ravel()
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"member indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
             raise ValueError(f"member indices {idx.min()}..{idx.max()} outside [0, {self.dim})")
         mask = np.zeros(self.dim, dtype=bool)
@@ -284,30 +288,24 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, start: np.ndarr
 
     The gate: numpy runs an application's FFTs and most of its array
     loops outside the GIL, so threads pay off once an application
-    outweighs the pool's cost.  Long-double applications whose time is
-    long-double FFTs (marker levels) do at every size.  pea.measure_eta's
-    single estimation-operator applications are the exception: their time
-    is the long-double Walsh-Hadamard, whose BLAS-less matmul holds the
-    GIL, so the gate threads them for no gain (on calibrate's three
-    verifications per pass, 2-core host, threads were no faster and
-    raised peak RSS from 44.6 to 50.8 MB).  For complex128,
+    outweighs the pool's cost.  Long-double marker levels, whose time is
+    long-double FFTs, do at every size.  pea.measure_eta's single
+    estimation-operator applications (an FFT and the Walsh-Hadamard
+    butterflies each) gain only when large: on 2 complex256 directions
+    (median of 10 calls, 3 rounds, 2-core host) mu=14 took 21.2-21.6 ms
+    serial against 12.5-15.9 ms threaded, but mu=11 2.4-3.3 ms against
+    2.7-4.0 ms, so the gate threads mu=11 at a loss.  For complex128,
     THREAD_MIN_DIM is the smallest power of two at which threaded
-    evaluate_marker calls of every variant won most rounds against serial
-    with BLAS on one thread (OPENBLAS_NUM_THREADS=1, as the benchmark
-    runs; 2 directions and 2 probes, median of 5 calls, 12 alternating
-    rounds, 2-core host).  An evaluation runs no Walsh-Hadamard at all
-    (its start state u is formed from its formula), so the workers make
-    no BLAS call.  At 2^15 threads won 7 rounds for
-    pea (7.7 -> 8.2 ms, the median slower, so the gate may thread it for
-    no gain), 8 for voting at mu=5, nu=3
-    (32,768 and 65,536 amplitudes; 10.1 ms both) and 11 for fixed_point
-    q=1 (68 -> 48 ms); at 2^16 9 and 11 (pea 21 -> 15 ms, fixed_point
-    148 -> 91 ms); at 2^17 all.  On the voting benchmark threads beat
-    serial in 8 of 10 alternating runs (medians 0.079 against 0.086 s a
-    pass) for 4-6 MB more peak RSS.  With OpenBLAS at its default thread
-    count threads won fewer rounds below 2^17 (pea 4 and 5, fixed_point 7
-    and 8, voting 2 to 8 of 12 over four runs) and all at 2^17.  A mu=9
-    sweep's applications (512 and 1,024 amplitudes) stay serial."""
+    evaluate_marker calls of every variant won most of 12 alternating
+    rounds against serial with BLAS on one thread (OPENBLAS_NUM_THREADS=1,
+    as the benchmark runs; 2 directions and 2 probes, median of 5 calls,
+    2-core host; an evaluation makes no BLAS call).  At 2^15 threads won 7
+    rounds for pea (7.7 -> 8.2 ms: the median got slower, so the gate may
+    thread it for no gain), 8 for voting at mu=5, nu=3 (10.1 ms both) and
+    11 for fixed_point q=1 (68 -> 48 ms); at 2^16 9 and 11, at 2^17 all.
+    With OpenBLAS at its default thread count threads won fewer rounds
+    below 2^17.  A mu=9 sweep's applications (512 and 1,024 amplitudes)
+    stay serial."""
     mains = list(mains)
     if isinstance(ops, LinearOperator):
         ops = [ops] * len(mains)

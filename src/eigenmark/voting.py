@@ -8,7 +8,8 @@ p << 1/2.  Register counts are restricted to odd values so strict
 majority never ties.
 
 The tensor is T . H^(x nu) on the shifted eigenphases: each register's
-V_F runs on a row view of the joint state, copying nothing.  The marker is
+V_F runs on a row view of the joint state, copying nothing, and H^(x nu)
+is pea.walsh_hadamard on all W^nu register amplitudes.  The marker is
 H^(x nu) . T+ I_maj T . H^(x nu), and like every variant's it is evaluated
 without its ends: the marker module builds T from the registers' V_F
 factors and drives T+ I_maj T on u = H^(x nu) sigma, the uniform state on
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .statevec import LinearOperator, SubspaceProjector, compose, require_int
-from .pea import WorkspaceLayout, estimation_factors
+from .pea import WorkspaceLayout, estimation_factors, walsh_hadamard
 
 TENSOR_GUARD = 2 ** 18
 
@@ -108,11 +109,12 @@ def build_h_tensor(lam, nu: int, layout: WorkspaceLayout) -> LinearOperator:
     """nu parallel estimation registers in the eigenframe of the shifted
     unitary, for the shifted eigenphases lam (one main index per phase):
     T . H^(x nu), with T the product of the registers' V_F factors (see
-    pea.estimation_factors) and H^(x nu) the Walsh-Hadamard transform on
-    all nu * mu register qubits.  Joint dimension main_dim * (2^mu)^nu is
+    pea.estimation_factors) and H^(x nu) = pea.walsh_hadamard on all W^nu
+    register amplitudes.  Joint dimension main_dim * (2^mu)^nu is
     guarded.  Each application charges one V_F application per register;
     a caller with an eigenbasis turns the result once with in_frame.  The
     marker leaves H^(x nu) out (see marker); this is its oracle."""
     nu = require_odd(nu)
-    check_joint_dim(len(lam), layout.work_dim, nu)
-    return compose(*estimation_factors(lam, layout, nu))
+    dim = check_joint_dim(len(lam), layout.work_dim, nu)
+    return compose(*estimation_factors(lam, layout, nu),
+                   walsh_hadamard(dim, layout.work_dim ** nu))

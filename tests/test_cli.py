@@ -109,6 +109,24 @@ def test_simulate_mu_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", [{"mu": 5, "window": 1}, {"mu": 5}, {"window": 1}],
+                         ids=["mu_and_window", "mu", "window"])
+def test_simulate_calibrate_rejects_a_given_layout(tmp_path, capsys, monkeypatch, given):
+    # Calibration chooses mu and window; a config that also gives either
+    # used to run at the calibrated mu and exit 0, ignoring them.
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("calibration started on a conflicting config")
+
+    monkeypatch.setattr(pea, "calibrate_workspace", no_work)
+    cfg = write_config(tmp_path, "c.json", {
+        "model": small_model_doc(), "variant": "pea", "calibrate": True, **given})
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and '"calibrate": true' in err
+    assert all(repr(key) in err for key in given)
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_reports_and_determinism(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "model": small_model_doc(),

@@ -159,9 +159,9 @@ def kron_hadamard_case(mu: int):
 
 @pytest.mark.parametrize("mu", range(1, 13))
 def test_hadamard_matches_dense_kronecker_power(mu):
-    # mu >= 7 takes more than one float64 factor; long double takes
-    # factors of order 4.  1e-17 needs long-double arithmetic throughout:
-    # the complex128 transform of the same input misses it.
+    # Every dtype runs the same mu butterfly stages and one scaling.
+    # 1e-17 needs long-double arithmetic throughout: the complex128
+    # transform of the same input misses it.
     x, want = kron_hadamard_case(mu)
     cases = [(np.complex128, 1e-13)]
     if EXTENDED is not np.complex128:
@@ -172,6 +172,53 @@ def test_hadamard_matches_dense_kronecker_power(mu):
             got = pea._fwht_axis1(x[:m, :, :k].astype(dtype))
             assert got.dtype == dtype and got.shape == (m, 2 ** mu, k)
             assert np.abs(got - want[:m, :, :k]).max() <= tol
+
+
+@pytest.mark.parametrize("nu", [1, 3])
+@pytest.mark.parametrize("dtype, tol", [
+    pytest.param(np.complex128, 1e-14, id="complex128"),
+    pytest.param(EXTENDED, 1e-17, id="extended", marks=needs_extended)])
+def test_walsh_hadamard_is_the_dense_kronecker_power(nu, dtype, tol):
+    # H on nu registers of W = 8 amplitudes is H_W^(x nu) on the W^nu
+    # amplitudes of every main row, its own inverse and adjoint, and it
+    # charges nothing.  The dense product runs in the real dtype.
+    real = real_dtype(dtype)
+    work_dim, main_dim = 8 ** nu, 2
+    dense = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * (3 * nu))
+    op = pea.walsh_hadamard(main_dim * work_dim, work_dim)
+    rng = np.random.default_rng(nu)
+    x = (rng.normal(size=(main_dim, work_dim, 2))
+         + 1j * rng.normal(size=(main_dim, work_dim, 2))).astype(dtype)
+    want = np.empty_like(x)
+    for part in ("real", "imag"):
+        rows = getattr(x, part).astype(real)
+        setattr(want, part, np.einsum("zy,iyk->izk", dense.astype(real), rows)
+                / np.sqrt(real.type(work_dim)))
+    tally = em.Tally()
+    got = op.apply_to(x.reshape(-1, 2), tally)
+    assert got.dtype == dtype and not tally.counts
+    assert np.abs(got.reshape(x.shape) - want).max() <= tol
+    assert np.array_equal(op.adjoint_apply_to(x.reshape(-1, 2)), got)
+    assert np.abs(op.apply_to(got) - x.reshape(-1, 2)).max() <= tol
+
+
+def test_walsh_hadamard_needs_a_power_of_two_that_tiles():
+    for dim, work_dim, says in ((24, 12, "power of two"), (24, 0, "power of two"),
+                                (24, 16, "not a whole multiple"), (4, 8, "not a whole multiple")):
+        with pytest.raises(ValueError, match=says):
+            pea.walsh_hadamard(dim, work_dim)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_estimation_factors_are_only_the_registers_v_f(nu):
+    # One V_F factor per register, each charging one U^(2^mu) ladder and
+    # one estimation application: no H hides in the tuple.
+    layout = em.WorkspaceLayout(3, 1)
+    factors = pea.estimation_factors((0.3, -2.9), layout, nu)
+    assert len(factors) == nu
+    for factor in factors:
+        assert factor.cost == (("U", 8), ("P", 1))
+        assert factor.dim == 2 * 8 ** nu
 
 
 def test_estimation_table_is_built_once_under_threads(monkeypatch):
@@ -192,7 +239,7 @@ def test_estimation_table_is_built_once_under_threads(monkeypatch):
         return real_dtype(dtype)
 
     monkeypatch.setattr(pea, "real_dtype", counting)
-    v_f, _h = pea.estimation_factors(lam, layout)
+    v_f, = pea.estimation_factors(lam, layout)
     start = threading.Barrier(4, timeout=30)
 
     def run(_):
@@ -213,7 +260,7 @@ def test_estimation_factor_vf_matches_dense_transform(mu):
     # adjoint is diag(conj mask) . F^+.  Dense sums are pairwise.
     lam = np.array([0.3, -2.9, 1.7])
     wdim = 2 ** mu
-    v_f, _h = pea.estimation_factors(lam, em.WorkspaceLayout(mu, 0))
+    v_f, = pea.estimation_factors(lam, em.WorkspaceLayout(mu, 0))
     z = np.arange(wdim).astype(LONG)
     turns = (np.outer(np.arange(wdim), np.arange(wdim)) % wdim).astype(LONG)
     dft = np.exp(-1j * (2 * np.arccos(LONG(-1)) / wdim) * turns) / np.sqrt(LONG(wdim))

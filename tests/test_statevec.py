@@ -422,6 +422,12 @@ def test_projector_validation():
     assert np.array_equal(comp.mask(), ~mask) and not comp.mask().flags.writeable
     assert np.array_equal(comp.complement().mask(), mask)
     assert np.array_equal(em.SubspaceProjector(3, ()).complement().mask(), [True] * 3)
+    # Indices are integers: a float is not truncated and a bool is not an
+    # index, as require_int rules for one.
+    for bad in ([0.5, 2.7], [True, False, True], np.array([0.0, 2.0]), ["0"]):
+        with pytest.raises(TypeError, match="integers"):
+            em.SubspaceProjector(3, bad)
+    assert tuple(np.flatnonzero(em.SubspaceProjector(3, np.array([2], np.uint8)).mask())) == (2,)
 
 
 def test_builders_keep_extended_precision(small_model):
