@@ -37,7 +37,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import complexity, marker, pea, spectral, voting
-from .statevec import EXTENDED, share_cores
+from .statevec import AMPLITUDE_DTYPES, share_cores
 
 SWEEP_COLUMNS = ("variant", "delta", "mu", "window", "q", "nu", "phi", "eta",
                  "worst_residual", "superposition_residual", "N_U", "N_A", "N_P")
@@ -145,7 +145,7 @@ def _basis(value, where: str):
 
 REQUIRED = object()  # the default of a key that must be given
 
-_DTYPES = {np.dtype(t).name: t for t in (np.complex128, EXTENDED)}
+_DTYPES = {np.dtype(t).name: t for t in AMPLITUDE_DTYPES}
 # A spectral model: the operator by its spectrum, and the marking target.
 MODEL_KEYS = {"dim": (_integer, REQUIRED), "eigenphases": (_entries(_number), REQUIRED),
               "eigenbasis": (_basis, None), "delta": (_number, REQUIRED),
@@ -416,6 +416,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
+    # A cell off the table would be calibrated and measured, then dropped.
+    for delta, eps in cfg["measured_cells"]:
+        if delta not in cfg["delta_grid"] or eps not in cfg["eps_grid"]:
+            raise ConfigError(f"measured cell ({delta!r}, {eps!r}) is not on the "
+                              "delta_grid x eps_grid table")
     measured = []
     for delta, eps in cfg["measured_cells"]:
         try:

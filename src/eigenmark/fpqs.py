@@ -41,7 +41,7 @@ from .statevec import (
     SubspaceProjector,
     compose,
     main_rows,
-    real_dtype,
+    phase_tables,
     require_int,
 )
 
@@ -62,19 +62,12 @@ def selective_phase(target: np.ndarray | SubspaceProjector, angle: float | np.fl
     keeps only its dimension, its projection a row sum over the workspace
     scaled in real_dtype; any other unit state t, P = |t><t|, is kept in
     at least complex128 (complex256 stays complex256) and has its
-    projection subtracted from every row.  The angle is kept as given: a
-    long-double angle keeps its precision."""
+    projection subtracted from every row.  The angle is kept as given, for
+    phase_tables to round: a long-double angle keeps its precision."""
     main_dim = require_int(main_dim, "main_dim")
     if main_dim < 1:
         raise ValueError(f"main_dim {main_dim} must be positive")
-    cache: dict = {}
-
-    def factor(dtype, sign):
-        key = (np.dtype(dtype), sign)
-        if key not in cache:
-            work = real_dtype(dtype).type(angle)
-            cache[key] = np.asarray(np.exp(1j * sign * work), dtype=dtype)[()]
-        return cache[key]
+    tables = phase_tables(lambda real: real.type(angle))
 
     if isinstance(target, SubspaceProjector):
         work_dim = target.dim
@@ -110,13 +103,13 @@ def selective_phase(target: np.ndarray | SubspaceProjector, angle: float | np.fl
                 coeff = (w.conj() @ rows)[:, None, :]
                 return rows + (phase - 1.0) * (w[:, None] * coeff)
 
-    def make(sign):
+    def make(half):
         def run(x, _tally):
             rows = x.reshape(main_dim, work_dim, -1)
-            return rotate(rows, factor(x.dtype, sign)).reshape(x.shape)
+            return rotate(rows, tables(x.dtype)[half]).reshape(x.shape)
         return run
 
-    return LinearOperator(main_dim * work_dim, make(+1), make(-1))
+    return LinearOperator(main_dim * work_dim, make(0), make(1))
 
 
 def _pi3_level(op: LinearOperator, zwindow: SubspaceProjector,

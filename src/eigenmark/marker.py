@@ -42,12 +42,14 @@ from .statevec import (
     SubspaceProjector,
     Tally,
     apply,
+    check_amplitude_dtype,
     compose,
     main_rows,
+    phase_tables,
     real_dtype,
     require_int,
 )
-from .spectral import SpectralUnitary, MarkTarget, build_shifted
+from .spectral import SpectralUnitary, MarkTarget, build_shifted, check_target
 from .pea import (CalibrationResult, WorkspaceLayout, estimation_factors, verification_model,
                   walsh_hadamard)
 from .fpqs import ETA_REGIME, build_fixed_point, check_level, selective_phase
@@ -71,15 +73,17 @@ class MarkerAssembly:
     the eigenframe of U (eigendirection i is the main basis state e_i),
     never turned by the eigenbasis.
 
-    inner is the marker on all eigendirections without its Walsh-Hadamard
-    ends; frame = H . inner . H is the physical marker, with H the
-    transform on the work_dim amplitudes of each row (pea.walsh_hadamard,
-    composed on access).  directions[i] is inner for eigendirection i
-    alone, on the workspace: on the uniform state u = uniform(dtype) it
-    gives row i of inner on e_i (x) u, whose other rows are zero."""
+    target is the resolved target it was built for, the one evaluate_marker
+    takes.  inner is the marker on all eigendirections without its
+    Walsh-Hadamard ends; frame = H . inner . H is the physical marker, with
+    H the transform on the work_dim amplitudes of each row
+    (pea.walsh_hadamard, composed on access).  directions[i] is inner for
+    eigendirection i alone, on the workspace: on the uniform state
+    u = uniform(dtype) it gives row i of inner on e_i (x) u, whose other
+    rows are zero."""
 
     variant: str
-    phi: float
+    target: MarkTarget
     inner: LinearOperator
     directions: tuple[LinearOperator, ...]
     work_dim: int
@@ -162,7 +166,7 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     marker_on = functools.partial(_eigen_marker, layout=layout, u=uniform_state(layout.work_dim),
                                   zproj=zproj, phi=target.phi, variant=variant, q=q, nu=nu)
     return MarkerAssembly(
-        variant=variant, phi=target.phi, inner=marker_on(lam),
+        variant=variant, target=target, inner=marker_on(lam),
         directions=tuple(marker_on((phase,)) for phase in lam),
         work_dim=zproj.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
@@ -262,10 +266,16 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     (unit eigen-coefficient vectors from normal draws with seed), with the
     resource counters accumulated over the whole run.  n_random is an int
     (TypeError otherwise, a bool included); a negative count is a
-    ValueError."""
+    ValueError.  So is a target other than the assembly's, or one spec
+    does not resolve to (spectral.check_target), and a dtype outside
+    statevec.AMPLITUDE_DTYPES; all are checked before any draw."""
     n_random = require_int(n_random, "n_random")
     if n_random < 0:
         raise ValueError(f"n_random must be nonnegative, got {n_random}")
+    if target != assembly.target:
+        raise ValueError("target is not the one the assembly was built for")
+    check_target(spec, target)
+    check_amplitude_dtype(dtype)
     tally = Tally()
     rng = np.random.default_rng(seed)
     probes = []
@@ -279,11 +289,11 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     u = assembly.uniform(dtype)
     outs = apply(directions + (assembly.inner,) * n_random,
                  [np.ones(1, dtype=dtype)] * len(directions) + probes, u, tally)
-    # The ideal marker's phase on each eigendirection, in real_dtype(dtype),
-    # times the start state, subtracted in place: u = H sigma is uniform, so
-    # that is the phase times u's one value on every workspace column.
+    # The ideal marker's phase on each eigendirection times the start
+    # state, subtracted in place: u = H sigma is uniform, so that is the
+    # phase times u's one value on every workspace column.
     marked = np.isin(np.arange(spec.dim), target.marked_indices)
-    ideal = np.exp(1j * np.where(marked, target.phi, 0.0).astype(real_dtype(dtype))).astype(dtype)
+    ideal, _ = phase_tables(np.where(marked, target.phi, 0.0).astype)(dtype)
     entries = []
     for i, out in enumerate(outs[:len(directions)]):
         out[0] -= ideal[i] * u[0]
@@ -299,7 +309,7 @@ def evaluate_marker(assembly: MarkerAssembly, spec: SpectralUnitary, target: Mar
     counters = ComplexityCounters.from_tally(tally, assembly.ancillas)
     return MarkerErrorReport(
         variant=assembly.variant,
-        phi=assembly.phi,
+        phi=target.phi,
         mu=assembly.mu,
         q_or_nu=assembly.q_or_nu,
         entries=tuple(entries),

@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import bisect
 import functools
-import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .statevec import (LinearOperator, SubspaceProjector, apply, compose, in_frame,
-                       main_rows, real_dtype, require_int)
+from .statevec import (LinearOperator, SubspaceProjector, apply, check_amplitude_dtype,
+                       compose, in_frame, main_rows, phase_tables, real_dtype, require_int)
 from .spectral import SpectralUnitary, MarkTarget, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
@@ -151,30 +150,17 @@ def estimation_factors(lam, layout: WorkspaceLayout,
     stated accounting convention, even though a ladder of controlled
     squarings could be tallied as 2^mu - 1) and 1 on the P counter per
     application.  The controlled powers are phases in the eigenframe, so
-    the eigenphases are all the factors need.  Register r acts on the row
-    view (main_dim * W^(r-1), W, rest) of the joint state, its mask
-    broadcast over the earlier registers, so nothing is copied.
+    the eigenphases are all the factors need (the mask e^{i lam_i z}, a
+    phase_tables one).  Register r acts on the row view
+    (main_dim * W^(r-1), W, rest) of the joint state, its mask broadcast
+    over the earlier registers, so nothing is copied.
     """
     lam = np.asarray(lam, dtype=float)
     main_dim = lam.shape[0]
     wdim = layout.work_dim
     dim = main_dim * wdim ** registers
-    cache: dict = {}
-    lock = threading.Lock()
-
-    def tables(dtype):
-        """(mask, its conjugate) for dtype; conjugation is exact, so the
-        adjoint reads the cached conjugate instead of forming one.  Built
-        once under the lock, so concurrent first applications share one."""
-        key = np.dtype(dtype)
-        with lock:
-            if key not in cache:
-                work = real_dtype(key)
-                ph = lam.astype(work)
-                z = np.arange(wdim, dtype=work)
-                mask = np.exp(1j * ph[:, None, None, None] * z[:, None]).astype(dtype)
-                cache[key] = (mask, mask.conj())
-            return cache[key]
+    tables = phase_tables(lambda real: lam.astype(real)[:, None, None, None]
+                          * np.arange(wdim, dtype=real)[:, None])
 
     def v_f(before):
         # norm="ortho" scales by 1/sqrt(W) in the array's own real dtype.
@@ -240,7 +226,9 @@ def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarge
     pea_op may be any core on the joint space of dimension
     spec.dim * 2^mu whose marked subspace is the layout's window: the
     estimation operator itself, or a fixed-point level built on it.
+    dtype is one of statevec.AMPLITUDE_DTYPES (ValueError otherwise).
     """
+    check_amplitude_dtype(dtype)
     if pea_op.dim != spec.dim * layout.work_dim:
         raise ValueError(f"operator dim {pea_op.dim} != {spec.dim} * {layout.work_dim}")
     window_mask = layout.z_window().mask()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import LinearOperator, in_frame, real_dtype, require_int
+from .statevec import LinearOperator, in_frame, phase_tables, require_int
 
 
 def wrap_angle(x):
@@ -176,14 +176,9 @@ def _diagonal_in_basis(factor_phases: np.ndarray, basis: np.ndarray | None,
                        cost=()) -> LinearOperator:
     """Operator acting as exp(i*phase_j) on basis direction j."""
     phases = np.asarray(factor_phases, dtype=float)
-
-    def make(sign):
-        def run(x, _tally):
-            factors = np.exp(1j * sign * phases.astype(real_dtype(x.dtype))).astype(x.dtype)
-            return factors[:, None] * x
-        return run
-
-    diagonal = LinearOperator(len(phases), make(+1), make(-1), cost,
+    tables = phase_tables(phases.astype)
+    diagonal = LinearOperator(len(phases), lambda x, _t: tables(x.dtype)[0][:, None] * x,
+                              lambda x, _t: tables(x.dtype)[1][:, None] * x, cost,
                               eigensystem=(tuple(float(p) for p in phases), None))
     return in_frame(diagonal, basis, 1)
 
@@ -193,15 +188,12 @@ def unitary_of(spec: SpectralUnitary) -> LinearOperator:
     return _diagonal_in_basis(np.asarray(spec.eigenphases), spec.eigenbasis, cost=(("U", 1),))
 
 
-def build_shifted(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
-    """exp(-i psi') U: eigenphases become lambda_i, eigenbasis unchanged.
-
-    The target must be exactly the one MarkTarget.resolve gives for spec at
-    the target's own estimate, marker angle and accuracy, so a target
-    resolved against a different model, or a model that breaks the marking
-    rules, is rejected here (ValueError, with resolve's reason) rather than
-    corrupting measurements.
-    """
+def check_target(spec: SpectralUnitary, target: MarkTarget) -> None:
+    """Reject (ValueError, with resolve's reason) a target that is not
+    exactly the one MarkTarget.resolve gives for spec at the target's own
+    estimate, marker angle and accuracy: a target resolved against a
+    different model, or a model that breaks the marking rules, would
+    corrupt measurements."""
     try:
         same = MarkTarget.resolve(spec, target.psi_prime, target.phi, target.b) == target
         reason = "it resolves to another target"
@@ -209,6 +201,12 @@ def build_shifted(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
         same, reason = False, str(exc)
     if not same:
         raise ValueError(f"target was resolved against a different spectral model: {reason}")
+
+
+def build_shifted(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
+    """exp(-i psi') U: eigenphases become lambda_i, eigenbasis unchanged.
+    The target must be spec's own (check_target)."""
+    check_target(spec, target)
     return _diagonal_in_basis(target.lambdas, spec.eigenbasis, cost=(("U", 1),))
 
 

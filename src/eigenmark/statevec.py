@@ -18,23 +18,25 @@ Conventions fixed here and relied on by every other module:
   in_frame is the one place that turns them by an eigenbasis;
 - resource counters live in an explicit Tally passed through applications,
   never in globals, so parallel evaluations keep independent books;
-- arrays passed to operators may be complex128 or complex256, and a real
-  array is made complex on entry (long double to complex256, any other to
-  complex128); operators must preserve the dtype they are given
-  (extended precision is used when measuring amplitudes near the
-  double-precision noise floor).  Tables and angles an operator builds
-  for a dtype are computed in real_dtype(dtype), so complex256 means
-  longdouble arithmetic throughout.
+- the amplitude dtypes are AMPLITUDE_DTYPES, complex128 and EXTENDED
+  (complex256 where numpy has it), and an evaluation in any other is
+  rejected (check_amplitude_dtype); an operator makes a real array
+  complex on entry (long double to complex256, any other to complex128)
+  and must preserve the dtype it is given (extended precision is used
+  when measuring amplitudes near the double-precision noise floor);
+- every phase e^{i a} an operator or an evaluation applies is a
+  phase_tables one; it and every other table or scale built for a dtype
+  is computed in real_dtype(dtype), so complex256 means longdouble
+  arithmetic throughout.
 
 Projectors (SubspaceProjector) are read-only boolean masks of length
 dim, built once from member indices and shared as they are by every
 operator and caller that reads them.
 
 Operators are safe to share across threads.  Their state is fixed at
-construction except for two per-dtype caches that fill on first use:
-the estimation tables (pea.estimation_factors), under a lock the
-operator owns, and the selective phase's scalar factors, without one,
-as racing threads compute the same value.  A Tally is single-owner:
+construction except for their per-dtype phase caches, every one a
+phase_tables one, which fill on first use under the cache's own lock, so
+concurrent first applications share one build.  A Tally is single-owner:
 apply gives each concurrent application its own.
 """
 
@@ -58,6 +60,8 @@ HEAP_KEEP_BYTES = 32 * 2 ** 20
 THREAD_MIN_DIM = 2 ** 15
 # Widest complex type of this platform; complex128 where there is no complex256.
 EXTENDED = np.complex256 if hasattr(np, "complex256") else np.complex128
+# The amplitude dtypes of an evaluation: double and the widest.
+AMPLITUDE_DTYPES = (np.complex128, EXTENDED)
 
 CostTags = tuple[tuple[str, int], ...]
 
@@ -66,6 +70,33 @@ def real_dtype(dtype) -> np.dtype:
     """Real type in which operator tables for a complex dtype are computed:
     float64 for complex128, longdouble for complex256."""
     return np.finfo(dtype).dtype
+
+
+def check_amplitude_dtype(dtype) -> None:
+    """Reject (ValueError, naming it and the supported ones) a dtype that is
+    not one of AMPLITUDE_DTYPES."""
+    if np.dtype(dtype) not in AMPLITUDE_DTYPES:
+        names = " and ".join(dict.fromkeys(np.dtype(t).name for t in AMPLITUDE_DTYPES))
+        raise ValueError(f"amplitude dtype {np.dtype(dtype).name} is not supported; use {names}")
+
+
+def phase_tables(angles: Callable) -> Callable:
+    """tables(dtype) -> (e^{i a}, e^{-i a}) in dtype, a = angles(real_dtype(dtype)),
+    exponentiated there and cast, the second half the exact conjugate: built
+    once per dtype under this cache's lock, then read without it."""
+    cache: dict = {}
+    lock = threading.Lock()
+
+    def tables(dtype):
+        key = np.dtype(dtype)
+        if key not in cache:
+            with lock:
+                if key not in cache:
+                    phases = np.exp(1j * angles(real_dtype(key))).astype(key)
+                    cache[key] = (phases, phases.conj())
+        return cache[key]
+
+    return tables
 
 
 def require_int(value, name: str) -> int:

@@ -1,8 +1,14 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import eigenmark as em
-from eigenmark.statevec import EXTENDED
+from eigenmark import statevec
+from eigenmark.statevec import EXTENDED, real_dtype
 
 try:
     from hypothesis import settings
@@ -19,6 +25,39 @@ def rotation_block(eta: float) -> np.ndarray:
     """2x2 real rotation sending e0 to sqrt(1-eta^2) e0 + eta e1."""
     th = np.arcsin(eta)
     return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
+
+
+def assert_tables_built_once_under_threads(monkeypatch, build, x):
+    """Four threads apply one fresh build() to x at once: its phase_tables
+    lock lets one build the dtype's table and the others wait for it, and
+    every output equals a serial application of another build().  The
+    counting statevec.real_dtype sleeps and the switch interval is short,
+    which widens the window a second build could start in."""
+    want = build().apply_to(x)
+    builds = []
+
+    def counting(dtype):
+        builds.append(np.dtype(dtype))
+        time.sleep(0.05)
+        return real_dtype(dtype)
+
+    monkeypatch.setattr(statevec, "real_dtype", counting)
+    op = build()
+    start = threading.Barrier(4, timeout=30)
+
+    def run(_):
+        start.wait()
+        return op.apply_to(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            outs = list(pool.map(run, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [x.dtype]
+    assert all(np.array_equal(out, want) for out in outs)
 
 
 @pytest.fixture(scope="session")

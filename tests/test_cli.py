@@ -686,6 +686,37 @@ def test_compare_with_measured_cell(tmp_path):
     assert int(f_row["N_U_measured"]) == 2 * 9 ** q * 2 ** mu
 
 
+@pytest.mark.parametrize("cell", [[0.5, 1e-4], [3.0, 1e-3]], ids=["delta", "eps"])
+def test_compare_rejects_an_off_grid_measured_cell(tmp_path, capsys, monkeypatch, cell):
+    # A cell off the table used to be calibrated, built and applied, then
+    # dropped by tabulate, with "2 measured cells" printed and exit 0.
+    def no_calibration(*_args, **_kwargs):
+        raise AssertionError("calibrated")
+
+    monkeypatch.setattr(pea, "calibrate_workspace", no_calibration)
+    cfg = write_config(tmp_path, "c.json", {
+        "delta_grid": [0.01, 3.0], "eps_grid": [1e-4],
+        "measured_cells": [[0.01, 1e-4], [3.0, 1e-4], cell],
+    })
+    assert run_cli(["compare", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"measured cell ({cell[0]!r}, {cell[1]!r}) is not on the" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_compare_sketch_fills_its_measured_row(tmp_path, capsys):
+    (doc,) = [doc for command, doc in readme_config_sketches() if command == "compare"]
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run_cli(["compare", "--config", cfg, "--out", tmp_path]) == 0
+    assert f"({len(doc['measured_cells'])} measured cells)" in capsys.readouterr().out
+    with open(tmp_path / "compare.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for delta, eps in doc["measured_cells"]:
+        (row,) = [r for r in rows if r["variant"] == "fixed_point"
+                  and float(r["delta"]) == delta and float(r["eps"]) == eps]
+        assert int(row["N_U_measured"]) == 2 * 9 ** int(row["q"]) * 2 ** int(row["mu"])
+
+
 @pytest.mark.parametrize("value, cell", [(None, ""), (0.1, "0.1"), (1e-05, "1e-05"),
                                          (3, "3")])
 def test_cell_rule(value, cell):

@@ -461,6 +461,56 @@ def test_probe_count_is_a_nonnegative_int(small_model):
     assert report.counters.n_p == 2 * spec.dim
 
 
+TWO_PHASES = em.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), delta=1.5)
+SWAPPED = em.SpectralUnitary(dim=2, eigenphases=(2.0, 0.01), delta=1.5)
+THREE_PHASES = em.SpectralUnitary(dim=3, eigenphases=(0.01, 2.0, -2.0), delta=1.5)
+
+
+def _resolved(spec):
+    return spec, em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+
+
+@pytest.mark.parametrize("built, given", [
+    (TWO_PHASES, SWAPPED),
+    (TWO_PHASES, THREE_PHASES),
+    (THREE_PHASES, TWO_PHASES),
+], ids=["swapped_phases", "extra_direction", "missing_direction"])
+def test_evaluation_rejects_another_model(built, given):
+    # An assembly evaluated with another model's pair used to report the
+    # other model's labels on its own residuals, to drop a third direction
+    # silently, or to raise IndexError.  The model's own pair still runs.
+    layout = em.WorkspaceLayout(mu=6, window=2)
+    assembly = em.build_assembly(*_resolved(built), layout, "pea")
+    assert len(em.evaluate_marker(assembly, *_resolved(built), n_random=1).entries) == built.dim
+    with pytest.raises(ValueError, match="not the one the assembly was built for"):
+        em.evaluate_marker(assembly, *_resolved(given), n_random=1)
+
+
+def test_evaluation_rejects_a_model_the_target_was_not_resolved_on():
+    # The assembly's own target with a model it does not resolve on.
+    layout = em.WorkspaceLayout(mu=6, window=2)
+    spec, target = _resolved(TWO_PHASES)
+    assembly = em.build_assembly(spec, target, layout, "pea")
+    with pytest.raises(ValueError, match="different spectral model"):
+        em.evaluate_marker(assembly, SWAPPED, target, n_random=1)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.float64, np.longdouble])
+def test_evaluation_rejects_other_amplitude_dtypes(dtype, monkeypatch):
+    # complex64 ran in single precision and float64 dropped the imaginary
+    # parts with a ComplexWarning; both are rejected before any draw.
+    spec, target = _resolved(TWO_PHASES)
+    assembly = em.build_assembly(spec, target, em.WorkspaceLayout(mu=8, window=14),
+                                 "fixed_point", q=2)
+
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("drew probes")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=f"amplitude dtype {np.dtype(dtype).name}"):
+        em.evaluate_marker(assembly, spec, target, n_random=4, dtype=dtype)
+
+
 def test_variant_argument_validation(small_model):
     spec, target, layout = small_model
     with pytest.raises(ValueError, match="unknown variant"):

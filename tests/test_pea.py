@@ -2,9 +2,6 @@ import collections
 import functools
 import itertools
 import json
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +11,8 @@ import eigenmark as em
 from eigenmark import audit, pea
 from eigenmark.spectral import wrap_angle
 from eigenmark.statevec import EXTENDED, real_dtype
+
+from conftest import assert_tables_built_once_under_threads
 
 LONG = real_dtype(EXTENDED).type
 needs_extended = pytest.mark.skipif(EXTENDED is np.complex128,
@@ -222,34 +221,25 @@ def test_estimation_factors_are_only_the_registers_v_f(nu):
 
 
 def test_estimation_table_is_built_once_under_threads(monkeypatch):
-    # Several threads apply one fresh V_F at once: the operator's lock
-    # lets one build the W-point mask table and the others wait for it, and
-    # every output equals a serial application's.  The counting real_dtype
-    # sleeps, which widens the window a second build could start in.
+    # Several threads apply one fresh V_F at once: its mask table is built
+    # once, and every output equals a serial application's.
     lam, layout = (0.3, -2.9), em.WorkspaceLayout(10, 3)
     rng = np.random.default_rng(8)
     x = (rng.normal(size=2 * layout.work_dim)
          + 1j * rng.normal(size=2 * layout.work_dim)).astype(EXTENDED)
-    want = pea.estimation_factors(lam, layout)[0].apply_to(x)
-    builds = []
+    assert_tables_built_once_under_threads(
+        monkeypatch, lambda: pea.estimation_factors(lam, layout)[0], x)
 
-    def counting(dtype):
-        builds.append(np.dtype(dtype))
-        time.sleep(0.05)
-        return real_dtype(dtype)
 
-    monkeypatch.setattr(pea, "real_dtype", counting)
-    v_f, = pea.estimation_factors(lam, layout)
-    start = threading.Barrier(4, timeout=30)
-
-    def run(_):
-        start.wait()
-        return v_f.apply_to(x)
-
-    with ThreadPoolExecutor(4) as pool:
-        outs = list(pool.map(run, range(4)))
-    assert builds == [np.dtype(EXTENDED)]
-    assert all(np.array_equal(out, want) for out in outs)
+@pytest.mark.parametrize("dtype", [np.complex64, np.float64])
+def test_measure_eta_rejects_other_amplitude_dtypes(dtype):
+    # complex64 used to compute in complex128 and say nothing.
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(8, 14)
+    pea_op = em.build_pea(em.build_shifted(spec, target), layout)
+    with pytest.raises(ValueError, match=f"amplitude dtype {np.dtype(dtype).name}"):
+        em.measure_eta(pea_op, spec, target, layout, dtype=dtype)
 
 
 @needs_extended

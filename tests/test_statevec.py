@@ -11,8 +11,11 @@ import pytest
 
 import eigenmark as em
 from eigenmark import statevec
+from eigenmark.fpqs import PI3
 from eigenmark.spectral import haar_unitary
-from eigenmark.statevec import EXTENDED, in_frame, real_dtype
+from eigenmark.statevec import EXTENDED, in_frame, phase_tables, real_dtype
+
+from conftest import assert_tables_built_once_under_threads
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 SIGMA2, SIGMA4 = np.eye(1, 2)[0], np.eye(1, 4)[0]  # sigma = |0> on 2 and 4 workspace states
@@ -485,3 +488,56 @@ def test_builders_reject_a_non_whole_row_count(build):
     op = em.identity(6)
     with pytest.raises(ValueError, match="not a whole multiple"):
         build(op, layout)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: em.selective_phase(em.SubspaceProjector(8, (0, 1, 7)), PI3, 2),
+    lambda: em.selective_phase(np.full(8, 8 ** -0.5), -PI3, 2),
+    lambda: em.ideal_marker(*_two_directions()),
+], ids=["selective_phase_projector", "selective_phase_uniform", "ideal_marker"])
+def test_phase_tables_are_built_once_under_threads(monkeypatch, build):
+    x = np.random.default_rng(3).normal(size=(build().dim, 2)).astype(EXTENDED)
+    assert_tables_built_once_under_threads(monkeypatch, build, x)
+
+
+def _two_directions():
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.03, 2.2), delta=1.5)
+    return spec, em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+
+
+def _lambda_z_grid(real):
+    lam = np.array([0.3, -2.9, 1.7, 0.02, -0.14879628921850046])
+    return lam.astype(real)[:, None] * np.arange(2 ** 11, dtype=real)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
+@pytest.mark.parametrize("angles", [
+    lambda real: real.type(PI3),
+    lambda real: real.type(-PI3),
+    lambda real: real.type(np.pi),
+    _lambda_z_grid,
+], ids=["pi3", "minus_pi3", "pi", "lambda_z_grid"])
+def test_adjoint_table_is_the_exponential_of_the_negated_angle(dtype, angles):
+    # The adjoint half conjugates e^{i a}; selective phases and diagonal
+    # operators used to exponentiate -a.  The two agree bit for bit, signs
+    # included, except at an angle of -0 (z = 0 on a negative lambda),
+    # where the conjugate's zero imaginary part is -0 and the old one's +0.
+    forward, adjoint = phase_tables(angles)(dtype)
+    a = angles(real_dtype(dtype))
+    assert np.array_equal(forward, np.exp(1j * a).astype(dtype))
+    old = np.asarray(np.exp(1j * -1 * a).astype(dtype))
+    adjoint = np.asarray(adjoint)
+    assert np.array_equal(adjoint.real, old.real) and np.array_equal(adjoint.imag, old.imag)
+    minus_zero = (np.asarray(a) == 0) & np.signbit(a)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(adjoint))[~minus_zero],
+                              np.signbit(part(old))[~minus_zero])
+    assert np.all(adjoint[minus_zero] == 1)
+
+
+def test_amplitude_dtypes_are_double_and_the_widest():
+    for dtype in statevec.AMPLITUDE_DTYPES:
+        statevec.check_amplitude_dtype(dtype)
+    for dtype in (np.complex64, np.float64, np.longdouble):
+        with pytest.raises(ValueError, match=f"{np.dtype(dtype).name} is not supported"):
+            statevec.check_amplitude_dtype(dtype)
