@@ -425,10 +425,16 @@ def _cmd_compare(args) -> int:
     for delta, eps in cfg["measured_cells"]:
         try:
             calib = pea.calibrate_workspace(delta, cfg["b"])
-            if calib.converged and calib.mu <= cfg["mu_limit"]:
+            if not calib.converged:
+                why = f"calibration did not converge (best mu {calib.mu})"
+            elif calib.mu > cfg["mu_limit"]:
+                why = f"calibrated mu {calib.mu} is above mu_limit {cfg['mu_limit']}"
+            else:
                 measured.append(marker.measured_cell(calib, eps))
+                continue
         except ValueError as exc:
             raise ConfigError(f"measured cell ({delta!r}, {eps!r}): {exc}") from exc
+        print(f"compare: measured cell ({delta!r}, {eps!r}) left unmeasured: {why}")
     try:
         rows = complexity.tabulate(cfg["delta_grid"], cfg["eps_grid"], measured)
     except ValueError as exc:

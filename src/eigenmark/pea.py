@@ -33,10 +33,11 @@ the gap and the target alone, so its density is not part of the problem.
 best_window finds the window where the two worst cases cross with a
 galloping search from a start window and keeps the better of the pair at
 the crossing; since the crossing is monotone in the window, the start
-sets only the cost.  The crossing sits at a fixed phase, which spans
-twice as many bins with each added qubit, so a sweep over mu
-(calibrate_workspace, scaling_constant) starts each mu from the previous
-mu's window scaled by that.
+sets only the cost.  _eta_floor samples the exact kernel where each worst
+case lives, a few points at each band end, and gives a lower bound on a
+mu's best eta^2 together with the window where the samples cross.
+calibrate_workspace searches no mu whose floor already misses the target,
+and it and scaling_constant start each search at the floor's window.
 measure_eta drives the actual operator and is the cross-check for both.
 """
 
@@ -59,6 +60,9 @@ _TWO_PI_HI = float.fromhex("0x1.921fb54p+2")  # 2 pi to 29 significant bits
 # |k| <= 2^24; a phase in [-pi, pi] lies in a bin |k| <= 2^(mu-1).
 MU_MAX = 25
 GRID_PER_BIN = 64  # box-sum grid points per bin in the worst-case search
+# Mass by which _eta_floor must exceed eta_target^2 to rule a mu out: its
+# samples agree with the scans' own values to about 1e-12.
+FLOOR_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -321,6 +325,13 @@ def _response_envelope(lam: float, mu: int, window: int) -> float:
     return float((1.0 / (wdim * np.sin(d / 2.0)) ** 2).sum())
 
 
+def _grid_span(mu: int, lo: float, hi: float, grid_per_bin: int):
+    """(step, n0, n1): the box-sum grid phases strictly inside (lo, hi) are
+    n * step for n in n0..n1, with step = beta / grid_per_bin."""
+    step = 2 * np.pi / (2 ** mu * grid_per_bin)
+    return step, int(np.floor(lo / step)) + 1, int(np.ceil(hi / step)) - 1
+
+
 def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
     """Grid phases (a + c/G) beta strictly inside (lo, hi), with
     beta = 2 pi / W and G = grid_per_bin, and their in-window masses.
@@ -332,8 +343,7 @@ def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
     subtraction.
     """
     wdim, g = 2 ** mu, grid_per_bin
-    step = 2 * np.pi / (wdim * g)
-    n0, n1 = int(np.floor(lo / step)) + 1, int(np.ceil(hi / step)) - 1
+    step, n0, n1 = _grid_span(mu, lo, hi, g)
     a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
     rows = (np.arange(a0 - window, a0 + span + window) + wdim // 2) % wdim - wdim // 2
     cols = np.arange(g) / g
@@ -417,49 +427,22 @@ class WindowChoice:
         return max(self.eta_marked, self.eta_unmarked)
 
 
-def best_window(mu: int, delta: float, b: float, *,
-                start: int | None = None) -> WindowChoice:
-    """Window minimizing the worst-case eta at a given mu.
+def _crossing_window(crossed, mu: int, delta: float, start: int | None = None) -> int:
+    """First window w in [0, 2^(mu-1) - 1] with crossed(w), for a crossed
+    that is false below one window and true from it on, or the largest
+    window when none has crossed.
 
-    The out-of-window (marked) mass falls and the in-window (unmarked)
-    mass rises monotonically with the window, so "crossed" (marked eta at
-    most unmarked eta) is false below one window and true from it on, and
-    the optimum sits at that crossing.  A galloping bracket finds it: from
-    start (clamped to [0, 2^(mu-1) - 1]) it probes start + 1, 2, 4, ...
-    while the window has not crossed, or start - 1, 2, 4, ... while it
-    has, and bisects the bracket.  The answer is the better of the first
-    crossed window and the one below it, both probed by then: above the
-    crossing eta is at least the (rising) unmarked eta, below it at least
-    the (falling) marked eta.  Each window's worst case depends on the
-    window alone and the first crossed window is the same wherever the
-    search starts, so start changes which windows are probed, never the
-    result.  By default the search starts at round(2^mu delta / (6 pi)),
-    the window whose edge sits at phase delta/3, near where the worst
-    cases cross (0.34-0.36 delta on the pinned configurations).  A start
-    next to the answer probes 2-5 windows where start=0 probes 19 at
-    (11, 3.0, 0.05); a sweep over mu passes the previous mu's window
-    scaled to this mu instead (_mu_sweep).
+    A galloping bracket finds it: from start (clamped to the windows) it
+    probes start + 1, 2, 4, ... while the window has not crossed, or
+    start - 1, 2, 4, ... while it has, and bisects the bracket.  Galloping
+    keeps every probed window near start (windows far above the crossing
+    are large and expensive to sum over); with start=0 the probes are
+    0, 1, 2, 4, ....  By default the search starts at
+    round(2^mu delta / (6 pi)), the window whose edge sits at phase
+    delta/3, near where the worst cases cross (0.34-0.36 delta on the
+    pinned configurations).
     """
-    mu = WorkspaceLayout(mu, 0).mu
-    check_search(delta, b)
     wmax = 2 ** (mu - 1) - 1
-
-    @functools.cache
-    def choice(w: int) -> WindowChoice:
-        # The marked band |lam| <= b*delta: the response is symmetric under
-        # lam -> -lam for the symmetric window, so only lam >= 0 is swept.
-        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, GRID_PER_BIN, outside=True)
-        lam_u, mass_u = worst_unmarked_mass(mu, w, delta)
-        return WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
-                            float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
-
-    def crossed(w: int) -> bool:
-        return choice(w).eta_marked <= choice(w).eta_unmarked
-
-    # Galloping keeps every probed window near start (windows far above
-    # the optimum are large and expensive to sum over); with start=0 the
-    # probes are 0, 1, 2, 4, ....  The first crossed window then lies in
-    # [lo, hi], or is taken as wmax when none has crossed.
     if start is None:
         start = round(2 ** mu * delta / (6 * np.pi))
     start = min(max(start, 0), wmax)
@@ -477,8 +460,85 @@ def best_window(mu: int, delta: float, b: float, *,
         while not crossed(hi) and hi < wmax:
             lo, hi = hi + 1, min(wmax, start + step)
             step *= 2
-    lo += bisect.bisect_left(range(lo, hi), True, key=crossed)
+    return lo + bisect.bisect_left(range(lo, hi), True, key=crossed)
+
+
+def best_window(mu: int, delta: float, b: float, *,
+                start: int | None = None) -> WindowChoice:
+    """Window minimizing the worst-case eta at a given mu.
+
+    The out-of-window (marked) mass falls and the in-window (unmarked)
+    mass rises monotonically with the window, so "crossed" (marked eta at
+    most unmarked eta) is false below one window and true from it on, and
+    the optimum sits at that crossing, which _crossing_window finds from
+    start (by default the window whose edge sits at delta/3).  The answer
+    is the better of the first crossed window and the one below it, both
+    probed by then: above the crossing eta is at least the (rising)
+    unmarked eta, below it at least the (falling) marked eta.  Each
+    window's worst case depends on the window alone and the first crossed
+    window is the same wherever the search starts, so start changes which
+    windows are probed, never the result.  The default start probes 2-5
+    windows where start=0 probes 19 at (11, 3.0, 0.05); calibration passes
+    the window of _eta_floor's crossing instead, which probes 2-3.
+    """
+    mu = WorkspaceLayout(mu, 0).mu
+    check_search(delta, b)
+
+    @functools.cache
+    def choice(w: int) -> WindowChoice:
+        # The marked band |lam| <= b*delta: the response is symmetric under
+        # lam -> -lam for the symmetric window, so only lam >= 0 is swept.
+        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, GRID_PER_BIN, outside=True)
+        lam_u, mass_u = worst_unmarked_mass(mu, w, delta)
+        return WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
+                            float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
+
+    def crossed(w: int) -> bool:
+        return choice(w).eta_marked <= choice(w).eta_unmarked
+
+    lo = _crossing_window(crossed, mu, delta, start)
     return min((choice(w) for w in range(max(0, lo - 1), lo + 1)), key=lambda c: c.eta)
+
+
+def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
+    """(floor, window): floor is a lower bound on
+    best_window(mu, delta, b).eta ** 2 from a few exact-kernel samples per
+    window, and window is where the sampled worst cases cross, the start
+    that puts best_window next to its own crossing.
+
+    Each side is sampled where its worst case lives.  The marked side takes
+    b*delta and 16 of the scan's grid points within one bin below it, and
+    their largest out-of-window mass; the unmarked side takes delta/2 and
+    16 grid points within one bin above it, and their largest in-window
+    mass, or 1.0 once the window edge reaches delta/2 (as
+    worst_unmarked_mass).  Every sample is a point the scans evaluate, an
+    endpoint exactly or a grid point whose box sum is the kernel's to
+    1e-12, so a window's sampled masses lie below its computed worst cases.
+    Those are monotone in the window, so for any split s,
+    min(out(s - 1), in(s)) bounds eta ** 2 at every window: below s by
+    the marked mass at s - 1, from s on by the unmarked mass at s.  The
+    split is the sampled crossing, where the bound is tightest.
+    """
+    mu = WorkspaceLayout(mu, 0).mu
+    check_search(delta, b)
+    stride = GRID_PER_BIN // 16
+    _, _, top = _grid_span(mu, 0.0, b * delta, GRID_PER_BIN)
+    step, bottom, _ = _grid_span(mu, delta / 2.0, np.pi, GRID_PER_BIN)
+    marked = np.arange(top, top - GRID_PER_BIN, -stride) * step
+    unmarked = np.arange(bottom, bottom + GRID_PER_BIN, stride) * step
+    marked = np.concatenate(([b * delta], marked[marked > 0.0]))
+    unmarked = np.concatenate(([delta / 2.0], unmarked[unmarked < np.pi]))
+    bin_width = 2 * np.pi / 2 ** mu
+
+    @functools.cache
+    def masses(w: int) -> tuple[float, float]:
+        mass = window_response_mass(np.concatenate((marked, unmarked)), mu, w)
+        inside = 1.0 if bin_width * w >= delta / 2.0 else float(mass[len(marked):].max())
+        return 1.0 - float(mass[:len(marked)].min()), inside
+
+    window = _crossing_window(lambda w: masses(w)[0] <= masses(w)[1], mu, delta)
+    below = masses(window - 1)[0] if window > 0 else np.inf
+    return min(below, masses(window)[1]), window
 
 
 @dataclass(frozen=True)
@@ -511,29 +571,20 @@ def check_search(delta: float, b: float) -> None:
         raise ValueError(f"b {b!r} outside (0, 0.25]")
 
 
-def _mu_sweep(mu_values, delta: float, b: float):
-    """(mu, best_window choice) for each mu in turn.  The crossing sits at
-    a fixed phase, which spans 2^(mu - mu') times as many bins at mu as at
-    the previous mu', so each search starts from the previous window
-    scaled by that, truncated: twice the window for consecutive mu."""
-    window = prev_mu = None
-    for mu in mu_values:
-        start = None if window is None else int(window * 2.0 ** (mu - prev_mu))
-        choice = best_window(mu, delta, b, start=start)
-        yield mu, choice
-        window, prev_mu = choice.window, mu
-
-
 def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_DEFAULT,
                         mu_cap: int = 20) -> CalibrationResult:
     """Smallest mu (with its window) whose worst-case eta meets the target.
 
     Worst cases are taken over |lam| <= b*delta for the marked side and
-    circle distance >= delta/2 for the unmarked side.  When no mu up to
-    min(mu_cap, MU_MAX) reaches the target, the result carries
-    converged=False and the best (mu, window) found.  Every call searches
-    cold and the search is deterministic, so the result is a function of
-    the arguments alone.
+    circle distance >= delta/2 for the unmarked side.  Each mu from 1 up
+    is searched with best_window, started at _eta_floor's window, unless
+    its floor exceeds eta_target ** 2 by more than FLOOR_SLACK, which
+    rules the mu out without a search.  When no mu up to
+    min(mu_cap, MU_MAX) reaches the target, the ruled-out mu are searched
+    too and the result carries converged=False and the best (mu, window)
+    found, the smallest mu on a tie.  The result is the one a full search
+    at every mu gives.  Every call searches cold and the search is
+    deterministic, so the result is a function of the arguments alone.
     """
     mu_cap = require_int(mu_cap, "mu_cap")
     check_search(delta, b)
@@ -541,15 +592,24 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
         raise ValueError(f"eta_target {eta_target!r} outside (0, 1]")
     if mu_cap < 1:
         raise ValueError(f"mu_cap {mu_cap!r} must be at least 1")
-    best = None
-    for mu, choice in _mu_sweep(range(1, min(mu_cap, MU_MAX) + 1), delta, b):
-        candidate = CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
-                                      converged=choice.eta <= eta_target, **asdict(choice))
-        if best is None or candidate.eta < best.eta:
-            best = candidate
-        if candidate.converged:
-            break
-    return best
+
+    def result(mu: int, choice: WindowChoice) -> CalibrationResult:
+        return CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
+                                 converged=choice.eta <= eta_target, **asdict(choice))
+
+    choices, ruled_out = {}, {}
+    for mu in range(1, min(mu_cap, MU_MAX) + 1):
+        floor, window = _eta_floor(mu, delta, b)
+        if floor - FLOOR_SLACK > eta_target ** 2:
+            ruled_out[mu] = window
+            continue
+        choices[mu] = best_window(mu, delta, b, start=window)
+        if choices[mu].eta <= eta_target:
+            return result(mu, choices[mu])
+    for mu, window in ruled_out.items():
+        choices[mu] = best_window(mu, delta, b, start=window)
+    best = min(sorted(choices), key=lambda mu: choices[mu].eta)
+    return result(best, choices[best])
 
 
 def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: float,
@@ -585,9 +645,11 @@ def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: 
 
 def scaling_constant(mu_values, delta: float, b: float) -> tuple[float, list[dict]]:
     """eta * sqrt(2^mu * delta) over a mu sweep at per-mu optimal windows,
-    eta from the closed form.  Returns (largest constant observed, per-mu
-    records)."""
-    records = [{"mu": mu, "window": choice.window, "eta": choice.eta,
-                "constant": choice.eta * np.sqrt(2 ** mu * delta)}
-               for mu, choice in _mu_sweep(mu_values, delta, b)]
+    eta from the closed form, each mu's search started at _eta_floor's
+    window.  Returns (largest constant observed, per-mu records)."""
+    records = []
+    for mu in mu_values:
+        choice = best_window(mu, delta, b, start=_eta_floor(mu, delta, b)[1])
+        records.append({"mu": mu, "window": choice.window, "eta": choice.eta,
+                        "constant": choice.eta * np.sqrt(2 ** mu * delta)})
     return max((r["constant"] for r in records), default=0.0), records

@@ -686,6 +686,26 @@ def test_compare_with_measured_cell(tmp_path):
     assert int(f_row["N_U_measured"]) == 2 * 9 ** q * 2 ** mu
 
 
+def test_compare_names_each_cell_it_leaves_unmeasured(tmp_path, capsys):
+    # 0.01 calibrates at mu 19, above mu_limit; 0.001 does not converge by
+    # mu 20.  Both rows keep an empty N_U_measured and the run exits 0.
+    cfg = write_config(tmp_path, "c.json", {
+        "delta_grid": [0.001, 0.01, 3.0], "eps_grid": [1e-4],
+        "measured_cells": [[0.001, 1e-4], [0.01, 1e-4], [3.0, 1e-4]],
+    })
+    assert run_cli(["compare", "--config", cfg, "--out", tmp_path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "compare: measured cell (0.001, 0.0001) left unmeasured: calibration did not "
+        "converge (best mu 20)",
+        "compare: measured cell (0.01, 0.0001) left unmeasured: calibrated mu 19 is above "
+        "mu_limit 16"]
+    assert len(out) == 3 and "(1 measured cells)" in out[2]
+    with open(tmp_path / "compare.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["variant"] == "fixed_point"]
+    assert [r["N_U_measured"] != "" for r in rows] == [False, False, True]
+
+
 @pytest.mark.parametrize("cell", [[0.5, 1e-4], [3.0, 1e-3]], ids=["delta", "eps"])
 def test_compare_rejects_an_off_grid_measured_cell(tmp_path, capsys, monkeypatch, cell):
     # A cell off the table used to be calibrated, built and applied, then

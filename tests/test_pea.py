@@ -507,8 +507,9 @@ def test_calibration_matches_cold_search(want):
 
 def test_calibration_probes_few_windows_per_mu(monkeypatch):
     # Each probed window costs two _sup_scan calls or more; a search from
-    # window 0 probes 19 distinct windows at mu=14 here.  The warm start
-    # lands next to the crossing, whose pair is all the final choice reads.
+    # window 0 probes 19 distinct windows at mu=14 here.  The eta floor
+    # rules out mu 1-13 without a scan, and its window starts mu 14 next
+    # to the crossing, whose pair is all the final choice reads.
     probed = collections.defaultdict(set)
     scan = pea._sup_scan
 
@@ -518,15 +519,16 @@ def test_calibration_probes_few_windows_per_mu(monkeypatch):
 
     monkeypatch.setattr(pea, "_sup_scan", counted)
     assert em.calibrate_workspace(0.4, 0.05).mu == 14
-    assert sorted(probed) == list(range(1, 15))
-    assert max(len(windows) for windows in probed.values()) <= 3
+    assert sorted(probed) == [14]
+    assert len(probed[14]) <= 3
 
 
 def test_refinement_shares_kernel_calls(monkeypatch):
     # The three candidates are refined together: one kernel call for lo and
     # hi, then one per refinement step over every candidate's sub-grid,
     # each shared point once.  Refined one candidate at a time, the same
-    # calibration made 694 calls over 2,722,852 terms.
+    # calibration made 694 calls over 2,722,852 terms, and searched at
+    # every mu from 1 up, 270 calls over 1,977,916 terms.
     calls = []
     kernel, scan = pea.window_response_mass, pea._sup_scan
     per_scan = []
@@ -545,20 +547,52 @@ def test_refinement_shares_kernel_calls(monkeypatch):
     monkeypatch.setattr(pea, "_sup_scan", counted_scan)
     assert em.calibrate_workspace(0.4, 0.05) == COLD_SEARCH_RESULTS[0]
     assert per_scan and max(per_scan) <= 5
-    assert sum(calls) < 2_200_000
+    assert sum(calls) < 1_600_000
 
 
-# Windows a sweep over mu probes, per mu: each search starts from the
-# previous mu's window scaled by 2^(mu - previous mu), truncated.
-SCALED_START_PROBES = [
-    (range(6, 11), {6: [0, 1], 7: [2, 3], 8: [4, 5, 6], 9: [10, 11, 12], 10: [22, 23, 24]}),
-    ([9, 7, 12, 12, 3], {3: [0], 7: [2, 3], 9: [11, 12],
-                         12: [64, 65, 66, 68, 72, 80, 88, 92, 93, 94, 96]}),
-]
+def full_search(delta, b, mu_cap=20):
+    """Reference: a calibration that searches every mu from 1 up from
+    best_window's default start, stops at the first converged mu and
+    otherwise keeps the best, the smallest mu on a tie."""
+    eta_target = pea.ETA_TARGET_DEFAULT
+    best = None
+    for mu in range(1, mu_cap + 1):
+        choice = em.best_window(mu, delta, b)
+        candidate = em.CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
+                                         converged=choice.eta <= eta_target, **asdict(choice))
+        if best is None or candidate.eta < best.eta:
+            best = candidate
+        if candidate.converged:
+            break
+    return best
 
 
-@pytest.mark.parametrize("mus,want", SCALED_START_PROBES, ids=["consecutive", "unordered"])
-def test_scaling_constant_starts_each_mu_from_the_scaled_window(monkeypatch, mus, want):
+def seeded_pairs(seed, n, deltas, bs):
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(*deltas)), float(rng.uniform(*bs))) for _ in range(n)]
+
+
+# The calibrate benchmark's seeded pairs (delta 2.2-2.8, b 0.045-0.065) and
+# pairs drawn over the search's domain, at the default cap and at caps
+# where no mu converges.
+FLOOR_CASES = ([((want.delta, want.b), 20) for want in COLD_SEARCH_RESULTS]
+               + [(pair, 20) for pair in seeded_pairs(1, 4, (2.2, 2.8), (0.045, 0.065))]
+               + [(pair, 20) for pair in seeded_pairs(2, 20, (0.3, np.pi), (0.02, 0.25))]
+               + [(pair, cap) for cap in (4, 8)
+                  for pair in [(3.0, 0.05), (0.4, 0.05), *seeded_pairs(3, 2, (0.3, np.pi),
+                                                                       (0.02, 0.25))]])
+
+
+@pytest.mark.parametrize("pair,mu_cap", FLOOR_CASES)
+def test_calibration_equals_the_full_per_mu_search(pair, mu_cap):
+    # The floor only skips searches: every result, converged or not, is the
+    # one a search at every mu gives.
+    assert em.calibrate_workspace(*pair, mu_cap=mu_cap) == full_search(*pair, mu_cap)
+
+
+@pytest.mark.parametrize("mus", [range(6, 11), [9, 7, 12, 12, 3]],
+                         ids=["consecutive", "unordered"])
+def test_scaling_constant_starts_each_mu_at_the_floor_window(monkeypatch, mus):
     probed = collections.defaultdict(set)
     scan = pea._sup_scan
 
@@ -568,10 +602,12 @@ def test_scaling_constant_starts_each_mu_from_the_scaled_window(monkeypatch, mus
 
     monkeypatch.setattr(pea, "_sup_scan", counted)
     _const, records = pea.scaling_constant(mus, delta=0.4, b=0.05)
-    assert {mu: sorted(windows) for mu, windows in probed.items()} == want
+    assert sorted(probed) == sorted(set(mus))
+    assert max(len(windows) for windows in probed.values()) <= 3
     # The start sets only the cost: each record is the default search's.
-    assert [r["window"] for r in records] == [em.best_window(mu, 0.4, 0.05).window
-                                               for mu in mus]
+    want = [em.best_window(mu, 0.4, 0.05) for mu in mus]
+    assert [(r["mu"], r["window"], r["eta"]) for r in records] == [
+        (mu, choice.window, choice.eta) for mu, choice in zip(mus, want)]
 
 
 @pytest.mark.parametrize("mu,delta", [(9, 0.6), (9, 1.2), (9, 2.2), (9, 3.0), (11, 3.0)])

@@ -54,6 +54,18 @@ def test_best_window_is_the_exhaustive_argmin(mu, delta, b):
 
 
 @settings(max_examples=60)
+@given(mu=st.integers(1, 10),
+       delta=st.floats(0.3, float(np.pi), exclude_min=True),
+       b=st.floats(0.02, 0.25, exclude_min=True))
+def test_eta_floor_is_below_the_searched_eta(mu, delta, b):
+    # Calibration rules a mu out on the floor alone, so the floor must never
+    # exceed the eta^2 the search would find, beyond the samples' rounding.
+    floor, window = pea._eta_floor(mu, delta, b)
+    assert floor <= pea.best_window(mu, delta, b).eta ** 2 + 2e-12
+    assert 0 <= window < 2 ** (mu - 1)
+
+
+@settings(max_examples=60)
 @given(mu=st.integers(1, 10), rows=st.integers(1, 3), cols=st.integers(1, 4),
        extended=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_walsh_hadamard_is_an_involution(mu, rows, cols, extended, seed):
