@@ -49,7 +49,7 @@ from .statevec import (
     real_dtype,
     require_int,
 )
-from .spectral import SpectralUnitary, MarkTarget, build_shifted, check_target
+from .spectral import SpectralUnitary, MarkTarget, check_target
 from .pea import (CalibrationResult, WorkspaceLayout, estimation_factors, verification_model,
                   walsh_hadamard)
 from .fpqs import ETA_REGIME, build_fixed_point, check_level, selective_phase
@@ -158,7 +158,7 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     ends in the eigenframe, once on all eigendirections and once on each
     eigendirection alone."""
     check_variant(variant, q, nu)
-    lam = build_shifted(spec, target).eigensystem[0]
+    check_target(spec, target)
     if variant == "voting":
         zproj, ancillas = majority_projector(layout.z_window(), nu), nu * layout.mu
     else:
@@ -166,8 +166,8 @@ def build_assembly(spec: SpectralUnitary, target: MarkTarget, layout: WorkspaceL
     marker_on = functools.partial(_eigen_marker, layout=layout, u=uniform_state(layout.work_dim),
                                   zproj=zproj, phi=target.phi, variant=variant, q=q, nu=nu)
     return MarkerAssembly(
-        variant=variant, target=target, inner=marker_on(lam),
-        directions=tuple(marker_on((phase,)) for phase in lam),
+        variant=variant, target=target, inner=marker_on(target.lambdas),
+        directions=tuple(marker_on((phase,)) for phase in target.lambdas),
         work_dim=zproj.dim, mu=layout.mu, q=q, nu=nu, ancillas=ancillas,
     )
 

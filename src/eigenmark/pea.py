@@ -30,14 +30,12 @@ once per (mu, window), so no term pays a modulo and only phases whose bins
 reach W/2 wrap; both it and the table compute in place on one buffer.
 The grid has a fixed GRID_PER_BIN points per bin: the costs depend on
 the gap and the target alone, so its density is not part of the problem.
-best_window finds the window where the two worst cases cross with a
-galloping search from a start window and keeps the better of the pair at
-the crossing; since the crossing is monotone in the window, the start
-sets only the cost.  _eta_floor samples the exact kernel where each worst
-case lives, a few points at each band end, and gives a lower bound on a
-mu's best eta^2 together with the window where the samples cross.
-calibrate_workspace searches no mu whose floor already misses the target,
-and it and scaling_constant start each search at the floor's window.
+_eta_floor samples the exact kernel where each worst case lives, a few
+points at each band end, and gives a lower bound on a mu's best eta^2
+together with the window where the samples cross.  best_window gallops
+from that window to the one where the two computed worst cases cross and
+keeps the better of the pair at the crossing; calibrate_workspace searches
+no mu whose floor already misses the target.
 measure_eta drives the actual operator and is the cross-check for both.
 """
 
@@ -51,7 +49,7 @@ import numpy as np
 
 from .statevec import (LinearOperator, SubspaceProjector, apply, check_amplitude_dtype,
                        compose, in_frame, main_rows, phase_tables, real_dtype, require_int)
-from .spectral import SpectralUnitary, MarkTarget, wrap_angle
+from .spectral import SpectralUnitary, MarkTarget, check_target, wrap_angle
 
 ETA_TARGET_DEFAULT = 2.0 ** -5
 VERIFICATION_DIM = 2  # eigendirections of verification_model: one marked, one not
@@ -230,8 +228,10 @@ def measure_eta(pea_op: LinearOperator, spec: SpectralUnitary, target: MarkTarge
     pea_op may be any core on the joint space of dimension
     spec.dim * 2^mu whose marked subspace is the layout's window: the
     estimation operator itself, or a fixed-point level built on it.
-    dtype is one of statevec.AMPLITUDE_DTYPES (ValueError otherwise).
+    target must be spec's own (spectral.check_target) and dtype one of
+    statevec.AMPLITUDE_DTYPES; ValueError otherwise, before any application.
     """
+    check_target(spec, target)
     check_amplitude_dtype(dtype)
     if pea_op.dim != spec.dim * layout.work_dim:
         raise ValueError(f"operator dim {pea_op.dim} != {spec.dim} * {layout.work_dim}")
@@ -391,6 +391,14 @@ def _sup_scan(mu: int, window: int, lo: float, hi: float, grid_per_bin: int,
     return best_x, 1.0 + best_v if outside else best_v
 
 
+def _covered_edge(mu: int, window: int, delta: float) -> tuple[float, float] | None:
+    """(edge, 1.0) when the window edge, phase 2 pi window / 2^mu, reaches
+    delta/2: that grid point is a legal unmarked phase with in-window mass
+    1, the unmarked worst case.  None when the edge stays below delta/2."""
+    edge = 2 * np.pi / 2 ** mu * window
+    return (edge, 1.0) if edge >= delta / 2.0 else None
+
+
 def worst_unmarked_mass(mu: int, window: int, delta: float):
     """(worst lam, in-window mass) over circle distance >= delta/2.
 
@@ -398,13 +406,10 @@ def worst_unmarked_mass(mu: int, window: int, delta: float):
     envelope bound proves nothing beyond the region can exceed the maximum
     already found.
     """
+    if covered := _covered_edge(mu, window, delta):
+        return covered
     bin_width = 2 * np.pi / 2 ** mu
     lo = delta / 2.0
-    edge = bin_width * window
-    if edge >= lo:
-        # The window itself reaches past theta_min: the grid point at the
-        # window edge is a legal unmarked phase with in-window mass 1.
-        return edge, 1.0
     region = 64.0
     while True:
         hi = min(np.pi, lo + region * bin_width)
@@ -427,24 +432,14 @@ class WindowChoice:
         return max(self.eta_marked, self.eta_unmarked)
 
 
-def _crossing_window(crossed, mu: int, delta: float, start: int | None = None) -> int:
-    """First window w in [0, 2^(mu-1) - 1] with crossed(w), for a crossed
-    that is false below one window and true from it on, or the largest
-    window when none has crossed.
-
-    A galloping bracket finds it: from start (clamped to the windows) it
-    probes start + 1, 2, 4, ... while the window has not crossed, or
-    start - 1, 2, 4, ... while it has, and bisects the bracket.  Galloping
-    keeps every probed window near start (windows far above the crossing
-    are large and expensive to sum over); with start=0 the probes are
-    0, 1, 2, 4, ....  By default the search starts at
-    round(2^mu delta / (6 pi)), the window whose edge sits at phase
-    delta/3, near where the worst cases cross (0.34-0.36 delta on the
-    pinned configurations).
-    """
-    wmax = 2 ** (mu - 1) - 1
-    if start is None:
-        start = round(2 ** mu * delta / (6 * np.pi))
+def _crossing_window(crossed, wmax: int, start: int) -> int:
+    """First window w in [0, wmax] with crossed(w), for a crossed that is
+    false below one window and true from it on, or wmax when none has
+    crossed.  A galloping bracket finds it: from start (clamped to
+    [0, wmax]) it probes start + 1, 2, 4, ... while the window has not
+    crossed, or start - 1, 2, 4, ... while it has, and bisects the
+    bracket.  Galloping keeps every probed window near start: windows far
+    above the crossing are large and expensive to sum over."""
     start = min(max(start, 0), wmax)
     lo = hi = start
     step = 1
@@ -463,26 +458,28 @@ def _crossing_window(crossed, mu: int, delta: float, start: int | None = None) -
     return lo + bisect.bisect_left(range(lo, hi), True, key=crossed)
 
 
-def best_window(mu: int, delta: float, b: float, *,
-                start: int | None = None) -> WindowChoice:
+def best_window(mu: int, delta: float, b: float) -> WindowChoice:
     """Window minimizing the worst-case eta at a given mu.
 
     The out-of-window (marked) mass falls and the in-window (unmarked)
     mass rises monotonically with the window, so "crossed" (marked eta at
     most unmarked eta) is false below one window and true from it on, and
-    the optimum sits at that crossing, which _crossing_window finds from
-    start (by default the window whose edge sits at delta/3).  The answer
-    is the better of the first crossed window and the one below it, both
+    the optimum sits at that crossing.  The search starts where
+    _eta_floor's samples cross, next to it: 2 probed windows at
+    (11, 3.0, 0.05), where a start at window 0 probes 19.  The answer is
+    the better of the first crossed window and the one below it, both
     probed by then: above the crossing eta is at least the (rising)
-    unmarked eta, below it at least the (falling) marked eta.  Each
-    window's worst case depends on the window alone and the first crossed
-    window is the same wherever the search starts, so start changes which
-    windows are probed, never the result.  The default start probes 2-5
-    windows where start=0 probes 19 at (11, 3.0, 0.05); calibration passes
-    the window of _eta_floor's crossing instead, which probes 2-3.
+    unmarked eta, below it at least the (falling) marked eta.
     """
     mu = WorkspaceLayout(mu, 0).mu
     check_search(delta, b)
+    return _search_from(mu, delta, b, _eta_floor(mu, delta, b)[1])
+
+
+def _search_from(mu: int, delta: float, b: float, start: int) -> WindowChoice:
+    """best_window's search, its crossing search started at start.  Each
+    window's worst case depends on the window alone, so start sets which
+    windows are probed, never the result."""
 
     @functools.cache
     def choice(w: int) -> WindowChoice:
@@ -496,7 +493,7 @@ def best_window(mu: int, delta: float, b: float, *,
     def crossed(w: int) -> bool:
         return choice(w).eta_marked <= choice(w).eta_unmarked
 
-    lo = _crossing_window(crossed, mu, delta, start)
+    lo = _crossing_window(crossed, 2 ** (mu - 1) - 1, start)
     return min((choice(w) for w in range(max(0, lo - 1), lo + 1)), key=lambda c: c.eta)
 
 
@@ -510,17 +507,17 @@ def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
     b*delta and 16 of the scan's grid points within one bin below it, and
     their largest out-of-window mass; the unmarked side takes delta/2 and
     16 grid points within one bin above it, and their largest in-window
-    mass, or 1.0 once the window edge reaches delta/2 (as
-    worst_unmarked_mass).  Every sample is a point the scans evaluate, an
-    endpoint exactly or a grid point whose box sum is the kernel's to
-    1e-12, so a window's sampled masses lie below its computed worst cases.
-    Those are monotone in the window, so for any split s,
-    min(out(s - 1), in(s)) bounds eta ** 2 at every window: below s by
-    the marked mass at s - 1, from s on by the unmarked mass at s.  The
-    split is the sampled crossing, where the bound is tightest.
+    mass, or 1.0 once the window edge reaches delta/2 (_covered_edge).
+    Every sample is a point the scans evaluate, an endpoint exactly or a
+    grid point whose box sum is the kernel's to 1e-12, so a window's
+    sampled masses lie below its computed worst cases.  Those are monotone
+    in the window, so for any split s, min(out(s - 1), in(s)) bounds
+    eta ** 2 at every window: below s by the marked mass at s - 1, from s
+    on by the unmarked mass at s.  The split is the sampled crossing, where
+    the bound is tightest; its search starts at the window whose edge sits
+    at phase delta/3, near where the worst cases cross on the pinned
+    configurations (0.34-0.36 delta).
     """
-    mu = WorkspaceLayout(mu, 0).mu
-    check_search(delta, b)
     stride = GRID_PER_BIN // 16
     _, _, top = _grid_span(mu, 0.0, b * delta, GRID_PER_BIN)
     step, bottom, _ = _grid_span(mu, delta / 2.0, np.pi, GRID_PER_BIN)
@@ -528,15 +525,16 @@ def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
     unmarked = np.arange(bottom, bottom + GRID_PER_BIN, stride) * step
     marked = np.concatenate(([b * delta], marked[marked > 0.0]))
     unmarked = np.concatenate(([delta / 2.0], unmarked[unmarked < np.pi]))
-    bin_width = 2 * np.pi / 2 ** mu
 
     @functools.cache
     def masses(w: int) -> tuple[float, float]:
         mass = window_response_mass(np.concatenate((marked, unmarked)), mu, w)
-        inside = 1.0 if bin_width * w >= delta / 2.0 else float(mass[len(marked):].max())
+        covered = _covered_edge(mu, w, delta)
+        inside = covered[1] if covered else float(mass[len(marked):].max())
         return 1.0 - float(mass[:len(marked)].min()), inside
 
-    window = _crossing_window(lambda w: masses(w)[0] <= masses(w)[1], mu, delta)
+    window = _crossing_window(lambda w: masses(w)[0] <= masses(w)[1], 2 ** (mu - 1) - 1,
+                              round(2 ** mu * delta / (6 * np.pi)))
     below = masses(window - 1)[0] if window > 0 else np.inf
     return min(below, masses(window)[1]), window
 
@@ -577,9 +575,9 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
 
     Worst cases are taken over |lam| <= b*delta for the marked side and
     circle distance >= delta/2 for the unmarked side.  Each mu from 1 up
-    is searched with best_window, started at _eta_floor's window, unless
-    its floor exceeds eta_target ** 2 by more than FLOOR_SLACK, which
-    rules the mu out without a search.  When no mu up to
+    is searched as best_window searches it, from _eta_floor's window,
+    unless its floor exceeds eta_target ** 2 by more than FLOOR_SLACK,
+    which rules the mu out without a search.  When no mu up to
     min(mu_cap, MU_MAX) reaches the target, the ruled-out mu are searched
     too and the result carries converged=False and the best (mu, window)
     found, the smallest mu on a tie.  The result is the one a full search
@@ -597,17 +595,17 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
         return CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
                                  converged=choice.eta <= eta_target, **asdict(choice))
 
-    choices, ruled_out = {}, {}
+    choices, ruled_out = {}, []
     for mu in range(1, min(mu_cap, MU_MAX) + 1):
         floor, window = _eta_floor(mu, delta, b)
         if floor - FLOOR_SLACK > eta_target ** 2:
-            ruled_out[mu] = window
+            ruled_out.append(mu)
             continue
-        choices[mu] = best_window(mu, delta, b, start=window)
+        choices[mu] = _search_from(mu, delta, b, window)
         if choices[mu].eta <= eta_target:
             return result(mu, choices[mu])
-    for mu, window in ruled_out.items():
-        choices[mu] = best_window(mu, delta, b, start=window)
+    for mu in ruled_out:
+        choices[mu] = best_window(mu, delta, b)
     best = min(sorted(choices), key=lambda mu: choices[mu].eta)
     return result(best, choices[best])
 
@@ -644,12 +642,10 @@ def verification_model(delta: float, b: float, lam_marked: float, lam_unmarked: 
 
 
 def scaling_constant(mu_values, delta: float, b: float) -> tuple[float, list[dict]]:
-    """eta * sqrt(2^mu * delta) over a mu sweep at per-mu optimal windows,
-    eta from the closed form, each mu's search started at _eta_floor's
-    window.  Returns (largest constant observed, per-mu records)."""
-    records = []
-    for mu in mu_values:
-        choice = best_window(mu, delta, b, start=_eta_floor(mu, delta, b)[1])
-        records.append({"mu": mu, "window": choice.window, "eta": choice.eta,
-                        "constant": choice.eta * np.sqrt(2 ** mu * delta)})
+    """eta * sqrt(2^mu * delta) over a mu sweep at per-mu optimal windows
+    (best_window), eta from the closed form.  Returns (largest constant
+    observed, per-mu records)."""
+    choices = [(mu, best_window(mu, delta, b)) for mu in mu_values]
+    records = [{"mu": mu, "window": c.window, "eta": c.eta,
+                "constant": c.eta * np.sqrt(2 ** mu * delta)} for mu, c in choices]
     return max((r["constant"] for r in records), default=0.0), records

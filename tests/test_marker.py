@@ -486,6 +486,12 @@ def test_evaluation_rejects_another_model(built, given):
         em.evaluate_marker(assembly, *_resolved(given), n_random=1)
 
 
+def test_assembly_rejects_a_target_resolved_against_another_model():
+    # The eigenphases come from the target, so it must be the model's own.
+    with pytest.raises(ValueError, match="different spectral model"):
+        em.build_assembly(SWAPPED, _resolved(TWO_PHASES)[1], em.WorkspaceLayout(6, 2), "pea")
+
+
 def test_evaluation_rejects_a_model_the_target_was_not_resolved_on():
     # The assembly's own target with a model it does not resolve on.
     layout = em.WorkspaceLayout(mu=6, window=2)

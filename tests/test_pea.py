@@ -231,6 +231,20 @@ def test_estimation_table_is_built_once_under_threads(monkeypatch):
         monkeypatch, lambda: pea.estimation_factors(lam, layout)[0], x)
 
 
+def test_measure_eta_rejects_a_target_resolved_against_another_model():
+    # The swapped model's target marks index 1, the unmarked phase 2.0 of
+    # spec: measured against it, eta read 0.9986 where spec's own reads 0.0661.
+    spec = em.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), delta=1.5)
+    swapped = em.SpectralUnitary(dim=2, eigenphases=(2.0, 0.01), delta=1.5)
+    target = em.MarkTarget.resolve(spec, psi_prime=0.0, phi=np.pi, b=0.05)
+    other = em.MarkTarget.resolve(swapped, psi_prime=0.0, phi=np.pi, b=0.05)
+    layout = em.WorkspaceLayout(6, 4)
+    pea_op = em.build_pea(em.build_shifted(spec, target), layout)
+    assert em.measure_eta(pea_op, spec, target, layout).eta == pytest.approx(0.0661, abs=1e-4)
+    with pytest.raises(ValueError, match="different spectral model"):
+        em.measure_eta(pea_op, spec, other, layout)
+
+
 @pytest.mark.parametrize("dtype", [np.complex64, np.float64])
 def test_measure_eta_rejects_other_amplitude_dtypes(dtype):
     # complex64 used to compute in complex128 and say nothing.
@@ -389,10 +403,23 @@ def test_best_window_matches_brute_force(mu, delta, b):
     assert choice.window == window
     # The dense grids only sample the worst case that best_window refines.
     assert eta * (1 - 1e-12) <= choice.eta <= eta * (1 + 1e-4)
-    # The search's start window (clamped to [0, wmax]) changes nothing;
-    # the default starts warm, so a cold start is among these.
-    for start in (0, 1, window, window - 3, window + 3, 2 ** (mu - 1) - 1):
-        assert em.best_window(mu, delta, b, start=start) == choice
+
+
+def test_crossing_window_finds_the_first_crossed_window():
+    # Every bracket: each wmax, each crossing (wmax + 1: none crosses, which
+    # gives wmax) and each start, clamped ones included.  The search probes
+    # only windows in [0, wmax], so the start sets the cost alone.
+    for wmax in range(17):
+        for first in range(wmax + 2):
+            for start in range(-2, wmax + 3):
+                probed = []
+
+                def crossed(w):
+                    probed.append(w)
+                    return w >= first
+
+                assert pea._crossing_window(crossed, wmax, start) == min(first, wmax)
+                assert all(0 <= w <= wmax for w in probed)
 
 
 def test_best_window_rejects_mu_below_one():
@@ -551,9 +578,9 @@ def test_refinement_shares_kernel_calls(monkeypatch):
 
 
 def full_search(delta, b, mu_cap=20):
-    """Reference: a calibration that searches every mu from 1 up from
-    best_window's default start, stops at the first converged mu and
-    otherwise keeps the best, the smallest mu on a tie."""
+    """Reference: a calibration that searches every mu from 1 up with
+    best_window, stops at the first converged mu and otherwise keeps the
+    best, the smallest mu on a tie."""
     eta_target = pea.ETA_TARGET_DEFAULT
     best = None
     for mu in range(1, mu_cap + 1):
@@ -604,17 +631,18 @@ def test_scaling_constant_starts_each_mu_at_the_floor_window(monkeypatch, mus):
     _const, records = pea.scaling_constant(mus, delta=0.4, b=0.05)
     assert sorted(probed) == sorted(set(mus))
     assert max(len(windows) for windows in probed.values()) <= 3
-    # The start sets only the cost: each record is the default search's.
+    # Each record is best_window's.
     want = [em.best_window(mu, 0.4, 0.05) for mu in mus]
     assert [(r["mu"], r["window"], r["eta"]) for r in records] == [
         (mu, choice.window, choice.eta) for mu, choice in zip(mus, want)]
 
 
-@pytest.mark.parametrize("mu,delta", [(9, 0.6), (9, 1.2), (9, 2.2), (9, 3.0), (11, 3.0)])
+@pytest.mark.parametrize("mu,delta", [(9, 0.6), (9, 1.2), (9, 2.2), (9, 3.0), (11, 3.0),
+                                      (14, 0.4), (17, 0.05)])
 def test_best_window_starts_at_the_crossing_phase(monkeypatch, mu, delta):
-    # The default start is the window whose edge sits at delta/3, next to
-    # the crossing (0.34-0.36 delta); a search from window 0 probes 11-19
-    # windows here.
+    # The search starts where _eta_floor's samples cross, next to the
+    # computed crossing, so only the pair the answer reads is probed; a
+    # search from window 0 probes 11-19 windows here.
     probed = set()
     scan = pea._sup_scan
 
@@ -624,7 +652,7 @@ def test_best_window_starts_at_the_crossing_phase(monkeypatch, mu, delta):
 
     monkeypatch.setattr(pea, "_sup_scan", counted)
     em.best_window(mu, delta, 0.05)
-    assert len(probed) <= 5
+    assert len(probed) <= 2
 
 
 def test_calibration_takes_numpy_counts():

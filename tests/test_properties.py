@@ -17,15 +17,6 @@ from eigenmark import cli, marker, pea, spectral, voting  # noqa: E402
 from eigenmark.statevec import EXTENDED  # noqa: E402
 
 
-@settings(max_examples=120)
-@given(mu=st.integers(1, 8),
-       delta=st.floats(0.3, float(np.pi), exclude_min=True),
-       b=st.floats(0.02, 0.25, exclude_min=True),
-       start=st.integers())
-def test_best_window_start_changes_nothing(mu, delta, b, start):
-    assert pea.best_window(mu, delta, b, start=start) == pea.best_window(mu, delta, b)
-
-
 def window_choices(mu, delta, b):
     """Every window's worst cases, computed as best_window computes them."""
     choices = []
