@@ -23,11 +23,11 @@ in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
 over the window, which on a bin-aligned grid is a box sum over the rows of
 a table of the kernel, one prefix-sum subtraction per grid phase; the table
 covers only the rows the boxes touch.  The exact kernel refines the three
-best maxima together, one call per refinement step over all their sub-grids
-with each shared point evaluated once, and an envelope bound limits how far
-the unmarked sweep must reach.  The kernel reduces the window offsets mod W
-once per (mu, window), so no term pays a modulo and only phases whose bins
-reach W/2 wrap; both it and the table compute in place on one buffer.
+best maxima together by safeguarded parabolic steps, one call per step over
+all three, and an envelope bound limits how far the unmarked sweep must
+reach.  The kernel reduces the window offsets mod W once per (mu, window),
+so no term pays a modulo and only phases whose bins reach W/2 wrap; both it
+and the table compute in place on one buffer.
 The grid has a fixed GRID_PER_BIN points per bin: the costs depend on
 the gap and the target alone, so its density is not part of the problem.
 _eta_floor samples the exact kernel where each worst case lives, a few
@@ -363,32 +363,50 @@ def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
     return np.arange(n0, n1 + 1) * step, inside
 
 
-def _sup_scan(mu: int, window: int, lo: float, hi: float, grid_per_bin: int,
-              outside: bool = False):
+def _sup_scan(mu: int, window: int, lo: float, hi: float, outside: bool = False):
     """(lam, mass) with the largest in-window mass (out-of-window mass when
-    outside) over [lo, hi].  The three best of the box-sum grid, lo and hi
-    are refined together with the exact kernel, which gives the mass
-    returned: each of the four steps evaluates every candidate's 33-point
-    sub-grid in one kernel call, and a point two candidates share once."""
-    xs, inside = _box_grid(mu, window, lo, hi, grid_per_bin)
-    xs = np.concatenate((xs, [lo, hi]))
+    outside) over [lo, hi], at the best point the exact kernel evaluated.
+
+    The three best points of the box-sum grid are the candidates (the
+    midpoint when no grid point lies inside).  One kernel call evaluates
+    lo, hi and each candidate's bracket (c - h, c, c + h) clipped to
+    [lo, hi], h = beta / GRID_PER_BIN.  Each of four safeguarded parabolic
+    steps (successive parabolic interpolation) then evaluates, in one call
+    for all candidates, the vertex of the parabola through a candidate's
+    best point and its two bracketing neighbours, clipped to the bracket
+    they span; a flat or degenerate parabola keeps the best point.  A
+    candidate keeps its best point and the neighbours on either side, so
+    the result never falls below the exact mass at lo, hi or any candidate.
+    """
+    xs, inside = _box_grid(mu, window, lo, hi, GRID_PER_BIN)
     sign = -1.0 if outside else 1.0
-    vals = sign * np.concatenate((inside, window_response_mass([lo, hi], mu, window)))
-    cx = xs[np.argsort(vals)[::-1][:3]]
-    pick = np.arange(len(cx))
-    cstep = 2 * np.pi / 2 ** mu / grid_per_bin
+    centres = xs[np.argsort(sign * inside)[::-1][:3]] if len(xs) else np.array([(lo + hi) / 2])
+    h = 2 * np.pi / (2 ** mu * GRID_PER_BIN)
+    x = np.stack((np.maximum(lo, centres - h), centres, np.minimum(hi, centres + h)), axis=1)
+    first = sign * window_response_mass(np.concatenate(([lo, hi], x.ravel())), mu, window)
+    v = first[2:].reshape(x.shape)
+    rows = np.arange(len(x))[:, None]
     for _ in range(4):
-        # Row by row as the scalar linspace: numpy leaves its multiply-first
-        # path for all rows only when a row has zero width, i.e. lo == hi.
-        sub = np.linspace(np.maximum(lo, cx - cstep), np.minimum(hi, cx + cstep), 33, axis=1)
-        points, where = np.unique(sub, return_inverse=True)
-        sv = (sign * window_response_mass(points, mu, window))[where.reshape(sub.shape)]
-        j = np.argmax(sv, axis=1)
-        cx, cv = sub[pick, j], sv[pick, j]
-        cstep /= 8.0
-    best = int(np.argmax(cv))
-    best_x, best_v = float(cx[best]), float(cv[best])
-    return best_x, 1.0 + best_v if outside else best_v
+        # The vertex of the parabola through (a, b, c) from its divided
+        # differences, taken only where the parabola has a maximum.
+        (a, b, c), (fa, fb, fc) = x.T, v.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (fb - fa) / (b - a)
+            curve = ((fc - fb) / (c - b) - slope) / (c - a)
+            vertex = np.clip((a + b) / 2 - slope / (2 * curve), a, c)
+        flat = ~(curve < 0) | ~np.isfinite(vertex)
+        vertex[flat] = x[rows[:, 0], np.argmax(v, axis=1)][flat]
+        x = np.concatenate((x, vertex[:, None]), axis=1)
+        v = np.concatenate((v, sign * window_response_mass(vertex, mu, window)[:, None]), axis=1)
+        # Of the four points in order, keep the best and a neighbour either
+        # side, or its two inner neighbours when it is outermost.
+        order = np.argsort(x, axis=1, kind="stable")
+        x, v = x[rows, order], v[rows, order]
+        keep = np.clip(np.argmax(v, axis=1), 1, 2)[:, None] + [-1, 0, 1]
+        x, v = x[rows, keep], v[rows, keep]
+    xs, vs = np.concatenate(([lo, hi], x.ravel())), np.concatenate((first[:2], v.ravel()))
+    lam, mass = float(xs[np.argmax(vs)]), float(vs.max())
+    return lam, 1.0 + mass if outside else mass
 
 
 def _covered_edge(mu: int, window: int, delta: float) -> tuple[float, float] | None:
@@ -413,7 +431,7 @@ def worst_unmarked_mass(mu: int, window: int, delta: float):
     region = 64.0
     while True:
         hi = min(np.pi, lo + region * bin_width)
-        lam, mass = _sup_scan(mu, window, lo, hi, GRID_PER_BIN)
+        lam, mass = _sup_scan(mu, window, lo, hi)
         if hi >= np.pi or _response_envelope(hi, mu, window) < mass:
             return lam, mass
         region *= 2.0
@@ -485,7 +503,7 @@ def _search_from(mu: int, delta: float, b: float, start: int) -> WindowChoice:
     def choice(w: int) -> WindowChoice:
         # The marked band |lam| <= b*delta: the response is symmetric under
         # lam -> -lam for the symmetric window, so only lam >= 0 is swept.
-        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, GRID_PER_BIN, outside=True)
+        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, outside=True)
         lam_u, mass_u = worst_unmarked_mass(mu, w, delta)
         return WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
                             float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
@@ -509,14 +527,16 @@ def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
     16 grid points within one bin above it, and their largest in-window
     mass, or 1.0 once the window edge reaches delta/2 (_covered_edge).
     Every sample is a point the scans evaluate, an endpoint exactly or a
-    grid point whose box sum is the kernel's to 1e-12, so a window's
-    sampled masses lie below its computed worst cases.  Those are monotone
-    in the window, so for any split s, min(out(s - 1), in(s)) bounds
-    eta ** 2 at every window: below s by the marked mass at s - 1, from s
-    on by the unmarked mass at s.  The split is the sampled crossing, where
-    the bound is tightest; its search starts at the window whose edge sits
-    at phase delta/3, near where the worst cases cross on the pinned
-    configurations (0.34-0.36 delta).
+    grid point whose box sum is the kernel's to 1e-12.  A scan evaluates
+    its ends and its best grid points exactly, and its parabolic steps can
+    only raise its result, so a window's sampled masses lie below its
+    computed worst cases.  Those are monotone in the window, so for any
+    split s, min(out(s - 1), in(s)) bounds eta ** 2 at every window: below
+    s by the marked mass at s - 1, from s on by the unmarked mass at s.
+    The split is the sampled crossing, where the bound is tightest; its
+    search starts at the window whose edge sits at phase delta/3, near
+    where the worst cases cross on the pinned configurations (0.34-0.36
+    delta).
     """
     stride = GRID_PER_BIN // 16
     _, _, top = _grid_span(mu, 0.0, b * delta, GRID_PER_BIN)

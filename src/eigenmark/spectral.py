@@ -211,7 +211,9 @@ def build_shifted(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
 
 
 def ideal_marker(spec: SpectralUnitary, target: MarkTarget) -> LinearOperator:
-    """Ground-truth selective phase: e^{i phi} on the marked eigenspace."""
+    """Ground-truth selective phase: e^{i phi} on the marked eigenspace.
+    target must be spec's own (check_target); ValueError otherwise."""
+    check_target(spec, target)
     phases = np.zeros(spec.dim)
     phases[list(target.marked_indices)] = target.phi
     return _diagonal_in_basis(phases, spec.eigenbasis)

@@ -509,20 +509,21 @@ def test_calibration_headline_configuration(setup_04):
     assert abs(report.eta - calib.eta) <= 1e-9
 
 
-# Full results of a search from window 0 at every mu: starting each mu
-# next to the previous mu's window must reproduce them bit for bit.
+# full_search's results, a best_window search at every mu from 1 up:
+# calibration, which searches only the mu its floor keeps, must reproduce
+# them bit for bit.
 COLD_SEARCH_RESULTS = [
     em.CalibrationResult(delta=0.4, b=0.05, eta_target=0.03125, mu=14,
-                         window=370, eta_marked=0.02359656793485948,
-                         eta_unmarked=0.02358561443336071, lam_marked=0.019750017273208423,
+                         window=370, eta_marked=0.02359656793491829,
+                         eta_unmarked=0.02358561443336071, lam_marked=0.01975001750960751,
                          lam_unmarked=0.2, converged=True),
     em.CalibrationResult(delta=3.0, b=0.05, eta_target=0.03125, mu=11,
-                         window=330, eta_marked=0.023939823102613597,
-                         eta_unmarked=0.023963771524187247, lam_marked=0.14879628856838742,
-                         lam_unmarked=1.5017661555940427, converged=True),
+                         window=330, eta_marked=0.023939823102641422,
+                         eta_unmarked=0.023963771524191112, lam_marked=0.14879628992955776,
+                         lam_unmarked=1.5017661561485083, converged=True),
     em.CalibrationResult(delta=0.05, b=0.05, eta_target=0.03125, mu=17,
-                         window=370, eta_marked=0.023615759893491833,
-                         eta_unmarked=0.023566427104158783, lam_marked=0.002468752159151053,
+                         window=370, eta_marked=0.023615759893543548,
+                         eta_unmarked=0.023566427104158783, lam_marked=0.0024687521856850054,
                          lam_unmarked=0.025, converged=True),
 ]
 
@@ -551,11 +552,12 @@ def test_calibration_probes_few_windows_per_mu(monkeypatch):
 
 
 def test_refinement_shares_kernel_calls(monkeypatch):
-    # The three candidates are refined together: one kernel call for lo and
-    # hi, then one per refinement step over every candidate's sub-grid,
-    # each shared point once.  Refined one candidate at a time, the same
-    # calibration made 694 calls over 2,722,852 terms, and searched at
-    # every mu from 1 up, 270 calls over 1,977,916 terms.
+    # The three candidates are refined together: one kernel call for lo, hi
+    # and their brackets, then one per parabolic step over every
+    # candidate's vertex.  Refined one candidate at a time on 33-point
+    # sub-grids, the same calibration made 694 calls over 2,722,852 terms,
+    # and refined together on those sub-grids, 69 calls over 1,481,487
+    # terms; with parabolic steps it makes 69 calls over 516,887 terms.
     calls = []
     kernel, scan = pea.window_response_mass, pea._sup_scan
     per_scan = []
@@ -574,7 +576,7 @@ def test_refinement_shares_kernel_calls(monkeypatch):
     monkeypatch.setattr(pea, "_sup_scan", counted_scan)
     assert em.calibrate_workspace(0.4, 0.05) == COLD_SEARCH_RESULTS[0]
     assert per_scan and max(per_scan) <= 5
-    assert sum(calls) < 1_600_000
+    assert sum(calls) < 530_000
 
 
 def full_search(delta, b, mu_cap=20):

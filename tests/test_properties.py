@@ -21,7 +21,7 @@ def window_choices(mu, delta, b):
     """Every window's worst cases, computed as best_window computes them."""
     choices = []
     for w in range(2 ** (mu - 1)):
-        lam_m, mass_m = pea._sup_scan(mu, w, 0.0, b * delta, pea.GRID_PER_BIN, outside=True)
+        lam_m, mass_m = pea._sup_scan(mu, w, 0.0, b * delta, outside=True)
         lam_u, mass_u = pea.worst_unmarked_mass(mu, w, delta)
         choices.append(pea.WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
                                         float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u))
@@ -108,16 +108,17 @@ def test_inner_rows_are_the_directions(case, extended):
         assert np.array_equal(alone, rows[i])
 
 
-def scan_per_candidate(mu, window, lo, hi, grid_per_bin, outside):
-    """Reference: _sup_scan as first written, each of the three candidates
-    refined on its own with one kernel call per step (3 x 4 x 33 points)."""
-    xs, inside = pea._box_grid(mu, window, lo, hi, grid_per_bin)
+def scan_per_candidate(mu, window, lo, hi, outside):
+    """Reference: the 33-point refinement _sup_scan made before its
+    parabolic steps, each of the three best of the grid, lo and hi refined
+    on its own with one kernel call per step (3 x 4 x 33 points)."""
+    xs, inside = pea._box_grid(mu, window, lo, hi, pea.GRID_PER_BIN)
     xs = np.concatenate((xs, [lo, hi]))
     sign = -1.0 if outside else 1.0
     vals = sign * np.concatenate((inside, pea.window_response_mass([lo, hi], mu, window)))
     best_x, best_v = lo, -np.inf
     for idx in np.argsort(vals)[::-1][:3]:
-        cx, cstep = float(xs[idx]), 2 * np.pi / 2 ** mu / grid_per_bin
+        cx, cstep = float(xs[idx]), 2 * np.pi / 2 ** mu / pea.GRID_PER_BIN
         for _ in range(4):
             sub = np.linspace(max(lo, cx - cstep), min(hi, cx + cstep), 33)
             sv = sign * pea.window_response_mass(sub, mu, window)
@@ -129,6 +130,16 @@ def scan_per_candidate(mu, window, lo, hi, grid_per_bin, outside):
     return best_x, 1.0 + best_v if outside else best_v
 
 
+def check_scan_reaches_the_oracle(mu, window, lo, hi, outside, slack):
+    lam, mass = pea._sup_scan(mu, window, lo, hi, outside)
+    want = scan_per_candidate(mu, window, lo, hi, outside)[1]
+    assert type(lam) is float and type(mass) is float
+    # The mass is the kernel's own value at the lam returned.
+    inside = float(pea.window_response_mass(lam, mu, window)[0])
+    assert mass.hex() == (1.0 - inside if outside else inside).hex()
+    assert mass >= want - slack
+
+
 @st.composite
 def scans(draw):
     mu = draw(st.integers(1, 10))
@@ -136,17 +147,31 @@ def scans(draw):
     ends = st.floats(-float(np.pi), float(np.pi))
     lo, hi = sorted((draw(ends), draw(ends)))
     assume(lo < hi)
-    return mu, window, lo, hi, draw(st.sampled_from((1, 3, 64))), draw(st.booleans())
+    return mu, window, lo, hi, draw(st.booleans())
 
 
 @settings(max_examples=150)
 @given(args=scans())
-def test_shared_refinement_matches_the_per_candidate_loop(args):
-    got = pea._sup_scan(*args)
-    want = scan_per_candidate(*args)
-    assert all(type(x) is float for x in got)
-    # Bit for bit: lam, and the mass the kernel gave it.
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+def test_parabolic_refinement_reaches_the_per_candidate_loop(args):
+    # Where a peak is flat to the kernel's rounding, the oracle's 396
+    # points can land one or two units of 1.0's last place above the
+    # scan's 23, so random scans allow that much.
+    check_scan_reaches_the_oracle(*args, slack=4 * np.finfo(float).eps)
+
+
+def calibrated_scans(mu, window, delta, b):
+    """The marked scan and the first unmarked scan of a calibrated window."""
+    lo = delta / 2.0
+    return [(mu, window, 0.0, b * delta, True),
+            (mu, window, lo, min(np.pi, lo + 64 * 2 * np.pi / 2 ** mu), False)]
+
+
+@pytest.mark.parametrize("args", calibrated_scans(11, 330, 3.0, 0.05)
+                         + calibrated_scans(14, 370, 0.4, 0.05),
+                         ids=["11-330-marked", "11-330-unmarked", "14-370-marked",
+                              "14-370-unmarked"])
+def test_calibrated_scans_reach_the_per_candidate_loop(args):
+    check_scan_reaches_the_oracle(*args, slack=0.0)
 
 
 # --- the CLI's exit-code contract, searched --------------------------------

@@ -134,6 +134,16 @@ def test_ideal_marker_degenerate_eigenspace():
     np.testing.assert_allclose(got, np.diag([1j, 1j, 1.0, 1.0]), atol=1e-12)
 
 
+def test_ideal_marker_rejects_mismatched_target():
+    # The phases swapped: the target marks direction 0, which in this model
+    # is the unmarked phase 2.0, so the marker would put -1 on it.
+    target = em.MarkTarget.resolve(em.SpectralUnitary(dim=2, eigenphases=(0.01, 2.0), delta=1.5),
+                                   psi_prime=0.0, phi=np.pi, b=0.05)
+    swapped = em.SpectralUnitary(dim=2, eigenphases=(2.0, 0.01), delta=1.5)
+    with pytest.raises(ValueError, match="different spectral model"):
+        em.ideal_marker(swapped, target)
+
+
 def test_marker_phase_composition_law(small_model):
     spec, _target, _layout = small_model
     t1 = em.MarkTarget.resolve(spec, 0.0, 0.4, b=0.05)
