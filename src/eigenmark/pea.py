@@ -23,11 +23,12 @@ in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
 over the window, which on a bin-aligned grid is a box sum over the rows of
 a table of the kernel, one prefix-sum subtraction per grid phase; the table
 covers only the rows the boxes touch.  The exact kernel refines the three
-best maxima together by safeguarded parabolic steps, one call per step over
-all three, and an envelope bound limits how far the unmarked sweep must
-reach.  The kernel reduces the window offsets mod W once per (mu, window),
-so no term pays a modulo and only phases whose bins reach W/2 wrap; both it
-and the table compute in place on one buffer.
+best maxima together by parabolic steps with Brent's golden-section
+safeguard, one call per step over all three, and an envelope bound limits
+how far the unmarked sweep must reach.  The kernel reduces the window
+offsets mod W once per (mu, window), so no term pays a modulo and only
+phases whose bins reach W/2 wrap; both it and the table compute in place
+on one buffer.
 The grid has a fixed GRID_PER_BIN points per bin: the costs depend on
 the gap and the target alone, so its density is not part of the problem.
 _eta_floor samples the exact kernel where each worst case lives, a few
@@ -58,6 +59,7 @@ _TWO_PI_HI = float.fromhex("0x1.921fb54p+2")  # 2 pi to 29 significant bits
 # |k| <= 2^24; a phase in [-pi, pi] lies in a bin |k| <= 2^(mu-1).
 MU_MAX = 25
 GRID_PER_BIN = 64  # box-sum grid points per bin in the worst-case search
+_GOLDEN = (3 - 5 ** 0.5) / 2  # the golden-section fraction of a bracket
 # Mass by which _eta_floor must exceed eta_target^2 to rule a mu out: its
 # samples agree with the scans' own values to about 1e-12.
 FLOOR_SLACK = 1e-10
@@ -370,40 +372,45 @@ def _sup_scan(mu: int, window: int, lo: float, hi: float, outside: bool = False)
     The three best points of the box-sum grid are the candidates (the
     midpoint when no grid point lies inside).  One kernel call evaluates
     lo, hi and each candidate's bracket (c - h, c, c + h) clipped to
-    [lo, hi], h = beta / GRID_PER_BIN.  Each of four safeguarded parabolic
-    steps (successive parabolic interpolation) then evaluates, in one call
-    for all candidates, the vertex of the parabola through a candidate's
-    best point and its two bracketing neighbours, clipped to the bracket
-    they span; a flat or degenerate parabola keeps the best point.  A
-    candidate keeps its best point and the neighbours on either side, so
-    the result never falls below the exact mass at lo, hi or any candidate.
+    [lo, hi], h = beta / GRID_PER_BIN, a point two brackets share once.
+    Each of four steps then evaluates one new point per candidate, all in
+    one call: the vertex of the parabola through the bracket's three
+    points when it is a maximum strictly inside the bracket and not one of
+    them, else, as in Brent's minimizer, a golden-section step from the
+    best point into the larger of its sub-brackets.  The bracket keeps its
+    best point and a neighbour either side, so it only shrinks, and the
+    result never falls below the exact mass at lo, hi or any candidate.
     """
     xs, inside = _box_grid(mu, window, lo, hi, GRID_PER_BIN)
     sign = -1.0 if outside else 1.0
     centres = xs[np.argsort(sign * inside)[::-1][:3]] if len(xs) else np.array([(lo + hi) / 2])
     h = 2 * np.pi / (2 ** mu * GRID_PER_BIN)
     x = np.stack((np.maximum(lo, centres - h), centres, np.minimum(hi, centres + h)), axis=1)
-    first = sign * window_response_mass(np.concatenate(([lo, hi], x.ravel())), mu, window)
+    points, where = np.unique(np.concatenate(([lo, hi], x.ravel())), return_inverse=True)
+    first = (sign * window_response_mass(points, mu, window))[where]
     v = first[2:].reshape(x.shape)
-    rows = np.arange(len(x))[:, None]
+    rows = np.arange(len(x))
     for _ in range(4):
         # The vertex of the parabola through (a, b, c) from its divided
-        # differences, taken only where the parabola has a maximum.
+        # differences, and the golden-section point that stands in for it.
         (a, b, c), (fa, fb, fc) = x.T, v.T
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = (fb - fa) / (b - a)
             curve = ((fc - fb) / (c - b) - slope) / (c - a)
-            vertex = np.clip((a + b) / 2 - slope / (2 * curve), a, c)
-        flat = ~(curve < 0) | ~np.isfinite(vertex)
-        vertex[flat] = x[rows[:, 0], np.argmax(v, axis=1)][flat]
-        x = np.concatenate((x, vertex[:, None]), axis=1)
-        v = np.concatenate((v, sign * window_response_mass(vertex, mu, window)[:, None]), axis=1)
+            vertex = (a + b) / 2 - slope / (2 * curve)
+        best = np.argmax(v, axis=1)
+        p = x[rows, best]
+        left, right = x[rows, np.maximum(best - 1, 0)], x[rows, np.minimum(best + 1, 2)]
+        golden = p + _GOLDEN * (np.where(p - left > right - p, left, right) - p)
+        step = np.where((curve < 0) & (a < vertex) & (vertex < c) & (vertex != b), vertex, golden)
+        x = np.concatenate((x, step[:, None]), axis=1)
+        v = np.concatenate((v, sign * window_response_mass(step, mu, window)[:, None]), axis=1)
         # Of the four points in order, keep the best and a neighbour either
         # side, or its two inner neighbours when it is outermost.
         order = np.argsort(x, axis=1, kind="stable")
-        x, v = x[rows, order], v[rows, order]
+        x, v = np.take_along_axis(x, order, 1), np.take_along_axis(v, order, 1)
         keep = np.clip(np.argmax(v, axis=1), 1, 2)[:, None] + [-1, 0, 1]
-        x, v = x[rows, keep], v[rows, keep]
+        x, v = np.take_along_axis(x, keep, 1), np.take_along_axis(v, keep, 1)
     xs, vs = np.concatenate(([lo, hi], x.ravel())), np.concatenate((first[:2], v.ravel()))
     lam, mass = float(xs[np.argmax(vs)]), float(vs.max())
     return lam, 1.0 + mass if outside else mass

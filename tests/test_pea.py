@@ -553,11 +553,7 @@ def test_calibration_probes_few_windows_per_mu(monkeypatch):
 
 def test_refinement_shares_kernel_calls(monkeypatch):
     # The three candidates are refined together: one kernel call for lo, hi
-    # and their brackets, then one per parabolic step over every
-    # candidate's vertex.  Refined one candidate at a time on 33-point
-    # sub-grids, the same calibration made 694 calls over 2,722,852 terms,
-    # and refined together on those sub-grids, 69 calls over 1,481,487
-    # terms; with parabolic steps it makes 69 calls over 516,887 terms.
+    # and their brackets, then one per step over every candidate.
     calls = []
     kernel, scan = pea.window_response_mass, pea._sup_scan
     per_scan = []
