@@ -63,10 +63,13 @@ def selective_phase(target: np.ndarray | SubspaceProjector, angle: float | np.fl
     scaled in real_dtype; any other unit state t, P = |t><t|, is kept in
     at least complex128 (complex256 stays complex256) and has its
     projection subtracted from every row.  The angle is kept as given, for
-    phase_tables to round: a long-double angle keeps its precision."""
+    phase_tables to round: a long-double angle keeps its precision; a NaN
+    or infinite one is a ValueError."""
     main_dim = require_int(main_dim, "main_dim")
     if main_dim < 1:
         raise ValueError(f"main_dim {main_dim} must be positive")
+    if not np.isfinite(angle):
+        raise ValueError(f"phase angle {angle!r} is not finite")
     tables = phase_tables(lambda real: real.type(angle))
 
     if isinstance(target, SubspaceProjector):
@@ -175,6 +178,9 @@ class RecursionSchedule:
 
     @classmethod
     def closed_form(cls, q: int) -> "RecursionSchedule":
+        """The schedule at level q, an integer (TypeError otherwise, see
+        require_int) and nonnegative (ValueError)."""
+        q = require_int(q, "level q")
         if q < 0:
             raise ValueError("q must be nonnegative")
         m = 3 ** q

@@ -272,7 +272,9 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
 
     The workspace amplitude at z is the Dirichlet ratio
     sin(W u/2) / (W sin(u/2)) with u = lam - 2 pi z / W, so the in-window
-    mass is an O(window) sum per phase.
+    mass is an O(window) sum per phase.  ValueError unless every lam lies
+    in a bin |k| <= 2^24, k = round(lam W / 2 pi), where the kernel is
+    exact (see MU_MAX); that rejects NaN and infinities too.
     """
     layout = WorkspaceLayout(mu, window)
     mu, window, wdim = layout.mu, layout.window, layout.work_dim
@@ -283,7 +285,12 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
     # r = lam - k beta to the nearest bin k, exact up to its own rounding as
     # k * _TWO_PI_HI is exact (k < 2^24).  Element z lies d = k - z (mod W,
     # in [-W/2, W/2)) bins on: u = r + d beta and sin(W u/2) = +-sin(W r/2).
-    k = np.round(lam * (wdim / (2 * np.pi)))
+    with np.errstate(over="ignore"):  # an overflowing bin is rejected here
+        k = np.round(lam * (wdim / (2 * np.pi)))
+    beyond = ~(np.abs(k) <= 2 ** 24)
+    if beyond.any():
+        raise ValueError(f"lam {float(lam[beyond][0])!r} is outside bins |k| <= 2^24 at "
+                         f"mu={mu}, where the kernel is exact")
     r = (lam - k * (_TWO_PI_HI / wdim)) - k * ((2 * np.pi - _TWO_PI_HI) / wdim)
     k_mod = ((k.astype(np.int64) + wdim // 2) % wdim - wdim // 2).astype(float)
     half = np.add(k_mod[:, None], _window_offsets(mu, window))  # d, then u/2
@@ -327,16 +334,16 @@ def _response_envelope(lam: float, mu: int, window: int) -> float:
     return float((1.0 / (wdim * np.sin(d / 2.0)) ** 2).sum())
 
 
-def _grid_span(mu: int, lo: float, hi: float, grid_per_bin: int):
+def _grid_span(mu: int, lo: float, hi: float):
     """(step, n0, n1): the box-sum grid phases strictly inside (lo, hi) are
-    n * step for n in n0..n1, with step = beta / grid_per_bin."""
-    step = 2 * np.pi / (2 ** mu * grid_per_bin)
+    n * step for n in n0..n1, with step = beta / GRID_PER_BIN."""
+    step = 2 * np.pi / (2 ** mu * GRID_PER_BIN)
     return step, int(np.floor(lo / step)) + 1, int(np.ceil(hi / step)) - 1
 
 
-def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
+def _box_grid(mu: int, window: int, lo: float, hi: float):
     """Grid phases (a + c/G) beta strictly inside (lo, hi), with
-    beta = 2 pi / W and G = grid_per_bin, and their in-window masses.
+    beta = 2 pi / W and G = GRID_PER_BIN, and their in-window masses.
 
     Window element k sees (a, c) at offset (a - k + c/G) beta, so the mass
     there is the box sum over rows a-w..a+w of
@@ -344,8 +351,8 @@ def _box_grid(mu: int, window: int, lo: float, hi: float, grid_per_bin: int):
     mod W.  Prefix sums over the rows the boxes touch give each box in one
     subtraction.
     """
-    wdim, g = 2 ** mu, grid_per_bin
-    step, n0, n1 = _grid_span(mu, lo, hi, g)
+    wdim, g = 2 ** mu, GRID_PER_BIN
+    step, n0, n1 = _grid_span(mu, lo, hi)
     a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
     rows = (np.arange(a0 - window, a0 + span + window) + wdim // 2) % wdim - wdim // 2
     cols = np.arange(g) / g
@@ -381,7 +388,7 @@ def _sup_scan(mu: int, window: int, lo: float, hi: float, outside: bool = False)
     best point and a neighbour either side, so it only shrinks, and the
     result never falls below the exact mass at lo, hi or any candidate.
     """
-    xs, inside = _box_grid(mu, window, lo, hi, GRID_PER_BIN)
+    xs, inside = _box_grid(mu, window, lo, hi)
     sign = -1.0 if outside else 1.0
     centres = xs[np.argsort(sign * inside)[::-1][:3]] if len(xs) else np.array([(lo + hi) / 2])
     h = 2 * np.pi / (2 ** mu * GRID_PER_BIN)
@@ -546,8 +553,8 @@ def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
     delta).
     """
     stride = GRID_PER_BIN // 16
-    _, _, top = _grid_span(mu, 0.0, b * delta, GRID_PER_BIN)
-    step, bottom, _ = _grid_span(mu, delta / 2.0, np.pi, GRID_PER_BIN)
+    _, _, top = _grid_span(mu, 0.0, b * delta)
+    step, bottom, _ = _grid_span(mu, delta / 2.0, np.pi)
     marked = np.arange(top, top - GRID_PER_BIN, -stride) * step
     unmarked = np.arange(bottom, bottom + GRID_PER_BIN, stride) * step
     marked = np.concatenate(([b * delta], marked[marked > 0.0]))
@@ -606,8 +613,9 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
     unless its floor exceeds eta_target ** 2 by more than FLOOR_SLACK,
     which rules the mu out without a search.  When no mu up to
     min(mu_cap, MU_MAX) reaches the target, the ruled-out mu are searched
-    too and the result carries converged=False and the best (mu, window)
-    found, the smallest mu on a tie.  The result is the one a full search
+    too, each from the floor window already computed, and the result
+    carries converged=False and the best (mu, window) found, the smallest
+    mu on a tie.  The result is the one a full search
     at every mu gives.  Every call searches cold and the search is
     deterministic, so the result is a function of the arguments alone.
     """
@@ -622,17 +630,17 @@ def calibrate_workspace(delta: float, b: float, eta_target: float = ETA_TARGET_D
         return CalibrationResult(delta=delta, b=b, eta_target=eta_target, mu=mu,
                                  converged=choice.eta <= eta_target, **asdict(choice))
 
-    choices, ruled_out = {}, []
+    choices, ruled_out = {}, {}
     for mu in range(1, min(mu_cap, MU_MAX) + 1):
         floor, window = _eta_floor(mu, delta, b)
         if floor - FLOOR_SLACK > eta_target ** 2:
-            ruled_out.append(mu)
+            ruled_out[mu] = window
             continue
         choices[mu] = _search_from(mu, delta, b, window)
         if choices[mu].eta <= eta_target:
             return result(mu, choices[mu])
-    for mu in ruled_out:
-        choices[mu] = best_window(mu, delta, b)
+    for mu, window in ruled_out.items():
+        choices[mu] = _search_from(mu, delta, b, window)
     best = min(sorted(choices), key=lambda mu: choices[mu].eta)
     return result(best, choices[best])
 

@@ -313,9 +313,9 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, start: np.ndarr
     into tally in input order, so outputs and books equal a serial loop's.
     If applications raise, the exception of the first failing vector in
     input order propagates once all have ended, with tally charged as the
-    serial loop would have left it.  No thread outlives the call, so a
-    process forked later (sweep --jobs) inherits none; apply returns only
-    once its workers have left the kernel too (see _await_exit).
+    serial loop would have left it.  apply returns once the pool has
+    joined its workers, so no thread outlives the call and a process
+    forked later (sweep --jobs) inherits none.
 
     The gate: numpy runs an application's FFTs and most of its array
     loops outside the GIL, so threads pay off once an application
@@ -357,16 +357,9 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, start: np.ndarr
     if workers <= 1:
         return [run(i, tally) for i in range(len(mains))]
     books = [Tally() for _ in mains]
-    tids: set[int] = set()
-
-    def work(i, books):
-        tids.add(threading.get_native_id())
-        return run(i, books)
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(work, i, books[i])
+        futures = {i: pool.submit(run, i, books[i])
                    for i in sorted(range(len(mains)), key=lambda i: -ops[i].dim)}
-    _await_exit(tids)
     outs = []
     for i, own in enumerate(books):
         if tally is not None:
@@ -398,25 +391,6 @@ def _cores() -> int:
     except AttributeError:  # no sched_getaffinity on this platform
         cores = os.cpu_count() or 1
     return max(1, cores // _sharing)
-
-
-def _await_exit(tids) -> None:
-    """Return once the threads with native ids tids have ended in the
-    kernel, where /proc/self/task lists them; elsewhere at once.
-
-    A Python thread counts as joined before its OS thread has run glibc's
-    exit path, which is where it hands its malloc arena back for the next
-    thread to take.  A quarter of apply calls (voting, 2 workers) found a
-    worker still there after the join; when the next call's workers
-    started first they were given new arenas, each of which kept its own
-    freed memory (see _keep_freed_memory), so voting's peak RSS wandered
-    from 57 to 74 MB between runs.  Waiting, under 0.3 ms a call, keeps
-    it to one arena per worker."""
-    if not os.path.isdir("/proc/self/task"):
-        return
-    for tid in tids:
-        while os.path.exists(f"/proc/self/task/{tid}"):
-            os.sched_yield()
 
 
 def _keep_freed_memory() -> None:

@@ -137,6 +137,15 @@ def test_selective_phase_rejects_unnormalized_target():
         em.selective_phase(np.array([1.0, 1.0]), 0.3)
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf, np.longdouble("nan")],
+                         ids=["nan", "inf", "minus_inf", "longdouble_nan"])
+def test_selective_phase_rejects_a_non_finite_angle(angle):
+    # A NaN angle would write NaN amplitudes, and an infinite one warn.
+    for target in (em.SubspaceProjector(3, (1,)), np.array([0.6, 0.8j])):
+        with pytest.raises(ValueError, match="not finite"):
+            em.selective_phase(target, angle)
+
+
 def test_compress_cubes_failure_amplitude():
     window = em.SubspaceProjector(2, (0,))
     for eta, want in ((0.1, 1.0e-3), (0.5, 0.125)):
@@ -239,14 +248,18 @@ def test_q_cap_enforced(small_model):
 
 @pytest.mark.parametrize("q", [1.5, True, 1.0], ids=["fraction", "bool", "integral_float"])
 def test_non_integer_level_rejected(q):
-    with pytest.raises(TypeError, match="integer"):
-        fpqs.check_level(q)
+    # predict_schedule(2.5, 0.01) once gave m = 3^2.5, and a bool level m = 3.
+    for read in (fpqs.check_level, fpqs.RecursionSchedule.closed_form,
+                 lambda q: em.predict_schedule(q, 0.01)):
+        with pytest.raises(TypeError, match="integer"):
+            read(q)
 
 
 def test_numpy_integer_level_accepted(small_model):
     spec, target, layout = small_model
     op = em.build_pea(em.build_shifted(spec, target), layout)
     fpqs.check_level(np.int64(2))
+    assert fpqs.RecursionSchedule.closed_form(np.int64(2)) == fpqs.RecursionSchedule.closed_form(2)
     tally = em.Tally()
     state = np.outer(spec.basis_column(0), layout.sigma_state()).ravel()
     em.build_fixed_point(op, np.int64(1), layout.z_window()).apply_to(state, tally)

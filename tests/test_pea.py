@@ -328,11 +328,10 @@ def test_box_grid_is_bit_identical_to_the_table_expression():
         wdim = 2 ** mu
         for window in sorted({0, wdim // 2 - 1} | ({1} if mu > 1 else set())):
             for lo, hi in ((0.0, 0.3), (-0.4, 0.9), (np.pi - 0.5, np.pi), (-np.pi, np.pi)):
-                for g in (1, 5, 64):
-                    got = pea._box_grid(mu, window, lo, hi, g)
-                    want = box_grid_from_table(mu, window, lo, hi, g)
-                    assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
-                        (mu, window, lo, hi, g)
+                got = pea._box_grid(mu, window, lo, hi)
+                want = box_grid_from_table(mu, window, lo, hi, pea.GRID_PER_BIN)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
+                    (mu, window, lo, hi)
 
 
 def test_kernel_domain_is_checked():
@@ -348,6 +347,13 @@ def test_kernel_domain_is_checked():
         em.WorkspaceLayout(5, 3.0)
     with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
         pea.window_response_mass(np.zeros((2, 2)), 5, 2)
+    # The kernel is exact only for bins |k| <= 2^24: 1e10 at mu = 20 sits
+    # in bin 1.7e15, where it read 7.2e-11; 1e300 read 0.0021, NaN nan.
+    for lam, mu in ((np.nan, 5), (np.inf, 5), (-np.inf, 11), (1e300, 5), (1e10, 20),
+                    ([0.1, np.nan], 5)):
+        with pytest.raises(ValueError, match=r"\|k\| <= 2\^24"):
+            pea.window_response_mass(lam, mu, 3)
+    assert np.isfinite(pea.window_response_mass(2 ** 24 * 2 * np.pi / 2 ** 20, 20, 3)).all()
     layout = em.WorkspaceLayout(np.int64(5), np.int64(3))
     assert type(layout.mu) is int and type(layout.work_dim) is int
     assert pea.window_response_mass(0.1, np.int64(5), np.int64(3)).shape == (1,)
@@ -375,9 +381,9 @@ def test_box_sums_match_kernel(mu):
     wdim = 2 ** mu
     for window in sorted({0, 1, wdim // 4, wdim // 2 - 1}):
         for lo, hi in ((0.0, 0.3), (1.0, 1.0 + 40 * 2 * np.pi / wdim), (np.pi - 0.3, np.pi)):
-            lams, inside = pea._box_grid(mu, window, lo, hi, 64)
+            lams, inside = pea._box_grid(mu, window, lo, hi)
             assert np.all((lams > lo) & (lams < hi))
-            assert np.allclose(np.diff(lams), 2 * np.pi / wdim / 64)
+            assert np.allclose(np.diff(lams), 2 * np.pi / wdim / pea.GRID_PER_BIN)
             picks = np.unique(np.concatenate(([0, len(lams) - 1],
                                               rng.integers(0, len(lams), 64))))
             exact = pea.window_response_mass(lams[picks], mu, window)
@@ -448,6 +454,22 @@ def test_calibration_searches_no_further_than_the_ceiling(monkeypatch):
     result = em.calibrate_workspace(3.0, 0.05, mu_cap=30)
     assert not result.converged and result.mu <= 4
     assert result == em.calibrate_workspace(3.0, 0.05, mu_cap=4)
+
+
+def test_capped_calibration_takes_each_floor_once(monkeypatch):
+    # At (3.0, 0.05) no mu up to 4 converges, so every ruled-out mu is
+    # searched too, from the floor window calibration already computed.
+    floors = []
+    eta_floor = pea._eta_floor
+    monkeypatch.setattr(pea, "_eta_floor",
+                        lambda mu, delta, b: floors.append(mu) or eta_floor(mu, delta, b))
+    result = em.calibrate_workspace(3.0, 0.05, mu_cap=4)
+    assert floors == [1, 2, 3, 4]
+    assert result == pea.CalibrationResult(
+        delta=3.0, b=0.05, eta_target=pea.ETA_TARGET_DEFAULT, mu=4, window=2,
+        eta_marked=0.25559910449510137, eta_unmarked=0.20827628411358037,
+        lam_marked=0.15000000000000002, lam_unmarked=1.7572305225385119, converged=False)
+    assert asdict(em.best_window(4, 3.0, 0.05)).items() <= asdict(result).items()
 
 
 @pytest.mark.parametrize("args,kwargs,error,match", [

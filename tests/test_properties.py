@@ -70,10 +70,14 @@ def test_walsh_hadamard_is_an_involution(mu, rows, cols, extended, seed):
     assert np.linalg.norm(twice - x) <= bound
 
 
+VARIANTS = (("pea", {}), ("fixed_point", {"q": 0}), ("fixed_point", {"q": 1}),
+            ("voting", {"nu": 1}), ("voting", {"nu": 3}))
+
+
 @st.composite
-def marker_cases(draw):
-    """A valid model (D <= 4, the marked phase first), its target, and a
-    variant at mu <= 6 and q <= 1 or nu in {1, 3}."""
+def marker_cases(draw, variants=VARIANTS):
+    """A valid model (D <= 4, the marked phase first), its target, and one
+    of variants at mu <= 6: by default q <= 1 or nu in {1, 3}."""
     dim = draw(st.integers(1, 4))
     phases = (draw(st.floats(-0.015, 0.015)),
               *(draw(st.sampled_from((-1, 1))) * draw(st.floats(0.5, float(np.pi)))
@@ -83,9 +87,7 @@ def marker_cases(draw):
                                          b=0.05, marked_index=0)
     mu = draw(st.integers(1, 6))
     layout = pea.WorkspaceLayout(mu, draw(st.integers(0, 2 ** (mu - 1) - 1)))
-    variant, extra = draw(st.sampled_from((("pea", {}), ("fixed_point", {"q": 0}),
-                                           ("fixed_point", {"q": 1}), ("voting", {"nu": 1}),
-                                           ("voting", {"nu": 3}))))
+    variant, extra = draw(st.sampled_from(variants))
     assume(dim * layout.work_dim ** extra.get("nu", 1) <= voting.TENSOR_GUARD)
     return spec, target, layout, variant, extra
 
@@ -108,11 +110,29 @@ def test_inner_rows_are_the_directions(case, extended):
         assert np.array_equal(alone, rows[i])
 
 
+@settings(max_examples=20)
+@given(case=marker_cases(VARIANTS + (("fixed_point", {"q": 2}),)), n_random=st.integers(0, 2))
+def test_evaluation_counters_follow_the_laws(case, n_random):
+    # Every eigendirection and every probe is one marker application, in
+    # either dtype, whether the driver runs it on threads (complex256, or
+    # complex128 from THREAD_MIN_DIM amplitudes) or in the calling thread.
+    spec, target, layout, variant, extra = case
+    assembly = marker.build_assembly(spec, target, layout, variant, **extra)
+    q, nu = extra.get("q", 0), extra.get("nu", 1)
+    per_marker = {"pea": 2, "fixed_point": 2 * 9 ** q, "voting": 2 * nu}[variant]
+    for dtype in (np.complex128, EXTENDED):
+        counters = marker.evaluate_marker(assembly, spec, target, n_random=n_random,
+                                          dtype=dtype).counters
+        assert counters.n_p == per_marker * (spec.dim + n_random)
+        assert counters.n_u == counters.n_p * layout.work_dim
+        assert counters.n_a == nu * layout.mu
+
+
 def scan_per_candidate(mu, window, lo, hi, outside):
     """Reference: the 33-point refinement _sup_scan made before its
     parabolic steps, each of the three best of the grid, lo and hi refined
     on its own with one kernel call per step (3 x 4 x 33 points)."""
-    xs, inside = pea._box_grid(mu, window, lo, hi, pea.GRID_PER_BIN)
+    xs, inside = pea._box_grid(mu, window, lo, hi)
     xs = np.concatenate((xs, [lo, hi]))
     sign = -1.0 if outside else 1.0
     vals = sign * np.concatenate((inside, pea.window_response_mass([lo, hi], mu, window)))

@@ -249,30 +249,20 @@ def test_driver_threads_large_complex128_voting(monkeypatch):
     assert tally.get("P") == 2 * 3 * len(ops)  # core and its adjoint, nu registers each
 
 
-def test_driver_returns_after_its_workers_have_ended():
-    # apply waits for its workers to leave the kernel, not only Python,
-    # so the next call's workers take over their malloc arenas.
-    if not os.path.isdir("/proc/self/task"):
-        pytest.skip("needs /proc/self/task")
-    tids = []
-    ops = [_identity_doing(2, action=lambda: tids.append(threading.get_native_id()))] * 4
-    for _ in range(20):
-        em.apply(ops, [np.ones(1, dtype=EXTENDED)] * 4, SIGMA2)
-        assert not [t for t in tids if os.path.exists(f"/proc/self/task/{t}")]
-
-
 def test_warm_voting_applications_fault_in_no_fresh_memory():
     # Once warm, the transients of a voting evaluation's applications
     # reuse memory freed by the last call (statevec._keep_freed_memory):
     # three calls fault in about 30 pages, and about 18,000 with glibc's
-    # default thresholds.
+    # default thresholds.  Twenty threaded calls, each on a fresh pool,
+    # would also fault in fresh pages if their workers kept taking new
+    # malloc arenas.
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("sets glibc's malloc thresholds only")
     ops, mains, u = _voting_applications()
     for _ in range(2):
         em.apply(ops, mains, u)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(3):
+    for _ in range(20):
         em.apply(ops, mains, u)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
