@@ -22,18 +22,22 @@ Calibration finds worst-case eigenphases from the closed-form response: the
 in-window mass is a sum of the Fejér kernel (sin(W x/2) / (W sin(x/2)))^2
 over the window, which on a bin-aligned grid is a box sum over the rows of
 a table of the kernel, one prefix-sum subtraction per grid phase; the table
-covers only the rows the boxes touch.  The exact kernel refines the three
-best maxima together by parabolic steps with Brent's golden-section
-safeguard, one call per step over all three, and an envelope bound limits
-how far the unmarked sweep must reach.  The kernel reduces the window
-offsets mod W once per (mu, window), so no term pays a modulo and only
-phases whose bins reach W/2 wrap; both it and the table compute in place
-on one buffer.
+covers only the rows the boxes touch.  A window search keeps one store of
+table rows (_FejerRows) for all its scans, so each row is computed once per
+search.  The exact kernel refines the three best maxima together by
+parabolic steps with Brent's golden-section safeguard, one call per step
+over all three, and an envelope bound limits how far the unmarked sweep
+must reach.  The kernel (_mass_terms, the one home of the Dirichlet ratio)
+gives one term per phase and window offset; it reduces the offsets mod W
+once per (mu, window), so no term pays a modulo and only phases whose bins
+reach W/2 wrap; both it and the table compute in place on one buffer.
 The grid has a fixed GRID_PER_BIN points per bin: the costs depend on
 the gap and the target alone, so its density is not part of the problem.
 _eta_floor samples the exact kernel where each worst case lives, a few
 points at each band end, and gives a lower bound on a mu's best eta^2
-together with the window where the samples cross.  best_window gallops
+together with the window where the samples cross.  It computes each
+sample's term at each offset once, into a table that grows as its gallop
+reaches wider windows, and sums each window's columns.  best_window gallops
 from that window to the one where the two computed worst cases cross and
 keeps the better of the pair at the crossing; calibrate_workspace searches
 no mu whose floor already misses the target.
@@ -110,16 +114,29 @@ def _fwht_axis1(a: np.ndarray) -> np.ndarray:
     """Normalized Walsh-Hadamard transform along axis 1 of (m, W, k), as a
     new array: log2 W radix-2 butterflies (x, y) -> (x + y, x - y) in place
     on the real view of one copy, then one scaling by 1/sqrt(W) in its real
-    dtype (long double for complex256), one path for every dtype."""
+    dtype (long double for complex256), one path for every dtype.
+
+    Each of the m rows transforms on its own.  A row whose entries are all
+    +0.0 maps to itself bit for bit, so it skips the butterflies; a row
+    holding a -0.0 does not (-0.0 - -0.0 is +0.0).  measure_eta's unit
+    directions leave every main row but one zero."""
     out = np.array(a, order="C")
     flat = out.view(real_dtype(a.dtype))
-    for bit in range(a.shape[1].bit_length() - 1):
-        pairs = flat.reshape(-1, 2, flat.shape[2] << bit)
-        x, y = pairs[:, 0], pairs[:, 1]
+    m, wdim, width = flat.shape
+    rows = flat.reshape(m, wdim * width)
+    live = rows.any(axis=1)
+    if not live.all():
+        live[~live] = np.signbit(rows[~live]).any(axis=1)
+    work = flat if live.all() else flat[live]
+    for bit in range(wdim.bit_length() - 1):
+        pairs = work.reshape(len(work), wdim >> (bit + 1), 2, width << bit)
+        x, y = pairs[:, :, 0], pairs[:, :, 1]
         diff = x - y
         x += y
         y[...] = diff
-    flat *= 1 / np.sqrt(flat.dtype.type(a.shape[1]))
+    work *= 1 / np.sqrt(work.dtype.type(wdim))
+    if work is not flat:
+        flat[live] = work
     return out
 
 
@@ -277,11 +294,21 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
     exact (see MU_MAX); that rejects NaN and infinities too.
     """
     layout = WorkspaceLayout(mu, window)
-    mu, window, wdim = layout.mu, layout.window, layout.work_dim
     lam = np.asarray(lam, dtype=float)
     if lam.ndim > 1:
         raise ValueError(f"lam must be a scalar or 1-D, got shape {lam.shape}")
-    lam = np.atleast_1d(lam)
+    return _mass_terms(np.atleast_1d(lam), layout.mu,
+                       _window_offsets(layout.mu, layout.window)).sum(axis=1)
+
+
+def _mass_terms(lam: np.ndarray, mu: int, offsets: np.ndarray) -> np.ndarray:
+    """The squared Dirichlet ratios window_response_mass sums: one row per
+    phase of the 1-D float array lam, one column per offset -z mod W in
+    offsets (floats in [-W/2, W/2), as _window_offsets gives them).  Each
+    term depends on its phase and offset alone, so any set of columns
+    holds the same floats a window's row holds.  ValueError for a phase
+    outside bins |k| <= 2^24."""
+    wdim = 2 ** mu
     # r = lam - k beta to the nearest bin k, exact up to its own rounding as
     # k * _TWO_PI_HI is exact (k < 2^24).  Element z lies d = k - z (mod W,
     # in [-W/2, W/2)) bins on: u = r + d beta and sin(W u/2) = +-sin(W r/2).
@@ -293,8 +320,8 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
                          f"mu={mu}, where the kernel is exact")
     r = (lam - k * (_TWO_PI_HI / wdim)) - k * ((2 * np.pi - _TWO_PI_HI) / wdim)
     k_mod = ((k.astype(np.int64) + wdim // 2) % wdim - wdim // 2).astype(float)
-    half = np.add(k_mod[:, None], _window_offsets(mu, window))  # d, then u/2
-    wraps = np.abs(k_mod) + window >= wdim // 2
+    half = np.add(k_mod[:, None], offsets)  # d, then u/2
+    wraps = np.abs(k_mod) + np.abs(offsets).max(initial=0.0) >= wdim // 2
     if wraps.any():
         d = half[wraps]
         d[d >= wdim // 2] -= wdim
@@ -317,7 +344,7 @@ def window_response_mass(lam, mu: int, window: int) -> np.ndarray:
         rows = half[exact]
         rows[np.isnan(rows)] = 1.0
         half[exact] = rows
-    return half.sum(axis=1)
+    return half
 
 
 def _response_envelope(lam: float, mu: int, window: int) -> float:
@@ -341,24 +368,14 @@ def _grid_span(mu: int, lo: float, hi: float):
     return step, int(np.floor(lo / step)) + 1, int(np.ceil(hi / step)) - 1
 
 
-def _box_grid(mu: int, window: int, lo: float, hi: float):
-    """Grid phases (a + c/G) beta strictly inside (lo, hi), with
-    beta = 2 pi / W and G = GRID_PER_BIN, and their in-window masses.
-
-    Window element k sees (a, c) at offset (a - k + c/G) beta, so the mass
-    there is the box sum over rows a-w..a+w of
-    F[r, c] = (sin(pi c/G) / (W sin((r + c/G) pi/W)))^2, whose rows repeat
-    mod W.  Prefix sums over the rows the boxes touch give each box in one
-    subtraction.
-    """
+def _fejer_rows(mu: int, first: int, stop: int) -> np.ndarray:
+    """Rows first..stop-1 (none when stop <= first) of _box_grid's table
+    F[r, c] = (sin(pi c/G) / (W sin((r + c/G) pi/W)))^2, each row r
+    computed at r mod W in [-W/2, W/2), where its values repeat."""
     wdim, g = 2 ** mu, GRID_PER_BIN
-    step, n0, n1 = _grid_span(mu, lo, hi)
-    a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
-    rows = (np.arange(a0 - window, a0 + span + window) + wdim // 2) % wdim - wdim // 2
+    rows = (np.arange(first, stop) + wdim // 2) % wdim - wdim // 2
     cols = np.arange(g) / g
-    # The table is built, and summed, in place in its prefix buffer.
-    prefix = np.zeros((len(rows) + 1, g))
-    table = prefix[1:]
+    table = np.empty((len(rows), g))
     np.add(rows[:, None], cols, out=table)
     table *= np.pi / wdim
     np.sin(table, out=table)
@@ -367,12 +384,60 @@ def _box_grid(mu: int, window: int, lo: float, hi: float):
         np.divide(np.sin(np.pi * cols), table, out=table)
     np.multiply(table, table, out=table)
     table[rows == 0, 0] = 1.0
-    np.cumsum(table, axis=0, out=table)
+    return table
+
+
+class _FejerRows:
+    """One mu's rows of _box_grid's table, each computed once.  A window
+    search keeps one store for the scans of all its windows, in both
+    bands.  It holds rows lo..hi - 1 as chunks: a request computes the
+    rows it needs below lo or from hi on as new chunks, so no row is
+    computed twice and none is moved.  The row ranges of scans near one
+    crossing overlap, so the store holds the rows they touch; it goes
+    with the search."""
+
+    def __init__(self, mu: int):
+        self.mu, self.lo, self.hi, self.chunks = mu, None, None, []
+
+    def copy_into(self, out: np.ndarray, first: int) -> None:
+        """Rows first..first + len(out) - 1 into out."""
+        stop = first + len(out)
+        if self.lo is None:
+            self.lo = self.hi = first
+        for start, end in ((first, self.lo), (self.hi, stop)):
+            if start < end:
+                self.chunks.append((start, _fejer_rows(self.mu, start, end)))
+        self.lo, self.hi = min(self.lo, first), max(self.hi, stop)
+        for start, chunk in self.chunks:
+            lo, hi = max(first, start), min(stop, start + len(chunk))
+            if lo < hi:
+                out[lo - first:hi - first] = chunk[lo - start:hi - start]
+
+
+def _box_grid(mu: int, window: int, lo: float, hi: float, rows: _FejerRows | None = None):
+    """Grid phases (a + c/G) beta strictly inside (lo, hi), with
+    beta = 2 pi / W and G = GRID_PER_BIN, and their in-window masses.
+
+    Window element k sees (a, c) at offset (a - k + c/G) beta, so the mass
+    there is the box sum over rows a-w..a+w of
+    F[r, c] = (sin(pi c/G) / (W sin((r + c/G) pi/W)))^2, whose rows repeat
+    mod W.  Prefix sums over the rows the boxes touch give each box in one
+    subtraction.  The rows are copied into the prefix buffer from rows, a
+    search's store at this mu (a fresh one when None), so sharing a store
+    changes no value.
+    """
+    g = GRID_PER_BIN
+    step, n0, n1 = _grid_span(mu, lo, hi)
+    a0, span = n0 // g, max(0, n1 // g - n0 // g + 1)
+    prefix = np.zeros((span + 2 * window + 1, g))
+    (rows or _FejerRows(mu)).copy_into(prefix[1:], a0 - window)
+    np.cumsum(prefix[1:], axis=0, out=prefix[1:])
     inside = (prefix[2 * window + 1:] - prefix[:span]).ravel()[n0 - a0 * g:n1 - a0 * g + 1]
     return np.arange(n0, n1 + 1) * step, inside
 
 
-def _sup_scan(mu: int, window: int, lo: float, hi: float, outside: bool = False):
+def _sup_scan(mu: int, window: int, lo: float, hi: float, outside: bool = False,
+              rows: _FejerRows | None = None):
     """(lam, mass) with the largest in-window mass (out-of-window mass when
     outside) over [lo, hi], at the best point the exact kernel evaluated.
 
@@ -388,7 +453,7 @@ def _sup_scan(mu: int, window: int, lo: float, hi: float, outside: bool = False)
     best point and a neighbour either side, so it only shrinks, and the
     result never falls below the exact mass at lo, hi or any candidate.
     """
-    xs, inside = _box_grid(mu, window, lo, hi)
+    xs, inside = _box_grid(mu, window, lo, hi, rows)
     sign = -1.0 if outside else 1.0
     centres = xs[np.argsort(sign * inside)[::-1][:3]] if len(xs) else np.array([(lo + hi) / 2])
     h = 2 * np.pi / (2 ** mu * GRID_PER_BIN)
@@ -431,12 +496,13 @@ def _covered_edge(mu: int, window: int, delta: float) -> tuple[float, float] | N
     return (edge, 1.0) if edge >= delta / 2.0 else None
 
 
-def worst_unmarked_mass(mu: int, window: int, delta: float):
+def worst_unmarked_mass(mu: int, window: int, delta: float, rows: _FejerRows | None = None):
     """(worst lam, in-window mass) over circle distance >= delta/2.
 
     Sweeps an adaptive region past theta_min densely and stops once the
     envelope bound proves nothing beyond the region can exceed the maximum
-    already found.
+    already found.  rows is the box-table store of a search at this mu
+    (see _box_grid), a fresh one per scan when None.
     """
     if covered := _covered_edge(mu, window, delta):
         return covered
@@ -445,7 +511,7 @@ def worst_unmarked_mass(mu: int, window: int, delta: float):
     region = 64.0
     while True:
         hi = min(np.pi, lo + region * bin_width)
-        lam, mass = _sup_scan(mu, window, lo, hi)
+        lam, mass = _sup_scan(mu, window, lo, hi, rows=rows)
         if hi >= np.pi or _response_envelope(hi, mu, window) < mass:
             return lam, mass
         region *= 2.0
@@ -511,14 +577,16 @@ def best_window(mu: int, delta: float, b: float) -> WindowChoice:
 def _search_from(mu: int, delta: float, b: float, start: int) -> WindowChoice:
     """best_window's search, its crossing search started at start.  Each
     window's worst case depends on the window alone, so start sets which
-    windows are probed, never the result."""
+    windows are probed, never the result.  Every scan reads its box-table
+    rows from one store for this mu, which goes when the search returns."""
+    rows = _FejerRows(mu)
 
     @functools.cache
     def choice(w: int) -> WindowChoice:
         # The marked band |lam| <= b*delta: the response is symmetric under
         # lam -> -lam for the symmetric window, so only lam >= 0 is swept.
-        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, outside=True)
-        lam_u, mass_u = worst_unmarked_mass(mu, w, delta)
+        lam_m, mass_m = _sup_scan(mu, w, 0.0, b * delta, outside=True, rows=rows)
+        lam_u, mass_u = worst_unmarked_mass(mu, w, delta, rows)
         return WindowChoice(w, float(np.sqrt(max(mass_m, 0.0))),
                             float(np.sqrt(max(mass_u, 0.0))), lam_m, lam_u)
 
@@ -551,6 +619,11 @@ def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
     search starts at the window whose edge sits at phase delta/3, near
     where the worst cases cross on the pinned configurations (0.34-0.36
     delta).
+
+    The samples are fixed, so each (sample, offset) term is computed once
+    per call: a table of the terms at offsets -reach..reach grows to each
+    wider window the gallop probes, and a window's masses sum its columns
+    in window_response_mass's order, to the same floats.
     """
     stride = GRID_PER_BIN // 16
     _, _, top = _grid_span(mu, 0.0, b * delta)
@@ -559,10 +632,23 @@ def _eta_floor(mu: int, delta: float, b: float) -> tuple[float, int]:
     unmarked = np.arange(bottom, bottom + GRID_PER_BIN, stride) * step
     marked = np.concatenate(([b * delta], marked[marked > 0.0]))
     unmarked = np.concatenate(([delta / 2.0], unmarked[unmarked < np.pi]))
+    samples = np.concatenate((marked, unmarked))
+    # The samples' terms at offsets -reach..reach, offset d in column
+    # reach + d, each computed as the gallop first reaches its offset.
+    terms, reach = np.empty((len(samples), 0)), -1
 
     @functools.cache
     def masses(w: int) -> tuple[float, float]:
-        mass = window_response_mass(np.concatenate((marked, unmarked)), mu, w)
+        nonlocal terms, reach
+        if w > reach:
+            new = np.arange(-w, w + 1.0)
+            grown = _mass_terms(samples, mu, new[np.abs(new) > reach])
+            terms = np.concatenate((grown[:, :w - reach], terms, grown[:, w - reach:]), axis=1)
+            reach = w
+        # np.take copies the columns C-ordered, in window_response_mass's
+        # order, so the row sums pair up its floats as it does.
+        columns = (reach + _window_offsets(mu, w)).astype(int)
+        mass = np.take(terms, columns, axis=1).sum(axis=1)
         covered = _covered_edge(mu, w, delta)
         inside = covered[1] if covered else float(mass[len(marked):].max())
         return 1.0 - float(mass[:len(marked)].min()), inside

@@ -322,10 +322,11 @@ def apply(ops: LinearOperator | Sequence[LinearOperator], mains, start: np.ndarr
     outweighs the pool's cost.  Long-double marker levels, whose time is
     long-double FFTs, do at every size.  pea.measure_eta's single
     estimation-operator applications (an FFT and the Walsh-Hadamard
-    butterflies each) gain only when large: on 2 complex256 directions
-    (median of 10 calls, 3 rounds, 2-core host) mu=14 took 21.2-21.6 ms
-    serial against 12.5-15.9 ms threaded, but mu=11 2.4-3.3 ms against
-    2.7-4.0 ms, so the gate threads mu=11 at a loss.  For complex128,
+    butterflies on its one nonzero main row each) gain only when large:
+    on 2 complex256 directions (median of 10 calls, 2 runs of 3 rounds,
+    2-core host) mu=14 took 14.1-18.5 ms serial against 11.2-13.8 ms
+    threaded, but mu=11 1.7-2.7 ms against 2.4-3.5 ms, so the gate
+    threads mu=11 at a loss.  For complex128,
     THREAD_MIN_DIM is the smallest power of two at which threaded
     evaluate_marker calls of every variant won most of 12 alternating
     rounds against serial with BLAS on one thread (OPENBLAS_NUM_THREADS=1,

@@ -2,6 +2,9 @@ import collections
 import functools
 import itertools
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -173,6 +176,58 @@ def test_hadamard_matches_dense_kronecker_power(mu):
             assert np.abs(got - want[:m, :, :k]).max() <= tol
 
 
+def butterflies_on_every_row(a: np.ndarray) -> np.ndarray:
+    """Reference: _fwht_axis1 as it was before it passed over rows of +0.0,
+    the butterflies and the scaling run on every row."""
+    out = np.array(a, order="C")
+    flat = out.view(real_dtype(a.dtype))
+    for bit in range(a.shape[1].bit_length() - 1):
+        pairs = flat.reshape(-1, 2, flat.shape[2] << bit)
+        x, y = pairs[:, 0], pairs[:, 1]
+        diff = x - y
+        x += y
+        y[...] = diff
+    flat *= 1 / np.sqrt(flat.dtype.type(a.shape[1]))
+    return out
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype, values and sign bits (so +0.0 and -0.0 differ), part by
+    part: a long double's padding bytes carry no value."""
+    return got.dtype == want.dtype and all(
+        np.array_equal(part(got), part(want))
+        and np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+        for part in (np.real, np.imag))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
+def test_hadamard_of_zero_rows_equals_butterflies_on_every_row(dtype):
+    # A row of +0.0 skips the butterflies and must come out +0.0, as the
+    # butterflies leave it; a -0.0 makes a row live (-0 + -0 = -0 but
+    # -0 - -0 = +0), whether the whole row or one entry.
+    rng = np.random.default_rng(4)
+    x = (rng.normal(size=(4, 16, 3)) + 1j * rng.normal(size=(4, 16, 3))).astype(dtype)
+    cases = {"all zero": np.zeros_like(x)}
+    cases["one row"] = np.zeros_like(x)
+    cases["one row"][2] = x[2]
+    cases["-0.0 row"] = cases["one row"].copy()
+    cases["-0.0 row"][0].real = -0.0
+    cases["-0.0 row"][0].imag = -0.0
+    cases["one -0.0"] = cases["one row"].copy()
+    cases["one -0.0"][3, 5, 1] = complex(0.0, -0.0)
+    cases["zero rows between"] = x.copy()
+    cases["zero rows between"][1:3] = 0.0
+    cases["none zero"] = x
+    for name, case in cases.items():
+        want = butterflies_on_every_row(case)
+        assert same_bits(pea._fwht_axis1(case), want), name
+        op = pea.walsh_hadamard(case.shape[0] * 16, 16)
+        got = op.apply_to(case.reshape(-1, 3))
+        assert same_bits(got, want.reshape(-1, 3)), name
+    # Passed over, the -0.0 row would have kept its signs.
+    assert not np.signbit(butterflies_on_every_row(cases["-0.0 row"])[0].real).all()
+
+
 @pytest.mark.parametrize("nu", [1, 3])
 @pytest.mark.parametrize("dtype, tol", [
     pytest.param(np.complex128, 1e-14, id="complex128"),
@@ -334,6 +389,31 @@ def test_box_grid_is_bit_identical_to_the_table_expression():
                     (mu, window, lo, hi)
 
 
+def test_box_grids_read_through_a_search_store_equal_fresh_calls(monkeypatch):
+    # A window search's scans, in both bands, read one mu's box-table rows
+    # from one store, which grows left and right, or past +-pi where the
+    # rows wrap; every grid they read equals a fresh call's bit for bit
+    # (equal float64 bytes, so equal hex).
+    reads = []
+    box_grid = pea._box_grid
+
+    def recording(mu, window, lo, hi, *args, **kwargs):
+        got = box_grid(mu, window, lo, hi, *args, **kwargs)
+        reads.append(((mu, window, lo, hi), got))
+        return got
+
+    monkeypatch.setattr(pea, "_box_grid", recording)
+    for mu in (2, 3, 5, 8, 11, 14):
+        for delta, b in ((0.4, 0.05), (3.0, 0.05), (np.pi, 0.25), (1.3, 0.2)):
+            pea.best_window(mu, delta, b)
+    assert em.calibrate_workspace(3.0, 0.05) == COLD_SEARCH_RESULTS[1]
+    monkeypatch.undo()
+    for args, (lams, inside) in reads:
+        want_lams, want_inside = pea._box_grid(*args)
+        assert lams.tobytes() == want_lams.tobytes(), args
+        assert inside.tobytes() == want_inside.tobytes(), args
+
+
 def test_kernel_domain_is_checked():
     # A fractional window would sum a mass above 1, and a fractional mu
     # would build a float work_dim.
@@ -472,6 +552,51 @@ def test_capped_calibration_takes_each_floor_once(monkeypatch):
     assert asdict(em.best_window(4, 3.0, 0.05)).items() <= asdict(result).items()
 
 
+def floor_samples(mu: int, delta: float, b: float):
+    """Reference: _eta_floor's samples as its docstring states them, b*delta
+    and 16 grid points within one bin below it (marked), delta/2 and 16
+    within one bin above it (unmarked), all inside (0, pi)."""
+    stride = pea.GRID_PER_BIN // 16
+    step = 2 * np.pi / (2 ** mu * pea.GRID_PER_BIN)
+    top, bottom = int(np.ceil(b * delta / step)) - 1, int(np.floor(delta / 2.0 / step)) + 1
+    marked = np.arange(top, top - pea.GRID_PER_BIN, -stride) * step
+    unmarked = np.arange(bottom, bottom + pea.GRID_PER_BIN, stride) * step
+    return (np.concatenate(([b * delta], marked[marked > 0.0])),
+            np.concatenate(([delta / 2.0], unmarked[unmarked < np.pi])))
+
+
+def floor_at_split(mu: int, delta: float, b: float, split: int) -> float:
+    """min(out(split - 1), in(split)) from per-window window_response_mass
+    calls on floor_samples."""
+    marked, unmarked = floor_samples(mu, delta, b)
+    below = (1.0 - float(pea.window_response_mass(marked, mu, split - 1).min())
+             if split > 0 else np.inf)
+    covered = pea._covered_edge(mu, split, delta)
+    inside = covered[1] if covered else float(pea.window_response_mass(unmarked, mu, split).max())
+    return min(below, inside)
+
+
+@pytest.mark.parametrize("delta,b", [(0.4, 0.05), (3.0, 0.05), (2.5, 0.045), (1.3, 0.2),
+                                     (np.pi, 0.25), (0.3, 0.02)])
+def test_floor_masses_equal_the_per_window_kernel(monkeypatch, delta, b):
+    # The floor sums each probed window's terms out of one table that
+    # grows with its gallop.  At every window the gallop probes, split
+    # there once the gallop has run, the floor equals the per-window
+    # kernel's, compared as hex.
+    crossing = pea._crossing_window
+    for mu in range(1, 15):
+        probed = []
+        monkeypatch.setattr(pea, "_crossing_window", lambda crossed, wmax, start: crossing(
+            lambda w: probed.append(w) or crossed(w), wmax, start))
+        floor, window = pea._eta_floor(mu, delta, b)
+        assert floor.hex() == floor_at_split(mu, delta, b, window).hex()
+        for split in sorted(set(probed) | {window - 1, window + 1} - {-1, 2 ** (mu - 1)}):
+            monkeypatch.setattr(pea, "_crossing_window", lambda crossed, wmax, start: (
+                crossing(crossed, wmax, start), split)[1])
+            got, at = pea._eta_floor(mu, delta, b)
+            assert (got.hex(), at) == (floor_at_split(mu, delta, b, split).hex(), split)
+
+
 @pytest.mark.parametrize("args,kwargs,error,match", [
     # The grid density is the constant GRID_PER_BIN, not an argument.
     ((5, 1.0, 0.05), {"grid_per_bin": 0}, TypeError, "grid_per_bin"),
@@ -555,6 +680,23 @@ def test_calibration_matches_cold_search(want):
     assert em.calibrate_workspace(want.delta, want.b) == want
 
 
+@pytest.mark.parametrize("want", COLD_SEARCH_RESULTS, ids=["delta0.4", "delta3.0", "delta0.05"])
+@pytest.mark.parametrize("dtype", [np.complex128, EXTENDED], ids=["complex128", "extended"])
+def test_measured_etas_equal_butterflies_on_every_row(monkeypatch, want, dtype):
+    # measure_eta's unit directions leave one main row of two nonzero on
+    # the verification model; the etas equal those of butterflies on
+    # every row, compared as hex.
+    spec, target = em.verification_model(want.delta, want.b, want.lam_marked,
+                                         want.lam_unmarked)
+    layout = want.layout()
+    op = em.build_pea(em.build_shifted(spec, target), layout)
+    got = em.measure_eta(op, spec, target, layout, dtype=dtype)
+    monkeypatch.setattr(pea, "_fwht_axis1", butterflies_on_every_row)
+    ref = em.measure_eta(op, spec, target, layout, dtype=dtype)
+    assert [e.eta.hex() for e in got.entries] == [e.eta.hex() for e in ref.entries]
+    assert abs(got.eta - want.eta) <= 1e-9
+
+
 def test_calibration_probes_few_windows_per_mu(monkeypatch):
     # Each probed window costs two _sup_scan calls or more; a search from
     # window 0 probes 19 distinct windows at mu=14 here.  The eta floor
@@ -575,14 +717,16 @@ def test_calibration_probes_few_windows_per_mu(monkeypatch):
 
 def test_refinement_shares_kernel_calls(monkeypatch):
     # The three candidates are refined together: one kernel call for lo, hi
-    # and their brackets, then one per step over every candidate.
+    # and their brackets, then one per step over every candidate.  Every
+    # term, the floor's and the scans', is counted where it is computed:
+    # 118,625 here, 515,403 when the floor summed each window afresh.
     calls = []
-    kernel, scan = pea.window_response_mass, pea._sup_scan
+    kernel, scan = pea._mass_terms, pea._sup_scan
     per_scan = []
 
-    def counted_kernel(lam, mu, window):
-        calls.append(np.size(lam) * (2 * window + 1))
-        return kernel(lam, mu, window)
+    def counted_kernel(lam, mu, offsets):
+        calls.append(len(lam) * len(offsets))
+        return kernel(lam, mu, offsets)
 
     def counted_scan(*args, **kwargs):
         before = len(calls)
@@ -590,11 +734,32 @@ def test_refinement_shares_kernel_calls(monkeypatch):
         per_scan.append(len(calls) - before)
         return result
 
-    monkeypatch.setattr(pea, "window_response_mass", counted_kernel)
+    monkeypatch.setattr(pea, "_mass_terms", counted_kernel)
     monkeypatch.setattr(pea, "_sup_scan", counted_scan)
     assert em.calibrate_workspace(0.4, 0.05) == COLD_SEARCH_RESULTS[0]
     assert per_scan and max(per_scan) <= 5
-    assert sum(calls) < 530_000
+    assert sum(calls) < 130_000
+
+
+def test_calibrations_on_two_threads_match_the_cold_search():
+    # Each search keeps its floor table and row store to itself, so two
+    # calibrations running at once, switching threads often, give the
+    # single-thread results.
+    wants = COLD_SEARCH_RESULTS[:2]
+    start = threading.Barrier(len(wants), timeout=30)
+
+    def run(want):
+        start.wait()
+        return em.calibrate_workspace(want.delta, want.b)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(wants)) as pool:
+            got = list(pool.map(run, wants, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == wants
 
 
 def full_search(delta, b, mu_cap=20):
